@@ -18,10 +18,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sit.core import ConCall, DataDecl, Substitution, Var, VarCall, subst_telescope
 from sit.frontend import parse_file, resolve
-from sit.pattern_ops import Matched, Mismatch, match_terms
-from sit.translate import as_pattern_row
+from sit.pattern_ops import Matched, Mismatch, Stuck
 from sit.typecheck import check_signature
-from sit.coverage import Available, available_ctors, first_matching_row, instantiate_fields
+from sit.coverage import Undecidable, available_fields, row_outcomes
 from sit.evaluator import index_normal_form
 
 
@@ -52,13 +51,10 @@ def closed_terms(sig, ty, depth):
     if not isinstance(ty, DataCall):
         return
     indices = [index_normal_form(sig, a) for a in ty.args]
-    av = available_ctors(sig, ty.name, indices)
-    if not isinstance(av, Available):
+    cases = available_fields(sig.data(ty.name), indices)
+    if isinstance(cases, Undecidable):
         return
-    decl = sig.data(ty.name)
-    for ctor in dict.fromkeys(av.rows):
-        _, row, sub, _ = first_matching_row(sig, decl, ctor, indices)
-        fields = instantiate_fields(decl, row, indices, sub)
+    for ctor, fields in cases.items():
         for tup in closed_tuples(sig, fields, depth - 1):
             yield ConCall(ctor, tup)
 
@@ -81,22 +77,13 @@ def main() -> None:
             for i in range(len(tup))
         ]
         for tup in itertools.chain(tuples, poked):
-            for row in decl.ctors:
-                pats = as_pattern_row(decl, row).patterns
-                out = match_terms(list(tup), pats)
-                kind = (
-                    "available"
-                    if isinstance(out, Matched)
-                    else "unavailable"
-                    if isinstance(out, Mismatch)
-                    else "stuck"
-                )
-                counts[(row.name, kind)] += 1
+            for row, out in row_outcomes(decl, tup):
+                counts[(row.name, type(out))] += 1
         width = max(len(r.name) for r in decl.ctors)
         for row in decl.ctors:
-            a = counts[(row.name, "available")]
-            u = counts[(row.name, "unavailable")]
-            s = counts[(row.name, "stuck")]
+            a = counts[(row.name, Matched)]
+            u = counts[(row.name, Mismatch)]
+            s = counts[(row.name, Stuck)]
             print(
                 f"  {row.name:<{width}}  available {a:4d}   "
                 f"unavailable {u:4d}   stuck {s:4d}"

@@ -53,14 +53,13 @@ def _trace(terms, pats, outcome) -> None:
 
     lhs = ", ".join(pretty(t) for t in terms)
     rhs = ", ".join(pretty_pattern(p) for p in pats)
+    shown = type(outcome).__name__.lower()
     match outcome:
         case Matched(sub):
             binds = ", ".join(f"{x.text} := {pretty(t)}" for x, t in sub.pairs)
-            shown = f"matched {{{binds}}}"
+            shown += f" {{{binds}}}"
         case Stuck(pos):
-            shown = f"stuck at {pos}"
-        case _:
-            shown = "mismatch"
+            shown += f" at {pos}"
     print(f"match [{lhs}] ~ [{rhs}] -> {shown}", file=sys.stderr)
 
 

@@ -8,6 +8,7 @@ printing.
 """
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
@@ -229,15 +230,25 @@ class Signature:
         self._funcs: dict[str, FuncDecl] = {}
         self._ctor_owner: dict[str, DataDecl] = {}
         for decl in self.decls:
-            if isinstance(decl, DataDecl):
-                self._datas[decl.name] = decl
-                for row in decl.ctors:
-                    self._ctor_owner[row.name] = decl
-            else:
-                self._funcs[decl.name] = decl
+            self._index(decl)
+
+    def _index(self, decl: Declaration) -> None:
+        if isinstance(decl, DataDecl):
+            self._datas[decl.name] = decl
+            for row in decl.ctors:
+                self._ctor_owner[row.name] = decl
+        else:
+            self._funcs[decl.name] = decl
 
     def extended(self, decl: Declaration) -> Signature:
-        return Signature(self.decls + (decl,))
+        """A new signature with `decl` appended; only `decl` is indexed."""
+        out = copy.copy(self)
+        out.decls = self.decls + (decl,)
+        out._datas = dict(self._datas)
+        out._funcs = dict(self._funcs)
+        out._ctor_owner = dict(self._ctor_owner)
+        out._index(decl)
+        return out
 
     def data(self, name: str) -> Optional[DataDecl]:
         return self._datas.get(name)
@@ -248,12 +259,6 @@ class Signature:
     def ctor_owner(self, name: str) -> Optional[DataDecl]:
         """The data declaration that introduces constructor `name`."""
         return self._ctor_owner.get(name)
-
-    def ctor_rows(self, name: str) -> tuple[CtorRow, ...]:
-        owner = self._ctor_owner.get(name)
-        if owner is None:
-            return ()
-        return tuple(row for row in owner.ctors if row.name == name)
 
     def declares(self, name: str) -> bool:
         return name in self._datas or name in self._funcs or name in self._ctor_owner

@@ -1,18 +1,28 @@
-"""Constructor availability and exhaustiveness checking.
+"""Constructor selection and exhaustiveness checking.
+
+`row_outcomes` is the one place constructor rows are matched: each row of a
+data declaration is matched against the (normalized) index terms, and a
+plain row always matches. The outcome decides selection:
+
+- per constructor, the first of its rows that does not mismatch is the one
+  that applies: if it matches, its instantiated fields are the
+  constructor's, and if it is stuck, the constructor cannot be decided;
+- a split, or an impossible pattern, needs every row decided, so it is
+  undecidable as soon as any row is stuck.
 
 Coverage builds a case-splitting tree over a function's telescope. A column
 is split when some clause constrains it with a constructor or impossible
 pattern; the split enumerates the constructors available at the column's
-type, decided by matching its (normalized) index terms against each
-constructor row. Every leaf must be claimed by a clause, except leaves whose
-tuple type is uninhabited.
+type. Every leaf must be claimed by a clause, except leaves whose tuple type
+is uninhabited.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Sequence, Union
 
 from .core import (
+    EMPTY_SUBST,
     BindPat,
     ConCall,
     ConPat,
@@ -40,7 +50,7 @@ from .diagnostics import (
     Warning,
 )
 from .evaluator import Fuel, index_normal_form, whnf
-from .pattern_ops import Matched, Mismatch, Stuck, match_terms, vars_tele
+from .pattern_ops import Matched, MatchOutcome, Stuck, match_terms, vars_tele
 
 
 @dataclass(frozen=True)
@@ -64,65 +74,65 @@ class Undecidable:
 Availability = Union[Available, Undecidable]
 
 
-def available_ctors(sig: Signature, data_name: str, args: list[Term]) -> Availability:
+def row_outcomes(
+    decl: DataDecl, args: Sequence[Term], ctor: str | None = None
+) -> Iterator[tuple[CtorRow, MatchOutcome]]:
+    """Each constructor row (only those of `ctor`, if given) in declaration
+    order with its match outcome at these (normalized) arguments; a plain row
+    matches with no bindings."""
+    for row in decl.ctors:
+        if ctor is not None and row.name != ctor:
+            continue
+        if row.patterns is None:
+            yield row, Matched(EMPTY_SUBST)
+        else:
+            yield row, match_terms(args, row.patterns)
+
+
+def available_ctors(
+    sig: Signature, data_name: str, args: list[Term], fuel: Fuel | None = None
+) -> Availability:
     """Which constructors of a data type are available at these arguments."""
     decl = sig.data(data_name)
     if decl is None:
         raise InternalError(f"unknown data type {data_name}")
-    fuel = Fuel()
+    fuel = fuel if fuel is not None else Fuel()
     args = [index_normal_form(sig, a, fuel) for a in args]
     names: list[str] = []
-    for row in decl.ctors:
-        if row.patterns is None:
-            names.append(row.name)
-            continue
-        match match_terms(args, row.patterns):
+    for row, out in row_outcomes(decl, args):
+        match out:
             case Matched(_):
                 names.append(row.name)
             case Stuck(pos):
                 return Undecidable(row.name, pos)
-            case Mismatch():
-                pass
     return Available(tuple(names))
 
 
-def first_matching_row(
-    sig: Signature, decl: DataDecl, ctor: str, args: list[Term]
-) -> tuple[str, Optional[CtorRow], Optional[Substitution], int]:
-    """Resolve which row of `ctor` applies at these (normalized) arguments.
-
-    Returns ("matched", row, sub, _), ("mismatch", None, None, _) when no row
-    applies, or ("stuck", None, None, position) when a row cannot be decided
-    before any row matches.
-    """
-    for row in decl.ctors:
-        if row.name != ctor:
-            continue
-        if row.patterns is None:
-            return "matched", row, None, -1
-        match match_terms(args, row.patterns):
-            case Matched(s):
-                return "matched", row, s, -1
+def available_fields(
+    decl: DataDecl, args: list[Term]
+) -> Union[dict[str, Telescope], Undecidable]:
+    """The field telescope of each available constructor at these (normalized)
+    arguments, taken from its first matching row, in the order of those rows."""
+    fields: dict[str, Telescope] = {}
+    for row, out in row_outcomes(decl, args):
+        match out:
+            case Matched(sub) if row.name not in fields:
+                fields[row.name] = instantiate_fields(decl, row, args, sub)
             case Stuck(pos):
-                return "stuck", None, None, pos
-            case Mismatch():
-                continue
-    return "mismatch", None, None, -1
+                return Undecidable(row.name, pos)
+    return fields
 
 
 def instantiate_fields(
-    decl: DataDecl, row: CtorRow, args: list[Term], sub: Optional[Substitution]
+    decl: DataDecl, row: CtorRow, args: list[Term], sub: Substitution
 ) -> Telescope:
     """The field telescope of a row at a concrete instantiation of the data.
 
-    Pattern rows substitute the match result first; either way the data
-    telescope's variables are then replaced by the arguments.
+    The row's match result is substituted first, then the data telescope's
+    variables are replaced by the arguments.
     """
-    fields = row.fields
-    if sub is not None:
-        fields = subst_telescope(fields, sub)
     data_sub = Substitution(tuple(zip(vars_tele(decl.telescope), args)))
-    return subst_telescope(fields, data_sub)
+    return subst_telescope(subst_telescope(row.fields, sub), data_sub)
 
 
 # ---------------------------------------------------------------------------
@@ -135,19 +145,22 @@ class _Column:
     ty: Term
 
 
-def check_coverage(sig: Signature, func: FuncDecl) -> list[Warning]:
+def check_coverage(
+    sig: Signature, func: FuncDecl, fuel: Fuel | None = None
+) -> list[Warning]:
     """Certify that the clauses cover every constructor form of the telescope.
 
     Raises CoverageError with a concrete uncovered pattern stack, or when a
     needed split has undecidable availability. Returns warnings for clauses
-    no leaf selects.
+    no leaf selects. `fuel` bounds all evaluation of the check.
     """
+    fuel = fuel if fuel is not None else Fuel()
     columns = [_Column(x, ty) for x, ty in func.telescope]
     rows = [(i, list(cl.patterns)) for i, cl in enumerate(func.clauses)]
     shapes: list[Term] = [VarCall(x) for x, _ in func.telescope]
     hole_vars = {x for x, _ in func.telescope}
     used: set[int] = set()
-    _cover(sig, func, columns, rows, shapes, hole_vars, used)
+    _cover(sig, func, fuel, columns, rows, shapes, hole_vars, used)
     warnings = []
     for i, cl in enumerate(func.clauses):
         if i not in used:
@@ -161,13 +174,13 @@ def check_coverage(sig: Signature, func: FuncDecl) -> list[Warning]:
     return warnings
 
 
-def _cover(sig, func, columns, rows, shapes, hole_vars, used) -> None:
+def _cover(sig, func, fuel, columns, rows, shapes, hole_vars, used) -> None:
     if not rows:
         # Unclaimed leaf: fine only if some remaining column type is empty.
         for col in columns:
-            ty = whnf(sig, col.ty)
+            ty = whnf(sig, col.ty, fuel)
             if isinstance(ty, DataCall):
-                av = available_ctors(sig, ty.name, list(ty.args))
+                av = available_ctors(sig, ty.name, list(ty.args), fuel)
                 if isinstance(av, Available) and not av.rows:
                     return
         raise CoverageError(
@@ -187,37 +200,27 @@ def _cover(sig, func, columns, rows, shapes, hole_vars, used) -> None:
         return
 
     col = columns[split_at]
-    ty = whnf(sig, col.ty)
+    ty = whnf(sig, col.ty, fuel)
     if not isinstance(ty, DataCall):
         raise InternalError(f"splitting non-data column {pretty(col.ty)}")
-    fuel = Fuel()
     indices = [index_normal_form(sig, a, fuel) for a in ty.args]
-    av = available_ctors(sig, ty.name, indices)
-    if isinstance(av, Undecidable):
+    cases = available_fields(sig.data(ty.name), indices)
+    if isinstance(cases, Undecidable):
         raise CoverageError(
             CANNOT_SPLIT,
             f"cannot split on {col.var.text} : {pretty(ty)} in {func.name}: "
-            f"availability of constructor {av.ctor} is undecidable",
+            f"availability of constructor {cases.ctor} is undecidable",
             func.span,
         )
-    decl = sig.data(ty.name)
 
-    if not av.rows:
+    if not cases:
         # Empty split: impossible patterns here claim the vacuous case.
         for i, pats in rows:
             if isinstance(pats[split_at], ImpossiblePat):
                 used.add(i)
         return
 
-    seen: set[str] = set()
-    for ctor in av.rows:
-        if ctor in seen:
-            continue
-        seen.add(ctor)
-        status, row, sub, _ = first_matching_row(sig, decl, ctor, indices)
-        if status != "matched":
-            raise InternalError(f"availability and row resolution disagree on {ctor}")
-        fields = instantiate_fields(decl, row, indices, sub)
+    for ctor, fields in cases.items():
         field_vars = [Var.fresh(x.text) for x, _ in fields]
         rename = Substitution(
             tuple((x, VarCall(w)) for (x, _), w in zip(fields, field_vars))
@@ -256,7 +259,7 @@ def _cover(sig, func, columns, rows, shapes, hole_vars, used) -> None:
                     continue
             new_rows.append((i, pats[:split_at] + sub_pats + pats[split_at + 1 :]))
 
-        _cover(sig, func, new_columns, new_rows, new_shapes, new_holes, used)
+        _cover(sig, func, fuel, new_columns, new_rows, new_shapes, new_holes, used)
 
 
 def _render_stack(shapes: list[Term], hole_vars: set[Var]) -> str:

@@ -61,7 +61,7 @@ from .diagnostics import (
     Warning,
 )
 from .evaluator import DEFAULT_FUEL, Fuel, convertible, index_normal_form, whnf
-from .pattern_ops import to_term, to_terms, vars_tele
+from .pattern_ops import Matched, Stuck, to_term, to_terms, vars_tele
 
 
 @dataclass(frozen=True)
@@ -198,6 +198,17 @@ class TypeChecker:
                 f"constructor {name} cannot have non-data type {pretty(expected)}",
                 span,
             )
+        self.check_args(ctx, args, self._expect_ctor_at(name, exp, span), span)
+
+    def _expect_ctor_at(
+        self, name: str, exp: DataCall, span, lenient: bool = False
+    ) -> Optional[Telescope]:
+        """The fields of constructor `name` at the data type `exp`.
+
+        The first row of the constructor that does not mismatch decides: a
+        match gives its instantiated fields, a stuck match is an error, or
+        None when `lenient`. No such row means the constructor is unavailable.
+        """
         owner = self.sig.ctor_owner(name)
         if owner is None:
             raise TypeCheckError(UNKNOWN_NAME, f"unknown constructor {name}", span)
@@ -208,24 +219,24 @@ class TypeChecker:
                 span,
             )
         indices = self._index_nf(exp.args)
-        status, row, sub, _ = coverage_mod.first_matching_row(
-            self.sig, owner, name, indices
+        for row, out in coverage_mod.row_outcomes(owner, indices, name):
+            match out:
+                case Matched(sub):
+                    return coverage_mod.instantiate_fields(owner, row, indices, sub)
+                case Stuck():
+                    if lenient:
+                        return None
+                    raise TypeCheckError(
+                        CTOR_STUCK,
+                        f"cannot decide availability of constructor {name} "
+                        f"at {pretty(exp)}",
+                        span,
+                    )
+        raise TypeCheckError(
+            CTOR_UNAVAILABLE,
+            f"constructor {name} is not available at {pretty(exp)}",
+            span,
         )
-        if status == "mismatch":
-            raise TypeCheckError(
-                CTOR_UNAVAILABLE,
-                f"constructor {name} is not available at {pretty(exp)}",
-                span,
-            )
-        if status == "stuck":
-            raise TypeCheckError(
-                CTOR_STUCK,
-                f"cannot decide availability of constructor {name} "
-                f"at {pretty(exp)}",
-                span,
-            )
-        fields = coverage_mod.instantiate_fields(owner, row, indices, sub)
-        self.check_args(ctx, args, fields, span)
 
     def check_args(
         self,
@@ -275,11 +286,6 @@ class TypeChecker:
         raise TypeCheckError(UNEXPECTED_FORM, f"malformed pattern {pat!r}", pat.span)
 
     def _check_con_pattern(self, ctx, pat, name, qs, ty, lenient):
-        owner = self.sig.ctor_owner(name)
-        if owner is None:
-            raise TypeCheckError(
-                UNKNOWN_NAME, f"unknown constructor {name}", pat.span
-            )
         scrutinee = self._whnf(ty)
         if not isinstance(scrutinee, DataCall):
             if lenient:
@@ -289,32 +295,9 @@ class TypeChecker:
                 f"constructor pattern {name} at non-data type {pretty(ty)}",
                 pat.span,
             )
-        if owner.name != scrutinee.name:
-            raise TypeCheckError(
-                WRONG_DATA_TYPE,
-                f"constructor {name} belongs to {owner.name}, not {scrutinee.name}",
-                pat.span,
-            )
-        indices = self._index_nf(scrutinee.args)
-        status, row, sub, _ = coverage_mod.first_matching_row(
-            self.sig, owner, name, indices
-        )
-        if status == "mismatch":
-            raise TypeCheckError(
-                CTOR_UNAVAILABLE,
-                f"constructor {name} is not available at {pretty(scrutinee)}",
-                pat.span,
-            )
-        if status == "stuck":
-            if lenient:
-                return self._lenient_pattern(pat)
-            raise TypeCheckError(
-                CTOR_STUCK,
-                f"cannot decide availability of constructor {name} "
-                f"at {pretty(scrutinee)}",
-                pat.span,
-            )
-        fields = coverage_mod.instantiate_fields(owner, row, indices, sub)
+        fields = self._expect_ctor_at(name, scrutinee, pat.span, lenient)
+        if fields is None:
+            return self._lenient_pattern(pat)
         if len(qs) != len(fields):
             raise TypeCheckError(
                 ARITY_MISMATCH,
@@ -335,9 +318,9 @@ class TypeChecker:
                 f"impossible pattern at non-data type {pretty(ty)}",
                 pat.span,
             )
-        decl = self.sig.data(scrutinee.name)
-        indices = self._index_nf(scrutinee.args)
-        av = coverage_mod.available_ctors(self.sig, scrutinee.name, indices)
+        av = coverage_mod.available_ctors(
+            self.sig, scrutinee.name, list(scrutinee.args), self._fuel()
+        )
         if isinstance(av, coverage_mod.Undecidable):
             if lenient:
                 return
@@ -537,7 +520,9 @@ class TypeChecker:
         out = sig.extended(checked)
         if coverage:
             self.sig = out
-            self.warnings.extend(coverage_mod.check_coverage(out, checked))
+            self.warnings.extend(
+                coverage_mod.check_coverage(out, checked, self._fuel())
+            )
         return out
 
 

@@ -26,7 +26,7 @@ from sit.core import (
     subst,
     subst_telescope,
 )
-from sit.coverage import Available, available_ctors, first_matching_row, instantiate_fields
+from sit.coverage import Undecidable, available_fields
 from sit.evaluator import index_normal_form
 from sit.frontend import parse_file, resolve
 from sit.pattern_ops import to_term
@@ -93,14 +93,10 @@ def enumerate_terms(sig: Signature, ty: Term, depth: int) -> Iterator[Term]:
                     yield DataCall(decl.name, ())
         case DataCall(name, args):
             indices = [index_normal_form(sig, a) for a in args]
-            av = available_ctors(sig, name, indices)
-            if not isinstance(av, Available):
+            cases = available_fields(sig.data(name), indices)
+            if isinstance(cases, Undecidable):
                 return
-            decl = sig.data(name)
-            for ctor in dict.fromkeys(av.rows):
-                status, row, sub, _ = first_matching_row(sig, decl, ctor, indices)
-                assert status == "matched"
-                fields = instantiate_fields(decl, row, indices, sub)
+            for ctor, fields in cases.items():
                 for tup in enumerate_tuples(sig, fields, depth - 1):
                     yield ConCall(ctor, tup)
         case _:
@@ -168,15 +164,10 @@ class RowGen:
         ty = index_normal_form(self.sig, ty)
         if depth > 0 and isinstance(ty, DataCall) and self.rng.random() < self.con_prob:
             indices = [index_normal_form(self.sig, a) for a in ty.args]
-            av = available_ctors(self.sig, ty.name, indices)
-            if isinstance(av, Available) and av.rows:
-                ctor = self.rng.choice(sorted(set(av.rows)))
-                decl = self.sig.data(ty.name)
-                status, row, sub, _ = first_matching_row(
-                    self.sig, decl, ctor, indices
-                )
-                assert status == "matched"
-                fields = instantiate_fields(decl, row, indices, sub)
+            cases = available_fields(self.sig.data(ty.name), indices)
+            if not isinstance(cases, Undecidable) and cases:
+                ctor = self.rng.choice(sorted(cases))
+                fields = cases[ctor]
                 acc = Substitution()
                 args: list[Pattern] = []
                 for w, fty in fields:
@@ -206,7 +197,7 @@ def oracle_unify(
     the whole problem even if another equation is undecided; a constructor
     equated with any non-constructor rigid term (a variable of the
     scrutinee, a stuck call, a lambda, ...) is undecided. Returns
-    ("unifies", solution), ("clash",), or ("stuck",).
+    ("unifies", solution), ("clash",), or ("undecided",).
     """
     eqs: list[tuple[Term, Term]] = list(zip(pattern_terms, scrutinee))
     solution: dict[Var, Term] = {}
@@ -228,5 +219,5 @@ def oracle_unify(
             continue
         raise AssertionError(f"unexpected pattern-side term {p!r}")
     if undecided:
-        return ("stuck",)
+        return ("undecided",)
     return ("unifies", solution)

@@ -94,36 +94,38 @@ def test_c1_corpus_accepts_quickly():
 
 
 NEGATIVE_FIXTURES = [
-    ("01_vnil_wrong_length.sit", 1, "E305"),
-    ("02_fzero_stuck.sit", 1, "E306"),
-    ("03_impossible_available.sit", 1, "E308"),
-    ("04_duplicate_pattern_vars.sit", 1, "E310"),
-    ("05_impossible_with_body.sit", 1, "E311"),
-    ("06_missing_case_plus.sit", 1, "E401"),
-    ("07_out_of_order.sit", 2, "E201"),
-    ("08_conversion_mismatch.sit", 1, "E303"),
-    ("09_unknown_identifier.sit", 2, "E201"),
-    ("10_lambda_at_data_type.sit", 1, "E304"),
-    ("11_missing_body.sit", 1, "E312"),
-    ("12_duplicate_declaration.sit", 2, "E203"),
-    ("13_impossible_stuck.sit", 1, "E308"),
-    ("14_pattern_at_function_type.sit", 1, "E307"),
-    ("15_cannot_split.sit", 1, "E402"),
-    ("16_over_application.sit", 2, "E202"),
-    ("17_binder_shadows_ctor.sit", 2, "E204"),
-    ("18_wrong_data_type.sit", 1, "E309"),
-    ("19_ctor_pattern_arity.sit", 1, "E302"),
+    ("01_vnil_wrong_length.sit", 1, "E305", "10:10"),
+    ("02_fzero_stuck.sit", 1, "E306", "10:10"),
+    ("03_impossible_available.sit", 1, "E308", "10:8"),
+    ("04_duplicate_pattern_vars.sit", 1, "E310", "6:8"),
+    ("05_impossible_with_body.sit", 1, "E311", "10:3"),
+    ("06_missing_case_plus.sit", 1, "E401", "5:1"),
+    ("07_out_of_order.sit", 2, "E201", "1:26"),
+    ("08_conversion_mismatch.sit", 1, "E303", "6:10"),
+    ("09_unknown_identifier.sit", 2, "E201", "6:10"),
+    ("10_lambda_at_data_type.sit", 1, "E304", "6:10"),
+    ("11_missing_body.sit", 1, "E312", "6:3"),
+    ("12_duplicate_declaration.sit", 2, "E203", "5:1"),
+    ("13_impossible_stuck.sit", 1, "E308", "10:8"),
+    ("14_pattern_at_function_type.sit", 1, "E307", "6:5"),
+    ("15_cannot_split.sit", 1, "E402", "9:1"),
+    ("16_over_application.sit", 2, "E202", "6:10"),
+    ("17_binder_shadows_ctor.sit", 2, "E204", "5:1"),
+    ("18_wrong_data_type.sit", 1, "E309", "10:10"),
+    ("19_ctor_pattern_arity.sit", 1, "E302", "6:5"),
 ]
 
 
 def test_c2_negative_suite(capsys):
     with criterion(f"C2 negative suite ({len(NEGATIVE_FIXTURES)} fixtures)"):
         assert len(NEGATIVE_FIXTURES) >= 10
-        for name, want_exit, want_code in NEGATIVE_FIXTURES:
+        for name, want_exit, want_code, want_span in NEGATIVE_FIXTURES:
             got = run(["check", str(FIXTURES / name)])
             err = capsys.readouterr().err
             assert got == want_exit, f"{name}: exit {got}, wanted {want_exit}"
             assert f"error[{want_code}]" in err, f"{name}: missing {want_code} in {err!r}"
+            where = f"{name}:{want_span}: error[{want_code}]"
+            assert where in err, f"{name}: not at {want_span}: {err!r}"
 
 
 def test_c3_identity_substitution(random_rows):
@@ -196,7 +198,7 @@ def test_c5_translation_soundness(sigs):
     with criterion("C5 availability agrees with the unification oracle"):
         start = time.perf_counter()
         compared = 0
-        seen = {"unifies": 0, "clash": 0, "stuck": 0}
+        seen = {"unifies": 0, "clash": 0, "undecided": 0}
         sources = [(sig, 3) for sig in sigs.values()]
         sources.append((check_source(EXTRA_INDEXED), 7))
         for sig, depth in sources:
@@ -214,7 +216,7 @@ def test_c5_translation_soundness(sigs):
                     elif isinstance(got, Mismatch):
                         assert want[0] == "clash"
                     else:
-                        assert want[0] == "stuck"
+                        assert want[0] == "undecided"
                     seen[want[0]] += 1
                     compared += 1
         elapsed = time.perf_counter() - start

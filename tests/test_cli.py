@@ -36,6 +36,18 @@ class TestCheck:
         err = capsys.readouterr().err.strip()
         assert re.fullmatch(r".*\.sit:\d+:\d+: error\[E\d{3}\]: .+", err)
 
+    def test_coverage_spends_the_fuel_limit(self, tmp_path, capsys):
+        src = tmp_path / "loop_index.sit"
+        src.write_text(
+            "data Nat : Type\n  | zero\n  | suc (n : Nat)\n"
+            "data Fin (n : Nat) : Type\n"
+            "  | suc m => fzero\n  | suc m => fsuc (x : Fin m)\n"
+            "def loop (n : Nat) : Nat\n  | n => loop n\n"
+            "def f (x : Fin (loop zero)) : Nat\n"
+        )
+        assert run(["check", str(src), "--fuel", "100"]) == 4
+        assert "exceeded 100 reduction steps" in capsys.readouterr().err
+
 
 class TestEval:
     def test_normalization(self, capsys):

@@ -197,6 +197,38 @@ def pick (a : Nat) (b : Nat) : Nat
         assert checker.warnings == []
 
 
+class TestPerConstructorRule:
+    # The first row of c matches at T zero k and the second is stuck: the
+    # checker takes the first row that does not mismatch, so c is accepted,
+    # while a split needs every row decided and is undecidable.
+    TWO_ROWS = """
+data Nat : Type
+  | zero
+  | suc (n : Nat)
+
+data T (a : Nat) (b : Nat) : Type
+  | zero, m => c
+  | n, suc k => c
+"""
+
+    def test_later_stuck_row_does_not_block_a_constructor(self):
+        check_source(self.TWO_ROWS + "def use (k : Nat) : T zero k\n  | k => c\n")
+
+    def test_later_stuck_row_makes_availability_undecidable(self):
+        sig = check_source(self.TWO_ROWS)
+        k = Var.fresh("k")
+        out = available_ctors(sig, "T", [nat_lit(0), ref(k)])
+        assert out == Undecidable("c", 1)
+
+    def test_later_stuck_row_blocks_a_split(self):
+        with pytest.raises(CoverageError) as exc:
+            check_source(
+                self.TWO_ROWS
+                + "def g (k : Nat) (t : T zero k) : Nat\n  | k, c => zero\n"
+            )
+        assert exc.value.code == "E402"
+
+
 class TestDispatchSoundness:
     def test_covered_functions_never_fall_through(self, fin_sig, norm_sig, nat_sig):
         cases = [

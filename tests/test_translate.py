@@ -156,7 +156,7 @@ class TestSoundnessAgainstUnificationOracle:
                 elif isinstance(got, Mismatch):
                     assert expected[0] == "clash"
                 else:
-                    assert expected[0] == "stuck"
+                    assert expected[0] == "undecided"
 
     def test_closed_tuples(self, vec_sig, fin_sig, norm_sig):
         for sig, name in ((vec_sig, "Vec"), (fin_sig, "Fin"), (norm_sig, "Term")):
