@@ -1,8 +1,9 @@
 """Command line driver: parse, resolve, check, then evaluate or translate.
 
 Exit codes: 0 success, 1 type or coverage error, 2 parse or resolve error,
-3 usage error, 4 reduction budget exhausted. Diagnostics go to stderr, one
-per line, as FILE:LINE:COL: error[Ennn]: message.
+3 usage error, 4 resource limit: reduction steps (E501) or nesting depth
+(E502). Diagnostics go to stderr, one per line, as
+FILE:LINE:COL: error[Ennn]: message.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 from . import pattern_ops
 from .core import DataDecl, Signature, Term, pretty, pretty_pattern
 from .diagnostics import (
+    NESTING_TOO_DEEP,
     FuelError,
     LexError,
     ParseError,
@@ -29,7 +31,7 @@ EXIT_OK = 0
 EXIT_TYPE_ERROR = 1
 EXIT_SYNTAX_ERROR = 2
 EXIT_USAGE = 3
-EXIT_FUEL = 4
+EXIT_LIMIT = 4
 
 
 @dataclass
@@ -83,7 +85,7 @@ def _print_warnings(warnings: list[Warning]) -> None:
 
 def _classify(err: SitError) -> int:
     if isinstance(err, FuelError):
-        return EXIT_FUEL
+        return EXIT_LIMIT
     if isinstance(err, (LexError, ParseError, ResolveError)):
         return EXIT_SYNTAX_ERROR
     return EXIT_TYPE_ERROR
@@ -154,6 +156,11 @@ def run(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"sit: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        # The walks over terms recurse once per nesting level.
+        err = SitError(NESTING_TOO_DEEP, "input nested too deeply to process")
+        print(err.render(), file=sys.stderr)
+        return EXIT_LIMIT
     finally:
         if opts.trace_match:
             pattern_ops.trace_hook = None
@@ -167,7 +174,12 @@ def _dispatch(args, opts: Options) -> int:
     if args.command == "eval":
         surface = parse_expression(args.expr)
         term: Term = checked.resolver.resolve_expression(surface)
-        result = normalize(checked.sig, term, Fuel(opts.fuel))
+        try:
+            result = normalize(checked.sig, term, Fuel(opts.fuel))
+        except FuelError as err:
+            if err.span is None:
+                err.span = surface.span
+            raise
         print(pretty(result))
         return EXIT_OK
     if args.command == "translate":

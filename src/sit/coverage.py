@@ -183,10 +183,11 @@ def _cover(sig, func, fuel, columns, rows, shapes, hole_vars, used) -> None:
                 av = available_ctors(sig, ty.name, list(ty.args), fuel)
                 if isinstance(av, Available) and not av.rows:
                     return
+        # Shapes are constructor spines over the holes, which print as "_".
+        holes = Substitution(tuple((x, VarCall(Var("_", 0))) for x in hole_vars))
+        stack = ", ".join(pretty(subst(s, holes)) for s in shapes)
         raise CoverageError(
-            MISSING_CASE,
-            f"missing case in {func.name}: {_render_stack(shapes, hole_vars)}",
-            func.span,
+            MISSING_CASE, f"missing case in {func.name}: {stack}", func.span
         )
 
     split_at = None
@@ -260,23 +261,3 @@ def _cover(sig, func, fuel, columns, rows, shapes, hole_vars, used) -> None:
             new_rows.append((i, pats[:split_at] + sub_pats + pats[split_at + 1 :]))
 
         _cover(sig, func, fuel, new_columns, new_rows, new_shapes, new_holes, used)
-
-
-def _render_stack(shapes: list[Term], hole_vars: set[Var]) -> str:
-    return ", ".join(_render_shape(s, hole_vars) for s in shapes)
-
-
-def _render_shape(t: Term, hole_vars: set[Var]) -> str:
-    match t:
-        case VarCall(x, ()) if x in hole_vars:
-            return "_"
-        case ConCall(name, args):
-            if not args:
-                return name
-            parts = [name]
-            for a in args:
-                s = _render_shape(a, hole_vars)
-                parts.append(f"({s})" if " " in s else s)
-            return " ".join(parts)
-        case _:
-            return pretty(t)

@@ -55,6 +55,7 @@ MISSING_CASE = "E401"
 CANNOT_SPLIT = "E402"
 
 FUEL_EXHAUSTED = "E501"
+NESTING_TOO_DEEP = "E502"
 
 UNREACHABLE_CLAUSE = "W401"
 STRICT_FIELD_SCOPE = "W301"

@@ -25,7 +25,8 @@ lambdas over their missing parameters, so core terms stay fully applied.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from .core import (
@@ -78,74 +79,36 @@ class Token:
     span: SourceSpan
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
-
-
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c in "_'"
+# One alternative per token kind, named after it; unnamed ones are skipped.
+_TOKEN = re.compile(
+    r"(?P<NEWLINE>\n)|[ \t\r]+|--[^\n]*|(?P<IDENT>[\w']+)|(?P<FATARROW>=>)"
+    r"|(?P<ARROW>->)|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<COLON>:)|(?P<COMMA>,)"
+    r"|(?P<BAR>\|)|(?P<BAD>.)"
+)
 
 
 def tokenize(text: str, file: str = "<input>") -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-
-    def span(l0, c0, l1, c1):
-        return SourceSpan(file, l0, c0, l1, c1)
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, word = m.lastgroup, m.group()
+        if kind is None:
             continue
-        if c in " \t\r":
-            col += 1
-            i += 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
             continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if _is_ident_start(c):
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            word = text[i:j]
-            col += j - i
-            i = j
-            kind = word if word in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, span(start_line, start_col, line, col - 1)))
-            continue
-        if c == "(":
-            tokens.append(Token("LPAREN", c, span(line, col, line, col)))
-        elif c == ")":
-            tokens.append(Token("RPAREN", c, span(line, col, line, col)))
-        elif c == ":":
-            tokens.append(Token("COLON", c, span(line, col, line, col)))
-        elif c == ",":
-            tokens.append(Token("COMMA", c, span(line, col, line, col)))
-        elif c == "|":
-            tokens.append(Token("BAR", c, span(line, col, line, col)))
-        elif c == "=" and text.startswith("=>", i):
-            tokens.append(Token("FATARROW", "=>", span(line, col, line, col + 1)))
-            col += 1
-            i += 1
-        elif c == "-" and text.startswith("->", i):
-            tokens.append(Token("ARROW", "->", span(line, col, line, col + 1)))
-            col += 1
-            i += 1
-        else:
-            raise LexError(
-                LEX_ERROR, f"unexpected character {c!r}", span(line, col, line, col)
-            )
-        col += 1
-        i += 1
-    tokens.append(Token("EOF", "", span(line, col, line, col)))
+        col = m.start() - line_start + 1
+        # A word starts with a letter or "_": "2x", "'x" and "²x" are errors.
+        if kind == "BAD" or (
+            kind == "IDENT" and not (word[0].isalpha() or word[0] == "_")
+        ):
+            span = SourceSpan(file, line, col, line, col)
+            raise LexError(LEX_ERROR, f"unexpected character {word[0]!r}", span)
+        kind = word if word in KEYWORDS else kind
+        span = SourceSpan(file, line, col, line, col + len(word) - 1)
+        tokens.append(Token(kind, word, span))
+    col = len(text) - line_start + 1
+    tokens.append(Token("EOF", "", SourceSpan(file, line, col, line, col)))
     return tokens
 
 
@@ -252,6 +215,10 @@ SDecl = Union[SData, SDef]
 # Parser
 
 
+# Tokens that end a constructor row: the next row or declaration.
+_ROW_END = ("BAR", "data", "def", "EOF")
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
@@ -276,8 +243,7 @@ class _Parser:
     def expect(self, kind: str, what: str) -> Token:
         tok = self.peek()
         if tok.kind != kind:
-            got = tok.text or "end of input"
-            raise ParseError(PARSE_ERROR, f"expected {what}, found {got!r}", tok.span)
+            raise _unexpected(what, tok)
         return self.next()
 
     # declarations
@@ -294,9 +260,7 @@ class _Parser:
             return self.data_decl()
         if tok.kind == "def":
             return self.def_decl()
-        raise ParseError(
-            PARSE_ERROR, f"expected a declaration, found {tok.text!r}", tok.span
-        )
+        raise _unexpected("a declaration", tok)
 
     def data_decl(self) -> SData:
         start = self.expect("data", "'data'")
@@ -319,49 +283,52 @@ class _Parser:
         clauses = []
         while self.at("BAR"):
             clauses.append(self.clause())
-        end = clauses[-1].span if clauses else _sspan(result)
+        end = clauses[-1].span if clauses else result.span
         return SDef(name.text, tele, result, tuple(clauses), start.span.to(end))
 
     def ctor_row(self) -> SCtorRow:
         bar = self.expect("BAR", "'|'")
-        saved = self.pos
-        try:
-            pats = self.pat_list()
-            if self.accept("FATARROW"):
-                name = self.expect("IDENT", "a constructor name")
-                tele = self.tele()
-                return SCtorRow(tuple(pats), name.text, tele, bar.span.to(name.span))
-        except ParseError:
-            pass
-        self.pos = saved
+        # A plain row's name is followed by a telescope group or the row's
+        # end, and neither can follow a pattern's head: anything else starts
+        # a pattern row, which must reach "=>".
+        pats = None
+        if not (
+            self.at("IDENT")
+            and (self.binder_group(1) or self.peek(1).kind in _ROW_END)
+        ):
+            pats = tuple(self.pat_list())
+            self.expect("FATARROW", "'=>'")
         name = self.expect("IDENT", "a constructor name")
         tele = self.tele()
-        return SCtorRow(None, name.text, tele, bar.span.to(name.span))
+        return SCtorRow(pats, name.text, tele, bar.span.to(name.span))
 
     def clause(self) -> SClause:
         bar = self.expect("BAR", "'|'")
         pats = self.pat_list()
-        body = None
-        end = bar.span
-        if self.accept("FATARROW"):
-            body = self.expr()
-            end = _sspan(body) or end
+        body = self.expr() if self.accept("FATARROW") else None
+        end = body.span if body is not None else bar.span
         return SClause(tuple(pats), body, bar.span.to(end))
+
+    def binder_group(self, ahead: int = 0) -> bool:
+        """Whether a telescope group `"(" IDENT+ ":"` starts `ahead` tokens on.
+
+        A Pi type also starts with "(" IDENT, but result types following a
+        telescope always sit behind an explicit ":".
+        """
+        if self.peek(ahead).kind != "LPAREN":
+            return False
+        i = ahead + 1
+        while self.peek(i).kind == "IDENT":
+            i += 1
+        return i > ahead + 1 and self.peek(i).kind == "COLON"
 
     def tele(self) -> tuple[STeleGroup, ...]:
         groups = []
-        # A telescope group and a Pi type both start with "(" IDENT; the ":"
-        # after one or more names settles it, and result types following a
-        # telescope always sit behind an explicit ":".
-        while self.at("LPAREN"):
-            save = self.pos
+        while self.binder_group():
             self.next()
             names = []
             while self.at("IDENT"):
                 names.append(self.next().text)
-            if not names or not self.at("COLON"):
-                self.pos = save
-                break
             self.next()
             ty = self.expr()
             self.expect("RPAREN", "')'")
@@ -377,16 +344,11 @@ class _Parser:
         return pats
 
     def pattern(self) -> SPat:
-        tok = self.peek()
-        if tok.kind == "impossible":
-            self.next()
-            return SPatImpossible(tok.span)
+        if self.at("impossible"):
+            return self.pat_atom()
         head = self.expect("IDENT", "a pattern")
         args = []
-        while True:
-            atom = self.pat_atom()
-            if atom is None:
-                break
+        while (atom := self.pat_atom()) is not None:
             args.append(atom)
         end = args[-1].span if args else head.span
         return SPatApp(head.text, tuple(args), head.span.to(end))
@@ -403,7 +365,7 @@ class _Parser:
             self.next()
             p = self.pattern()
             close = self.expect("RPAREN", "')'")
-            return _with_span(p, tok.span.to(close.span))
+            return replace(p, span=tok.span.to(close.span))
         return None
 
     # expressions
@@ -415,7 +377,7 @@ class _Parser:
             binder = self.expect("IDENT", "a binder name")
             self.expect("FATARROW", "'=>'")
             body = self.expr()
-            return SFn(binder.text, body, tok.span.to(_sspan(body)))
+            return SFn(binder.text, body, tok.span.to(body.span))
         if (
             tok.kind == "LPAREN"
             and self.peek(1).kind == "IDENT"
@@ -428,11 +390,11 @@ class _Parser:
             self.expect("RPAREN", "')'")
             self.expect("ARROW", "'->'")
             codomain = self.expr()
-            return SPi(binder.text, domain, codomain, tok.span.to(_sspan(codomain)))
+            return SPi(binder.text, domain, codomain, tok.span.to(codomain.span))
         head = self.expr1()
         if self.accept("ARROW"):
             codomain = self.expr()
-            return SArrow(head, codomain, _sspan(head).to(_sspan(codomain)))
+            return SArrow(head, codomain, head.span.to(codomain.span))
         return head
 
     def expr1(self) -> SExpr:
@@ -443,7 +405,7 @@ class _Parser:
             args.append(self.atom())
         if not args:
             return head
-        return SApp(head, tuple(args), _sspan(head).to(_sspan(args[-1])))
+        return SApp(head, tuple(args), head.span.to(args[-1].span))
 
     def atom(self) -> SExpr:
         tok = self.next()
@@ -454,18 +416,13 @@ class _Parser:
         if tok.kind == "LPAREN":
             e = self.expr()
             close = self.expect("RPAREN", "')'")
-            return _with_span(e, tok.span.to(close.span))
-        raise ParseError(
-            PARSE_ERROR, f"expected an expression, found {tok.text or 'end of input'!r}", tok.span
-        )
+            return replace(e, span=tok.span.to(close.span))
+        raise _unexpected("an expression", tok)
 
 
-def _with_span(node, span):
-    return type(node)(**{**{f: getattr(node, f) for f in node.__dataclass_fields__ if f != "span"}, "span": span})
-
-
-def _sspan(node) -> SourceSpan:
-    return node.span
+def _unexpected(what: str, tok: Token) -> ParseError:
+    got = tok.text or "end of input"
+    return ParseError(PARSE_ERROR, f"expected {what}, found {got!r}", tok.span)
 
 
 def parse_file(text: str, file: str = "<input>") -> list[SDecl]:

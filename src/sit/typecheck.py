@@ -56,6 +56,7 @@ from .diagnostics import (
     UNEXPECTED_FORM,
     UNKNOWN_NAME,
     WRONG_DATA_TYPE,
+    FuelError,
     SourceSpan,
     TypeCheckError,
     Warning,
@@ -481,10 +482,15 @@ class TypeChecker:
                 raise TypeCheckError(
                     DUPLICATE_NAME, f"duplicate name {decl.name}", decl.span
                 )
-            if isinstance(decl, DataDecl):
-                sig = self._check_data(sig, decl)
-            else:
-                sig = self._check_func(sig, decl, coverage)
+            try:
+                if isinstance(decl, DataDecl):
+                    sig = self._check_data(sig, decl)
+                else:
+                    sig = self._check_func(sig, decl, coverage)
+            except FuelError as err:
+                if err.span is None:
+                    err.span = decl.span
+                raise
             self.sig = sig
         return sig
 

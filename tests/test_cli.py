@@ -46,7 +46,10 @@ class TestCheck:
             "def f (x : Fin (loop zero)) : Nat\n"
         )
         assert run(["check", str(src), "--fuel", "100"]) == 4
-        assert "exceeded 100 reduction steps" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "exceeded 100 reduction steps" in err
+        # Reported at the declaration whose check ran out of fuel.
+        assert err.startswith(f"{src}:9:1: error[E501]")
 
 
 class TestEval:
@@ -70,7 +73,16 @@ class TestEval:
         )
         code = run(["eval", str(src), "--fuel", "50", "-e", "loop zero"])
         assert code == 4
-        assert "error[E501]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error[E501]" in err
+        assert err.startswith("<expr>:1:1: error[E501]")
+
+    def test_deep_nesting_is_a_diagnostic(self, capsys):
+        deep = "suc (" * 400 + "zero" + ")" * 400
+        assert run(["eval", corpus("nat.sit"), "-e", deep]) == 4
+        err = capsys.readouterr().err
+        assert "error[E502]" in err
+        assert "Traceback" not in err
 
     def test_trace_match_logs_outcomes(self, capsys):
         code = run(

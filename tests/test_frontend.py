@@ -13,7 +13,7 @@ from sit.core import (
     Pi,
     VarCall,
 )
-from sit.diagnostics import ParseError, ResolveError
+from sit.diagnostics import LexError, ParseError, ResolveError
 from sit.frontend import (
     Resolver,
     SApp,
@@ -31,6 +31,7 @@ from sit.frontend import (
     parse_file,
     print_surface,
     resolve,
+    tokenize,
 )
 
 from support import CORPUS
@@ -116,6 +117,42 @@ class TestParser:
         span = decls[0].span
         assert span.file == "demo.sit"
         assert (span.start_line, span.start_col) == (1, 1)
+
+    def test_unclosed_group_in_pattern_row_is_reported_where_it_ends(self):
+        src = (
+            NAT
+            + "data Fin (n : Nat) : Type\n"
+            + "  | suc m => fzero\n"
+            + "  | suc m => fsuc (i : Fin m\n"
+            + "def f (a : Nat) : Nat\n"
+        )
+        with pytest.raises(ParseError) as exc:
+            parse_file(src)
+        assert exc.value.message == "expected ')', found 'def'"
+        assert (exc.value.span.start_line, exc.value.span.start_col) == (8, 1)
+
+    def test_pattern_row_needs_a_constructor_name(self):
+        with pytest.raises(ParseError) as exc:
+            parse_file("data T (a : Nat) (b : Nat) : Type\n  | zero, m => (\n")
+        assert exc.value.message.startswith("expected a constructor name")
+        assert (exc.value.span.start_line, exc.value.span.start_col) == (2, 16)
+
+
+class TestLexer:
+    def test_word_must_start_with_a_letter(self):
+        with pytest.raises(LexError) as exc:
+            tokenize("def ²x")
+        assert exc.value.code == "E101"
+        assert (exc.value.span.start_line, exc.value.span.start_col) == (1, 5)
+        assert [(t.kind, t.text) for t in tokenize("x²'")] == [
+            ("IDENT", "x²'"),
+            ("EOF", ""),
+        ]
+
+    def test_eof_follows_a_trailing_comment(self):
+        eof = tokenize("data -- done")[-1]
+        assert eof.kind == "EOF"
+        assert (eof.span.start_line, eof.span.start_col) == (1, 13)
 
 
 class TestRoundTrip:
