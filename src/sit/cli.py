@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import pattern_ops
@@ -20,6 +21,7 @@ from .diagnostics import (
     ParseError,
     ResolveError,
     SitError,
+    SourceSpan,
     Warning,
 )
 from .evaluator import DEFAULT_FUEL, Fuel, normalize
@@ -83,8 +85,24 @@ def _print_warnings(warnings: list[Warning]) -> None:
         print(w.render(), file=sys.stderr)
 
 
+@contextmanager
+def _nesting_limit(source: str):
+    """Report a RecursionError as E502 at the start of `source`.
+
+    The walks over terms recurse once per nesting level.
+    """
+    try:
+        yield
+    except RecursionError:
+        raise SitError(
+            NESTING_TOO_DEEP,
+            "input nested too deeply to process",
+            SourceSpan(source, 1, 1, 1, 1),
+        ) from None
+
+
 def _classify(err: SitError) -> int:
-    if isinstance(err, FuelError):
+    if isinstance(err, FuelError) or err.code == NESTING_TOO_DEEP:
         return EXIT_LIMIT
     if isinstance(err, (LexError, ParseError, ResolveError)):
         return EXIT_SYNTAX_ERROR
@@ -149,18 +167,14 @@ def run(argv: list[str] | None = None) -> int:
     if opts.trace_match:
         pattern_ops.trace_hook = _trace
     try:
-        return _dispatch(args, opts)
+        with _nesting_limit(opts.file):
+            return _dispatch(args, opts)
     except SitError as err:
         print(err.render(), file=sys.stderr)
         return _classify(err)
     except OSError as err:
         print(f"sit: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except RecursionError:
-        # The walks over terms recurse once per nesting level.
-        err = SitError(NESTING_TOO_DEEP, "input nested too deeply to process")
-        print(err.render(), file=sys.stderr)
-        return EXIT_LIMIT
     finally:
         if opts.trace_match:
             pattern_ops.trace_hook = None
@@ -172,15 +186,16 @@ def _dispatch(args, opts: Options) -> int:
     if args.command == "check":
         return EXIT_OK
     if args.command == "eval":
-        surface = parse_expression(args.expr)
-        term: Term = checked.resolver.resolve_expression(surface)
-        try:
-            result = normalize(checked.sig, term, Fuel(opts.fuel))
-        except FuelError as err:
-            if err.span is None:
-                err.span = surface.span
-            raise
-        print(pretty(result))
+        with _nesting_limit("<expr>"):
+            surface = parse_expression(args.expr)
+            term: Term = checked.resolver.resolve_expression(surface)
+            try:
+                result = normalize(checked.sig, term, Fuel(opts.fuel))
+            except FuelError as err:
+                if err.span is None:
+                    err.span = surface.span
+                raise
+            print(pretty(result))
         return EXIT_OK
     if args.command == "translate":
         chunks = [

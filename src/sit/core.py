@@ -270,7 +270,12 @@ class Signature:
 
 @dataclass(frozen=True)
 class Substitution:
-    """A list of single replacements, applied left to right."""
+    """A list of single replacements.
+
+    `subst` applies the pairs in order, so a later pair also acts on the
+    values of earlier ones; `whnf` applies a match's pairs all at once
+    (`subst_at_once`), so a value is never substituted into again.
+    """
 
     pairs: tuple[tuple[Var, Term], ...] = ()
 
@@ -286,27 +291,49 @@ class Substitution:
 
 
 EMPTY_SUBST = Substitution()
+_NO_VARS: frozenset[Var] = frozenset()
 
 
-def free_vars(t: Term) -> set[Var]:
+def free_vars(t: Term) -> frozenset[Var]:
+    """The variables free in `t`, as an immutable set.
+
+    The set is computed once per term object and cached on it. A node
+    shares a child's set when the union adds nothing. A bare variable is
+    the exception: it is the most common node, a set cached on each would
+    cost memory, and its answer takes no walk.
+    """
+    fv = getattr(t, "_fv", None)
+    if fv is not None:
+        return fv
     match t:
+        case VarCall(x, ()):
+            return frozenset((x,))
         case VarCall(x, args):
-            out = {x}
-            for a in args:
-                out |= free_vars(a)
-            return out
+            fv = _union([frozenset((x,))] + [free_vars(a) for a in args])
         case FnCall(_, args) | DataCall(_, args) | ConCall(_, args):
-            out = set()
-            for a in args:
-                out |= free_vars(a)
-            return out
+            fv = _union([free_vars(a) for a in args])
         case Pi(x, dom, cod):
-            return free_vars(dom) | (free_vars(cod) - {x})
+            fv = _union([free_vars(dom), _bound(x, free_vars(cod))])
         case Lam(x, body):
-            return free_vars(body) - {x}
+            fv = _bound(x, free_vars(body))
         case Univ():
-            return set()
-    raise InternalError(f"unexpected term {t!r}")
+            fv = _NO_VARS
+        case _:
+            raise InternalError(f"unexpected term {t!r}")
+    object.__setattr__(t, "_fv", fv)
+    return fv
+
+
+def _union(sets: list[frozenset[Var]]) -> frozenset[Var]:
+    out = _NO_VARS
+    for s in sets:
+        if not s <= out:
+            out = s if not out else out | s
+    return out
+
+
+def _bound(x: Var, fv: frozenset[Var]) -> frozenset[Var]:
+    return fv - {x} if x in fv else fv
 
 
 def apply_spine(t: Term, args: tuple[Term, ...]) -> Term:
@@ -321,52 +348,67 @@ def apply_spine(t: Term, args: tuple[Term, ...]) -> Term:
         case VarCall(x, spine):
             return VarCall(x, spine + args)
         case Lam(x, body):
-            return apply_spine(_subst_one(body, x, args[0]), args[1:])
+            return apply_spine(_subst(body, {x: args[0]}), args[1:])
         case _:
             raise InternalError(f"cannot apply {t!r} to arguments")
 
 
-def _subst_one(t: Term, x: Var, v: Term) -> Term:
+def _subst(t: Term, m: dict[Var, Term]) -> Term:
+    """Replace each free variable of `m`'s domain by its value, all at once.
+
+    Subterms in which no such variable is free are returned, not copied.
+    """
+    if isinstance(t, VarCall) and not t.args:
+        return m.get(t.var, t)
+    if free_vars(t).isdisjoint(m):
+        return t
     match t:
         case VarCall(y, args):
-            new_args = tuple(_subst_one(a, x, v) for a in args)
-            if y == x:
-                return apply_spine(v, new_args)
-            return VarCall(y, new_args)
+            new_args = tuple(_subst(a, m) for a in args)
+            v = m.get(y)
+            return VarCall(y, new_args) if v is None else apply_spine(v, new_args)
         case FnCall(name, args):
-            return FnCall(name, tuple(_subst_one(a, x, v) for a in args))
+            return FnCall(name, tuple(_subst(a, m) for a in args))
         case DataCall(name, args):
-            return DataCall(name, tuple(_subst_one(a, x, v) for a in args))
+            return DataCall(name, tuple(_subst(a, m) for a in args))
         case ConCall(name, args):
-            return ConCall(name, tuple(_subst_one(a, x, v) for a in args))
+            return ConCall(name, tuple(_subst(a, m) for a in args))
         case Pi(y, dom, cod):
-            new_dom = _subst_one(dom, x, v)
-            if y == x or x not in free_vars(cod):
-                return Pi(y, new_dom, cod)
-            if y in free_vars(v):
-                # The replacement would be captured: rename the binder first.
-                fresh = Var.fresh(y.text)
-                cod = _subst_one(cod, y, VarCall(fresh))
-                return Pi(fresh, new_dom, _subst_one(cod, x, v))
-            return Pi(y, new_dom, _subst_one(cod, x, v))
+            new_dom = _subst(dom, m)
+            y, cod = _subst_under(y, cod, m)
+            return Pi(y, new_dom, cod)
         case Lam(y, body):
-            if y == x or x not in free_vars(body):
-                return t
-            if y in free_vars(v):
-                fresh = Var.fresh(y.text)
-                body = _subst_one(body, y, VarCall(fresh))
-                return Lam(fresh, _subst_one(body, x, v))
-            return Lam(y, _subst_one(body, x, v))
-        case Univ():
-            return t
+            return Lam(*_subst_under(y, body, m))
     raise InternalError(f"unexpected term {t!r}")
+
+
+def _subst_under(y: Var, body: Term, m: dict[Var, Term]) -> tuple[Var, Term]:
+    """The binder and body of `y. body` after substituting `m` into it."""
+    m = {x: v for x, v in m.items() if x != y and x in free_vars(body)}
+    if not m:
+        return y, body
+    if any(y in free_vars(v) for v in m.values()):
+        # A replacement would be captured: rename the binder too.
+        fresh = Var.fresh(y.text)
+        m[y] = VarCall(fresh)
+        y = fresh
+    return y, _subst(body, m)
 
 
 def subst(t: Term, s: Substitution) -> Term:
     """Apply each replacement in order, avoiding capture by renaming binders."""
     for x, v in s.pairs:
-        t = _subst_one(t, x, v)
+        t = _subst(t, {x: v})
     return t
+
+
+def subst_at_once(t: Term, s: Substitution) -> Term:
+    """Apply every replacement of `s` simultaneously (a clause's match).
+
+    Unlike `subst`, a replacement never acts on the value of another, which
+    matters when a value mentions a variable that `s` also replaces.
+    """
+    return _subst(t, dict(s.pairs))
 
 
 def subst_telescope(tele: Telescope, s: Substitution) -> Telescope:

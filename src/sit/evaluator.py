@@ -20,7 +20,7 @@ from .core import (
     Univ,
     Var,
     VarCall,
-    subst,
+    subst_at_once,
 )
 from .diagnostics import FuelError, InternalError
 from .pattern_ops import BindPat, Matched, Mismatch, Stuck, match_terms
@@ -63,7 +63,7 @@ def whnf(sig: Signature, t: Term, fuel: Fuel | None = None) -> Term:
                             f"matched a bodiless clause of {func.name}"
                         )
                     fuel.spend()
-                    reduct = subst(clause.body, s)
+                    reduct = subst_at_once(clause.body, s)
                     break
                 case Stuck():
                     return FnCall(t.name, args)
@@ -95,13 +95,28 @@ def index_normal_form(sig: Signature, t: Term, fuel: Fuel | None = None) -> Term
     """Weak-head normalize, recursing into constructor arguments only.
 
     This is exactly the shape the matcher inspects, so matching after this
-    never sticks on an unreduced redex.
+    never sticks on an unreduced redex. Returns `t` itself when it is already
+    in this form.
     """
+    if getattr(t, "_spine_normal", False):
+        return t
     fuel = fuel if fuel is not None else Fuel()
     t = whnf(sig, t, fuel)
     if isinstance(t, ConCall):
-        return ConCall(t.name, tuple(index_normal_form(sig, a, fuel) for a in t.args))
+        args = tuple(index_normal_form(sig, a, fuel) for a in t.args)
+        if any(a is not b for a, b in zip(args, t.args)):
+            t = ConCall(t.name, args)
+        if all(_spine_normal(a) for a in args):
+            # No argument can reduce under any signature: later calls on this
+            # object (it is shared by substitution) return at once.
+            object.__setattr__(t, "_spine_normal", True)
     return t
+
+
+def _spine_normal(t: Term) -> bool:
+    if isinstance(t, ConCall):
+        return getattr(t, "_spine_normal", False)
+    return not isinstance(t, FnCall)
 
 
 def normalize(sig: Signature, t: Term, fuel: Fuel | None = None) -> Term:

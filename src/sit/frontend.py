@@ -525,7 +525,7 @@ def _print_atom(e: SExpr) -> str:
 class _Global:
     kind: str  # "data" | "func" | "ctor"
     arity: int
-    hints: tuple[str, ...] = ()
+    hints: tuple[str, ...]  # one binder name per parameter, for eta-expansion
     # constructors only:
     fields_arity: int = 0
     owner: str = ""
@@ -728,10 +728,7 @@ class Resolver:
                 f"{name} takes {entry.arity} arguments, got {n}",
                 span,
             )
-        hints = list(entry.hints[n:entry.arity])
-        while len(hints) < entry.arity - n:
-            hints.append("x")
-        missing = [Var.fresh(h) for h in hints]
+        missing = [Var.fresh(h) for h in entry.hints[n:]]
         full = tuple(args) + tuple(VarCall(v) for v in missing)
         call: Term = (
             FnCall(name, full, span)
@@ -746,10 +743,7 @@ class Resolver:
         # A bare constructor reference stands for a function over all its
         # synthesized parameters; only the trailing field parameters feed the
         # actual call.
-        hints = entry.hints or tuple(f"x{i}" for i in range(entry.arity))
-        params = [Var.fresh(h) for h in hints[: entry.arity]]
-        while len(params) < entry.arity:
-            params.append(Var.fresh("x"))
+        params = [Var.fresh(h) for h in entry.hints]
         field_params = params[len(params) - entry.fields_arity :]
         call: Term = ConCall(name, tuple(VarCall(v) for v in field_params), span)
         for v in reversed(params):

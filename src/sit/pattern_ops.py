@@ -20,7 +20,6 @@ from .core import (
     Term,
     Var,
     VarCall,
-    disjoint_union,
 )
 from .diagnostics import InternalError
 
@@ -113,46 +112,49 @@ def match_terms(terms: Sequence[Term], pats: Sequence[Pattern]) -> MatchOutcome:
         raise InternalError(
             f"matching {len(terms)} terms against {len(pats)} patterns"
         )
-    outcome = _match_list(terms, pats)
+    pairs: list[tuple[Var, Term]] = []
+    out = _collect(terms, pats, pairs, set())
+    outcome = Matched(Substitution(tuple(pairs))) if out is None else out
     if trace_hook is not None:
         trace_hook(terms, pats, outcome)
     return outcome
 
 
-def _match_list(terms: Sequence[Term], pats: Sequence[Pattern]) -> MatchOutcome:
+def _collect(
+    terms: Sequence[Term],
+    pats: Sequence[Pattern],
+    pairs: list[tuple[Var, Term]],
+    seen: set[Var],
+) -> Optional[Union[Mismatch, Stuck]]:
+    """Append the bindings of every position to `pairs`, left to right and
+    depth first; None when every position matches.
+
+    `seen` holds the variables bound so far: a variable bound twice means
+    pattern linearity was violated upstream, which is a bug.
+    """
     stuck_at: Optional[int] = None
-    sub = Substitution()
     for i, (u, p) in enumerate(zip(terms, pats)):
-        out = _match_one(u, p)
-        match out:
-            case Mismatch():
+        match p:
+            case BindPat(x, _):
+                if x in seen:
+                    raise InternalError(f"pattern variable {x!r} is bound twice")
+                seen.add(x)
+                pairs.append((x, u))
+            case ImpossiblePat():
                 return Mismatch()
-            case Stuck():
+            case ConPat(name, qs) if isinstance(u, ConCall):
+                if u.name != name:
+                    return Mismatch()
+                if len(u.args) != len(qs):
+                    raise InternalError(f"constructor {name} matched with wrong arity")
+                out = _collect(u.args, qs, pairs, seen)
+                if isinstance(out, Mismatch):
+                    return out
+                if out is not None and stuck_at is None:
+                    stuck_at = i
+            case ConPat():
                 if stuck_at is None:
                     stuck_at = i
-            case Matched(s):
-                sub = disjoint_union(sub, s)
-    if stuck_at is not None:
-        return Stuck(stuck_at)
-    return Matched(sub)
-
-
-def _match_one(u: Term, p: Pattern) -> MatchOutcome:
-    match p:
-        case BindPat(x, _):
-            return Matched(Substitution.of((x, u)))
-        case ImpossiblePat():
-            return Mismatch()
-        case ConPat(name, qs):
-            match u:
-                case ConCall(name2, us):
-                    if name2 != name:
-                        return Mismatch()
-                    if len(us) != len(qs):
-                        raise InternalError(
-                            f"constructor {name} matched with wrong arity"
-                        )
-                    return _match_list(us, qs)
-                case _:
-                    return Stuck(0)
-    raise InternalError(f"unexpected pattern {p!r}")
+            case _:
+                raise InternalError(f"unexpected pattern {p!r}")
+    return None if stuck_at is None else Stuck(stuck_at)

@@ -113,6 +113,7 @@ NEGATIVE_FIXTURES = [
     ("17_binder_shadows_ctor.sit", 2, "E204", "5:1"),
     ("18_wrong_data_type.sit", 1, "E309", "10:10"),
     ("19_ctor_pattern_arity.sit", 1, "E302", "6:5"),
+    ("20_self_call_match.sit", 1, "E306", "16:36"),
 ]
 
 

@@ -51,6 +51,18 @@ class TestCheck:
         # Reported at the declaration whose check ran out of fuel.
         assert err.startswith(f"{src}:9:1: error[E501]")
 
+    def test_deep_nesting_is_reported_at_the_file(self, tmp_path, capsys):
+        src = tmp_path / "deep.sit"
+        deep = "suc (" * 400 + "zero" + ")" * 400
+        src.write_text(
+            "data Nat : Type\n  | zero\n  | suc (n : Nat)\n"
+            f"def big (x : Nat) : Nat\n  | x => {deep}\n"
+        )
+        assert run(["check", str(src)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"{src}:1:1: error[E502]")
+        assert "Traceback" not in err
+
 
 class TestEval:
     def test_normalization(self, capsys):
@@ -82,6 +94,7 @@ class TestEval:
         assert run(["eval", corpus("nat.sit"), "-e", deep]) == 4
         err = capsys.readouterr().err
         assert "error[E502]" in err
+        assert err.startswith("<expr>:1:1: error[E502]")
         assert "Traceback" not in err
 
     def test_trace_match_logs_outcomes(self, capsys):

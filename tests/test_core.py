@@ -115,6 +115,15 @@ class TestSubst:
         lam = Lam(y, con("suc", ref(y)))
         assert subst(t, Substitution.of((f, lam))) == con("suc", con("zero"))
 
+    def test_untouched_subterms_are_shared(self):
+        x, y = Var.fresh("x"), Var.fresh("y")
+        other = con("suc", ref(y))
+        t = FnCall("plus", (ref(x), other))
+        out = subst(t, Substitution.of((x, con("zero"))))
+        assert out == FnCall("plus", (con("zero"), other))
+        assert out.args[1] is other
+        assert subst(t, Substitution.of((Var.fresh("z"), con("zero")))) is t
+
     @settings(max_examples=200)
     @given(terms())
     def test_identity(self, t):

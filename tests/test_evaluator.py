@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sit import evaluator
 from sit.core import ConCall, FnCall, Lam, UNIV, Var, VarCall
 from sit.diagnostics import FuelError
 from sit.evaluator import Fuel, convertible, index_normal_form, normalize, whnf
@@ -63,6 +64,16 @@ class TestWhnf:
         )
         assert whnf(nat_sig, t) == t  # already a value
 
+    def test_match_is_applied_at_once(self):
+        # A self-call whose arguments are the clause's own pattern variables:
+        # the match a := b, b := a must not act on the b it inserts for a.
+        sig = check_source(
+            "data Nat : Type\n  | zero\n  | suc (n : Nat)\n"
+            "def k (a : Nat) (b : Nat) : Nat\n  | a, b => a\n"
+        )
+        a, b = (p.var for p in sig.func("k").clauses[0].patterns)
+        assert whnf(sig, fn("k", ref(b), ref(a))) == ref(b)
+
 
 class TestNormalize:
     def test_full_evaluation(self, nat_sig):
@@ -89,6 +100,31 @@ class TestNormalize:
     def test_index_normal_form_reaches_constructor_arguments(self, nat_sig):
         t = con("suc", fn("plus", nat_lit(0), nat_lit(0)))
         assert index_normal_form(nat_sig, t) == nat_lit(1)
+
+    def test_index_normal_form_returns_a_normal_value_itself(self, nat_sig):
+        v = index_normal_form(nat_sig, fn("plus", nat_lit(3), nat_lit(2)))
+        assert v == nat_lit(5)
+        assert index_normal_form(nat_sig, v) is v
+        assert index_normal_form(nat_sig, v.args[0]) is v.args[0]
+
+    def test_index_normal_form_calls_grow_linearly(self, nat_sig, monkeypatch):
+        # A normal constructor spine is not walked again on every dispatch:
+        # the calls of plus n n grow with n, not with n squared.
+        calls = []
+        real = evaluator.index_normal_form
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(evaluator, "index_normal_form", counted)
+
+        def count(n: int) -> int:
+            calls.clear()
+            assert normalize(nat_sig, fn("plus", nat_lit(n), nat_lit(n))) == nat_lit(2 * n)
+            return len(calls)
+
+        assert count(80) <= 2.5 * count(40)
 
     @settings(max_examples=150)
     @given(nat_terms())

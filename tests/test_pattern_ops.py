@@ -139,6 +139,11 @@ class TestMatchTerms:
         with pytest.raises(InternalError):
             match_terms([con("zero")], [])
 
+    def test_variable_bound_twice_is_internal(self):
+        x = bind("x")
+        with pytest.raises(InternalError):
+            match_terms([con("zero"), con("zero")], [x, x])
+
 
 class TestRoundTrip:
     def test_corpus_rows_match_their_own_terms(self, vec_sig, fin_sig):
