@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional, Union
 
 from .diagnostics import InternalError, SourceSpan
@@ -31,6 +32,10 @@ class Var:
 
     def __repr__(self) -> str:
         return f"{self.text}#{self.uid}"
+
+    def __hash__(self) -> int:
+        # `uid` is unique, so it alone spreads vars as well as (text, uid).
+        return hash(self.uid)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +213,17 @@ class FuncDecl:
     result: Term
     clauses: tuple[Clause, ...]
     span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def inspected_columns(self) -> frozenset[int]:
+        """The argument positions where some clause has a pattern other than
+        a plain binder."""
+        return frozenset(
+            i
+            for cl in self.clauses
+            for i, p in enumerate(cl.patterns)
+            if not isinstance(p, BindPat)
+        )
 
 
 Declaration = Union[DataDecl, FuncDecl]

@@ -2,21 +2,32 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    """A 1-based region of a source file; start is never past end."""
-
+class _Span(NamedTuple):
     file: str
     start_line: int
     start_col: int
     end_line: int
     end_col: int
 
-    def __post_init__(self) -> None:
-        if (self.start_line, self.start_col) > (self.end_line, self.end_col):
-            raise ValueError(f"backwards span {self}")
+
+class SourceSpan(_Span):
+    """A 1-based region of a source file; start is never past end.
+
+    A tuple, so building one costs one allocation: the parser makes one per
+    syntax node.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, file: str, start_line: int, start_col: int, end_line: int, end_col: int
+    ) -> SourceSpan:
+        if start_line > end_line or (start_line == end_line and start_col > end_col):
+            raise ValueError(f"backwards span {file}:{start_line}:{start_col}")
+        return tuple.__new__(cls, (file, start_line, start_col, end_line, end_col))
 
     def to(self, other: SourceSpan) -> SourceSpan:
         """The smallest span covering both self and other."""

@@ -23,7 +23,7 @@ from .core import (
     subst_at_once,
 )
 from .diagnostics import FuelError, InternalError
-from .pattern_ops import BindPat, Matched, Mismatch, Stuck, match_terms
+from .pattern_ops import Matched, Mismatch, Stuck, match_terms
 
 DEFAULT_FUEL = 1_000_000
 
@@ -78,16 +78,10 @@ def whnf(sig: Signature, t: Term, fuel: Fuel | None = None) -> Term:
 def _dispatch_args(sig, func, args, fuel) -> tuple[Term, ...]:
     # Normalize only the columns some clause actually inspects; pure catch-all
     # columns are substituted into bodies untouched.
-    inspected = [
-        any(
-            i < len(cl.patterns) and not isinstance(cl.patterns[i], BindPat)
-            for cl in func.clauses
-        )
-        for i in range(len(args))
-    ]
+    hot = func.inspected_columns
     return tuple(
-        index_normal_form(sig, a, fuel) if hot else a
-        for a, hot in zip(args, inspected)
+        index_normal_form(sig, a, fuel) if i in hot else a
+        for i, a in enumerate(args)
     )
 
 

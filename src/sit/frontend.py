@@ -17,6 +17,12 @@ application binds tighter than `->`):
     expr1   ::= atom+
     atom    ::= ID | "Type" | "(" expr ")"
 
+Tokens are plain tuples of kind, text and start position; a token's span is
+built only when something asks for it: an error message, or an AST leaf. The
+parser builds one span per syntax node, from its first token to its last
+token or child, and a parenthesised expression or pattern takes the span of
+its parentheses.
+
 The resolver turns surface declarations into core ones: pattern identifiers
 naming a declared constructor become constructor patterns, all other
 identifiers bind; expression heads resolve to local binders, then functions,
@@ -26,8 +32,8 @@ lambdas over their missing parameters, so core terms stay fully applied.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional, Union
 
 from .core import (
     BindPat,
@@ -72,11 +78,32 @@ KEYWORDS = {"data", "def", "fn", "impossible", "Type"}
 # Lexer
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token and where it starts. Its span is built on demand, so lexing
+    allocates one tuple per token and nothing more."""
+
     kind: str  # IDENT, one of KEYWORDS, LPAREN, RPAREN, COLON, COMMA, BAR, FATARROW, ARROW, EOF
-    text: str
-    span: SourceSpan
+    text: str  # "" for EOF
+    file: str
+    line: int
+    col: int
+
+    @property
+    def end_col(self) -> int:
+        return self.col + len(self.text) - 1 if self.text else self.col
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.file, self.line, self.col, self.line, self.end_col)
+
+    def to(self, end: SourceSpan) -> SourceSpan:
+        """The span from this token's start to the end of `end`."""
+        return SourceSpan(self.file, self.line, self.col, end.end_line, end.end_col)
+
+
+def _between(first: Token, last: Token) -> SourceSpan:
+    """The span from the start of `first` to the end of `last`."""
+    return SourceSpan(first.file, first.line, first.col, last.line, last.end_col)
 
 
 # One alternative per token kind, named after it; unnamed ones are skipped.
@@ -105,10 +132,8 @@ def tokenize(text: str, file: str = "<input>") -> list[Token]:
             span = SourceSpan(file, line, col, line, col)
             raise LexError(LEX_ERROR, f"unexpected character {word[0]!r}", span)
         kind = word if word in KEYWORDS else kind
-        span = SourceSpan(file, line, col, line, col + len(word) - 1)
-        tokens.append(Token(kind, word, span))
-    col = len(text) - line_start + 1
-    tokens.append(Token("EOF", "", SourceSpan(file, line, col, line, col)))
+        tokens.append(Token(kind, word, file, line, col))
+    tokens.append(Token("EOF", "", file, line, len(text) - line_start + 1))
     return tokens
 
 
@@ -221,19 +246,21 @@ _ROW_END = ("BAR", "data", "def", "EOF")
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        # The parser looks at most two tokens past the current one, and its
+        # scans stop at EOF, so two more EOFs keep every index in range.
+        self.tokens = tokens + tokens[-1:] * 2
         self.pos = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.tokens[self.pos].kind == kind
 
     def accept(self, kind: str) -> Optional[Token]:
         if self.at(kind):
@@ -271,8 +298,8 @@ class _Parser:
         rows = []
         while self.at("BAR"):
             rows.append(self.ctor_row())
-        end = rows[-1].span if rows else name.span
-        return SData(name.text, tele, tuple(rows), start.span.to(end))
+        span = start.to(rows[-1].span) if rows else _between(start, name)
+        return SData(name.text, tele, tuple(rows), span)
 
     def def_decl(self) -> SDef:
         start = self.expect("def", "'def'")
@@ -284,7 +311,7 @@ class _Parser:
         while self.at("BAR"):
             clauses.append(self.clause())
         end = clauses[-1].span if clauses else result.span
-        return SDef(name.text, tele, result, tuple(clauses), start.span.to(end))
+        return SDef(name.text, tele, result, tuple(clauses), start.to(end))
 
     def ctor_row(self) -> SCtorRow:
         bar = self.expect("BAR", "'|'")
@@ -300,14 +327,14 @@ class _Parser:
             self.expect("FATARROW", "'=>'")
         name = self.expect("IDENT", "a constructor name")
         tele = self.tele()
-        return SCtorRow(pats, name.text, tele, bar.span.to(name.span))
+        return SCtorRow(pats, name.text, tele, _between(bar, name))
 
     def clause(self) -> SClause:
         bar = self.expect("BAR", "'|'")
         pats = self.pat_list()
         body = self.expr() if self.accept("FATARROW") else None
-        end = body.span if body is not None else bar.span
-        return SClause(tuple(pats), body, bar.span.to(end))
+        span = bar.to(body.span) if body is not None else bar.span
+        return SClause(tuple(pats), body, span)
 
     def binder_group(self, ahead: int = 0) -> bool:
         """Whether a telescope group `"(" IDENT+ ":"` starts `ahead` tokens on.
@@ -350,8 +377,8 @@ class _Parser:
         args = []
         while (atom := self.pat_atom()) is not None:
             args.append(atom)
-        end = args[-1].span if args else head.span
-        return SPatApp(head.text, tuple(args), head.span.to(end))
+        span = head.to(args[-1].span) if args else head.span
+        return SPatApp(head.text, tuple(args), span)
 
     def pat_atom(self) -> Optional[SPat]:
         tok = self.peek()
@@ -365,7 +392,7 @@ class _Parser:
             self.next()
             p = self.pattern()
             close = self.expect("RPAREN", "')'")
-            return replace(p, span=tok.span.to(close.span))
+            return _respan(p, _between(tok, close))
         return None
 
     # expressions
@@ -377,7 +404,7 @@ class _Parser:
             binder = self.expect("IDENT", "a binder name")
             self.expect("FATARROW", "'=>'")
             body = self.expr()
-            return SFn(binder.text, body, tok.span.to(body.span))
+            return SFn(binder.text, body, tok.to(body.span))
         if (
             tok.kind == "LPAREN"
             and self.peek(1).kind == "IDENT"
@@ -390,7 +417,7 @@ class _Parser:
             self.expect("RPAREN", "')'")
             self.expect("ARROW", "'->'")
             codomain = self.expr()
-            return SPi(binder.text, domain, codomain, tok.span.to(codomain.span))
+            return SPi(binder.text, domain, codomain, tok.to(codomain.span))
         head = self.expr1()
         if self.accept("ARROW"):
             codomain = self.expr()
@@ -416,8 +443,15 @@ class _Parser:
         if tok.kind == "LPAREN":
             e = self.expr()
             close = self.expect("RPAREN", "')'")
-            return replace(e, span=tok.span.to(close.span))
+            return _respan(e, _between(tok, close))
         raise _unexpected("an expression", tok)
+
+
+def _respan(node, span: SourceSpan):
+    # The node was just built by the parser and nothing else holds it yet, so
+    # giving it its parentheses' span in place is as good as a copy.
+    object.__setattr__(node, "span", span)
+    return node
 
 
 def _unexpected(what: str, tok: Token) -> ParseError:

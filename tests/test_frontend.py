@@ -13,7 +13,7 @@ from sit.core import (
     Pi,
     VarCall,
 )
-from sit.diagnostics import LexError, ParseError, ResolveError
+from sit.diagnostics import LexError, ParseError, ResolveError, SourceSpan
 from sit.frontend import (
     Resolver,
     SApp,
@@ -136,6 +136,43 @@ class TestParser:
             parse_file("data T (a : Nat) (b : Nat) : Type\n  | zero, m => (\n")
         assert exc.value.message.startswith("expected a constructor name")
         assert (exc.value.span.start_line, exc.value.span.start_col) == (2, 16)
+
+    def test_parenthesised_expression_spans_its_parentheses(self):
+        e = parse_expression("f (g x)")
+        assert e.span == SourceSpan("<expr>", 1, 1, 1, 7)
+        assert e.args[0].span == SourceSpan("<expr>", 1, 3, 1, 7)
+        assert e.args[0].args[0].span == SourceSpan("<expr>", 1, 6, 1, 6)
+
+    def test_parenthesised_pattern_spans_its_parentheses(self):
+        decls = parse_file(NAT + "def f (n : Nat) : Nat\n  | suc (suc m) => m\n")
+        pat = decls[1].clauses[0].patterns[0]
+        assert pat.span == SourceSpan("<input>", 6, 5, 6, 15)
+        assert pat.args[0].span == SourceSpan("<input>", 6, 9, 6, 15)
+        assert pat.args[0].args[0].span == SourceSpan("<input>", 6, 14, 6, 14)
+
+    def test_at_most_one_span_per_token(self, monkeypatch):
+        text = "suc (" * 60 + "zero" + ")" * 60
+        built = []
+        new = SourceSpan.__new__
+
+        def counting_new(cls, *args):
+            built.append(args)
+            return new(cls, *args)
+
+        monkeypatch.setattr(SourceSpan, "__new__", counting_new)
+        tokens = tokenize(text)
+        built.clear()
+        parse_expression(text)
+        assert 0 < len(built) <= len(tokens)
+
+
+class TestSourceSpan:
+    def test_start_is_never_past_end(self):
+        with pytest.raises(ValueError):
+            SourceSpan("f", 2, 1, 1, 5)
+        with pytest.raises(ValueError):
+            SourceSpan("f", 1, 5, 1, 4)
+        assert str(SourceSpan("f", 1, 5, 1, 5)) == "f:1:5"
 
 
 class TestLexer:
