@@ -25,7 +25,7 @@ from .diagnostics import (
     Warning,
 )
 from .evaluator import DEFAULT_FUEL, Fuel, normalize
-from .frontend import Resolver, parse_expression, parse_file
+from .frontend import Resolver, decode_source, parse_expression, parse_file
 from .translate import emit_general, synth_ctor_type, to_general
 from .typecheck import TypeChecker
 
@@ -68,8 +68,8 @@ def _trace(terms, pats, outcome) -> None:
 
 
 def _load(opts: Options) -> Checked:
-    with open(opts.file, encoding="utf-8") as fh:
-        text = fh.read()
+    with open(opts.file, "rb") as fh:
+        text = decode_source(fh.read(), opts.file)
     surface = parse_file(text, opts.file)
     resolver = Resolver()
     decls = resolver.run(surface)
@@ -99,6 +99,17 @@ def _nesting_limit(source: str):
             "input nested too deeply to process",
             SourceSpan(source, 1, 1, 1, 1),
         ) from None
+
+
+@contextmanager
+def _located(span: SourceSpan):
+    """Give a diagnostic raised without a location the span of the input."""
+    try:
+        yield
+    except SitError as err:
+        if err.span is None:
+            err.span = span
+        raise
 
 
 def _classify(err: SitError) -> int:
@@ -189,12 +200,8 @@ def _dispatch(args, opts: Options) -> int:
         with _nesting_limit("<expr>"):
             surface = parse_expression(args.expr)
             term: Term = checked.resolver.resolve_expression(surface)
-            try:
+            with _located(surface.span):
                 result = normalize(checked.sig, term, Fuel(opts.fuel))
-            except FuelError as err:
-                if err.span is None:
-                    err.span = surface.span
-                raise
             print(pretty(result))
         return EXIT_OK
     if args.command == "translate":
@@ -211,7 +218,10 @@ def _dispatch(args, opts: Options) -> int:
             print(text, end="")
         return EXIT_OK
     if args.command == "ctor-type":
-        print(pretty(synth_ctor_type(checked.sig, args.ctor)))
+        # The name is an input of its own, like the `-e` expression.
+        with _located(SourceSpan("<ctor>", 1, 1, 1, max(len(args.ctor), 1))):
+            ty = synth_ctor_type(checked.sig, args.ctor)
+        print(pretty(ty))
         return EXIT_OK
     raise AssertionError(f"unhandled command {args.command}")
 

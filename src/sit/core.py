@@ -427,6 +427,15 @@ def subst_at_once(t: Term, s: Substitution) -> Term:
     return _subst(t, dict(s.pairs))
 
 
+def subst_map(t: Term, m: dict[Var, Term]) -> Term:
+    """`subst_at_once` with the replacements given as a map.
+
+    A telescope is instantiated by growing one map as its entries are
+    checked, so each entry type is walked once, not once per earlier entry.
+    """
+    return _subst(t, m)
+
+
 def subst_telescope(tele: Telescope, s: Substitution) -> Telescope:
     return Telescope(tuple((x, subst(ty, s)) for x, ty in tele))
 

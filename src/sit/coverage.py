@@ -39,7 +39,7 @@ from .core import (
     VarCall,
     pretty,
     subst,
-    subst_telescope,
+    subst_map,
 )
 from .diagnostics import (
     CANNOT_SPLIT,
@@ -128,11 +128,13 @@ def instantiate_fields(
 ) -> Telescope:
     """The field telescope of a row at a concrete instantiation of the data.
 
-    The row's match result is substituted first, then the data telescope's
-    variables are replaced by the arguments.
+    The row's match result and the data telescope's variables, replaced by
+    the arguments, are substituted at once: an argument may mention the data
+    telescope's own variables (a row using its data type at them, swapped).
     """
-    data_sub = Substitution(tuple(zip(vars_tele(decl.telescope), args)))
-    return subst_telescope(subst_telescope(row.fields, sub), data_sub)
+    m = dict(sub.pairs)
+    m.update(zip(vars_tele(decl.telescope), args))
+    return Telescope(tuple((x, subst_map(ty, m)) for x, ty in row.fields))
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +225,9 @@ def _cover(sig, func, fuel, columns, rows, shapes, hole_vars, used) -> None:
 
     for ctor, fields in cases.items():
         field_vars = [Var.fresh(x.text) for x, _ in fields]
-        rename = Substitution(
-            tuple((x, VarCall(w)) for (x, _), w in zip(fields, field_vars))
-        )
+        rename = {x: VarCall(w) for (x, _), w in zip(fields, field_vars)}
         field_cols = [
-            _Column(w, subst(ty_i, rename))
+            _Column(w, subst_map(ty_i, rename))
             for w, (_, ty_i) in zip(field_vars, fields)
         ]
         case_term = ConCall(ctor, tuple(VarCall(w) for w in field_vars))

@@ -20,6 +20,7 @@ from .core import (
     Univ,
     Var,
     VarCall,
+    alpha_eq,
     subst_at_once,
 )
 from .diagnostics import FuelError, InternalError
@@ -136,7 +137,13 @@ def normalize(sig: Signature, t: Term, fuel: Fuel | None = None) -> Term:
 
 
 def convertible(sig: Signature, u: Term, v: Term, fuel: Fuel | None = None) -> bool:
-    """Definitional equality: normal forms alpha-equal, with eta for lambdas."""
+    """Definitional equality: normal forms alpha-equal, with eta for lambdas.
+
+    Conversion is reflexive, so alpha-equal terms are equal without being
+    evaluated and spend no fuel, even when their evaluation would diverge.
+    """
+    if u is v or alpha_eq(u, v):
+        return True
     fuel = fuel if fuel is not None else Fuel()
     return _conv(normalize(sig, u, fuel), normalize(sig, v, fuel), {})
 

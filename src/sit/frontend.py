@@ -106,6 +106,27 @@ def _between(first: Token, last: Token) -> SourceSpan:
     return SourceSpan(first.file, first.line, first.col, last.line, last.end_col)
 
 
+def decode_source(data: bytes, file: str) -> str:
+    """The text of a UTF-8 source file, each newline read as "\n" (as a file
+    opened in text mode reads it). An undecodable byte is a lex error at its
+    line and column."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        lines = _newlines(data[: err.start].decode("utf-8")).split("\n")
+        line, col = len(lines), len(lines[-1]) + 1
+        raise LexError(
+            LEX_ERROR,
+            f"invalid UTF-8 byte 0x{data[err.start]:02x}",
+            SourceSpan(file, line, col, line, col),
+        ) from None
+    return _newlines(text)
+
+
+def _newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 # One alternative per token kind, named after it; unnamed ones are skipped.
 _TOKEN = re.compile(
     r"(?P<NEWLINE>\n)|[ \t\r]+|--[^\n]*|(?P<IDENT>[\w']+)|(?P<FATARROW>=>)"
@@ -397,7 +418,9 @@ class _Parser:
 
     # expressions
 
-    def expr(self) -> SExpr:
+    def expr(self, grouped: bool = False) -> SExpr:
+        """An expression; a `grouped` one is what a pair of parentheses
+        holds (`atom` gives it the parentheses' span)."""
         tok = self.peek()
         if tok.kind == "fn":
             self.next()
@@ -418,30 +441,33 @@ class _Parser:
             self.expect("ARROW", "'->'")
             codomain = self.expr()
             return SPi(binder.text, domain, codomain, tok.to(codomain.span))
-        head = self.expr1()
+        head = self.expr1(grouped)
         if self.accept("ARROW"):
             codomain = self.expr()
             return SArrow(head, codomain, head.span.to(codomain.span))
         return head
 
-    def expr1(self) -> SExpr:
-        head = self.atom()
+    def expr1(self, grouped: bool = False) -> SExpr:
+        head = self.atom(grouped)
         args = []
         while self.peek().kind in ("IDENT", "Type", "LPAREN"):
             # "(x :" here can only open a Pi argument's parentheses.
             args.append(self.atom())
         if not args:
             return head
+        if grouped and not self.at("ARROW"):
+            # The whole group: its parentheses give the span.
+            return SApp(head, tuple(args))
         return SApp(head, tuple(args), head.span.to(args[-1].span))
 
-    def atom(self) -> SExpr:
+    def atom(self, grouped: bool = False) -> SExpr:
         tok = self.next()
-        if tok.kind == "IDENT":
-            return SRef(tok.text, tok.span)
-        if tok.kind == "Type":
-            return SUniv(tok.span)
+        if tok.kind in ("IDENT", "Type"):
+            # Alone in its group, the atom gets the parentheses' span.
+            span = None if grouped and self.at("RPAREN") else tok.span
+            return SRef(tok.text, span) if tok.kind == "IDENT" else SUniv(span)
         if tok.kind == "LPAREN":
-            e = self.expr()
+            e = self.expr(grouped=True)
             close = self.expect("RPAREN", "')'")
             return _respan(e, _between(tok, close))
         raise _unexpected("an expression", tok)

@@ -40,6 +40,7 @@ from .core import (
     pattern_has_impossible,
     pretty,
     subst,
+    subst_map,
 )
 from .diagnostics import (
     ARITY_MISMATCH,
@@ -171,9 +172,8 @@ class TypeChecker:
                         UNKNOWN_NAME, f"unknown function {name}", span
                     )
                 self.check_args(ctx, args, func.telescope, span)
-                result = subst(
-                    func.result,
-                    Substitution(tuple(zip(vars_tele(func.telescope), args))),
+                result = subst_map(
+                    func.result, dict(zip(vars_tele(func.telescope), args))
                 )
                 self._require_type(result, expected, span)
             case DataCall(name, args):
@@ -246,17 +246,22 @@ class TypeChecker:
         tele: Telescope,
         span: Optional[SourceSpan] = None,
     ) -> None:
-        """Check that the arguments instantiate the telescope, left to right."""
+        """Check that the arguments instantiate the telescope, left to right.
+
+        Each entry type is instantiated at the earlier arguments all at once:
+        an argument may mention the telescope's own variables (a data type's
+        rows can use it at its own parameters, swapped).
+        """
         if len(args) != len(tele):
             raise TypeCheckError(
                 ARITY_MISMATCH,
                 f"expected {len(tele)} arguments, got {len(args)}",
                 span,
             )
-        acc = Substitution()
+        earlier: dict[Var, Term] = {}
         for arg, (x, ty) in zip(args, tele):
-            self.check_term(ctx, arg, subst(ty, acc))
-            acc = Substitution(acc.pairs + ((x, arg),))
+            self.check_term(ctx, arg, subst_map(ty, earlier))
+            earlier[x] = arg
 
     def check_telescope(self, ctx: Context, tele: Telescope) -> Context:
         """Check each entry's type is a type; returns the extended context."""
@@ -382,19 +387,20 @@ class TypeChecker:
                 pats[0].span if pats else None,
             )
         self._check_linear(pats)
-        acc = Substitution()
+        earlier: dict[Var, Term] = {}
         theta = Telescope()
         typed: list[Pattern] = []
         for pat, (x, ty) in zip(pats, tele):
-            typed_p, th = self.check_pattern(ctx, pat, subst(ty, acc), lenient)
+            typed_p, th = self.check_pattern(
+                ctx, pat, subst_map(ty, earlier), lenient
+            )
             typed.append(typed_p)
             theta = disjoint_union(theta, th)
             if pattern_has_impossible(typed_p):
-                stand_in = VarCall(Var.fresh("_abs"))
-                acc = Substitution(acc.pairs + ((x, stand_in),))
+                earlier[x] = VarCall(Var.fresh("_abs"))
                 lenient = True
             else:
-                acc = Substitution(acc.pairs + ((x, to_term(typed_p)),))
+                earlier[x] = to_term(typed_p)
         return tuple(typed), theta
 
     def _check_linear(self, pats: Sequence[Pattern]) -> None:
@@ -440,10 +446,7 @@ class TypeChecker:
                 clause.span,
             )
         if clause.body is not None:
-            expected = subst(
-                result,
-                Substitution(tuple(zip(vars_tele(tele), to_terms(typed)))),
-            )
+            expected = subst_map(result, dict(zip(vars_tele(tele), to_terms(typed))))
             self.check_term(ctx.extended_tele(theta), clause.body, expected)
         return Clause(typed, clause.body, clause.span)
 

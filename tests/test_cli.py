@@ -51,6 +51,27 @@ class TestCheck:
         # Reported at the declaration whose check ran out of fuel.
         assert err.startswith(f"{src}:9:1: error[E501]")
 
+    def test_type_equal_to_itself_spends_no_fuel(self, tmp_path, capsys):
+        # `loop zero` never stops, but a type is convertible with itself
+        # without being evaluated, so the budget is never touched.
+        src = tmp_path / "reflexive.sit"
+        src.write_text(
+            "data Nat : Type\n  | zero\n  | suc (n : Nat)\n"
+            "data Box (n : Nat) : Type\n  | box\n"
+            "def loop (n : Nat) : Nat\n  | n => loop n\n"
+            "def f (x : Box (loop zero)) : Box (loop zero)\n  | x => x\n"
+        )
+        assert run(["check", str(src), "--fuel", "1000"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_invalid_utf8_is_a_lex_error(self, tmp_path, capsys):
+        src = tmp_path / "bad.sit"
+        # The two bytes of "é" are one column; the bad byte is at column 16.
+        src.write_bytes(b"data N : Type\n | z\n  | s (n : N) \xc3\xa9\xff\n")
+        assert run(["check", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"{src}:3:16: error[E101]: invalid UTF-8 byte 0xff\n"
+
     def test_deep_nesting_is_reported_at_the_file(self, tmp_path, capsys):
         src = tmp_path / "deep.sit"
         deep = "suc (" * 400 + "zero" + ")" * 400
@@ -133,6 +154,9 @@ class TestCtorType:
 
     def test_unknown_constructor(self, capsys):
         assert run(["ctor-type", corpus("fin.sit"), "mystery"]) == 1
+        # The name is its own input, the way `-e` is `<expr>`.
+        err = capsys.readouterr().err
+        assert err == "<ctor>:1:1: error[E301]: unknown constructor mystery\n"
 
 
 class TestExitCodes:

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sit.core import (
     ConCall,
+    DataDecl,
     FnCall,
     Lam,
     Pi,
@@ -21,10 +24,21 @@ from sit.core import (
     free_vars,
     pretty,
     subst,
+    subst_map,
+    subst_telescope,
 )
+from sit.coverage import instantiate_fields, row_outcomes
 from sit.diagnostics import InternalError
+from sit.pattern_ops import Matched, vars_tele
 
-from support import con, ref
+from support import (
+    check_source,
+    con,
+    corpus_telescopes,
+    index_tuples_with_one_var,
+    load_corpus,
+    ref,
+)
 
 # A fixed pool of variables so terms, binders, and substitutions collide.
 # Variables used as heads of argument spines live in a separate pool that
@@ -152,6 +166,76 @@ class TestSubst:
         assert out <= allowed
         if x in free_vars(t):
             assert free_vars(v) <= out
+
+
+# Dependent telescopes for the one-pass tests: a later entry's type, and a
+# plain row's fields, mention earlier entries.
+DEPENDENT = """
+data Nat : Type
+  | zero
+  | suc (n : Nat)
+data Vec (A : Type) (n : Nat) : Type
+  | A, zero => vnil
+  | A, suc m => vcons (x : A) (xs : Vec A m)
+data Fin (n : Nat) : Type
+  | suc m => fzero
+  | suc m => fsuc (i : Fin m)
+data Dep (A : Type) (n : Nat) (i : Fin n) (v : Vec A n) : Type
+  | mk (a : A) (w : Vec A (suc n)) (j : Fin (suc n))
+def pick (A : Type) (n : Nat) (v : Vec A n) (i : Fin n) : A
+"""
+
+
+def _signatures():
+    yield check_source(DEPENDENT, coverage=False)
+    for name in ("nat", "list", "vec", "fin", "normalize"):
+        yield load_corpus(name)
+
+
+class TestOnePassInstantiation:
+    """Instantiating a telescope through one map agrees with `subst` applied
+    pair by pair whenever the arguments do not mention the telescope's own
+    variables: each telescope above and in the corpus, at enumerated
+    arguments with a free variable somewhere."""
+
+    @staticmethod
+    def instantiations(sig, tele):
+        return itertools.islice(index_tuples_with_one_var(sig, tele, 4), 300)
+
+    def test_entry_types(self):
+        checked = 0
+        for sig in _signatures():
+            for tele in corpus_telescopes(sig):
+                xs = vars_tele(tele)
+                for args in self.instantiations(sig, tele):
+                    for i, (_, ty) in enumerate(tele):
+                        pairs = tuple(zip(xs[:i], args[:i]))
+                        one_pass = subst_map(ty, dict(pairs))
+                        assert alpha_eq(one_pass, subst(ty, Substitution(pairs)))
+                        checked += 1
+        assert checked > 1000
+
+    def test_constructor_fields(self):
+        checked = 0
+        for sig in _signatures():
+            for decl in sig.decls:
+                if not isinstance(decl, DataDecl):
+                    continue
+                xs = vars_tele(decl.telescope)
+                for args in self.instantiations(sig, decl.telescope):
+                    data_sub = Substitution(tuple(zip(xs, args)))
+                    for row, out in row_outcomes(decl, args):
+                        if not isinstance(out, Matched):
+                            continue
+                        got = instantiate_fields(decl, row, list(args), out.sub)
+                        want = subst_telescope(
+                            subst_telescope(row.fields, out.sub), data_sub
+                        )
+                        assert [x for x, _ in got] == [x for x, _ in want]
+                        for (_, a), (_, b) in zip(got, want):
+                            assert alpha_eq(a, b)
+                            checked += 1
+        assert checked > 100
 
 
 class TestCompose:

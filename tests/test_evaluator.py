@@ -153,6 +153,30 @@ class TestConvertible:
         rhs = Lam(y, fn("plus", nat_lit(0), ref(y)))
         assert convertible(nat_sig, lhs, rhs)
 
+    def test_alpha_equal_sides_are_not_evaluated(self, norm_sig, monkeypatch):
+        # Conversion is reflexive: identical or alpha-equal sides are equal
+        # before either is normalized, so they spend no fuel.
+        calls = []
+        real = evaluator.normalize
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(evaluator, "normalize", counted)
+        fuel = Fuel()
+        t = fn("termTy", con("natT"))
+        x, y = Var.fresh("x"), Var.fresh("y")
+        assert convertible(norm_sig, t, t, fuel)
+        assert convertible(norm_sig, t, fn("termTy", con("natT")), fuel)
+        assert convertible(
+            norm_sig, Lam(x, fn("termTy", ref(x))), Lam(y, fn("termTy", ref(y))), fuel
+        )
+        assert calls == [] and fuel.used == 0
+        # Sides that differ before evaluation are still normalized.
+        assert convertible(norm_sig, t, dat("Nat"), fuel)
+        assert len(calls) == 2 and fuel.used == 1
+
     def test_lambda_eta(self, nat_sig):
         g, x = Var.fresh("g"), Var.fresh("x")
         assert convertible(nat_sig, Lam(x, VarCall(g, (ref(x),))), ref(g))

@@ -164,6 +164,9 @@ class TestParser:
         built.clear()
         parse_expression(text)
         assert 0 < len(built) <= len(tokens)
+        # None is thrown away: 60 for the names `suc`, 60 for the pairs of
+        # parentheses and one for the outermost application.
+        assert len(built) == 121
 
 
 class TestSourceSpan:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from sit import core
 from sit.core import (
     BindPat,
     Clause,
@@ -111,6 +112,28 @@ class TestCheckArgs:
         with pytest.raises(TypeCheckError):
             check_args(vec_sig, EMPTY_CONTEXT, [dat("Nat"), con("vnil")], tele)
 
+    def test_subst_walks_grow_linearly(self, nat_sig, monkeypatch):
+        # Each entry type is instantiated once, at every earlier argument at
+        # once: the walks grow with the telescope, not with its square.
+        calls = []
+        real = core._subst
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(core, "_subst", counted)
+
+        def count(n: int) -> int:
+            a = Var.fresh("A")
+            xs = [Var.fresh("x") for _ in range(n)]
+            tele = Telescope.of((a, UNIV), *((x, ref(a)) for x in xs))
+            calls.clear()
+            check_args(nat_sig, EMPTY_CONTEXT, [dat("Nat")] + [nat_lit(0)] * n, tele)
+            return len(calls)
+
+        assert count(20) <= 2.5 * count(10)
+
 
 class TestCheckPattern:
     def test_fzero_pattern_has_no_bindings(self, fin_sig):
@@ -217,6 +240,15 @@ class TestCheckSignature:
         with pytest.raises(TypeCheckError) as exc:
             check_signature([vec])
         assert code_of(exc) == "E301"
+
+    def test_row_uses_its_data_type_at_swapped_parameters(self):
+        # The field type `D B A y` instantiates D's telescope with D's own
+        # variables: x's type A becomes B, and must not turn back into A.
+        sig = check_source(
+            "data D (A : Type) (B : Type) (x : A) : Type\n"
+            "  | mk (y : B) (d : D B A y)\n"
+        )
+        assert sig.data("D") is not None
 
     def test_duplicate_names(self, nat_sig):
         decl = DataDecl("Twice", Telescope(), ())
