@@ -21,26 +21,26 @@ from sit.frontend import parse_file, resolve
 from sit.pattern_ops import Matched, Mismatch, Stuck
 from sit.typecheck import check_signature
 from sit.coverage import Undecidable, available_fields, row_outcomes
-from sit.evaluator import index_normal_form
+from sit.evaluator import Fuel, index_normal_form
 
 
-def closed_tuples(sig, tele, depth):
+def closed_tuples(sig, tele, depth, fuel):
     from sit.core import Telescope
 
     if not tele:
         yield ()
         return
     (x, ty), remaining = tele.entries[0], tele.entries[1:]
-    for t in closed_terms(sig, ty, depth):
+    for t in closed_terms(sig, ty, depth, fuel):
         refined = subst_telescope(Telescope(remaining), Substitution.of((x, t)))
-        for more in closed_tuples(sig, refined, depth):
+        for more in closed_tuples(sig, refined, depth, fuel):
             yield (t,) + more
 
 
-def closed_terms(sig, ty, depth):
+def closed_terms(sig, ty, depth, fuel):
     if depth <= 0:
         return
-    ty = index_normal_form(sig, ty)
+    ty = index_normal_form(sig, ty, fuel)
     from sit.core import DataCall, Univ
 
     if isinstance(ty, Univ):
@@ -50,12 +50,12 @@ def closed_terms(sig, ty, depth):
         return
     if not isinstance(ty, DataCall):
         return
-    indices = [index_normal_form(sig, a) for a in ty.args]
-    cases = available_fields(sig.data(ty.name), indices)
+    indices = [index_normal_form(sig, a, fuel) for a in ty.args]
+    cases = available_fields(sig.data(ty.name), indices, fuel)
     if isinstance(cases, Undecidable):
         return
     for ctor, fields in cases.items():
-        for tup in closed_tuples(sig, fields, depth - 1):
+        for tup in closed_tuples(sig, fields, depth - 1, fuel):
             yield ConCall(ctor, tup)
 
 
@@ -65,19 +65,20 @@ def main() -> None:
     if path is None:
         path = Path(__file__).resolve().parent.parent / "corpus" / "fin.sit"
     sig = check_signature(resolve(parse_file(path.read_text(), str(path))))
+    fuel = Fuel()
     for decl in sig.decls:
         if not isinstance(decl, DataDecl) or not decl.telescope:
             continue
         print(f"{decl.name} (depth <= {depth}):")
         counts: Counter = Counter()
-        tuples = list(closed_tuples(sig, decl.telescope, depth))
+        tuples = list(closed_tuples(sig, decl.telescope, depth, fuel))
         poked = [
             tup[:i] + (VarCall(Var.fresh("k")),) + tup[i + 1 :]
             for tup in tuples
             for i in range(len(tup))
         ]
         for tup in itertools.chain(tuples, poked):
-            for row, out in row_outcomes(decl, tup):
+            for row, out in row_outcomes(decl, tup, fuel):
                 counts[(row.name, type(out))] += 1
         width = max(len(r.name) for r in decl.ctors)
         for row in decl.ctors:

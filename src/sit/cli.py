@@ -1,5 +1,9 @@
 """Command line driver: parse, resolve, check, then evaluate or translate.
 
+One `Fuel` is made per command: `--fuel N` bounds every reduction step of
+the command, so the check and the `-e` evaluation after it share the N
+steps. `--trace-match` is that `Fuel`'s match observer.
+
 Exit codes: 0 success, 1 type or coverage error, 2 parse or resolve error,
 3 usage error, 4 resource limit: reduction steps (E501) or nesting depth
 (E502). Diagnostics go to stderr, one per line, as
@@ -12,7 +16,6 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from . import pattern_ops
 from .core import DataDecl, Signature, Term, pretty, pretty_pattern
 from .diagnostics import (
     NESTING_TOO_DEEP,
@@ -26,6 +29,7 @@ from .diagnostics import (
 )
 from .evaluator import DEFAULT_FUEL, Fuel, normalize
 from .frontend import Resolver, decode_source, parse_expression, parse_file
+from .pattern_ops import Matched, Stuck
 from .translate import emit_general, synth_ctor_type, to_general
 from .typecheck import TypeChecker
 
@@ -37,15 +41,6 @@ EXIT_LIMIT = 4
 
 
 @dataclass
-class Options:
-    file: str
-    fuel: int = DEFAULT_FUEL
-    trace_match: bool = False
-    coverage: bool = True
-    strict_row_fields: bool = False
-
-
-@dataclass
 class Checked:
     sig: Signature
     resolver: Resolver
@@ -53,8 +48,6 @@ class Checked:
 
 
 def _trace(terms, pats, outcome) -> None:
-    from .pattern_ops import Matched, Stuck
-
     lhs = ", ".join(pretty(t) for t in terms)
     rhs = ", ".join(pretty_pattern(p) for p in pats)
     shown = type(outcome).__name__.lower()
@@ -67,16 +60,18 @@ def _trace(terms, pats, outcome) -> None:
     print(f"match [{lhs}] ~ [{rhs}] -> {shown}", file=sys.stderr)
 
 
-def _load(opts: Options) -> Checked:
-    with open(opts.file, "rb") as fh:
-        text = decode_source(fh.read(), opts.file)
-    surface = parse_file(text, opts.file)
+def _load(args, fuel: Fuel) -> Checked:
+    with open(args.file, "rb") as fh:
+        text = decode_source(fh.read(), args.file)
+    surface = parse_file(text, args.file)
     resolver = Resolver()
     decls = resolver.run(surface)
     checker = TypeChecker(
-        fuel_limit=opts.fuel, strict_row_fields=opts.strict_row_fields
+        fuel=fuel, strict_row_fields=getattr(args, "strict_row_fields", False)
     )
-    sig = checker.check_signature(decls, coverage=opts.coverage)
+    sig = checker.check_signature(
+        decls, coverage=not getattr(args, "no_coverage", False)
+    )
     return Checked(sig, resolver, checker.warnings)
 
 
@@ -112,6 +107,19 @@ def _located(span: SourceSpan):
         raise
 
 
+def _step_limit(text: str) -> int:
+    """The type of `--fuel`: a number of reduction steps, never negative."""
+    try:
+        limit = int(text)
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a number of steps (0 or more), got {text!r}"
+        )
+    return limit
+
+
 def _classify(err: SitError) -> int:
     if isinstance(err, FuelError) or err.code == NESTING_TOO_DEEP:
         return EXIT_LIMIT
@@ -127,7 +135,10 @@ def run(argv: list[str] | None = None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("file", help="source file (.sit)")
     common.add_argument(
-        "--fuel", type=int, default=DEFAULT_FUEL, help="reduction step limit"
+        "--fuel",
+        type=_step_limit,
+        default=DEFAULT_FUEL,
+        help="reduction step limit for the whole command",
     )
     common.add_argument(
         "--trace-match",
@@ -168,31 +179,20 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
 
-    opts = Options(
-        file=args.file,
-        fuel=args.fuel,
-        trace_match=args.trace_match,
-        coverage=not getattr(args, "no_coverage", False),
-        strict_row_fields=getattr(args, "strict_row_fields", False),
-    )
-    if opts.trace_match:
-        pattern_ops.trace_hook = _trace
+    fuel = Fuel(args.fuel, observer=_trace if args.trace_match else None)
     try:
-        with _nesting_limit(opts.file):
-            return _dispatch(args, opts)
+        with _nesting_limit(args.file):
+            return _dispatch(args, fuel)
     except SitError as err:
         print(err.render(), file=sys.stderr)
         return _classify(err)
     except OSError as err:
         print(f"sit: {err}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        if opts.trace_match:
-            pattern_ops.trace_hook = None
 
 
-def _dispatch(args, opts: Options) -> int:
-    checked = _load(opts)
+def _dispatch(args, fuel: Fuel) -> int:
+    checked = _load(args, fuel)
     _print_warnings(checked.warnings)
     if args.command == "check":
         return EXIT_OK
@@ -201,7 +201,7 @@ def _dispatch(args, opts: Options) -> int:
             surface = parse_expression(args.expr)
             term: Term = checked.resolver.resolve_expression(surface)
             with _located(surface.span):
-                result = normalize(checked.sig, term, Fuel(opts.fuel))
+                result = normalize(checked.sig, term, fuel)
             print(pretty(result))
         return EXIT_OK
     if args.command == "translate":

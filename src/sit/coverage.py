@@ -75,31 +75,33 @@ Availability = Union[Available, Undecidable]
 
 
 def row_outcomes(
-    decl: DataDecl, args: Sequence[Term], ctor: str | None = None
+    decl: DataDecl, args: Sequence[Term], fuel: Fuel, ctor: str | None = None
 ) -> Iterator[tuple[CtorRow, MatchOutcome]]:
     """Each constructor row (only those of `ctor`, if given) in declaration
     order with its match outcome at these (normalized) arguments; a plain row
-    matches with no bindings."""
+    matches with no bindings. Each match is reported to `fuel.observer`."""
     for row in decl.ctors:
         if ctor is not None and row.name != ctor:
             continue
         if row.patterns is None:
             yield row, Matched(EMPTY_SUBST)
-        else:
-            yield row, match_terms(args, row.patterns)
+            continue
+        out = match_terms(args, row.patterns)
+        if fuel.observer is not None:
+            fuel.observer(args, row.patterns, out)
+        yield row, out
 
 
 def available_ctors(
-    sig: Signature, data_name: str, args: list[Term], fuel: Fuel | None = None
+    sig: Signature, data_name: str, args: list[Term], fuel: Fuel
 ) -> Availability:
     """Which constructors of a data type are available at these arguments."""
     decl = sig.data(data_name)
     if decl is None:
         raise InternalError(f"unknown data type {data_name}")
-    fuel = fuel if fuel is not None else Fuel()
     args = [index_normal_form(sig, a, fuel) for a in args]
     names: list[str] = []
-    for row, out in row_outcomes(decl, args):
+    for row, out in row_outcomes(decl, args, fuel):
         match out:
             case Matched(_):
                 names.append(row.name)
@@ -109,12 +111,12 @@ def available_ctors(
 
 
 def available_fields(
-    decl: DataDecl, args: list[Term]
+    decl: DataDecl, args: list[Term], fuel: Fuel
 ) -> Union[dict[str, Telescope], Undecidable]:
     """The field telescope of each available constructor at these (normalized)
     arguments, taken from its first matching row, in the order of those rows."""
     fields: dict[str, Telescope] = {}
-    for row, out in row_outcomes(decl, args):
+    for row, out in row_outcomes(decl, args, fuel):
         match out:
             case Matched(sub) if row.name not in fields:
                 fields[row.name] = instantiate_fields(decl, row, args, sub)
@@ -147,16 +149,13 @@ class _Column:
     ty: Term
 
 
-def check_coverage(
-    sig: Signature, func: FuncDecl, fuel: Fuel | None = None
-) -> list[Warning]:
+def check_coverage(sig: Signature, func: FuncDecl, fuel: Fuel) -> list[Warning]:
     """Certify that the clauses cover every constructor form of the telescope.
 
     Raises CoverageError with a concrete uncovered pattern stack, or when a
     needed split has undecidable availability. Returns warnings for clauses
     no leaf selects. `fuel` bounds all evaluation of the check.
     """
-    fuel = fuel if fuel is not None else Fuel()
     columns = [_Column(x, ty) for x, ty in func.telescope]
     rows = [(i, list(cl.patterns)) for i, cl in enumerate(func.clauses)]
     shapes: list[Term] = [VarCall(x) for x, _ in func.telescope]
@@ -207,7 +206,7 @@ def _cover(sig, func, fuel, columns, rows, shapes, hole_vars, used) -> None:
     if not isinstance(ty, DataCall):
         raise InternalError(f"splitting non-data column {pretty(col.ty)}")
     indices = [index_normal_form(sig, a, fuel) for a in ty.args]
-    cases = available_fields(sig.data(ty.name), indices)
+    cases = available_fields(sig.data(ty.name), indices, fuel)
     if isinstance(cases, Undecidable):
         raise CoverageError(
             CANNOT_SPLIT,

@@ -3,17 +3,20 @@
 Function calls unfold by first-match clause dispatch: clauses are tried top
 to bottom, the first positive match fires, and a stuck match freezes the
 call as a neutral term. There is no termination checker; a step budget turns
-runaway evaluation into an error instead of a hang.
+runaway evaluation into an error instead of a hang. Every evaluation takes
+the budget explicitly, so one `Fuel` can bound a whole command.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 from .core import (
     ConCall,
     DataCall,
     FnCall,
     Lam,
+    Pattern,
     Pi,
     Signature,
     Term,
@@ -24,17 +27,25 @@ from .core import (
     subst_at_once,
 )
 from .diagnostics import FuelError, InternalError
-from .pattern_ops import Matched, Mismatch, Stuck, match_terms
+from .pattern_ops import Matched, MatchOutcome, Mismatch, Stuck, match_terms
 
 DEFAULT_FUEL = 1_000_000
+
+MatchObserver = Callable[[Sequence[Term], Sequence[Pattern], MatchOutcome], None]
 
 
 @dataclass
 class Fuel:
-    """A mutable budget of reduction steps shared across one evaluation."""
+    """The budget of one run: every clause firing of the checker, coverage
+    and the evaluator spends one step of the same `limit`.
+
+    `observer`, when set, is told every match the run makes (the terms, the
+    patterns and the outcome), by `whnf` and `coverage.row_outcomes`.
+    """
 
     limit: int = DEFAULT_FUEL
     used: int = 0
+    observer: Optional[MatchObserver] = None
 
     def spend(self) -> None:
         self.used += 1
@@ -42,13 +53,12 @@ class Fuel:
             raise FuelError(self.limit)
 
 
-def whnf(sig: Signature, t: Term, fuel: Fuel | None = None) -> Term:
+def whnf(sig: Signature, t: Term, fuel: Fuel) -> Term:
     """Reduce until the head is a value or a neutral.
 
     Function calls whose dispatch is stuck, or which no clause matches, are
     returned as neutral heads.
     """
-    fuel = fuel if fuel is not None else Fuel()
     while isinstance(t, FnCall):
         func = sig.func(t.name)
         if func is None:
@@ -57,6 +67,8 @@ def whnf(sig: Signature, t: Term, fuel: Fuel | None = None) -> Term:
         reduct = None
         for clause in func.clauses:
             out = match_terms(args, clause.patterns)
+            if fuel.observer is not None:
+                fuel.observer(args, clause.patterns, out)
             match out:
                 case Matched(s):
                     if clause.body is None:
@@ -86,7 +98,7 @@ def _dispatch_args(sig, func, args, fuel) -> tuple[Term, ...]:
     )
 
 
-def index_normal_form(sig: Signature, t: Term, fuel: Fuel | None = None) -> Term:
+def index_normal_form(sig: Signature, t: Term, fuel: Fuel) -> Term:
     """Weak-head normalize, recursing into constructor arguments only.
 
     This is exactly the shape the matcher inspects, so matching after this
@@ -95,7 +107,6 @@ def index_normal_form(sig: Signature, t: Term, fuel: Fuel | None = None) -> Term
     """
     if getattr(t, "_spine_normal", False):
         return t
-    fuel = fuel if fuel is not None else Fuel()
     t = whnf(sig, t, fuel)
     if isinstance(t, ConCall):
         args = tuple(index_normal_form(sig, a, fuel) for a in t.args)
@@ -114,9 +125,8 @@ def _spine_normal(t: Term) -> bool:
     return not isinstance(t, FnCall)
 
 
-def normalize(sig: Signature, t: Term, fuel: Fuel | None = None) -> Term:
+def normalize(sig: Signature, t: Term, fuel: Fuel) -> Term:
     """Fully normalize; idempotent."""
-    fuel = fuel if fuel is not None else Fuel()
     t = whnf(sig, t, fuel)
     match t:
         case FnCall(name, args):
@@ -136,7 +146,7 @@ def normalize(sig: Signature, t: Term, fuel: Fuel | None = None) -> Term:
     raise InternalError(f"unexpected term {t!r}")
 
 
-def convertible(sig: Signature, u: Term, v: Term, fuel: Fuel | None = None) -> bool:
+def convertible(sig: Signature, u: Term, v: Term, fuel: Fuel) -> bool:
     """Definitional equality: normal forms alpha-equal, with eta for lambdas.
 
     Conversion is reflexive, so alpha-equal terms are equal without being
@@ -144,7 +154,6 @@ def convertible(sig: Signature, u: Term, v: Term, fuel: Fuel | None = None) -> b
     """
     if u is v or alpha_eq(u, v):
         return True
-    fuel = fuel if fuel is not None else Fuel()
     return _conv(normalize(sig, u, fuel), normalize(sig, v, fuel), {})
 
 

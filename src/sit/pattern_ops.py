@@ -7,7 +7,7 @@ matcher never reduces. Callers normalize the terms they hand in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .core import (
     BindPat,
@@ -44,9 +44,6 @@ class Stuck:
 
 
 MatchOutcome = Union[Matched, Mismatch, Stuck]
-
-# Optional observer for every list-matching call; the CLI wires --trace-match here.
-trace_hook: Optional[Callable[[Sequence[Term], Sequence[Pattern], MatchOutcome], None]] = None
 
 
 def vars_tele(tele: Telescope) -> list[Var]:
@@ -114,10 +111,7 @@ def match_terms(terms: Sequence[Term], pats: Sequence[Pattern]) -> MatchOutcome:
         )
     pairs: list[tuple[Var, Term]] = []
     out = _collect(terms, pats, pairs, set())
-    outcome = Matched(Substitution(tuple(pairs))) if out is None else out
-    if trace_hook is not None:
-        trace_hook(terms, pats, outcome)
-    return outcome
+    return Matched(Substitution(tuple(pairs))) if out is None else out
 
 
 def _collect(

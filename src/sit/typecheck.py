@@ -62,7 +62,7 @@ from .diagnostics import (
     TypeCheckError,
     Warning,
 )
-from .evaluator import DEFAULT_FUEL, Fuel, convertible, index_normal_form, whnf
+from .evaluator import Fuel, convertible, index_normal_form, whnf
 from .pattern_ops import Matched, Stuck, to_term, to_terms, vars_tele
 
 
@@ -92,29 +92,28 @@ EMPTY_CONTEXT = Context()
 class TypeChecker:
     """Checks terms and declarations against a signature.
 
+    All evaluation of the check, coverage included, spends the one `fuel`.
     `strict_row_fields` additionally re-checks pattern-row constructor fields
     under the data telescope scope and reports any disagreement as a warning.
     """
 
     sig: Signature = dc_field(default_factory=Signature)
-    fuel_limit: int = DEFAULT_FUEL
+    # A lambda, so `Fuel` is looked up when a checker is made: whoever
+    # rebinds `typecheck.Fuel` (to count firings, say) sees the default too.
+    fuel: Fuel = dc_field(default_factory=lambda: Fuel())
     strict_row_fields: bool = False
     warnings: list[Warning] = dc_field(default_factory=list)
 
     # -- helpers ------------------------------------------------------------
 
-    def _fuel(self) -> Fuel:
-        return Fuel(self.fuel_limit)
-
     def _whnf(self, t: Term) -> Term:
-        return whnf(self.sig, t, self._fuel())
+        return whnf(self.sig, t, self.fuel)
 
     def _index_nf(self, ts: Sequence[Term]) -> list[Term]:
-        fuel = self._fuel()
-        return [index_normal_form(self.sig, t, fuel) for t in ts]
+        return [index_normal_form(self.sig, t, self.fuel) for t in ts]
 
     def _convertible(self, u: Term, v: Term) -> bool:
-        return convertible(self.sig, u, v, self._fuel())
+        return convertible(self.sig, u, v, self.fuel)
 
     def _require_type(self, actual: Term, expected: Term, span: Optional[SourceSpan]):
         if not self._convertible(actual, expected):
@@ -220,7 +219,7 @@ class TypeChecker:
                 span,
             )
         indices = self._index_nf(exp.args)
-        for row, out in coverage_mod.row_outcomes(owner, indices, name):
+        for row, out in coverage_mod.row_outcomes(owner, indices, self.fuel, name):
             match out:
                 case Matched(sub):
                     return coverage_mod.instantiate_fields(owner, row, indices, sub)
@@ -325,7 +324,7 @@ class TypeChecker:
                 pat.span,
             )
         av = coverage_mod.available_ctors(
-            self.sig, scrutinee.name, list(scrutinee.args), self._fuel()
+            self.sig, scrutinee.name, list(scrutinee.args), self.fuel
         )
         if isinstance(av, coverage_mod.Undecidable):
             if lenient:
@@ -530,7 +529,7 @@ class TypeChecker:
         if coverage:
             self.sig = out
             self.warnings.extend(
-                coverage_mod.check_coverage(out, checked, self._fuel())
+                coverage_mod.check_coverage(out, checked, self.fuel)
             )
         return out
 
@@ -570,17 +569,5 @@ def check_ctor_row(
     return TypeChecker(sig).check_ctor_row(ctx, tele, row)
 
 
-def check_signature(
-    decls: Sequence[Declaration],
-    coverage: bool = True,
-    strict_row_fields: bool = False,
-    fuel_limit: int = DEFAULT_FUEL,
-    warnings: Optional[list[Warning]] = None,
-) -> Signature:
-    checker = TypeChecker(
-        fuel_limit=fuel_limit, strict_row_fields=strict_row_fields
-    )
-    sig = checker.check_signature(decls, coverage=coverage)
-    if warnings is not None:
-        warnings.extend(checker.warnings)
-    return sig
+def check_signature(decls: Sequence[Declaration], coverage: bool = True) -> Signature:
+    return TypeChecker().check_signature(decls, coverage=coverage)

@@ -27,7 +27,7 @@ from sit.core import (
     subst_telescope,
 )
 from sit.coverage import Undecidable, available_fields
-from sit.evaluator import index_normal_form
+from sit.evaluator import Fuel, index_normal_form
 from sit.frontend import parse_file, resolve
 from sit.pattern_ops import to_term
 from sit.typecheck import check_signature
@@ -85,15 +85,16 @@ def enumerate_terms(sig: Signature, ty: Term, depth: int) -> Iterator[Term]:
     """
     if depth <= 0:
         return
-    ty = index_normal_form(sig, ty)
+    fuel = Fuel()
+    ty = index_normal_form(sig, ty, fuel)
     match ty:
         case Univ():
             for decl in sig.decls:
                 if isinstance(decl, DataDecl) and not decl.telescope:
                     yield DataCall(decl.name, ())
         case DataCall(name, args):
-            indices = [index_normal_form(sig, a) for a in args]
-            cases = available_fields(sig.data(name), indices)
+            indices = [index_normal_form(sig, a, fuel) for a in args]
+            cases = available_fields(sig.data(name), indices, fuel)
             if isinstance(cases, Undecidable):
                 return
             for ctor, fields in cases.items():
@@ -161,10 +162,11 @@ class RowGen:
         return pats
 
     def pattern(self, ty: Term, depth: int) -> Pattern:
-        ty = index_normal_form(self.sig, ty)
+        fuel = Fuel()
+        ty = index_normal_form(self.sig, ty, fuel)
         if depth > 0 and isinstance(ty, DataCall) and self.rng.random() < self.con_prob:
-            indices = [index_normal_form(self.sig, a) for a in ty.args]
-            cases = available_fields(self.sig.data(ty.name), indices)
+            indices = [index_normal_form(self.sig, a, fuel) for a in ty.args]
+            cases = available_fields(self.sig.data(ty.name), indices, fuel)
             if not isinstance(cases, Undecidable) and cases:
                 ctor = self.rng.choice(sorted(cases))
                 fields = cases[ctor]

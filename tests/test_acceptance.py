@@ -23,7 +23,7 @@ from sit.core import (
     compose,
     subst,
 )
-from sit.evaluator import normalize
+from sit.evaluator import Fuel, normalize
 from sit.pattern_ops import Matched, Mismatch, match_terms, to_terms, vars_pats
 from sit.translate import as_pattern_row, to_general
 from sit.typecheck import Context, EMPTY_CONTEXT, TypeChecker, check_args, check_term
@@ -242,13 +242,14 @@ def test_c6_translated_constructors_recheck(sigs):
 def test_c7_evaluation_correctness(sigs):
     with criterion("C7 normalizer program evaluates correctly"):
         sig = sigs["normalize"]
+        fuel = Fuel()
         four = normalize(
-            sig, fn("normalize", con("natT"), con("succ", con("nat", nat_lit(3))))
+            sig, fn("normalize", con("natT"), con("succ", con("nat", nat_lit(3)))), fuel
         )
         assert four == nat_lit(4)
 
         inverted = normalize(
-            sig, fn("normalize", con("boolT"), con("inv", con("bool", con("true"))))
+            sig, fn("normalize", con("boolT"), con("inv", con("bool", con("true")))), fuel
         )
         assert inverted == con("false")
 
@@ -262,8 +263,9 @@ def test_c7_evaluation_correctness(sigs):
                 con("natT"),
                 con("case", con("bool", con("true")), x_branch, y_branch),
             ),
+            fuel,
         )
-        assert picked == normalize(sig, fn("normalize", con("natT"), x_branch))
+        assert picked == normalize(sig, fn("normalize", con("natT"), x_branch), fuel)
         assert picked == nat_lit(1)
 
 

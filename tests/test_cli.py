@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import re
 
+import pytest
+
+from sit import cli
 from sit.cli import run
 
 from support import CORPUS, FIXTURES
@@ -50,6 +53,27 @@ class TestCheck:
         assert "exceeded 100 reduction steps" in err
         # Reported at the declaration whose check ran out of fuel.
         assert err.startswith(f"{src}:9:1: error[E501]")
+
+    def test_fuel_bounds_the_whole_check(self, tmp_path, capsys):
+        # Each of the 20 declarations normalizes `plus 8 zero` once, which
+        # fires 9 clauses: 180 firings from one budget.
+        eight = "suc (" * 8 + "zero" + ")" * 8
+        src = tmp_path / "twenty.sit"
+        src.write_text(
+            "data Nat : Type\n  | zero\n  | suc (n : Nat)\n"
+            "def plus (a : Nat) (b : Nat) : Nat\n"
+            "  | zero, b => b\n  | suc a, b => suc (plus a b)\n"
+            "data Box (n : Nat) : Type\n  | box\n"
+            + "".join(
+                f"def d{i} (x : Nat) : Box (plus ({eight}) zero)\n  | x => box\n"
+                for i in range(1, 21)
+            )
+        )
+        assert run(["check", str(src), "--fuel", "180"]) == 0
+        assert run(["check", str(src), "--fuel", "179"]) == 4
+        # Reported at the 20th declaration, the one that spent step 180.
+        err = capsys.readouterr().err
+        assert err == f"{src}:47:1: error[E501]: evaluation exceeded 179 reduction steps\n"
 
     def test_type_equal_to_itself_spends_no_fuel(self, tmp_path, capsys):
         # `loop zero` never stops, but a type is convertible with itself
@@ -110,6 +134,20 @@ class TestEval:
         assert "error[E501]" in err
         assert err.startswith("<expr>:1:1: error[E501]")
 
+    def test_check_and_eval_share_the_fuel(self, capsys):
+        args = [
+            "eval",
+            corpus("normalize.sit"),
+            "-e",
+            "normalize natT (succ (nat (suc (suc (suc zero)))))",
+        ]
+        # Checking the file fires 7 clauses, evaluating the expression 2.
+        assert run(args + ["--fuel", "9"]) == 0
+        capsys.readouterr()
+        assert run(args + ["--fuel", "8"]) == 4
+        err = capsys.readouterr().err
+        assert err == "<expr>:1:1: error[E501]: evaluation exceeded 8 reduction steps\n"
+
     def test_deep_nesting_is_a_diagnostic(self, capsys):
         deep = "suc (" * 400 + "zero" + ")" * 400
         assert run(["eval", corpus("nat.sit"), "-e", deep]) == 4
@@ -118,19 +156,60 @@ class TestEval:
         assert err.startswith("<expr>:1:1: error[E502]")
         assert "Traceback" not in err
 
-    def test_trace_match_logs_outcomes(self, capsys):
-        code = run(
-            [
-                "eval",
-                corpus("nat.sit"),
-                "--trace-match",
-                "-e",
-                "plus zero zero",
-            ]
-        )
-        assert code == 0
-        err = capsys.readouterr().err
-        assert "match [" in err and "->" in err
+    def test_trace_match_logs_outcomes(self, capsys, monkeypatch):
+        args = ["eval", corpus("nat.sit"), "-e", "plus zero zero"]
+        assert run(args + ["--trace-match"]) == 0
+        out = capsys.readouterr()
+        assert out.out == "zero\n"
+        assert out.err == "match [zero, zero] ~ [zero, b] -> matched {b := zero}\n"
+
+        assert run(["check", corpus("normalize.sit"), "--trace-match"]) == 0
+        assert capsys.readouterr().err == NORMALIZE_TRACE
+
+        # The observer belongs to its run: nothing is traced after a traced
+        # run, even one that raised.
+        def fail(*_):
+            raise RuntimeError("evaluation failed")
+
+        monkeypatch.setattr(cli, "normalize", fail)
+        with pytest.raises(RuntimeError):
+            run(args + ["--trace-match"])
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert run(args) == 0
+        assert capsys.readouterr().err == ""
+
+
+# `sit check corpus/normalize.sit --trace-match`: every match of the check,
+# in the order it is made.
+NORMALIZE_TRACE = """\
+match [natT] ~ [natT] -> matched {}
+match [natT] ~ [natT] -> matched {}
+match [natT] ~ [natT] -> matched {}
+match [natT] ~ [natT] -> matched {}
+match [natT] ~ [natT] -> matched {}
+match [boolT] ~ [boolT] -> matched {}
+match [boolT] ~ [natT] -> mismatch
+match [boolT] ~ [boolT] -> matched {}
+match [boolT] ~ [boolT] -> matched {}
+match [boolT] ~ [natT] -> mismatch
+match [boolT] ~ [boolT] -> matched {}
+match [boolT] ~ [natT] -> mismatch
+match [boolT] ~ [boolT] -> matched {}
+match [t] ~ [A] -> matched {A := t}
+match [boolT] ~ [natT] -> mismatch
+match [boolT] ~ [boolT] -> matched {}
+match [natT] ~ [natT] -> matched {}
+match [natT] ~ [natT] -> matched {}
+match [natT] ~ [boolT] -> mismatch
+match [natT] ~ [boolT] -> mismatch
+match [natT] ~ [A] -> matched {A := natT}
+match [boolT] ~ [natT] -> mismatch
+match [boolT] ~ [natT] -> mismatch
+match [boolT] ~ [boolT] -> matched {}
+match [boolT] ~ [boolT] -> matched {}
+match [boolT] ~ [A] -> matched {A := boolT}
+"""
 
 
 class TestTranslate:
@@ -163,6 +242,12 @@ class TestExitCodes:
     def test_usage_error(self, capsys):
         assert run([]) == 3
         assert run(["frobnicate", "x.sit"]) == 3
+
+    def test_negative_fuel(self, capsys):
+        args = ["eval", corpus("nat.sit"), "-e", "suc zero"]
+        assert run(args + ["--fuel", "-3"]) == 3
+        assert "argument --fuel" in capsys.readouterr().err
+        assert run(args + ["--fuel", "0"]) == 0
 
     def test_missing_file(self, capsys):
         assert run(["check", "no-such-file.sit"]) == 3

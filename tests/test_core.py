@@ -29,6 +29,7 @@ from sit.core import (
 )
 from sit.coverage import instantiate_fields, row_outcomes
 from sit.diagnostics import InternalError
+from sit.evaluator import Fuel
 from sit.pattern_ops import Matched, vars_tele
 
 from support import (
@@ -224,7 +225,7 @@ class TestOnePassInstantiation:
                 xs = vars_tele(decl.telescope)
                 for args in self.instantiations(sig, decl.telescope):
                     data_sub = Substitution(tuple(zip(xs, args)))
-                    for row, out in row_outcomes(decl, args):
+                    for row, out in row_outcomes(decl, args, Fuel()):
                         if not isinstance(out, Matched):
                             continue
                         got = instantiate_fields(decl, row, list(args), out.sub)

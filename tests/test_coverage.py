@@ -7,6 +7,7 @@ import pytest
 from sit.core import ConCall, Var, VarCall
 from sit.coverage import Available, Undecidable, available_ctors, check_coverage
 from sit.diagnostics import CoverageError, TypeCheckError
+from sit.evaluator import Fuel
 from sit.pattern_ops import Matched, match_terms
 from sit.typecheck import EMPTY_CONTEXT, check_term
 
@@ -22,25 +23,25 @@ from support import (
 
 class TestAvailableCtors:
     def test_empty_at_zero(self, fin_sig):
-        assert available_ctors(fin_sig, "Fin", [nat_lit(0)]) == Available(())
+        assert available_ctors(fin_sig, "Fin", [nat_lit(0)], Fuel()) == Available(())
 
     def test_both_at_successor(self, fin_sig):
-        out = available_ctors(fin_sig, "Fin", [nat_lit(1)])
+        out = available_ctors(fin_sig, "Fin", [nat_lit(1)], Fuel())
         assert out == Available(("fzero", "fsuc"))
 
     def test_undecidable_at_variable(self, fin_sig):
         k = Var.fresh("k")
-        out = available_ctors(fin_sig, "Fin", [ref(k)])
+        out = available_ctors(fin_sig, "Fin", [ref(k)], Fuel())
         assert out == Undecidable("fzero", 0)
 
     def test_plain_rows_always_available(self, list_sig):
         a = Var.fresh("A")
-        out = available_ctors(list_sig, "List", [ref(a)])
+        out = available_ctors(list_sig, "List", [ref(a)], Fuel())
         assert out == Available(("nil", "cons"))
 
     def test_arguments_are_normalized_first(self, fin_sig):
         idx = con("suc", dat_fn_to_one(fin_sig))
-        out = available_ctors(fin_sig, "Fin", [idx])
+        out = available_ctors(fin_sig, "Fin", [idx], Fuel())
         assert out == Available(("fzero", "fsuc"))
 
     def test_duplicate_rows_reported_per_match(self):
@@ -56,7 +57,7 @@ data Parity (n : Nat) : Type
   | zero => even
 """
         )
-        out = available_ctors(sig, "Parity", [nat_lit(0)])
+        out = available_ctors(sig, "Parity", [nat_lit(0)], Fuel())
         assert out == Available(("even", "even"))
 
 
@@ -68,11 +69,11 @@ def dat_fn_to_one(fin_sig):
 
 class TestCheckCoverage:
     def test_toNat_is_covered(self, fin_sig):
-        warnings = check_coverage(fin_sig, fin_sig.func("toNat"))
+        warnings = check_coverage(fin_sig, fin_sig.func("toNat"), Fuel())
         assert warnings == []
 
     def test_normalize_is_covered(self, norm_sig):
-        assert check_coverage(norm_sig, norm_sig.func("normalize")) == []
+        assert check_coverage(norm_sig, norm_sig.func("normalize"), Fuel()) == []
 
     def test_one_clause_plus_misses_successor(self):
         with pytest.raises(CoverageError) as exc:
@@ -121,7 +122,7 @@ def absurd (x : Fin zero) : Nat
   | impossible
 """
         )
-        assert check_coverage(sig, sig.func("absurd")) == []
+        assert check_coverage(sig, sig.func("absurd"), Fuel()) == []
 
     def test_vacuous_leaf_without_clauses(self):
         # Splitting the Nat argument first leaves a Fin zero column with no
@@ -141,7 +142,7 @@ def toNat (n : Nat) (x : Fin n) : Nat
   | suc m, fsuc y => suc (toNat m y)
 """
         )
-        assert check_coverage(sig, sig.func("toNat")) == []
+        assert check_coverage(sig, sig.func("toNat"), Fuel()) == []
 
     def test_cannot_split_on_undecidable_availability(self):
         with pytest.raises(CoverageError) as exc:
@@ -217,7 +218,7 @@ data T (a : Nat) (b : Nat) : Type
     def test_later_stuck_row_makes_availability_undecidable(self):
         sig = check_source(self.TWO_ROWS)
         k = Var.fresh("k")
-        out = available_ctors(sig, "T", [nat_lit(0), ref(k)])
+        out = available_ctors(sig, "T", [nat_lit(0), ref(k)], Fuel())
         assert out == Undecidable("c", 1)
 
     def test_later_stuck_row_blocks_a_split(self):
@@ -269,7 +270,7 @@ class TestSplitAvailabilityAgreement:
             for indices in itertools.islice(
                 enumerate_tuples(sig, decl.telescope, depth), 60
             ):
-                av = available_ctors(sig, data_name, list(indices))
+                av = available_ctors(sig, data_name, list(indices), Fuel())
                 assert isinstance(av, Available)
                 for ctor in ctor_names:
                     row = next(r for r in decl.ctors if r.name == ctor)

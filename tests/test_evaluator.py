@@ -40,17 +40,17 @@ def nat_value(t) -> int:
 class TestWhnf:
     def test_unfolds_one_clause(self, nat_sig):
         t = fn("plus", nat_lit(1), nat_lit(0))
-        out = whnf(nat_sig, t)
+        out = whnf(nat_sig, t, Fuel())
         assert out == con("suc", fn("plus", nat_lit(0), nat_lit(0)))
 
     def test_constructor_heads_are_values(self, nat_sig):
         t = con("suc", fn("plus", nat_lit(0), nat_lit(0)))
-        assert whnf(nat_sig, t) == t
+        assert whnf(nat_sig, t, Fuel()) == t
 
     def test_stuck_call_stays_neutral(self, nat_sig):
         k = Var.fresh("k")
         t = fn("plus", ref(k), nat_lit(0))
-        assert whnf(nat_sig, t) == t
+        assert whnf(nat_sig, t, Fuel()) == t
 
     def test_beta_with_spine_argument(self, nat_sig):
         # Substituting a lambda for a spine head reduces on the spot, so
@@ -62,7 +62,7 @@ class TestWhnf:
             VarCall(f, (nat_lit(0),)),
             Substitution.of((f, Lam(Var.fresh("y"), con("suc", ref(Var.fresh("z")))))),
         )
-        assert whnf(nat_sig, t) == t  # already a value
+        assert whnf(nat_sig, t, Fuel()) == t  # already a value
 
     def test_match_is_applied_at_once(self):
         # A self-call whose arguments are the clause's own pattern variables:
@@ -72,16 +72,16 @@ class TestWhnf:
             "def k (a : Nat) (b : Nat) : Nat\n  | a, b => a\n"
         )
         a, b = (p.var for p in sig.func("k").clauses[0].patterns)
-        assert whnf(sig, fn("k", ref(b), ref(a))) == ref(b)
+        assert whnf(sig, fn("k", ref(b), ref(a)), Fuel()) == ref(b)
 
 
 class TestNormalize:
     def test_full_evaluation(self, nat_sig):
-        assert normalize(nat_sig, fn("plus", nat_lit(1), nat_lit(0))) == nat_lit(1)
-        assert normalize(nat_sig, fn("plus", nat_lit(2), nat_lit(3))) == nat_lit(5)
+        assert normalize(nat_sig, fn("plus", nat_lit(1), nat_lit(0)), Fuel()) == nat_lit(1)
+        assert normalize(nat_sig, fn("plus", nat_lit(2), nat_lit(3)), Fuel()) == nat_lit(5)
 
     def test_universe(self, nat_sig):
-        assert normalize(nat_sig, UNIV) == UNIV
+        assert normalize(nat_sig, UNIV, Fuel()) == UNIV
 
     def test_idempotent(self, nat_sig, norm_sig):
         samples = [
@@ -89,23 +89,23 @@ class TestNormalize:
             con("suc", fn("plus", nat_lit(0), ref(Var.fresh("k")))),
         ]
         for t in samples:
-            once = normalize(nat_sig, t)
-            assert normalize(nat_sig, once) == once
+            once = normalize(nat_sig, t, Fuel())
+            assert normalize(nat_sig, once, Fuel()) == once
 
     def test_normalizes_under_binders(self, nat_sig):
         x = Var.fresh("x")
         t = Lam(x, fn("plus", nat_lit(0), ref(x)))
-        assert normalize(nat_sig, t) == Lam(x, ref(x))
+        assert normalize(nat_sig, t, Fuel()) == Lam(x, ref(x))
 
     def test_index_normal_form_reaches_constructor_arguments(self, nat_sig):
         t = con("suc", fn("plus", nat_lit(0), nat_lit(0)))
-        assert index_normal_form(nat_sig, t) == nat_lit(1)
+        assert index_normal_form(nat_sig, t, Fuel()) == nat_lit(1)
 
     def test_index_normal_form_returns_a_normal_value_itself(self, nat_sig):
-        v = index_normal_form(nat_sig, fn("plus", nat_lit(3), nat_lit(2)))
+        v = index_normal_form(nat_sig, fn("plus", nat_lit(3), nat_lit(2)), Fuel())
         assert v == nat_lit(5)
-        assert index_normal_form(nat_sig, v) is v
-        assert index_normal_form(nat_sig, v.args[0]) is v.args[0]
+        assert index_normal_form(nat_sig, v, Fuel()) is v
+        assert index_normal_form(nat_sig, v.args[0], Fuel()) is v.args[0]
 
     def test_index_normal_form_calls_grow_linearly(self, nat_sig, monkeypatch):
         # A normal constructor spine is not walked again on every dispatch:
@@ -121,7 +121,7 @@ class TestNormalize:
 
         def count(n: int) -> int:
             calls.clear()
-            assert normalize(nat_sig, fn("plus", nat_lit(n), nat_lit(n))) == nat_lit(2 * n)
+            assert normalize(nat_sig, fn("plus", nat_lit(n), nat_lit(n)), Fuel()) == nat_lit(2 * n)
             return len(calls)
 
         assert count(80) <= 2.5 * count(40)
@@ -129,29 +129,29 @@ class TestNormalize:
     @settings(max_examples=150)
     @given(nat_terms())
     def test_agrees_with_arithmetic(self, nat_sig, t):
-        assert normalize(nat_sig, t) == nat_lit(nat_value(t))
+        assert normalize(nat_sig, t, Fuel()) == nat_lit(nat_value(t))
 
     @settings(max_examples=100)
     @given(nat_terms())
     def test_idempotent_on_random_arithmetic(self, nat_sig, t):
-        once = normalize(nat_sig, t)
-        assert normalize(nat_sig, once) == once
+        once = normalize(nat_sig, t, Fuel())
+        assert normalize(nat_sig, once, Fuel()) == once
 
 
 class TestConvertible:
     def test_reflexivity(self, nat_sig):
-        assert convertible(nat_sig, dat("Nat"), dat("Nat"))
+        assert convertible(nat_sig, dat("Nat"), dat("Nat"), Fuel())
 
     def test_function_unfolding(self, norm_sig):
-        assert convertible(norm_sig, fn("termTy", con("natT")), dat("Nat"))
-        assert convertible(norm_sig, fn("termTy", con("boolT")), dat("Bool"))
-        assert not convertible(norm_sig, fn("termTy", con("natT")), dat("Bool"))
+        assert convertible(norm_sig, fn("termTy", con("natT")), dat("Nat"), Fuel())
+        assert convertible(norm_sig, fn("termTy", con("boolT")), dat("Bool"), Fuel())
+        assert not convertible(norm_sig, fn("termTy", con("natT")), dat("Bool"), Fuel())
 
     def test_alpha_renaming(self, nat_sig):
         x, y = Var.fresh("x"), Var.fresh("y")
         lhs = Lam(x, fn("plus", nat_lit(0), ref(x)))
         rhs = Lam(y, fn("plus", nat_lit(0), ref(y)))
-        assert convertible(nat_sig, lhs, rhs)
+        assert convertible(nat_sig, lhs, rhs, Fuel())
 
     def test_alpha_equal_sides_are_not_evaluated(self, norm_sig, monkeypatch):
         # Conversion is reflexive: identical or alpha-equal sides are equal
@@ -179,10 +179,10 @@ class TestConvertible:
 
     def test_lambda_eta(self, nat_sig):
         g, x = Var.fresh("g"), Var.fresh("x")
-        assert convertible(nat_sig, Lam(x, VarCall(g, (ref(x),))), ref(g))
-        assert convertible(nat_sig, ref(g), Lam(x, VarCall(g, (ref(x),))))
+        assert convertible(nat_sig, Lam(x, VarCall(g, (ref(x),))), ref(g), Fuel())
+        assert convertible(nat_sig, ref(g), Lam(x, VarCall(g, (ref(x),))), Fuel())
         h = Var.fresh("h")
-        assert not convertible(nat_sig, Lam(x, VarCall(h, (ref(x),))), ref(g))
+        assert not convertible(nat_sig, Lam(x, VarCall(h, (ref(x),))), ref(g), Fuel())
 
 
 class TestDispatch:
@@ -198,8 +198,8 @@ def pick (a : Nat) (b : Nat) : Nat
 
     def test_first_match_wins(self):
         sig = check_source(self.OVERLAP)
-        assert normalize(sig, fn("pick", nat_lit(0), nat_lit(1))) == nat_lit(1)
-        assert normalize(sig, fn("pick", nat_lit(2), nat_lit(1))) == nat_lit(2)
+        assert normalize(sig, fn("pick", nat_lit(0), nat_lit(1)), Fuel()) == nat_lit(1)
+        assert normalize(sig, fn("pick", nat_lit(2), nat_lit(1)), Fuel()) == nat_lit(2)
 
     def test_reordering_overlapping_clauses_changes_results(self):
         reordered = self.OVERLAP.replace(
@@ -207,14 +207,14 @@ def pick (a : Nat) (b : Nat) : Nat
             "| a, b => suc b\n  | zero, b => b",
         )
         sig = check_source(reordered)
-        assert normalize(sig, fn("pick", nat_lit(0), nat_lit(1))) == nat_lit(2)
+        assert normalize(sig, fn("pick", nat_lit(0), nat_lit(1)), Fuel()) == nat_lit(2)
 
     def test_stuck_before_match_freezes_call(self):
         sig = check_source(self.OVERLAP)
         k = Var.fresh("k")
         t = fn("pick", ref(k), nat_lit(1))
         # The second clause would match anything, but the first is stuck on k.
-        assert whnf(sig, t) == t
+        assert whnf(sig, t, Fuel()) == t
 
 
 class TestFuel:
@@ -261,5 +261,5 @@ class TestSubjectReduction:
         ]
         for sig, term, ty in cases:
             check_term(sig, EMPTY_CONTEXT, term, ty)
-            reduced = normalize(sig, term)
+            reduced = normalize(sig, term, Fuel())
             check_term(sig, EMPTY_CONTEXT, reduced, ty)

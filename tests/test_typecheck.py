@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from sit import core
+from sit import core, coverage, evaluator, typecheck
 from sit.core import (
     BindPat,
     Clause,
@@ -29,7 +29,7 @@ from sit.typecheck import (
     check_term,
 )
 
-from support import check_source, con, dat, fn, load_corpus, nat_lit, ref
+from support import CORPUS, check_source, con, dat, fn, load_corpus, nat_lit, ref
 
 
 def code_of(excinfo) -> str:
@@ -272,6 +272,25 @@ def bad (k : Nat) : Nat
             except TypeCheckError as err:
                 results.append(("err", err.code))
         assert results[0] == results[1] == ("err", "E303")
+
+    def test_one_fuel_for_the_whole_check(self, monkeypatch):
+        # The checker and coverage spend one budget; `Fuel` is counted the
+        # way the benchmark counts clause firings, through these attributes.
+        made = []
+        real = evaluator.Fuel
+
+        def counted(*args, **kwargs):
+            made.append(real(*args, **kwargs))
+            return made[-1]
+
+        for module in (evaluator, typecheck, coverage):
+            monkeypatch.setattr(module, "Fuel", counted)
+        from sit.frontend import parse_file, resolve
+
+        path = CORPUS / "normalize.sit"
+        decls = resolve(parse_file(path.read_text(encoding="utf-8"), str(path)))
+        TypeChecker().check_signature(decls)
+        assert len(made) == 1 and made[0].used == 7
 
     def test_strict_row_scope_flag_reports_difference(self):
         src = """
