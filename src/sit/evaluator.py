@@ -128,21 +128,21 @@ def _spine_normal(t: Term) -> bool:
 def normalize(sig: Signature, t: Term, fuel: Fuel) -> Term:
     """Fully normalize; idempotent."""
     t = whnf(sig, t, fuel)
-    match t:
-        case FnCall(name, args):
-            return FnCall(name, tuple(normalize(sig, a, fuel) for a in args))
-        case VarCall(x, args):
-            return VarCall(x, tuple(normalize(sig, a, fuel) for a in args))
-        case DataCall(name, args):
-            return DataCall(name, tuple(normalize(sig, a, fuel) for a in args))
-        case ConCall(name, args):
-            return ConCall(name, tuple(normalize(sig, a, fuel) for a in args))
-        case Pi(x, dom, cod):
-            return Pi(x, normalize(sig, dom, fuel), normalize(sig, cod, fuel))
-        case Lam(x, body):
-            return Lam(x, normalize(sig, body, fuel))
-        case Univ():
-            return t
+    c = type(t)
+    if c is ConCall or c is FnCall or c is DataCall or c is VarCall:
+        args = []
+        for a in t.args:
+            args.append(normalize(sig, a, fuel))
+        if c is VarCall:
+            return VarCall(t.var, tuple(args))
+        return c(t.name, tuple(args))
+    if c is Pi:
+        dom = normalize(sig, t.domain, fuel)
+        return Pi(t.binder, dom, normalize(sig, t.codomain, fuel))
+    if c is Lam:
+        return Lam(t.binder, normalize(sig, t.body, fuel))
+    if c is Univ:
+        return t
     raise InternalError(f"unexpected term {t!r}")
 
 
@@ -158,29 +158,34 @@ def convertible(sig: Signature, u: Term, v: Term, fuel: Fuel) -> bool:
 
 
 def _conv(u: Term, v: Term, env: dict[Var, Var]) -> bool:
-    match u, v:
-        case Lam(x, a), Lam(y, b):
-            return _conv(a, b, {**env, x: y})
-        case Lam(x, a), VarCall(_, _):
+    c = type(u)
+    if c is not type(v):
+        if c is Lam and type(v) is VarCall:
             # fn x => f x is equal to f: compare the body with f applied to x.
-            return _conv(a, VarCall(v.var, v.args + (VarCall(x),)), {**env, x: x})
-        case VarCall(_, _), Lam(y, b):
-            return _conv(VarCall(u.var, u.args + (VarCall(y),)), b, {**env, y: y})
-        case VarCall(x, us), VarCall(y, vs):
-            return env.get(x, x) == y and _conv_list(us, vs, env)
-        case FnCall(f, us), FnCall(g, vs):
-            return f == g and _conv_list(us, vs, env)
-        case DataCall(f, us), DataCall(g, vs):
-            return f == g and _conv_list(us, vs, env)
-        case ConCall(f, us), ConCall(g, vs):
-            return f == g and _conv_list(us, vs, env)
-        case Pi(x, a, b), Pi(y, c, d):
-            return _conv(a, c, env) and _conv(b, d, {**env, x: y})
-        case Univ(), Univ():
-            return True
-        case _:
+            x = u.binder
+            return _conv(u.body, VarCall(v.var, v.args + (VarCall(x),)), {**env, x: x})
+        if c is VarCall and type(v) is Lam:
+            y = v.binder
+            return _conv(VarCall(u.var, u.args + (VarCall(y),)), v.body, {**env, y: y})
+        return False
+    if c is VarCall:
+        if env.get(u.var, u.var) != v.var:
             return False
-
-
-def _conv_list(us, vs, env) -> bool:
-    return len(us) == len(vs) and all(_conv(u, v, env) for u, v in zip(us, vs))
+    elif c is ConCall or c is FnCall or c is DataCall:
+        if u.name != v.name:
+            return False
+    elif c is Pi:
+        return _conv(u.domain, v.domain, env) and _conv(
+            u.codomain, v.codomain, {**env, u.binder: v.binder}
+        )
+    elif c is Lam:
+        return _conv(u.body, v.body, {**env, u.binder: v.binder})
+    else:
+        return c is Univ
+    us, vs = u.args, v.args
+    if len(us) != len(vs):
+        return False
+    for a, b in zip(us, vs):
+        if not _conv(a, b, env):
+            return False
+    return True

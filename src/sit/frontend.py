@@ -420,14 +420,14 @@ class _Parser:
 
     def expr(self, grouped: bool = False) -> SExpr:
         """An expression; a `grouped` one is what a pair of parentheses
-        holds (`atom` gives it the parentheses' span)."""
+        holds (`atom` gives it the parentheses' span, so it builds none)."""
         tok = self.peek()
         if tok.kind == "fn":
             self.next()
             binder = self.expect("IDENT", "a binder name")
             self.expect("FATARROW", "'=>'")
             body = self.expr()
-            return SFn(binder.text, body, tok.to(body.span))
+            return SFn(binder.text, body, None if grouped else tok.to(body.span))
         if (
             tok.kind == "LPAREN"
             and self.peek(1).kind == "IDENT"
@@ -440,11 +440,13 @@ class _Parser:
             self.expect("RPAREN", "')'")
             self.expect("ARROW", "'->'")
             codomain = self.expr()
-            return SPi(binder.text, domain, codomain, tok.to(codomain.span))
+            span = None if grouped else tok.to(codomain.span)
+            return SPi(binder.text, domain, codomain, span)
         head = self.expr1(grouped)
         if self.accept("ARROW"):
             codomain = self.expr()
-            return SArrow(head, codomain, head.span.to(codomain.span))
+            span = None if grouped else head.span.to(codomain.span)
+            return SArrow(head, codomain, span)
         return head
 
     def expr1(self, grouped: bool = False) -> SExpr:
@@ -690,24 +692,24 @@ class Resolver:
     # patterns
 
     def _pattern(self, p: SPat, scope: dict[str, Var]) -> Pattern:
-        match p:
-            case SPatImpossible():
-                return ImpossiblePat(p.span)
-            case SPatApp(name, args):
-                entry = self.globals.get(name)
-                if entry is not None and entry.kind == "ctor":
-                    return ConPat(
-                        name,
-                        tuple(self._pattern(a, scope) for a in args),
-                        p.span,
-                    )
-                if args:
-                    raise ResolveError(
-                        UNKNOWN_IDENT, f"unknown constructor {name}", p.span
-                    )
-                var = Var.fresh(name)
-                scope[name] = var
-                return BindPat(var, None, p.span)
+        c = type(p)
+        if c is SPatApp:
+            name = p.name
+            entry = self.globals.get(name)
+            if entry is not None and entry.kind == "ctor":
+                args = []
+                for a in p.args:
+                    args.append(self._pattern(a, scope))
+                return ConPat(name, tuple(args), p.span)
+            if p.args:
+                raise ResolveError(
+                    UNKNOWN_IDENT, f"unknown constructor {name}", p.span
+                )
+            var = Var.fresh(name)
+            scope[name] = var
+            return BindPat(var, None, p.span)
+        if c is SPatImpossible:
+            return ImpossiblePat(p.span)
         raise InternalError(f"unexpected pattern {p!r}")
 
     # expressions
@@ -727,27 +729,29 @@ class Resolver:
         return None
 
     def _expr(self, e: SExpr, scopes: list[dict[str, Var]]) -> Term:
-        match e:
-            case SUniv():
-                return Univ(e.span)
-            case SRef(_):
-                return self._apply(e, [], scopes, e.span)
-            case SApp(head, sargs):
-                args = [self._expr(a, scopes) for a in sargs]
-                return self._apply(head, args, scopes, e.span)
-            case SArrow(sdom, scod):
-                dom = self._expr(sdom, scopes)
-                cod = self._expr(scod, scopes)
-                return Pi(Var.fresh("_"), dom, cod, e.span)
-            case SPi(name, sdom, scod):
-                dom = self._expr(sdom, scopes)
-                var = self._bind(name, e.span)
-                cod = self._expr(scod, scopes + [{name: var}])
-                return Pi(var, dom, cod, e.span)
-            case SFn(name, sbody):
-                var = self._bind(name, e.span)
-                body = self._expr(sbody, scopes + [{name: var}])
-                return Lam(var, body, e.span)
+        c = type(e)
+        if c is SRef:
+            return self._apply(e, [], scopes, e.span)
+        if c is SApp:
+            args = []
+            for a in e.args:
+                args.append(self._expr(a, scopes))
+            return self._apply(e.head, args, scopes, e.span)
+        if c is SArrow:
+            dom = self._expr(e.domain, scopes)
+            cod = self._expr(e.codomain, scopes)
+            return Pi(Var.fresh("_"), dom, cod, e.span)
+        if c is SPi:
+            dom = self._expr(e.domain, scopes)
+            var = self._bind(e.binder, e.span)
+            cod = self._expr(e.codomain, scopes + [{e.binder: var}])
+            return Pi(var, dom, cod, e.span)
+        if c is SFn:
+            var = self._bind(e.binder, e.span)
+            body = self._expr(e.body, scopes + [{e.binder: var}])
+            return Lam(var, body, e.span)
+        if c is SUniv:
+            return Univ(e.span)
         raise InternalError(f"unexpected expression {e!r}")
 
     def _apply(self, head: SExpr, args: list[Term], scopes, span) -> Term:

@@ -81,13 +81,16 @@ def to_term(p: Pattern) -> Term:
 
     Undefined on impossible sub-patterns, which match no term at all.
     """
-    match p:
-        case BindPat(x, _):
-            return VarCall(x)
-        case ConPat(name, args):
-            return ConCall(name, tuple(to_term(q) for q in args))
-        case ImpossiblePat():
-            raise ValueError("impossible patterns have no matching term")
+    c = type(p)
+    if c is BindPat:
+        return VarCall(p.var)
+    if c is ConPat:
+        args = []
+        for q in p.args:
+            args.append(to_term(q))
+        return ConCall(p.name, tuple(args))
+    if c is ImpossiblePat:
+        raise ValueError("impossible patterns have no matching term")
     raise InternalError(f"unexpected pattern {p!r}")
 
 
@@ -128,27 +131,29 @@ def _collect(
     """
     stuck_at: Optional[int] = None
     for i, (u, p) in enumerate(zip(terms, pats)):
-        match p:
-            case BindPat(x, _):
-                if x in seen:
-                    raise InternalError(f"pattern variable {x!r} is bound twice")
-                seen.add(x)
-                pairs.append((x, u))
-            case ImpossiblePat():
-                return Mismatch()
-            case ConPat(name, qs) if isinstance(u, ConCall):
-                if u.name != name:
-                    return Mismatch()
-                if len(u.args) != len(qs):
-                    raise InternalError(f"constructor {name} matched with wrong arity")
-                out = _collect(u.args, qs, pairs, seen)
-                if isinstance(out, Mismatch):
-                    return out
-                if out is not None and stuck_at is None:
-                    stuck_at = i
-            case ConPat():
+        c = type(p)
+        if c is BindPat:
+            x = p.var
+            if x in seen:
+                raise InternalError(f"pattern variable {x!r} is bound twice")
+            seen.add(x)
+            pairs.append((x, u))
+        elif c is ConPat:
+            if type(u) is not ConCall:
                 if stuck_at is None:
                     stuck_at = i
-            case _:
-                raise InternalError(f"unexpected pattern {p!r}")
+                continue
+            if u.name != p.name:
+                return Mismatch()
+            if len(u.args) != len(p.args):
+                raise InternalError(f"constructor {p.name} matched with wrong arity")
+            out = _collect(u.args, p.args, pairs, seen)
+            if type(out) is Mismatch:
+                return out
+            if out is not None and stuck_at is None:
+                stuck_at = i
+        elif c is ImpossiblePat:
+            return Mismatch()
+        else:
+            raise InternalError(f"unexpected pattern {p!r}")
     return None if stuck_at is None else Stuck(stuck_at)

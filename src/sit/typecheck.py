@@ -36,7 +36,6 @@ from .core import (
     UNIV,
     Var,
     VarCall,
-    disjoint_union,
     pattern_has_impossible,
     pretty,
     subst,
@@ -58,6 +57,7 @@ from .diagnostics import (
     UNKNOWN_NAME,
     WRONG_DATA_TYPE,
     FuelError,
+    InternalError,
     SourceSpan,
     TypeCheckError,
     Warning,
@@ -130,65 +130,63 @@ class TypeChecker:
     def check_term(self, ctx: Context, term: Term, expected: Term) -> None:
         """Check `term` against the (well-formed) type `expected`."""
         span = term.span
-        match term:
-            case Univ():
-                self._require_type(UNIV, expected, span)
-            case Pi(x, dom, cod):
-                self.check_term(ctx, dom, UNIV)
-                self.check_term(ctx.extended(x, dom), cod, UNIV)
-                self._require_type(UNIV, expected, span)
-            case Lam(x, body):
-                exp = self._whnf(expected)
-                if not isinstance(exp, Pi):
+        c = type(term)
+        if c is ConCall:
+            self._check_con_call(ctx, term.name, term.args, expected, span)
+        elif c is VarCall:
+            x = term.var
+            ty = ctx.lookup(x)
+            if ty is None:
+                raise TypeCheckError(UNKNOWN_NAME, f"unbound variable {x.text}", span)
+            for arg in term.args:
+                ty = self._whnf(ty)
+                if not isinstance(ty, Pi):
                     raise TypeCheckError(
                         UNEXPECTED_FORM,
-                        f"lambda cannot have type {pretty(expected)}",
+                        f"cannot apply {x.text} at non-function type {pretty(ty)}",
                         span,
                     )
-                cod = subst(exp.codomain, Substitution.of((exp.binder, VarCall(x))))
-                self.check_term(ctx.extended(x, exp.domain), body, cod)
-            case VarCall(x, args):
-                ty = ctx.lookup(x)
-                if ty is None:
-                    raise TypeCheckError(
-                        UNKNOWN_NAME, f"unbound variable {x.text}", span
-                    )
-                for arg in args:
-                    ty = self._whnf(ty)
-                    if not isinstance(ty, Pi):
-                        raise TypeCheckError(
-                            UNEXPECTED_FORM,
-                            f"cannot apply {x.text} at non-function type {pretty(ty)}",
-                            span,
-                        )
-                    self.check_term(ctx, arg, ty.domain)
-                    ty = subst(ty.codomain, Substitution.of((ty.binder, arg)))
-                self._require_type(ty, expected, span)
-            case FnCall(name, args):
-                func = self.sig.func(name)
-                if func is None:
-                    raise TypeCheckError(
-                        UNKNOWN_NAME, f"unknown function {name}", span
-                    )
-                self.check_args(ctx, args, func.telescope, span)
-                result = subst_map(
-                    func.result, dict(zip(vars_tele(func.telescope), args))
-                )
-                self._require_type(result, expected, span)
-            case DataCall(name, args):
-                decl = self.sig.data(name)
-                if decl is None:
-                    raise TypeCheckError(
-                        UNKNOWN_NAME, f"unknown data type {name}", span
-                    )
-                self.check_args(ctx, args, decl.telescope, span)
-                self._require_type(UNIV, expected, span)
-            case ConCall(name, args):
-                self._check_con_call(ctx, name, args, expected, span)
-            case _:
+                self.check_term(ctx, arg, ty.domain)
+                ty = subst(ty.codomain, Substitution.of((ty.binder, arg)))
+            self._require_type(ty, expected, span)
+        elif c is FnCall:
+            func = self.sig.func(term.name)
+            if func is None:
                 raise TypeCheckError(
-                    UNEXPECTED_FORM, f"malformed term {term!r}", span
+                    UNKNOWN_NAME, f"unknown function {term.name}", span
                 )
+            self.check_args(ctx, term.args, func.telescope, span)
+            result = subst_map(
+                func.result, dict(zip(vars_tele(func.telescope), term.args))
+            )
+            self._require_type(result, expected, span)
+        elif c is DataCall:
+            decl = self.sig.data(term.name)
+            if decl is None:
+                raise TypeCheckError(
+                    UNKNOWN_NAME, f"unknown data type {term.name}", span
+                )
+            self.check_args(ctx, term.args, decl.telescope, span)
+            self._require_type(UNIV, expected, span)
+        elif c is Pi:
+            self.check_term(ctx, term.domain, UNIV)
+            self.check_term(ctx.extended(term.binder, term.domain), term.codomain, UNIV)
+            self._require_type(UNIV, expected, span)
+        elif c is Lam:
+            exp = self._whnf(expected)
+            if not isinstance(exp, Pi):
+                raise TypeCheckError(
+                    UNEXPECTED_FORM,
+                    f"lambda cannot have type {pretty(expected)}",
+                    span,
+                )
+            x = term.binder
+            cod = subst(exp.codomain, Substitution.of((exp.binder, VarCall(x))))
+            self.check_term(ctx.extended(x, exp.domain), term.body, cod)
+        elif c is Univ:
+            self._require_type(UNIV, expected, span)
+        else:
+            raise TypeCheckError(UNEXPECTED_FORM, f"malformed term {term!r}", span)
 
     def _check_con_call(self, ctx, name, args, expected, span) -> None:
         exp = self._whnf(expected)
@@ -280,14 +278,14 @@ class TypeChecker:
         of its bindings. `lenient` applies after an impossible pattern made
         the remaining types opaque: stuck availability is then tolerated.
         """
-        match pat:
-            case BindPat(x, _):
-                return BindPat(x, ty, pat.span), Telescope.of((x, ty))
-            case ConPat(name, qs):
-                return self._check_con_pattern(ctx, pat, name, qs, ty, lenient)
-            case ImpossiblePat():
-                self._check_impossible(pat, ty, lenient)
-                return pat, Telescope()
+        c = type(pat)
+        if c is BindPat:
+            return BindPat(pat.var, ty, pat.span), Telescope.of((pat.var, ty))
+        if c is ConPat:
+            return self._check_con_pattern(ctx, pat, pat.name, pat.args, ty, lenient)
+        if c is ImpossiblePat:
+            self._check_impossible(pat, ty, lenient)
+            return pat, Telescope()
         raise TypeCheckError(UNEXPECTED_FORM, f"malformed pattern {pat!r}", pat.span)
 
     def _check_con_pattern(self, ctx, pat, name, qs, ty, lenient):
@@ -357,13 +355,14 @@ class TypeChecker:
                     raise TypeCheckError(
                         UNKNOWN_NAME, f"unknown constructor {name}", pat.span
                     )
-                theta = Telescope()
+                entries: list[tuple[Var, Term]] = []
+                seen: set[Var] = set()
                 typed = []
                 for q in qs:
                     tq, th = self._lenient_pattern(q)
                     typed.append(tq)
-                    theta = disjoint_union(theta, th)
-                return ConPat(name, tuple(typed), pat.span), theta
+                    _add_bindings(entries, seen, th)
+                return ConPat(name, tuple(typed), pat.span), Telescope(tuple(entries))
 
     def check_patterns(
         self,
@@ -387,39 +386,39 @@ class TypeChecker:
             )
         self._check_linear(pats)
         earlier: dict[Var, Term] = {}
-        theta = Telescope()
+        entries: list[tuple[Var, Term]] = []
+        seen: set[Var] = set()
         typed: list[Pattern] = []
         for pat, (x, ty) in zip(pats, tele):
             typed_p, th = self.check_pattern(
                 ctx, pat, subst_map(ty, earlier), lenient
             )
             typed.append(typed_p)
-            theta = disjoint_union(theta, th)
+            _add_bindings(entries, seen, th)
             if pattern_has_impossible(typed_p):
                 earlier[x] = VarCall(Var.fresh("_abs"))
                 lenient = True
             else:
                 earlier[x] = to_term(typed_p)
-        return tuple(typed), theta
+        return tuple(typed), Telescope(tuple(entries))
 
     def _check_linear(self, pats: Sequence[Pattern]) -> None:
         seen: dict[str, Pattern] = {}
 
         def walk(p: Pattern) -> None:
-            match p:
-                case BindPat(x, _):
-                    if x.text in seen:
-                        raise TypeCheckError(
-                            DUPLICATE_PATTERN_VAR,
-                            f"pattern variable {x.text} bound twice in one row",
-                            p.span,
-                        )
-                    seen[x.text] = p
-                case ConPat(_, qs):
-                    for q in qs:
-                        walk(q)
-                case ImpossiblePat():
-                    pass
+            c = type(p)
+            if c is BindPat:
+                text = p.var.text
+                if text in seen:
+                    raise TypeCheckError(
+                        DUPLICATE_PATTERN_VAR,
+                        f"pattern variable {text} bound twice in one row",
+                        p.span,
+                    )
+                seen[text] = p
+            elif c is ConPat:
+                for q in p.args:
+                    walk(q)
 
         for p in pats:
             walk(p)
@@ -532,6 +531,21 @@ class TypeChecker:
                 coverage_mod.check_coverage(out, checked, self.fuel)
             )
         return out
+
+
+def _add_bindings(
+    entries: list[tuple[Var, Term]], seen: set[Var], theta: Telescope
+) -> None:
+    """Append one pattern's bindings to those of the patterns before it.
+
+    A binding seen twice means pattern linearity was violated upstream,
+    which is a bug, not a user error.
+    """
+    for entry in theta.entries:
+        if entry[0] in seen:
+            raise InternalError(f"binding {entry[0]!r} occurs on both sides")
+        seen.add(entry[0])
+        entries.append(entry)
 
 
 # Module-level entry points over an explicit signature.

@@ -167,6 +167,17 @@ class TestParser:
         # None is thrown away: 60 for the names `suc`, 60 for the pairs of
         # parentheses and one for the outermost application.
         assert len(built) == 121
+        # A parenthesised lambda, Pi or arrow takes its parentheses' span
+        # and builds none of its own: `f`, the group, the application and
+        # the group's named leaves (`x`; `Type` and `x`; two `Type`s).
+        for text, spans in [
+            ("f (fn x => x)", 4),
+            ("f ((x : Type) -> x)", 5),
+            ("f (Type -> Type)", 5),
+        ]:
+            built.clear()
+            parse_expression(text)
+            assert len(built) == spans, text
 
 
 class TestSourceSpan:

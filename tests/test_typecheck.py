@@ -29,7 +29,17 @@ from sit.typecheck import (
     check_term,
 )
 
-from support import CORPUS, check_source, con, dat, fn, load_corpus, nat_lit, ref
+from support import (
+    CORPUS,
+    FIXTURES,
+    check_source,
+    con,
+    dat,
+    fn,
+    load_corpus,
+    nat_lit,
+    ref,
+)
 
 
 def code_of(excinfo) -> str:
@@ -194,6 +204,29 @@ class TestCheckPatterns:
         entries = {x.text: pretty(ty) for x, ty in theta}
         assert entries == {"m": "Nat", "y": "Fin m"}
 
+    def test_row_bindings_grow_linearly(self, nat_sig, monkeypatch):
+        # The row's bindings are joined into one list as each pattern is
+        # checked, not copied into a new telescope per pattern.
+        built = []
+        real = Telescope.__init__
+
+        def counted(self, entries=()):
+            built.append(len(entries))
+            real(self, entries)
+
+        monkeypatch.setattr(Telescope, "__init__", counted)
+
+        def count(n: int) -> int:
+            xs = [Var.fresh(f"x{i}") for i in range(n)]
+            tele = Telescope(tuple((x, dat("Nat")) for x in xs))
+            pats = [BindPat(Var.fresh(f"y{i}")) for i in range(n)]
+            built.clear()
+            typed, theta = check_patterns(nat_sig, EMPTY_CONTEXT, pats, tele)
+            assert [x for x, _ in theta] == [p.var for p in pats]
+            return sum(built)
+
+        assert count(80) <= 2.5 * count(40)
+
 
 class TestCheckClauseAndRows:
     def test_clause_body_checked_under_pattern_bindings_only(self):
@@ -291,6 +324,36 @@ def bad (k : Nat) : Nat
         decls = resolve(parse_file(path.read_text(encoding="utf-8"), str(path)))
         TypeChecker().check_signature(decls)
         assert len(made) == 1 and made[0].used == 7
+
+    def test_fuel_used_is_pinned(self):
+        # The clause firings of checking each corpus file and each fixture
+        # the checker reaches; the benchmark's firings_per_s counts these.
+        from sit.frontend import parse_file, resolve
+
+        pinned = {
+            "fin": 0, "list": 0, "nat": 0, "normalize": 7, "vec": 0,
+            "01_vnil_wrong_length": 0, "02_fzero_stuck": 0,
+            "03_impossible_available": 0, "04_duplicate_pattern_vars": 0,
+            "05_impossible_with_body": 0, "06_missing_case_plus": 0,
+            "08_conversion_mismatch": 0, "10_lambda_at_data_type": 0,
+            "11_missing_body": 0, "13_impossible_stuck": 0,
+            "14_pattern_at_function_type": 0, "15_cannot_split": 0,
+            "18_wrong_data_type": 0, "19_ctor_pattern_arity": 0,
+            "20_self_call_match": 2,
+        }
+        used = {}
+        for name in pinned:
+            path = CORPUS / f"{name}.sit"
+            if not path.exists():
+                path = FIXTURES / f"{name}.sit"
+            decls = resolve(parse_file(path.read_text(encoding="utf-8"), str(path)))
+            checker = TypeChecker()
+            try:
+                checker.check_signature(decls)
+            except TypeCheckError:
+                pass
+            used[name] = checker.fuel.used
+        assert used == pinned
 
     def test_strict_row_scope_flag_reports_difference(self):
         src = """

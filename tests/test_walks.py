@@ -1,0 +1,116 @@
+"""The term, pattern and surface-tree walks branch on a node's exact class.
+
+A node of any other class reaches each walk's fallback error, and the walks
+over arguments are plain loops, one Python frame per level of nesting.
+"""
+from __future__ import annotations
+
+import sys
+from dataclasses import dataclass, field
+from typing import Optional
+
+import pytest
+
+from sit.core import (
+    UNIV,
+    ConCall,
+    Var,
+    VarCall,
+    alpha_eq,
+    free_vars,
+    pattern_has_impossible,
+    pretty,
+    subst_map,
+)
+from sit.diagnostics import InternalError, SourceSpan, TypeCheckError
+from sit.evaluator import Fuel, convertible, normalize
+from sit.frontend import Resolver, SClause, SDef, SUniv
+from sit.pattern_ops import match_terms, to_term
+from sit.typecheck import EMPTY_CONTEXT, check_pattern, check_term
+
+from support import con, nat_lit
+
+
+@dataclass(frozen=True)
+class Foreign:
+    """A node of no class the walks know, with the fields they may read."""
+
+    args: tuple = ()
+    span: Optional[SourceSpan] = field(default=None, compare=False)
+
+
+FOREIGN = Foreign()
+
+
+class TestForeignNode:
+    def test_free_vars(self):
+        with pytest.raises(InternalError):
+            free_vars(con("suc", FOREIGN))
+
+    def test_subst(self):
+        x = Var.fresh("x")
+        with pytest.raises(InternalError):
+            subst_map(con("suc", FOREIGN), {x: UNIV})
+
+    def test_pretty(self):
+        with pytest.raises(InternalError):
+            pretty(con("suc", FOREIGN))
+
+    def test_alpha_eq_and_impossible_test_say_no(self):
+        assert not alpha_eq(FOREIGN, FOREIGN)
+        assert not pattern_has_impossible(FOREIGN)
+
+    def test_normalize_and_convertible(self, nat_sig):
+        with pytest.raises(InternalError):
+            normalize(nat_sig, con("suc", FOREIGN), Fuel())
+        with pytest.raises(InternalError):
+            convertible(nat_sig, FOREIGN, UNIV, Fuel())
+
+    def test_match_terms_and_to_term(self):
+        with pytest.raises(InternalError):
+            match_terms([con("zero")], [FOREIGN])
+        with pytest.raises(InternalError):
+            to_term(FOREIGN)
+
+    def test_check_term_and_check_pattern(self, nat_sig):
+        with pytest.raises(TypeCheckError):
+            check_term(nat_sig, EMPTY_CONTEXT, FOREIGN, UNIV)
+        with pytest.raises(TypeCheckError):
+            check_pattern(nat_sig, EMPTY_CONTEXT, FOREIGN, UNIV)
+
+    def test_resolver(self):
+        with pytest.raises(InternalError):
+            Resolver().resolve_expression(FOREIGN)
+        bad_clause = SClause((FOREIGN,), SUniv())
+        with pytest.raises(InternalError):
+            Resolver().run([SDef("f", (), SUniv(), (bad_clause,))])
+
+
+class TestDepth:
+    # Twice the nesting that `all()` over a generator allowed (247 levels),
+    # with room to spare under the default recursion limit.
+    DEPTH = 400
+
+    def test_equal_deep_values(self, nat_sig):
+        assert sys.getrecursionlimit() == 1000
+        u, v = nat_lit(self.DEPTH), nat_lit(self.DEPTH)
+        assert u is not v
+        assert alpha_eq(u, v)
+        assert convertible(nat_sig, u, v, Fuel())
+        assert not convertible(nat_sig, u, nat_lit(self.DEPTH - 1), Fuel())
+
+    def test_deep_value_prints(self):
+        assert pretty(nat_lit(self.DEPTH)) == "suc (" * (self.DEPTH - 1) + (
+            "suc zero" + ")" * (self.DEPTH - 1)
+        )
+
+    def test_deep_open_value(self, nat_sig):
+        x = Var.fresh("x")
+        t = VarCall(x)
+        for _ in range(self.DEPTH):
+            t = ConCall("suc", (t,))
+        assert free_vars(t) == {x}
+        # Dataclass `==` recurses in C and stops near 240 levels: compare
+        # with `alpha_eq`.
+        assert alpha_eq(normalize(nat_sig, t, Fuel()), t)
+        assert alpha_eq(subst_map(t, {x: con("zero")}), nat_lit(self.DEPTH))
