@@ -16,7 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sit.core import ConCall, DataDecl, Substitution, Var, VarCall, subst_telescope
+from sit.core import ConCall, DataDecl, Var, VarCall, subst
 from sit.frontend import parse_file, resolve
 from sit.pattern_ops import Matched, Mismatch, Stuck
 from sit.typecheck import check_signature
@@ -32,7 +32,7 @@ def closed_tuples(sig, tele, depth, fuel):
         return
     (x, ty), remaining = tele.entries[0], tele.entries[1:]
     for t in closed_terms(sig, ty, depth, fuel):
-        refined = subst_telescope(Telescope(remaining), Substitution.of((x, t)))
+        refined = Telescope(tuple((y, subst(yty, {x: t})) for y, yty in remaining))
         for more in closed_tuples(sig, refined, depth, fuel):
             yield (t,) + more
 

@@ -10,6 +10,7 @@ from .core import (
     CtorRow,
     DataCall,
     DataDecl,
+    EMPTY_TELESCOPE,
     FnCall,
     FuncDecl,
     ImpossiblePat,
@@ -17,7 +18,6 @@ from .core import (
     Pattern,
     Pi,
     Signature,
-    Substitution,
     Telescope,
     Term,
     Univ,
@@ -25,8 +25,6 @@ from .core import (
     Var,
     VarCall,
     alpha_eq,
-    compose,
-    disjoint_union,
     free_vars,
     pretty,
     subst,
@@ -46,8 +44,6 @@ from .pattern_ops import (
 )
 from .translate import GeneralData, emit_general, synth_ctor_type, to_general
 from .typecheck import (
-    Context,
-    EMPTY_CONTEXT,
     TypeChecker,
     check_args,
     check_clause,

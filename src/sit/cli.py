@@ -53,7 +53,7 @@ def _trace(terms, pats, outcome) -> None:
     shown = type(outcome).__name__.lower()
     match outcome:
         case Matched(sub):
-            binds = ", ".join(f"{x.text} := {pretty(t)}" for x, t in sub.pairs)
+            binds = ", ".join(f"{x.text} := {pretty(t)}" for x, t in sub.items())
             shown += f" {{{binds}}}"
         case Stuck(pos):
             shown += f" at {pos}"

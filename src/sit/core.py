@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional
 
 from .diagnostics import InternalError, SourceSpan
 
@@ -111,7 +111,7 @@ class Univ:
     span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
 
 
-Term = Union[FnCall, VarCall, DataCall, ConCall, Pi, Lam, Univ]
+Term = FnCall | VarCall | DataCall | ConCall | Pi | Lam | Univ
 
 UNIV = Univ()
 
@@ -122,7 +122,11 @@ UNIV = Univ()
 
 @dataclass(frozen=True)
 class Telescope:
-    """An ordered list of typed bindings; later types may mention earlier vars."""
+    """An ordered list of typed bindings; later types may mention earlier vars.
+
+    The checker's context is a telescope too: the in-scope bindings, oldest
+    first.
+    """
 
     entries: tuple[tuple[Var, Term], ...] = ()
 
@@ -132,6 +136,16 @@ class Telescope:
 
     def extended(self, var: Var, ty: Term) -> Telescope:
         return Telescope(self.entries + ((var, ty),))
+
+    def __add__(self, other: Telescope) -> Telescope:
+        return Telescope(self.entries + other.entries)
+
+    def lookup(self, var: Var) -> Optional[Term]:
+        """The type of the latest binding of `var`, or None."""
+        for x, ty in reversed(self.entries):
+            if x == var:
+                return ty
+        return None
 
     def __iter__(self) -> Iterator[tuple[Var, Term]]:
         return iter(self.entries)
@@ -171,7 +185,7 @@ class ImpossiblePat:
     span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
 
 
-Pattern = Union[BindPat, ConPat, ImpossiblePat]
+Pattern = BindPat | ConPat | ImpossiblePat
 
 
 def pattern_has_impossible(p: Pattern) -> bool:
@@ -241,7 +255,7 @@ class FuncDecl:
         )
 
 
-Declaration = Union[DataDecl, FuncDecl]
+Declaration = DataDecl | FuncDecl
 
 
 @dataclass
@@ -296,32 +310,15 @@ class Signature:
 
 
 # ---------------------------------------------------------------------------
-# Substitution
+# Capture-avoiding substitution
 
 
-@dataclass(frozen=True)
-class Substitution:
-    """A list of single replacements.
+# A substitution is a plain `dict[Var, Term]`. `subst` applies it all at
+# once: a replacement never acts on the value of another, so a value may
+# mention a variable that the map also replaces. A match yields one in
+# binding order, and a telescope is instantiated by growing one as its
+# entries are checked, so each entry type is walked once.
 
-    `subst` applies the pairs in order, so a later pair also acts on the
-    values of earlier ones; `whnf` applies a match's pairs all at once
-    (`subst_at_once`), so a value is never substituted into again.
-    """
-
-    pairs: tuple[tuple[Var, Term], ...] = ()
-
-    @staticmethod
-    def of(*pairs: tuple[Var, Term]) -> Substitution:
-        return Substitution(tuple(pairs))
-
-    def domain(self) -> tuple[Var, ...]:
-        return tuple(x for x, _ in self.pairs)
-
-    def __bool__(self) -> bool:
-        return bool(self.pairs)
-
-
-EMPTY_SUBST = Substitution()
 _NO_VARS: frozenset[Var] = frozenset()
 
 
@@ -391,11 +388,16 @@ def apply_spine(t: Term, args: tuple[Term, ...]) -> Term:
             raise InternalError(f"cannot apply {t!r} to arguments")
 
 
-def _subst(t: Term, m: dict[Var, Term]) -> Term:
-    """Replace each free variable of `m`'s domain by its value, all at once.
+def subst(t: Term, m: dict[Var, Term]) -> Term:
+    """Replace each free variable of `m`'s domain by its value, all at once,
+    renaming binders that would capture a value's free variables.
 
     Subterms in which no such variable is free are returned, not copied.
     """
+    return _subst(t, m)
+
+
+def _subst(t: Term, m: dict[Var, Term]) -> Term:
     c = type(t)
     if c is VarCall and not t.args:
         return m.get(t.var, t)
@@ -431,65 +433,6 @@ def _subst_under(y: Var, body: Term, m: dict[Var, Term]) -> tuple[Var, Term]:
         m[y] = VarCall(fresh)
         y = fresh
     return y, _subst(body, m)
-
-
-def subst(t: Term, s: Substitution) -> Term:
-    """Apply each replacement in order, avoiding capture by renaming binders."""
-    for x, v in s.pairs:
-        t = _subst(t, {x: v})
-    return t
-
-
-def subst_at_once(t: Term, s: Substitution) -> Term:
-    """Apply every replacement of `s` simultaneously (a clause's match).
-
-    Unlike `subst`, a replacement never acts on the value of another, which
-    matters when a value mentions a variable that `s` also replaces.
-    """
-    return _subst(t, dict(s.pairs))
-
-
-def subst_map(t: Term, m: dict[Var, Term]) -> Term:
-    """`subst_at_once` with the replacements given as a map.
-
-    A telescope is instantiated by growing one map as its entries are
-    checked, so each entry type is walked once, not once per earlier entry.
-    """
-    return _subst(t, m)
-
-
-def subst_telescope(tele: Telescope, s: Substitution) -> Telescope:
-    return Telescope(tuple((x, subst(ty, s)) for x, ty in tele))
-
-
-def compose(s1: Substitution, s2: Substitution) -> Substitution:
-    """The substitution acting as s1 followed by s2.
-
-    Replacements apply sequentially, so composition is concatenation:
-    subst(u, compose(s1, s2)) == subst(subst(u, s1), s2) for every u.
-    """
-    return Substitution(s1.pairs + s2.pairs)
-
-
-def disjoint_union(c1, c2):
-    """Concatenate two telescopes or substitutions whose domains are disjoint.
-
-    Overlap means pattern linearity was violated upstream, which is a bug,
-    not a user error.
-    """
-    if isinstance(c1, Telescope) and isinstance(c2, Telescope):
-        seen = {x for x, _ in c1}
-        for x, _ in c2:
-            if x in seen:
-                raise InternalError(f"binding {x!r} occurs on both sides")
-        return Telescope(c1.entries + c2.entries)
-    if isinstance(c1, Substitution) and isinstance(c2, Substitution):
-        seen = set(c1.domain())
-        for x in c2.domain():
-            if x in seen:
-                raise InternalError(f"variable {x!r} occurs on both sides")
-        return Substitution(c1.pairs + c2.pairs)
-    raise InternalError(f"cannot join {type(c1).__name__} with {type(c2).__name__}")
 
 
 # ---------------------------------------------------------------------------

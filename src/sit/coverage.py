@@ -19,10 +19,9 @@ is uninhabited.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 from .core import (
-    EMPTY_SUBST,
     BindPat,
     ConCall,
     ConPat,
@@ -32,14 +31,12 @@ from .core import (
     FuncDecl,
     ImpossiblePat,
     Signature,
-    Substitution,
     Telescope,
     Term,
     Var,
     VarCall,
     pretty,
     subst,
-    subst_map,
 )
 from .diagnostics import (
     CANNOT_SPLIT,
@@ -71,7 +68,7 @@ class Undecidable:
     position: int
 
 
-Availability = Union[Available, Undecidable]
+Availability = Available | Undecidable
 
 
 def row_outcomes(
@@ -84,7 +81,7 @@ def row_outcomes(
         if ctor is not None and row.name != ctor:
             continue
         if row.patterns is None:
-            yield row, Matched(EMPTY_SUBST)
+            yield row, Matched({})
             continue
         out = match_terms(args, row.patterns)
         if fuel.observer is not None:
@@ -112,7 +109,7 @@ def available_ctors(
 
 def available_fields(
     decl: DataDecl, args: list[Term], fuel: Fuel
-) -> Union[dict[str, Telescope], Undecidable]:
+) -> dict[str, Telescope] | Undecidable:
     """The field telescope of each available constructor at these (normalized)
     arguments, taken from its first matching row, in the order of those rows."""
     fields: dict[str, Telescope] = {}
@@ -126,7 +123,7 @@ def available_fields(
 
 
 def instantiate_fields(
-    decl: DataDecl, row: CtorRow, args: list[Term], sub: Substitution
+    decl: DataDecl, row: CtorRow, args: list[Term], sub: dict[Var, Term]
 ) -> Telescope:
     """The field telescope of a row at a concrete instantiation of the data.
 
@@ -134,9 +131,9 @@ def instantiate_fields(
     the arguments, are substituted at once: an argument may mention the data
     telescope's own variables (a row using its data type at them, swapped).
     """
-    m = dict(sub.pairs)
+    m = dict(sub)
     m.update(zip(vars_tele(decl.telescope), args))
-    return Telescope(tuple((x, subst_map(ty, m)) for x, ty in row.fields))
+    return Telescope(tuple((x, subst(ty, m)) for x, ty in row.fields))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +182,7 @@ def _cover(sig, func, fuel, columns, rows, shapes, hole_vars, used) -> None:
                 if isinstance(av, Available) and not av.rows:
                     return
         # Shapes are constructor spines over the holes, which print as "_".
-        holes = Substitution(tuple((x, VarCall(Var("_", 0))) for x in hole_vars))
+        holes = {x: VarCall(Var("_", 0)) for x in hole_vars}
         stack = ", ".join(pretty(subst(s, holes)) for s in shapes)
         raise CoverageError(
             MISSING_CASE, f"missing case in {func.name}: {stack}", func.span
@@ -226,11 +223,11 @@ def _cover(sig, func, fuel, columns, rows, shapes, hole_vars, used) -> None:
         field_vars = [Var.fresh(x.text) for x, _ in fields]
         rename = {x: VarCall(w) for (x, _), w in zip(fields, field_vars)}
         field_cols = [
-            _Column(w, subst_map(ty_i, rename))
+            _Column(w, subst(ty_i, rename))
             for w, (_, ty_i) in zip(field_vars, fields)
         ]
         case_term = ConCall(ctor, tuple(VarCall(w) for w in field_vars))
-        refine = Substitution.of((col.var, case_term))
+        refine = {col.var: case_term}
 
         new_columns = (
             [_Column(c.var, c.ty) for c in columns[:split_at]]

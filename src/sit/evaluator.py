@@ -24,14 +24,12 @@ from .core import (
     Var,
     VarCall,
     alpha_eq,
-    subst_at_once,
+    subst,
 )
 from .diagnostics import FuelError, InternalError
-from .pattern_ops import Matched, MatchOutcome, Mismatch, Stuck, match_terms
+from .pattern_ops import Matched, MatchOutcome, Stuck, match_terms
 
 DEFAULT_FUEL = 1_000_000
-
-MatchObserver = Callable[[Sequence[Term], Sequence[Pattern], MatchOutcome], None]
 
 
 @dataclass
@@ -45,7 +43,9 @@ class Fuel:
 
     limit: int = DEFAULT_FUEL
     used: int = 0
-    observer: Optional[MatchObserver] = None
+    observer: Optional[
+        Callable[[Sequence[Term], Sequence[Pattern], MatchOutcome], None]
+    ] = None
 
     def spend(self) -> None:
         self.used += 1
@@ -69,19 +69,15 @@ def whnf(sig: Signature, t: Term, fuel: Fuel) -> Term:
             out = match_terms(args, clause.patterns)
             if fuel.observer is not None:
                 fuel.observer(args, clause.patterns, out)
-            match out:
-                case Matched(s):
-                    if clause.body is None:
-                        raise InternalError(
-                            f"matched a bodiless clause of {func.name}"
-                        )
-                    fuel.spend()
-                    reduct = subst_at_once(clause.body, s)
-                    break
-                case Stuck():
-                    return FnCall(t.name, args)
-                case Mismatch():
-                    continue
+            c = type(out)
+            if c is Matched:
+                if clause.body is None:
+                    raise InternalError(f"matched a bodiless clause of {func.name}")
+                fuel.spend()
+                reduct = subst(clause.body, out.sub)
+                break
+            if c is Stuck:
+                return FnCall(t.name, args)
         if reduct is None:
             return FnCall(t.name, args)
         t = reduct
@@ -92,10 +88,10 @@ def _dispatch_args(sig, func, args, fuel) -> tuple[Term, ...]:
     # Normalize only the columns some clause actually inspects; pure catch-all
     # columns are substituted into bodies untouched.
     hot = func.inspected_columns
-    return tuple(
-        index_normal_form(sig, a, fuel) if i in hot else a
-        for i, a in enumerate(args)
-    )
+    out = []
+    for i, a in enumerate(args):
+        out.append(index_normal_form(sig, a, fuel) if i in hot else a)
+    return tuple(out)
 
 
 def index_normal_form(sig: Signature, t: Term, fuel: Fuel) -> Term:
@@ -108,21 +104,26 @@ def index_normal_form(sig: Signature, t: Term, fuel: Fuel) -> Term:
     if getattr(t, "_spine_normal", False):
         return t
     t = whnf(sig, t, fuel)
-    if isinstance(t, ConCall):
-        args = tuple(index_normal_form(sig, a, fuel) for a in t.args)
-        if any(a is not b for a, b in zip(args, t.args)):
-            t = ConCall(t.name, args)
-        if all(_spine_normal(a) for a in args):
+    if type(t) is ConCall:
+        args = []
+        changed = False
+        normal = True
+        for a in t.args:
+            b = index_normal_form(sig, a, fuel)
+            args.append(b)
+            changed = changed or b is not a
+            c = type(b)
+            if c is ConCall:
+                normal = normal and getattr(b, "_spine_normal", False)
+            elif c is FnCall:
+                normal = False
+        if changed:
+            t = ConCall(t.name, tuple(args))
+        if normal:
             # No argument can reduce under any signature: later calls on this
             # object (it is shared by substitution) return at once.
             object.__setattr__(t, "_spine_normal", True)
     return t
-
-
-def _spine_normal(t: Term) -> bool:
-    if isinstance(t, ConCall):
-        return getattr(t, "_spine_normal", False)
-    return not isinstance(t, FnCall)
 
 
 def normalize(sig: Signature, t: Term, fuel: Fuel) -> Term:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .core import (
     BindPat,
@@ -202,7 +202,7 @@ class SFn:
     span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
 
 
-SExpr = Union[SRef, SUniv, SApp, SArrow, SPi, SFn]
+SExpr = SRef | SUniv | SApp | SArrow | SPi | SFn
 
 
 @dataclass(frozen=True)
@@ -217,7 +217,7 @@ class SPatImpossible:
     span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
 
 
-SPat = Union[SPatApp, SPatImpossible]
+SPat = SPatApp | SPatImpossible
 
 STeleGroup = tuple[tuple[str, ...], SExpr]
 
@@ -254,7 +254,7 @@ class SDef:
     span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
 
 
-SDecl = Union[SData, SDef]
+SDecl = SData | SDef
 
 
 # ---------------------------------------------------------------------------

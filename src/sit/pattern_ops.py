@@ -7,7 +7,7 @@ matcher never reduces. Callers normalize the terms they hand in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .core import (
     BindPat,
@@ -15,7 +15,6 @@ from .core import (
     ConPat,
     ImpossiblePat,
     Pattern,
-    Substitution,
     Telescope,
     Term,
     Var,
@@ -26,9 +25,10 @@ from .diagnostics import InternalError
 
 @dataclass(frozen=True)
 class Matched:
-    """Positive success; the substitution binds exactly the catch-all vars."""
+    """Positive success; the substitution binds exactly the catch-all vars,
+    in binding order (left to right, depth first)."""
 
-    sub: Substitution
+    sub: dict[Var, Term]
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class Stuck:
     position: int
 
 
-MatchOutcome = Union[Matched, Mismatch, Stuck]
+MatchOutcome = Matched | Mismatch | Stuck
 
 
 def vars_tele(tele: Telescope) -> list[Var]:
@@ -112,32 +112,28 @@ def match_terms(terms: Sequence[Term], pats: Sequence[Pattern]) -> MatchOutcome:
         raise InternalError(
             f"matching {len(terms)} terms against {len(pats)} patterns"
         )
-    pairs: list[tuple[Var, Term]] = []
-    out = _collect(terms, pats, pairs, set())
-    return Matched(Substitution(tuple(pairs))) if out is None else out
+    sub: dict[Var, Term] = {}
+    out = _collect(terms, pats, sub)
+    return Matched(sub) if out is None else out
 
 
 def _collect(
-    terms: Sequence[Term],
-    pats: Sequence[Pattern],
-    pairs: list[tuple[Var, Term]],
-    seen: set[Var],
-) -> Optional[Union[Mismatch, Stuck]]:
-    """Append the bindings of every position to `pairs`, left to right and
-    depth first; None when every position matches.
+    terms: Sequence[Term], pats: Sequence[Pattern], sub: dict[Var, Term]
+) -> Optional[Mismatch | Stuck]:
+    """Add the bindings of every position to `sub`, left to right and depth
+    first; None when every position matches.
 
-    `seen` holds the variables bound so far: a variable bound twice means
-    pattern linearity was violated upstream, which is a bug.
+    A variable already in `sub` is bound twice: pattern linearity was
+    violated upstream, which is a bug.
     """
     stuck_at: Optional[int] = None
     for i, (u, p) in enumerate(zip(terms, pats)):
         c = type(p)
         if c is BindPat:
             x = p.var
-            if x in seen:
+            if x in sub:
                 raise InternalError(f"pattern variable {x!r} is bound twice")
-            seen.add(x)
-            pairs.append((x, u))
+            sub[x] = u
         elif c is ConPat:
             if type(u) is not ConCall:
                 if stuck_at is None:
@@ -147,7 +143,7 @@ def _collect(
                 return Mismatch()
             if len(u.args) != len(p.args):
                 raise InternalError(f"constructor {p.name} matched with wrong arity")
-            out = _collect(u.args, p.args, pairs, seen)
+            out = _collect(u.args, p.args, sub)
             if type(out) is Mismatch:
                 return out
             if out is not None and stuck_at is None:

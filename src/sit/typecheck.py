@@ -22,6 +22,7 @@ from .core import (
     DataCall,
     DataDecl,
     Declaration,
+    EMPTY_TELESCOPE,
     FnCall,
     FuncDecl,
     ImpossiblePat,
@@ -29,7 +30,6 @@ from .core import (
     Pattern,
     Pi,
     Signature,
-    Substitution,
     Telescope,
     Term,
     Univ,
@@ -39,7 +39,6 @@ from .core import (
     pattern_has_impossible,
     pretty,
     subst,
-    subst_map,
 )
 from .diagnostics import (
     ARITY_MISMATCH,
@@ -64,28 +63,6 @@ from .diagnostics import (
 )
 from .evaluator import Fuel, convertible, index_normal_form, whnf
 from .pattern_ops import Matched, Stuck, to_term, to_terms, vars_tele
-
-
-@dataclass(frozen=True)
-class Context:
-    """The in-scope bindings, oldest first."""
-
-    entries: tuple[tuple[Var, Term], ...] = ()
-
-    def extended(self, var: Var, ty: Term) -> Context:
-        return Context(self.entries + ((var, ty),))
-
-    def extended_tele(self, tele: Telescope) -> Context:
-        return Context(self.entries + tele.entries)
-
-    def lookup(self, var: Var) -> Optional[Term]:
-        for x, ty in reversed(self.entries):
-            if x == var:
-                return ty
-        return None
-
-
-EMPTY_CONTEXT = Context()
 
 
 @dataclass
@@ -127,7 +104,7 @@ class TypeChecker:
 
     # -- terms --------------------------------------------------------------
 
-    def check_term(self, ctx: Context, term: Term, expected: Term) -> None:
+    def check_term(self, ctx: Telescope, term: Term, expected: Term) -> None:
         """Check `term` against the (well-formed) type `expected`."""
         span = term.span
         c = type(term)
@@ -147,7 +124,7 @@ class TypeChecker:
                         span,
                     )
                 self.check_term(ctx, arg, ty.domain)
-                ty = subst(ty.codomain, Substitution.of((ty.binder, arg)))
+                ty = subst(ty.codomain, {ty.binder: arg})
             self._require_type(ty, expected, span)
         elif c is FnCall:
             func = self.sig.func(term.name)
@@ -156,9 +133,7 @@ class TypeChecker:
                     UNKNOWN_NAME, f"unknown function {term.name}", span
                 )
             self.check_args(ctx, term.args, func.telescope, span)
-            result = subst_map(
-                func.result, dict(zip(vars_tele(func.telescope), term.args))
-            )
+            result = subst(func.result, dict(zip(vars_tele(func.telescope), term.args)))
             self._require_type(result, expected, span)
         elif c is DataCall:
             decl = self.sig.data(term.name)
@@ -181,7 +156,7 @@ class TypeChecker:
                     span,
                 )
             x = term.binder
-            cod = subst(exp.codomain, Substitution.of((exp.binder, VarCall(x))))
+            cod = subst(exp.codomain, {exp.binder: VarCall(x)})
             self.check_term(ctx.extended(x, exp.domain), term.body, cod)
         elif c is Univ:
             self._require_type(UNIV, expected, span)
@@ -238,7 +213,7 @@ class TypeChecker:
 
     def check_args(
         self,
-        ctx: Context,
+        ctx: Telescope,
         args: Sequence[Term],
         tele: Telescope,
         span: Optional[SourceSpan] = None,
@@ -257,10 +232,10 @@ class TypeChecker:
             )
         earlier: dict[Var, Term] = {}
         for arg, (x, ty) in zip(args, tele):
-            self.check_term(ctx, arg, subst_map(ty, earlier))
+            self.check_term(ctx, arg, subst(ty, earlier))
             earlier[x] = arg
 
-    def check_telescope(self, ctx: Context, tele: Telescope) -> Context:
+    def check_telescope(self, ctx: Telescope, tele: Telescope) -> Telescope:
         """Check each entry's type is a type; returns the extended context."""
         for x, ty in tele:
             self.check_term(ctx, ty, UNIV)
@@ -270,7 +245,7 @@ class TypeChecker:
     # -- patterns -----------------------------------------------------------
 
     def check_pattern(
-        self, ctx: Context, pat: Pattern, ty: Term, lenient: bool = False
+        self, ctx: Telescope, pat: Pattern, ty: Term, lenient: bool = False
     ) -> tuple[Pattern, Telescope]:
         """Check one pattern against a type.
 
@@ -366,7 +341,7 @@ class TypeChecker:
 
     def check_patterns(
         self,
-        ctx: Context,
+        ctx: Telescope,
         pats: Sequence[Pattern],
         tele: Telescope,
         lenient: bool = False,
@@ -390,9 +365,7 @@ class TypeChecker:
         seen: set[Var] = set()
         typed: list[Pattern] = []
         for pat, (x, ty) in zip(pats, tele):
-            typed_p, th = self.check_pattern(
-                ctx, pat, subst_map(ty, earlier), lenient
-            )
+            typed_p, th = self.check_pattern(ctx, pat, subst(ty, earlier), lenient)
             typed.append(typed_p)
             _add_bindings(entries, seen, th)
             if pattern_has_impossible(typed_p):
@@ -426,7 +399,7 @@ class TypeChecker:
     # -- clauses and rows ---------------------------------------------------
 
     def check_clause(
-        self, ctx: Context, tele: Telescope, result: Term, clause: Clause
+        self, ctx: Telescope, tele: Telescope, result: Term, clause: Clause
     ) -> Clause:
         """Check one function clause; returns it with typed patterns."""
         typed, theta = self.check_patterns(ctx, clause.patterns, tele)
@@ -444,22 +417,22 @@ class TypeChecker:
                 clause.span,
             )
         if clause.body is not None:
-            expected = subst_map(result, dict(zip(vars_tele(tele), to_terms(typed))))
-            self.check_term(ctx.extended_tele(theta), clause.body, expected)
+            expected = subst(result, dict(zip(vars_tele(tele), to_terms(typed))))
+            self.check_term(ctx + theta, clause.body, expected)
         return Clause(typed, clause.body, clause.span)
 
     def check_ctor_row(
-        self, ctx: Context, tele: Telescope, row: CtorRow
+        self, ctx: Telescope, tele: Telescope, row: CtorRow
     ) -> CtorRow:
         """Check one constructor row; returns it with typed patterns."""
         if row.patterns is None:
-            self.check_telescope(ctx.extended_tele(tele), row.fields)
+            self.check_telescope(ctx + tele, row.fields)
             return row
         typed, theta = self.check_patterns(ctx, row.patterns, tele)
-        self.check_telescope(ctx.extended_tele(theta), row.fields)
+        self.check_telescope(ctx + theta, row.fields)
         if self.strict_row_fields:
             try:
-                self.check_telescope(ctx.extended_tele(tele), row.fields)
+                self.check_telescope(ctx + tele, row.fields)
             except TypeCheckError as err:
                 self.warnings.append(
                     Warning(
@@ -497,7 +470,7 @@ class TypeChecker:
 
     def _check_data(self, sig: Signature, decl: DataDecl) -> Signature:
         self.sig = sig
-        self.check_telescope(EMPTY_CONTEXT, decl.telescope)
+        self.check_telescope(EMPTY_TELESCOPE, decl.telescope)
         for row in decl.ctors:
             if row.name == decl.name or sig.declares(row.name):
                 raise TypeCheckError(
@@ -508,19 +481,19 @@ class TypeChecker:
         # Rows may mention the data type (and earlier rows) recursively.
         self.sig = sig.extended(decl)
         rows = tuple(
-            self.check_ctor_row(EMPTY_CONTEXT, decl.telescope, row)
+            self.check_ctor_row(EMPTY_TELESCOPE, decl.telescope, row)
             for row in decl.ctors
         )
         return sig.extended(DataDecl(decl.name, decl.telescope, rows, decl.span))
 
     def _check_func(self, sig: Signature, decl: FuncDecl, coverage: bool) -> Signature:
         self.sig = sig
-        ctx = self.check_telescope(EMPTY_CONTEXT, decl.telescope)
+        ctx = self.check_telescope(EMPTY_TELESCOPE, decl.telescope)
         self.check_term(ctx, decl.result, UNIV)
         # Clauses may call the function being defined.
         self.sig = sig.extended(decl)
         clauses = tuple(
-            self.check_clause(EMPTY_CONTEXT, decl.telescope, decl.result, cl)
+            self.check_clause(EMPTY_TELESCOPE, decl.telescope, decl.result, cl)
             for cl in decl.clauses
         )
         checked = FuncDecl(decl.name, decl.telescope, decl.result, clauses, decl.span)
@@ -551,34 +524,34 @@ def _add_bindings(
 # Module-level entry points over an explicit signature.
 
 
-def check_term(sig: Signature, ctx: Context, term: Term, expected: Term) -> None:
+def check_term(sig: Signature, ctx: Telescope, term: Term, expected: Term) -> None:
     TypeChecker(sig).check_term(ctx, term, expected)
 
 
-def check_args(sig: Signature, ctx: Context, args: Sequence[Term], tele: Telescope) -> None:
+def check_args(sig: Signature, ctx: Telescope, args: Sequence[Term], tele: Telescope) -> None:
     TypeChecker(sig).check_args(ctx, args, tele)
 
 
 def check_pattern(
-    sig: Signature, ctx: Context, pat: Pattern, ty: Term
+    sig: Signature, ctx: Telescope, pat: Pattern, ty: Term
 ) -> tuple[Pattern, Telescope]:
     return TypeChecker(sig).check_pattern(ctx, pat, ty)
 
 
 def check_patterns(
-    sig: Signature, ctx: Context, pats: Sequence[Pattern], tele: Telescope
+    sig: Signature, ctx: Telescope, pats: Sequence[Pattern], tele: Telescope
 ) -> tuple[tuple[Pattern, ...], Telescope]:
     return TypeChecker(sig).check_patterns(ctx, pats, tele)
 
 
 def check_clause(
-    sig: Signature, ctx: Context, tele: Telescope, result: Term, clause: Clause
+    sig: Signature, ctx: Telescope, tele: Telescope, result: Term, clause: Clause
 ) -> Clause:
     return TypeChecker(sig).check_clause(ctx, tele, result, clause)
 
 
 def check_ctor_row(
-    sig: Signature, ctx: Context, tele: Telescope, row: CtorRow
+    sig: Signature, ctx: Telescope, tele: Telescope, row: CtorRow
 ) -> CtorRow:
     return TypeChecker(sig).check_ctor_row(ctx, tele, row)
 

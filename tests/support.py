@@ -17,14 +17,12 @@ from sit.core import (
     FnCall,
     Pattern,
     Signature,
-    Substitution,
     Telescope,
     Term,
     Univ,
     Var,
     VarCall,
     subst,
-    subst_telescope,
 )
 from sit.coverage import Undecidable, available_fields
 from sit.evaluator import Fuel, index_normal_form
@@ -114,7 +112,7 @@ def enumerate_tuples(
         return
     (x, ty), rest = tele.entries[0], Telescope(tele.entries[1:])
     for t in enumerate_terms(sig, ty, depth):
-        refined = subst_telescope(rest, Substitution.of((x, t)))
+        refined = Telescope(tuple((y, subst(yty, {x: t})) for y, yty in rest))
         for more in enumerate_tuples(sig, refined, depth):
             yield (t,) + more
 
@@ -153,12 +151,12 @@ class RowGen:
         return f"v{next(self._counter)}"
 
     def row(self, tele: Telescope, depth: int = 3) -> list[Pattern]:
-        acc = Substitution()
+        acc: dict[Var, Term] = {}
         pats: list[Pattern] = []
         for x, ty in tele:
             p = self.pattern(subst(ty, acc), depth)
             pats.append(p)
-            acc = Substitution(acc.pairs + ((x, to_term(p)),))
+            acc[x] = to_term(p)
         return pats
 
     def pattern(self, ty: Term, depth: int) -> Pattern:
@@ -170,12 +168,12 @@ class RowGen:
             if not isinstance(cases, Undecidable) and cases:
                 ctor = self.rng.choice(sorted(cases))
                 fields = cases[ctor]
-                acc = Substitution()
+                acc: dict[Var, Term] = {}
                 args: list[Pattern] = []
                 for w, fty in fields:
                     q = self.pattern(subst(fty, acc), depth - 1)
                     args.append(q)
-                    acc = Substitution(acc.pairs + ((w, to_term(q)),))
+                    acc[w] = to_term(q)
                 return ConPat(ctor, tuple(args))
         return BindPat(Var.fresh(self._fresh_name()))
 

@@ -17,16 +17,15 @@ from sit.core import (
     ConCall,
     ConPat,
     DataDecl,
-    Substitution,
+    EMPTY_TELESCOPE,
     Var,
     VarCall,
-    compose,
     subst,
 )
 from sit.evaluator import Fuel, normalize
 from sit.pattern_ops import Matched, Mismatch, match_terms, to_terms, vars_pats
 from sit.translate import as_pattern_row, to_general
-from sit.typecheck import Context, EMPTY_CONTEXT, TypeChecker, check_args, check_term
+from sit.typecheck import TypeChecker, check_args, check_term
 from sit.core import UNIV
 
 from support import (
@@ -79,7 +78,7 @@ def random_rows(sigs):
         sig, gen, checker, teles = pool[i % len(pool)]
         tele = rng.choice(teles)
         pats = gen.row(tele)
-        typed, theta = checker.check_patterns(EMPTY_CONTEXT, pats, tele)
+        typed, theta = checker.check_patterns(EMPTY_TELESCOPE, pats, tele)
         rows.append((sig, tele, typed, theta))
     return rows
 
@@ -135,7 +134,7 @@ def test_c3_identity_substitution(random_rows):
         for _, _, typed, theta in random_rows:
             out = match_terms(to_terms(typed), typed)
             assert isinstance(out, Matched)
-            assert out.sub.domain() == tuple(x for x, _ in vars_pats(typed))
+            assert list(out.sub) == [x for x, _ in vars_pats(typed)]
             for x, _ in theta:
                 assert subst(VarCall(x), out.sub) == VarCall(x)
 
@@ -150,11 +149,10 @@ def test_c4_pattern_terms_instantiate_telescopes(sigs, random_rows):
                 else:
                     rows = [cl.patterns for cl in decl.clauses]
                 for pats in rows:
-                    ctx = Context(vars_pats(pats).entries)
-                    check_args(sig, ctx, to_terms(pats), decl.telescope)
+                    check_args(sig, vars_pats(pats), to_terms(pats), decl.telescope)
                     checked += 1
         for sig, tele, typed, theta in random_rows:
-            check_args(sig, Context(theta.entries), to_terms(typed), tele)
+            check_args(sig, theta, to_terms(typed), tele)
             checked += 1
         assert checked >= 1000
 
@@ -213,7 +211,7 @@ def test_c5_translation_soundness(sigs):
                     want = oracle_unify(list(tup), to_terms(pats), flexible)
                     if isinstance(got, Matched):
                         assert want[0] == "unifies"
-                        assert dict(got.sub.pairs) == want[1]
+                        assert got.sub == want[1]
                     elif isinstance(got, Mismatch):
                         assert want[0] == "clash"
                     else:
@@ -234,7 +232,7 @@ def test_c6_translated_constructors_recheck(sigs):
                 if not isinstance(decl, DataDecl):
                     continue
                 for _, ty in to_general(sig, decl).ctors:
-                    check_term(sig, EMPTY_CONTEXT, ty, UNIV)
+                    check_term(sig, EMPTY_TELESCOPE, ty, UNIV)
                     total += 1
         assert total > 0
 
@@ -317,26 +315,23 @@ def test_c9_match_stability(sigs):
             sig, gen, checker, teles = pool[i % len(pool)]
             tele = rng.choice(teles)
             typed, theta = checker.check_patterns(
-                EMPTY_CONTEXT, gen.row(tele), tele
+                EMPTY_TELESCOPE, gen.row(tele), tele
             )
 
             # Instantiate the row's own match: closed values for some
             # bindings, fresh holes (with tau mappings) for the rest.
-            rho_pairs, tau_pairs = [], []
+            rho, tau = {}, {}
             for x, ty in theta:
-                refined = subst(ty, Substitution(tuple(rho_pairs)))
                 choices = list(
-                    itertools.islice(enumerate_terms(sig, refined, 3), 20)
+                    itertools.islice(enumerate_terms(sig, subst(ty, rho), 3), 20)
                 )
                 if choices and rng.random() < 0.5:
-                    rho_pairs.append((x, rng.choice(choices)))
+                    rho[x] = rng.choice(choices)
                 else:
                     hole = Var.fresh("h")
-                    rho_pairs.append((x, VarCall(hole)))
+                    rho[x] = VarCall(hole)
                     if choices:
-                        tau_pairs.append((hole, rng.choice(choices)))
-            rho = Substitution(tuple(rho_pairs))
-            tau = Substitution(tuple(tau_pairs))
+                        tau[hole] = rng.choice(choices)
             terms = [subst(t, rho) for t in to_terms(typed)]
 
             make_mismatch = rng.random() < 0.4
@@ -358,9 +353,8 @@ def test_c9_match_stability(sigs):
             else:
                 assert isinstance(before, Matched)
                 assert isinstance(after, Matched)
-                composed = compose(before.sub, tau)
-                for x in before.sub.domain():
-                    assert subst(VarCall(x), after.sub) == subst(VarCall(x), composed)
+                for x in before.sub:
+                    assert subst(VarCall(x), after.sub) == subst(before.sub[x], tau)
                 matched_cases += 1
         assert matched_cases + mismatch_cases == 1000
         assert matched_cases >= 400 and mismatch_cases >= 100

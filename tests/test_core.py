@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import gc
+import importlib
 import itertools
+import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -12,20 +16,15 @@ from sit.core import (
     FnCall,
     Lam,
     Pi,
-    Substitution,
     Telescope,
     UNIV,
     Var,
     VarCall,
     alpha_eq,
     apply_spine,
-    compose,
-    disjoint_union,
     free_vars,
     pretty,
     subst,
-    subst_map,
-    subst_telescope,
 )
 from sit.coverage import instantiate_fields, row_outcomes
 from sit.diagnostics import InternalError
@@ -74,10 +73,7 @@ def terms(max_leaves: int = 10):
 
 
 def substitutions():
-    return st.builds(
-        lambda pairs: Substitution(tuple(pairs)),
-        st.lists(st.tuples(var_pool(), terms(4)), max_size=3),
-    )
+    return st.dictionaries(var_pool(), terms(4), max_size=3)
 
 
 def freshen(t):
@@ -85,10 +81,10 @@ def freshen(t):
     match t:
         case Pi(x, dom, cod):
             y = Var.fresh(x.text)
-            return Pi(y, freshen(dom), freshen(subst(cod, Substitution.of((x, VarCall(y))))))
+            return Pi(y, freshen(dom), freshen(subst(cod, {x: VarCall(y)})))
         case Lam(x, body):
             y = Var.fresh(x.text)
-            return Lam(y, freshen(subst(body, Substitution.of((x, VarCall(y))))))
+            return Lam(y, freshen(subst(body, {x: VarCall(y)})))
         case VarCall(x, args):
             return VarCall(x, tuple(freshen(a) for a in args))
         case FnCall(name, args):
@@ -102,18 +98,18 @@ def freshen(t):
 class TestSubst:
     def test_direct_replacement(self):
         x = Var.fresh("x")
-        assert subst(ref(x), Substitution.of((x, con("zero")))) == con("zero")
+        assert subst(ref(x), {x: con("zero")}) == con("zero")
 
     def test_empty_substitution_is_identity(self):
         x = Var.fresh("x")
         t = con("suc", ref(x))
-        assert subst(t, Substitution()) == t
+        assert subst(t, {}) == t
 
     def test_capture_is_avoided_by_renaming(self):
         # ((y : A) -> x)[y/x] must rename the binder, giving (y' : A) -> y.
         x, y, a = Var.fresh("x"), Var.fresh("y"), Var.fresh("A")
         t = Pi(y, ref(a), ref(x))
-        out = subst(t, Substitution.of((x, ref(y))))
+        out = subst(t, {x: ref(y)})
         assert isinstance(out, Pi)
         assert out.binder != y
         assert out.codomain == ref(y)
@@ -122,35 +118,34 @@ class TestSubst:
     def test_shadowed_binder_blocks_substitution(self):
         x, a = Var.fresh("x"), Var.fresh("A")
         t = Lam(x, ref(x))
-        assert subst(t, Substitution.of((x, ref(a)))) == t
+        assert subst(t, {x: ref(a)}) == t
 
     def test_spine_head_replacement_beta_reduces(self):
         f, y = Var.fresh("f"), Var.fresh("y")
         t = VarCall(f, (con("zero"),))
         lam = Lam(y, con("suc", ref(y)))
-        assert subst(t, Substitution.of((f, lam))) == con("suc", con("zero"))
+        assert subst(t, {f: lam}) == con("suc", con("zero"))
 
     def test_untouched_subterms_are_shared(self):
         x, y = Var.fresh("x"), Var.fresh("y")
         other = con("suc", ref(y))
         t = FnCall("plus", (ref(x), other))
-        out = subst(t, Substitution.of((x, con("zero"))))
+        out = subst(t, {x: con("zero")})
         assert out == FnCall("plus", (con("zero"), other))
         assert out.args[1] is other
-        assert subst(t, Substitution.of((Var.fresh("z"), con("zero")))) is t
+        assert subst(t, {Var.fresh("z"): con("zero")}) is t
 
     @settings(max_examples=200)
     @given(terms())
     def test_identity(self, t):
-        assert subst(t, Substitution()) == t
+        assert subst(t, {}) == t
 
-    @settings(max_examples=200)
-    @given(terms(), substitutions())
-    def test_sequential_application(self, t, s):
-        expected = t
-        for pair in s.pairs:
-            expected = subst(expected, Substitution.of(pair))
-        assert alpha_eq(subst(t, s), expected)
+    def test_replacements_apply_at_once(self):
+        # A value is never substituted into again, so {x: y, y: x} swaps.
+        x, y = Var.fresh("x"), Var.fresh("y")
+        t = FnCall("plus", (ref(x), con("suc", ref(y))))
+        out = subst(t, {x: ref(y), y: ref(x)})
+        assert out == FnCall("plus", (ref(y), con("suc", ref(x))))
 
     @settings(max_examples=200)
     @given(terms(), substitutions())
@@ -162,7 +157,7 @@ class TestSubst:
     @settings(max_examples=200)
     @given(terms(), var_pool(), terms(4))
     def test_free_variable_flow(self, t, x, v):
-        out = free_vars(subst(t, Substitution.of((x, v))))
+        out = free_vars(subst(t, {x: v}))
         allowed = (free_vars(t) - {x}) | free_vars(v)
         assert out <= allowed
         if x in free_vars(t):
@@ -194,10 +189,10 @@ def _signatures():
 
 
 class TestOnePassInstantiation:
-    """Instantiating a telescope through one map agrees with `subst` applied
-    pair by pair whenever the arguments do not mention the telescope's own
-    variables: each telescope above and in the corpus, at enumerated
-    arguments with a free variable somewhere."""
+    """Instantiating a telescope through one map agrees with substituting
+    its entries one at a time whenever the arguments do not mention the
+    telescope's own variables: each telescope above and in the corpus, at
+    enumerated arguments with a free variable somewhere."""
 
     @staticmethod
     def instantiations(sig, tele):
@@ -210,9 +205,11 @@ class TestOnePassInstantiation:
                 xs = vars_tele(tele)
                 for args in self.instantiations(sig, tele):
                     for i, (_, ty) in enumerate(tele):
-                        pairs = tuple(zip(xs[:i], args[:i]))
-                        one_pass = subst_map(ty, dict(pairs))
-                        assert alpha_eq(one_pass, subst(ty, Substitution(pairs)))
+                        one_pass = subst(ty, dict(zip(xs[:i], args[:i])))
+                        one_at_a_time = ty
+                        for x, a in zip(xs[:i], args[:i]):
+                            one_at_a_time = subst(one_at_a_time, {x: a})
+                        assert alpha_eq(one_pass, one_at_a_time)
                         checked += 1
         assert checked > 1000
 
@@ -224,63 +221,28 @@ class TestOnePassInstantiation:
                     continue
                 xs = vars_tele(decl.telescope)
                 for args in self.instantiations(sig, decl.telescope):
-                    data_sub = Substitution(tuple(zip(xs, args)))
+                    data_sub = dict(zip(xs, args))
                     for row, out in row_outcomes(decl, args, Fuel()):
                         if not isinstance(out, Matched):
                             continue
                         got = instantiate_fields(decl, row, list(args), out.sub)
-                        want = subst_telescope(
-                            subst_telescope(row.fields, out.sub), data_sub
-                        )
-                        assert [x for x, _ in got] == [x for x, _ in want]
-                        for (_, a), (_, b) in zip(got, want):
-                            assert alpha_eq(a, b)
+                        assert [x for x, _ in got] == [x for x, _ in row.fields]
+                        for (_, a), (_, ty) in zip(got, row.fields):
+                            assert alpha_eq(a, subst(subst(ty, out.sub), data_sub))
                             checked += 1
         assert checked > 100
 
 
-class TestCompose:
-    def test_left_identity(self):
-        s = Substitution.of((POOL[0], con("zero")))
-        assert compose(Substitution(), s) == s
-
-    def test_right_identity(self):
-        s = Substitution.of((POOL[0], con("zero")))
-        assert compose(s, Substitution()) == s
-
-    def test_chained_replacement(self):
-        x, y = Var.fresh("x"), Var.fresh("y")
-        s = compose(Substitution.of((x, ref(y))), Substitution.of((y, con("zero"))))
-        assert subst(ref(x), s) == con("zero")
-
-    @settings(max_examples=200)
-    @given(terms(), substitutions(), substitutions())
-    def test_defining_equation(self, t, s1, s2):
-        assert alpha_eq(subst(t, compose(s1, s2)), subst(subst(t, s1), s2))
-
-
-class TestDisjointUnion:
+class TestTelescope:
     def test_empty_left(self):
         theta = Telescope.of((Var.fresh("m"), con("Nat")))
-        assert disjoint_union(Telescope(), theta) == theta
+        assert Telescope() + theta == theta
 
     def test_concatenation_order(self):
         m, x = Var.fresh("m"), Var.fresh("x")
         t1 = Telescope.of((m, UNIV))
         t2 = Telescope.of((x, UNIV))
-        assert [v for v, _ in disjoint_union(t1, t2)] == [m, x]
-
-    def test_overlap_is_internal_error(self):
-        m = Var.fresh("m")
-        t = Telescope.of((m, UNIV))
-        with pytest.raises(InternalError):
-            disjoint_union(t, t)
-
-    def test_substitution_overlap(self):
-        x = Var.fresh("x")
-        s = Substitution.of((x, con("zero")))
-        with pytest.raises(InternalError):
-            disjoint_union(s, s)
+        assert [v for v, _ in t1 + t2] == [m, x]
 
 
 class TestApplySpine:
@@ -307,3 +269,25 @@ class TestPretty:
         assert pretty(dependent) == "(n : Nat) → n"
         plain = Pi(Var.fresh("_"), con("Nat"), con("Nat"))
         assert pretty(plain) == "Nat → Nat"
+
+
+def _drop_sit() -> None:
+    for name in [k for k in sys.modules if k == "sit" or k.startswith("sit.")]:
+        del sys.modules[name]
+
+
+def test_reimport_frees_the_previous_copy():
+    # Type aliases written with `typing` (`Union[...]`, `Callable[...]`) are
+    # cached by `typing`, and the cache kept the classes of every copy of sit
+    # that was ever imported alive.
+    saved = {k: m for k, m in sys.modules.items() if k == "sit" or k.startswith("sit.")}
+    try:
+        _drop_sit()
+        old = weakref.ref(importlib.import_module("sit").core.ConCall)
+        _drop_sit()
+        importlib.import_module("sit")
+        gc.collect()
+        assert old() is None
+    finally:
+        _drop_sit()
+        sys.modules.update(saved)

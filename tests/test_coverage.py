@@ -4,12 +4,12 @@ import itertools
 
 import pytest
 
-from sit.core import ConCall, Var, VarCall
+from sit.core import EMPTY_TELESCOPE, ConCall, Var, VarCall
 from sit.coverage import Available, Undecidable, available_ctors, check_coverage
 from sit.diagnostics import CoverageError, TypeCheckError
 from sit.evaluator import Fuel
 from sit.pattern_ops import Matched, match_terms
-from sit.typecheck import EMPTY_CONTEXT, check_term
+from sit.typecheck import check_term
 
 from support import (
     check_source,
@@ -277,7 +277,7 @@ class TestSplitAvailabilityAgreement:
                     args = tuple(VarCall(Var.fresh("probe")) for _ in row.fields)
                     try:
                         check_term(
-                            sig, EMPTY_CONTEXT, ConCall(ctor, args), dat(data_name, *indices)
+                            sig, EMPTY_TELESCOPE, ConCall(ctor, args), dat(data_name, *indices)
                         )
                         accepted = True
                     except TypeCheckError as err:

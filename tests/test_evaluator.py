@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sit import evaluator
-from sit.core import ConCall, FnCall, Lam, UNIV, Var, VarCall
+from sit.core import EMPTY_TELESCOPE, ConCall, FnCall, Lam, UNIV, Var, VarCall
 from sit.diagnostics import FuelError
 from sit.evaluator import Fuel, convertible, index_normal_form, normalize, whnf
-from sit.typecheck import EMPTY_CONTEXT, check_term
+from sit.typecheck import check_term
 
 from support import check_source, con, dat, fn, nat_lit, ref
 
@@ -56,11 +56,11 @@ class TestWhnf:
         # Substituting a lambda for a spine head reduces on the spot, so
         # weak-head forms never contain beta redexes.
         f = Var.fresh("f")
-        from sit.core import Substitution, subst
+        from sit.core import subst
 
         t = subst(
             VarCall(f, (nat_lit(0),)),
-            Substitution.of((f, Lam(Var.fresh("y"), con("suc", ref(Var.fresh("z")))))),
+            {f: Lam(Var.fresh("y"), con("suc", ref(Var.fresh("z"))))},
         )
         assert whnf(nat_sig, t, Fuel()) == t  # already a value
 
@@ -260,6 +260,6 @@ class TestSubjectReduction:
             ),
         ]
         for sig, term, ty in cases:
-            check_term(sig, EMPTY_CONTEXT, term, ty)
+            check_term(sig, EMPTY_TELESCOPE, term, ty)
             reduced = normalize(sig, term, Fuel())
-            check_term(sig, EMPTY_CONTEXT, reduced, ty)
+            check_term(sig, EMPTY_TELESCOPE, reduced, ty)

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sit.core import (
+    EMPTY_TELESCOPE,
     BindPat,
     ConPat,
     ImpossiblePat,
     Lam,
     Pi,
-    Substitution,
     UNIV,
     Var,
     VarCall,
@@ -30,7 +30,7 @@ from sit.pattern_ops import (
     vars_pats,
     vars_tele,
 )
-from sit.typecheck import EMPTY_CONTEXT, TypeChecker
+from sit.typecheck import TypeChecker
 
 from support import RowGen, con, corpus_telescopes, dat, ref
 
@@ -99,7 +99,7 @@ class TestMatchTerms:
         assert isinstance(out, Matched)
         a = pats[0].var
         m = pats[1].args[0].var
-        assert out.sub.pairs == ((a, dat("Nat")), (m, con("zero")))
+        assert list(out.sub.items()) == [(a, dat("Nat")), (m, con("zero"))]
 
     def test_variable_blocks_matching(self):
         k = Var.fresh("k")
@@ -157,7 +157,7 @@ class TestRoundTrip:
                         continue
                     out = match_terms(to_terms(row.patterns), row.patterns)
                     assert isinstance(out, Matched)
-                    for x, t in out.sub.pairs:
+                    for x, t in out.sub.items():
                         assert t == VarCall(x)
 
     @settings(max_examples=60, deadline=None)
@@ -167,7 +167,7 @@ class TestRoundTrip:
         gen = RowGen(norm_sig, rng)
         checker = TypeChecker(norm_sig)
         tele = rng.choice(corpus_telescopes(norm_sig))
-        typed, theta = checker.check_patterns(EMPTY_CONTEXT, gen.row(tele), tele)
+        typed, theta = checker.check_patterns(EMPTY_TELESCOPE, gen.row(tele), tele)
         out = match_terms(to_terms(typed), typed)
         assert isinstance(out, Matched)
         for x, _ in theta:
@@ -181,19 +181,17 @@ class TestRoundTrip:
         for _ in range(150):
             tele = rng.choice(teles)
             pats = gen.row(tele)
-            typed, theta = checker.check_patterns(EMPTY_CONTEXT, pats, tele)
+            typed, theta = checker.check_patterns(EMPTY_TELESCOPE, pats, tele)
             out = match_terms(to_terms(typed), typed)
             assert isinstance(out, Matched)
-            # Substitution domain is exactly the bindings, in order.
-            assert out.sub.domain() == tuple(x for x, _ in vars_pats(typed))
+            # The substitution's domain is exactly the bindings, in order.
+            assert list(out.sub) == [x for x, _ in vars_pats(typed)]
             for x, _ in theta:
                 assert subst(VarCall(x), out.sub) == VarCall(x)
 
 
 class TestStability:
     def test_matched_composes_through_substitution(self, norm_sig):
-        from sit.core import compose
-
         rng = random.Random(99)
         gen = RowGen(norm_sig, rng)
         checker = TypeChecker(norm_sig)
@@ -203,44 +201,40 @@ class TestStability:
         for _ in range(100):
             tele = rng.choice(teles)
             pats = gen.row(tele)
-            typed, theta = checker.check_patterns(EMPTY_CONTEXT, pats, tele)
+            typed, theta = checker.check_patterns(EMPTY_TELESCOPE, pats, tele)
             # Instantiate some bindings with closed terms and leave the rest
             # as free variables targeted by a second substitution.
-            rho_pairs = []
-            tau_pairs = []
+            rho, tau = {}, {}
             for x, ty in theta:
-                choices = list(enumerate_terms(norm_sig, subst(ty, Substitution(tuple(rho_pairs))), 3))
+                choices = list(enumerate_terms(norm_sig, subst(ty, rho), 3))
                 if choices and rng.random() < 0.5:
-                    rho_pairs.append((x, rng.choice(choices)))
+                    rho[x] = rng.choice(choices)
                 else:
                     hole = Var.fresh("h")
-                    rho_pairs.append((x, VarCall(hole)))
+                    rho[x] = VarCall(hole)
                     if choices:
-                        tau_pairs.append((hole, rng.choice(choices)))
-            rho = Substitution(tuple(rho_pairs))
-            tau = Substitution(tuple(tau_pairs))
+                        tau[hole] = rng.choice(choices)
             terms = [subst(t, rho) for t in to_terms(typed)]
             out = match_terms(terms, typed)
             assert isinstance(out, Matched)
             after = match_terms([subst(t, tau) for t in terms], typed)
             assert isinstance(after, Matched)
-            composed = compose(out.sub, tau)
-            for x in out.sub.domain():
-                assert subst(VarCall(x), after.sub) == subst(VarCall(x), composed)
+            for x in out.sub:
+                assert subst(VarCall(x), after.sub) == subst(out.sub[x], tau)
 
     def test_mismatch_is_preserved(self):
         pats = [ConPat("suc", (bind("m"),))]
         x = Var.fresh("x")
         terms = [con("zero")]
         assert match_terms(terms, pats) == Mismatch()
-        tau = Substitution.of((x, con("zero")))
+        tau = {x: con("zero")}
         assert match_terms([subst(t, tau) for t in terms], pats) == Mismatch()
 
     def test_stuck_may_resolve_either_way(self):
         pats = [ConPat("suc", (bind("m"),))]
         k = Var.fresh("k")
         assert match_terms([ref(k)], pats) == Stuck(0)
-        positive = Substitution.of((k, con("suc", con("zero"))))
-        negative = Substitution.of((k, con("zero")))
+        positive = {k: con("suc", con("zero"))}
+        negative = {k: con("zero")}
         assert isinstance(match_terms([subst(ref(k), positive)], pats), Matched)
         assert match_terms([subst(ref(k), negative)], pats) == Mismatch()

@@ -4,11 +4,11 @@ import itertools
 
 import pytest
 
-from sit.core import DataCall, Pi, pretty
+from sit.core import EMPTY_TELESCOPE, DataCall, Pi, pretty
 from sit.diagnostics import TypeCheckError
 from sit.pattern_ops import Matched, Mismatch, match_terms, to_terms, vars_pats
 from sit.translate import as_pattern_row, emit_general, synth_ctor_type, to_general
-from sit.typecheck import Context, EMPTY_CONTEXT, check_args, check_term
+from sit.typecheck import check_args, check_term
 from sit.core import UNIV
 
 from support import (
@@ -94,7 +94,7 @@ class TestSynthCtorType:
 
     def test_synthesized_types_check_as_types(self, vec_sig, fin_sig):
         for sig, ctor in ((vec_sig, "vcons"), (vec_sig, "vnil"), (fin_sig, "fsuc")):
-            check_term(sig, EMPTY_CONTEXT, synth_ctor_type(sig, ctor), UNIV)
+            check_term(sig, EMPTY_TELESCOPE, synth_ctor_type(sig, ctor), UNIV)
 
 
 class TestEmit:
@@ -130,15 +130,14 @@ class TestWellTypedness:
                 if not hasattr(decl, "ctors"):
                     continue
                 for _, ty in to_general(sig, decl).ctors:
-                    check_term(sig, EMPTY_CONTEXT, ty, UNIV)
+                    check_term(sig, EMPTY_TELESCOPE, ty, UNIV)
 
     def test_pattern_terms_instantiate_the_telescope(self, vec_sig, fin_sig):
         for sig, name in ((vec_sig, "Vec"), (fin_sig, "Fin")):
             decl = sig.data(name)
             for row in decl.ctors:
                 pats = as_pattern_row(decl, row).patterns
-                ctx = Context(vars_pats(pats).entries)
-                check_args(sig, ctx, to_terms(pats), decl.telescope)
+                check_args(sig, vars_pats(pats), to_terms(pats), decl.telescope)
 
 
 class TestSoundnessAgainstUnificationOracle:
@@ -152,7 +151,7 @@ class TestSoundnessAgainstUnificationOracle:
                 expected = oracle_unify(list(tup), pat_terms, flexible)
                 if isinstance(got, Matched):
                     assert expected[0] == "unifies"
-                    assert dict(got.sub.pairs) == expected[1]
+                    assert got.sub == expected[1]
                 elif isinstance(got, Mismatch):
                     assert expected[0] == "clash"
                 else:

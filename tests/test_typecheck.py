@@ -9,6 +9,7 @@ from sit.core import (
     ConPat,
     CtorRow,
     DataDecl,
+    EMPTY_TELESCOPE,
     FuncDecl,
     ImpossiblePat,
     Telescope,
@@ -19,8 +20,6 @@ from sit.core import (
 from sit.diagnostics import TypeCheckError
 from sit.pattern_ops import to_terms, vars_pats
 from sit.typecheck import (
-    Context,
-    EMPTY_CONTEXT,
     TypeChecker,
     check_args,
     check_pattern,
@@ -48,27 +47,27 @@ def code_of(excinfo) -> str:
 
 class TestCheckTerm:
     def test_vnil_at_zero_length(self, vec_sig):
-        check_term(vec_sig, EMPTY_CONTEXT, con("vnil"), dat("Vec", dat("Nat"), nat_lit(0)))
+        check_term(vec_sig, EMPTY_TELESCOPE, con("vnil"), dat("Vec", dat("Nat"), nat_lit(0)))
 
     def test_vnil_at_nonzero_length_is_unavailable(self, vec_sig):
         with pytest.raises(TypeCheckError) as exc:
             check_term(
-                vec_sig, EMPTY_CONTEXT, con("vnil"), dat("Vec", dat("Nat"), nat_lit(1))
+                vec_sig, EMPTY_TELESCOPE, con("vnil"), dat("Vec", dat("Nat"), nat_lit(1))
             )
         assert code_of(exc) == "E305"
 
     def test_vcons_fields_are_instantiated_by_the_match(self, vec_sig):
         term = con("vcons", nat_lit(0), con("vnil"))
-        check_term(vec_sig, EMPTY_CONTEXT, term, dat("Vec", dat("Nat"), nat_lit(1)))
+        check_term(vec_sig, EMPTY_TELESCOPE, term, dat("Vec", dat("Nat"), nat_lit(1)))
 
     def test_vcons_field_type_enforced(self, vec_sig):
         term = con("vcons", con("vnil"), con("vnil"))  # head is not a Nat
         with pytest.raises(TypeCheckError):
-            check_term(vec_sig, EMPTY_CONTEXT, term, dat("Vec", dat("Nat"), nat_lit(1)))
+            check_term(vec_sig, EMPTY_TELESCOPE, term, dat("Vec", dat("Nat"), nat_lit(1)))
 
     def test_fzero_at_variable_index_is_stuck(self, fin_sig):
         k = Var.fresh("k")
-        ctx = Context(((k, dat("Nat")),))
+        ctx = Telescope.of((k, dat("Nat")))
         with pytest.raises(TypeCheckError) as exc:
             check_term(fin_sig, ctx, con("fzero"), dat("Fin", ref(k)))
         assert code_of(exc) == "E306"
@@ -76,51 +75,51 @@ class TestCheckTerm:
     def test_indices_are_normalized_before_matching(self, fin_sig):
         # Fin (toNat ...) style: the index reduces to suc zero first.
         idx = fn("toNat", nat_lit(2), con("fsuc", con("fzero")))
-        check_term(fin_sig, EMPTY_CONTEXT, con("fzero"), dat("Fin", con("suc", idx)))
+        check_term(fin_sig, EMPTY_TELESCOPE, con("fzero"), dat("Fin", con("suc", idx)))
 
     def test_universe_in_universe(self, nat_sig):
-        check_term(nat_sig, EMPTY_CONTEXT, UNIV, UNIV)
+        check_term(nat_sig, EMPTY_TELESCOPE, UNIV, UNIV)
 
     def test_conversion_rule_uses_evaluation(self, norm_sig):
-        check_term(norm_sig, EMPTY_CONTEXT, nat_lit(3), fn("termTy", con("natT")))
+        check_term(norm_sig, EMPTY_TELESCOPE, nat_lit(3), fn("termTy", con("natT")))
 
     def test_unknown_head(self, nat_sig):
         with pytest.raises(TypeCheckError) as exc:
-            check_term(nat_sig, EMPTY_CONTEXT, fn("mystery"), dat("Nat"))
+            check_term(nat_sig, EMPTY_TELESCOPE, fn("mystery"), dat("Nat"))
         assert code_of(exc) == "E301"
 
     def test_ctor_of_other_data(self, norm_sig):
         with pytest.raises(TypeCheckError) as exc:
-            check_term(norm_sig, EMPTY_CONTEXT, con("true"), dat("Nat"))
+            check_term(norm_sig, EMPTY_TELESCOPE, con("true"), dat("Nat"))
         assert code_of(exc) == "E309"
 
 
 class TestCheckArgs:
     def test_empty(self, nat_sig):
-        check_args(nat_sig, EMPTY_CONTEXT, [], Telescope())
+        check_args(nat_sig, EMPTY_TELESCOPE, [], Telescope())
 
     def test_vec_telescope(self, vec_sig):
         tele = vec_sig.data("Vec").telescope
-        check_args(vec_sig, EMPTY_CONTEXT, [dat("Nat"), nat_lit(0)], tele)
+        check_args(vec_sig, EMPTY_TELESCOPE, [dat("Nat"), nat_lit(0)], tele)
 
     def test_failure_at_first_position(self, vec_sig):
         tele = vec_sig.data("Vec").telescope
         with pytest.raises(TypeCheckError):
-            check_args(vec_sig, EMPTY_CONTEXT, [nat_lit(0), dat("Nat")], tele)
+            check_args(vec_sig, EMPTY_TELESCOPE, [nat_lit(0), dat("Nat")], tele)
 
     def test_length_mismatch(self, vec_sig):
         tele = vec_sig.data("Vec").telescope
         with pytest.raises(TypeCheckError) as exc:
-            check_args(vec_sig, EMPTY_CONTEXT, [dat("Nat")], tele)
+            check_args(vec_sig, EMPTY_TELESCOPE, [dat("Nat")], tele)
         assert code_of(exc) == "E302"
 
     def test_dependency_threading(self, vec_sig):
         # Second entry's type mentions the first argument.
         a, n = Var.fresh("A"), Var.fresh("n")
         tele = Telescope.of((a, UNIV), (n, ref(a)))
-        check_args(vec_sig, EMPTY_CONTEXT, [dat("Nat"), nat_lit(0)], tele)
+        check_args(vec_sig, EMPTY_TELESCOPE, [dat("Nat"), nat_lit(0)], tele)
         with pytest.raises(TypeCheckError):
-            check_args(vec_sig, EMPTY_CONTEXT, [dat("Nat"), con("vnil")], tele)
+            check_args(vec_sig, EMPTY_TELESCOPE, [dat("Nat"), con("vnil")], tele)
 
     def test_subst_walks_grow_linearly(self, nat_sig, monkeypatch):
         # Each entry type is instantiated once, at every earlier argument at
@@ -139,7 +138,7 @@ class TestCheckArgs:
             xs = [Var.fresh("x") for _ in range(n)]
             tele = Telescope.of((a, UNIV), *((x, ref(a)) for x in xs))
             calls.clear()
-            check_args(nat_sig, EMPTY_CONTEXT, [dat("Nat")] + [nat_lit(0)] * n, tele)
+            check_args(nat_sig, EMPTY_TELESCOPE, [dat("Nat")] + [nat_lit(0)] * n, tele)
             return len(calls)
 
         assert count(20) <= 2.5 * count(10)
@@ -148,7 +147,7 @@ class TestCheckArgs:
 class TestCheckPattern:
     def test_fzero_pattern_has_no_bindings(self, fin_sig):
         n = Var.fresh("n")
-        ctx = Context(((n, dat("Nat")),))
+        ctx = Telescope.of((n, dat("Nat")))
         typed, theta = check_pattern(
             fin_sig, ctx, ConPat("fzero", ()), dat("Fin", con("suc", ref(n)))
         )
@@ -156,20 +155,20 @@ class TestCheckPattern:
 
     def test_impossible_at_empty_type(self, fin_sig):
         typed, theta = check_pattern(
-            fin_sig, EMPTY_CONTEXT, ImpossiblePat(), dat("Fin", nat_lit(0))
+            fin_sig, EMPTY_TELESCOPE, ImpossiblePat(), dat("Fin", nat_lit(0))
         )
         assert theta.entries == ()
 
     def test_impossible_rejected_when_constructors_available(self, fin_sig):
         n = Var.fresh("n")
-        ctx = Context(((n, dat("Nat")),))
+        ctx = Telescope.of((n, dat("Nat")))
         with pytest.raises(TypeCheckError) as exc:
             check_pattern(fin_sig, ctx, ImpossiblePat(), dat("Fin", con("suc", ref(n))))
         assert code_of(exc) == "E308"
 
     def test_bind_type_is_stored(self, nat_sig):
         p = BindPat(Var.fresh("m"))
-        typed, theta = check_pattern(nat_sig, EMPTY_CONTEXT, p, dat("Nat"))
+        typed, theta = check_pattern(nat_sig, EMPTY_TELESCOPE, p, dat("Nat"))
         assert typed.ty == dat("Nat")
         assert theta.entries == ((p.var, dat("Nat")),)
 
@@ -179,11 +178,11 @@ class TestCheckPatterns:
         m = BindPat(Var.fresh("m"))
         pats = [ConPat("suc", (m,)), ConPat("fzero", ())]
         tele = fin_sig.func("toNat").telescope
-        typed, theta = check_patterns(fin_sig, EMPTY_CONTEXT, pats, tele)
+        typed, theta = check_patterns(fin_sig, EMPTY_TELESCOPE, pats, tele)
         assert [(x.text, pretty(ty)) for x, ty in theta] == [("m", "Nat")]
 
     def test_empty_row(self, nat_sig):
-        typed, theta = check_patterns(nat_sig, EMPTY_CONTEXT, [], Telescope())
+        typed, theta = check_patterns(nat_sig, EMPTY_TELESCOPE, [], Telescope())
         assert typed == ()
         assert theta.entries == ()
 
@@ -191,7 +190,7 @@ class TestCheckPatterns:
         tele = nat_sig.func("plus").telescope
         pats = [BindPat(Var.fresh("m")), BindPat(Var.fresh("m"))]
         with pytest.raises(TypeCheckError) as exc:
-            check_patterns(nat_sig, EMPTY_CONTEXT, pats, tele)
+            check_patterns(nat_sig, EMPTY_TELESCOPE, pats, tele)
         assert code_of(exc) == "E310"
 
     def test_second_pattern_sees_first_match(self, fin_sig):
@@ -200,7 +199,7 @@ class TestCheckPatterns:
         m, y = BindPat(Var.fresh("m")), BindPat(Var.fresh("y"))
         pats = [ConPat("suc", (m,)), ConPat("fsuc", (y,))]
         tele = fin_sig.func("toNat").telescope
-        typed, theta = check_patterns(fin_sig, EMPTY_CONTEXT, pats, tele)
+        typed, theta = check_patterns(fin_sig, EMPTY_TELESCOPE, pats, tele)
         entries = {x.text: pretty(ty) for x, ty in theta}
         assert entries == {"m": "Nat", "y": "Fin m"}
 
@@ -221,7 +220,7 @@ class TestCheckPatterns:
             tele = Telescope(tuple((x, dat("Nat")) for x in xs))
             pats = [BindPat(Var.fresh(f"y{i}")) for i in range(n)]
             built.clear()
-            typed, theta = check_patterns(nat_sig, EMPTY_CONTEXT, pats, tele)
+            typed, theta = check_patterns(nat_sig, EMPTY_TELESCOPE, pats, tele)
             assert [x for x, _ in theta] == [p.var for p in pats]
             return sum(built)
 
@@ -248,14 +247,14 @@ def f (a : Nat) : Nat
         tele = nat_sig.func("plus").telescope
         clause = Clause((BindPat(Var.fresh("x")), BindPat(Var.fresh("y"))), UNIV)
         with pytest.raises(TypeCheckError) as exc:
-            TypeChecker(nat_sig).check_clause(EMPTY_CONTEXT, tele, dat("Nat"), clause)
+            TypeChecker(nat_sig).check_clause(EMPTY_TELESCOPE, tele, dat("Nat"), clause)
         assert code_of(exc) == "E303"
 
     def test_unbound_variable_in_ctor_fields(self, nat_sig):
         m = Var.fresh("m")
         row = CtorRow("bad", Telescope.of((Var.fresh("x"), ref(m))), None)
         with pytest.raises(TypeCheckError) as exc:
-            TypeChecker(nat_sig).check_ctor_row(EMPTY_CONTEXT, Telescope(), row)
+            TypeChecker(nat_sig).check_ctor_row(EMPTY_TELESCOPE, Telescope(), row)
         assert code_of(exc) == "E301"
 
 
@@ -427,14 +426,14 @@ data Parity (n : Nat) : Type
 
     def test_any_matching_row_makes_the_constructor_available(self):
         sig = check_source(self.PARITY)
-        check_term(sig, EMPTY_CONTEXT, con("whole"), dat("Parity", nat_lit(0)))
-        check_term(sig, EMPTY_CONTEXT, con("whole"), dat("Parity", nat_lit(2)))
-        check_term(sig, EMPTY_CONTEXT, con("half"), dat("Parity", nat_lit(1)))
+        check_term(sig, EMPTY_TELESCOPE, con("whole"), dat("Parity", nat_lit(0)))
+        check_term(sig, EMPTY_TELESCOPE, con("whole"), dat("Parity", nat_lit(2)))
+        check_term(sig, EMPTY_TELESCOPE, con("half"), dat("Parity", nat_lit(1)))
 
     def test_unavailable_when_every_row_mismatches(self):
         sig = check_source(self.PARITY)
         with pytest.raises(TypeCheckError) as exc:
-            check_term(sig, EMPTY_CONTEXT, con("whole"), dat("Parity", nat_lit(1)))
+            check_term(sig, EMPTY_TELESCOPE, con("whole"), dat("Parity", nat_lit(1)))
         assert code_of(exc) == "E305"
 
 
@@ -452,8 +451,7 @@ class TestPatternTermsAreWellTyped:
                 elif isinstance(decl, FuncDecl):
                     rows = [(cl.patterns, decl.telescope) for cl in decl.clauses]
                 for pats, tele in rows:
-                    ctx = Context(vars_pats(pats).entries)
-                    check_args(sig, ctx, to_terms(pats), tele)
+                    check_args(sig, vars_pats(pats), to_terms(pats), tele)
 
 
 class TestPlainAndPatternRowAgreement:
@@ -484,9 +482,9 @@ data List (A : Type) : Type
             (con("cons", con("nil"), con("nil")), dat("List", dat("Nat"))),
         ]
         for term, ty in good:
-            check_term(list_sig, EMPTY_CONTEXT, term, ty)
-            check_term(sig2, EMPTY_CONTEXT, term, ty)
+            check_term(list_sig, EMPTY_TELESCOPE, term, ty)
+            check_term(sig2, EMPTY_TELESCOPE, term, ty)
         for term, ty in bad:
             for sig in (list_sig, sig2):
                 with pytest.raises(TypeCheckError):
-                    check_term(sig, EMPTY_CONTEXT, term, ty)
+                    check_term(sig, EMPTY_TELESCOPE, term, ty)

@@ -12,6 +12,7 @@ from typing import Optional
 import pytest
 
 from sit.core import (
+    EMPTY_TELESCOPE,
     UNIV,
     ConCall,
     Var,
@@ -20,13 +21,13 @@ from sit.core import (
     free_vars,
     pattern_has_impossible,
     pretty,
-    subst_map,
+    subst,
 )
 from sit.diagnostics import InternalError, SourceSpan, TypeCheckError
-from sit.evaluator import Fuel, convertible, normalize
+from sit.evaluator import Fuel, convertible, index_normal_form, normalize
 from sit.frontend import Resolver, SClause, SDef, SUniv
 from sit.pattern_ops import match_terms, to_term
-from sit.typecheck import EMPTY_CONTEXT, check_pattern, check_term
+from sit.typecheck import check_pattern, check_term
 
 from support import con, nat_lit
 
@@ -50,7 +51,7 @@ class TestForeignNode:
     def test_subst(self):
         x = Var.fresh("x")
         with pytest.raises(InternalError):
-            subst_map(con("suc", FOREIGN), {x: UNIV})
+            subst(con("suc", FOREIGN), {x: UNIV})
 
     def test_pretty(self):
         with pytest.raises(InternalError):
@@ -74,9 +75,9 @@ class TestForeignNode:
 
     def test_check_term_and_check_pattern(self, nat_sig):
         with pytest.raises(TypeCheckError):
-            check_term(nat_sig, EMPTY_CONTEXT, FOREIGN, UNIV)
+            check_term(nat_sig, EMPTY_TELESCOPE, FOREIGN, UNIV)
         with pytest.raises(TypeCheckError):
-            check_pattern(nat_sig, EMPTY_CONTEXT, FOREIGN, UNIV)
+            check_pattern(nat_sig, EMPTY_TELESCOPE, FOREIGN, UNIV)
 
     def test_resolver(self):
         with pytest.raises(InternalError):
@@ -113,4 +114,9 @@ class TestDepth:
         # Dataclass `==` recurses in C and stops near 240 levels: compare
         # with `alpha_eq`.
         assert alpha_eq(normalize(nat_sig, t, Fuel()), t)
-        assert alpha_eq(subst_map(t, {x: con("zero")}), nat_lit(self.DEPTH))
+        assert alpha_eq(subst(t, {x: con("zero")}), nat_lit(self.DEPTH))
+
+    def test_deep_index_normal_form(self, nat_sig):
+        # Past the 497 levels that tuples built through generators allowed.
+        t = nat_lit(700)
+        assert index_normal_form(nat_sig, t, Fuel()) is t
