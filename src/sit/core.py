@@ -20,13 +20,21 @@ a walk takes before `RecursionError`. `alpha_eq` through a helper and
 `all()` stopped at 247 levels; at one frame per level it reaches about 990
 under the default recursion limit. `Var` is a named tuple, so it hashes and
 compares in C.
+
+Every pass builds nodes as it goes, so the cost of building one counts as
+much as the cost of visiting it. Tree classes derive from `Node`, which
+keeps its fields in slots and stores them through the slots' descriptors.
+A frozen dataclass stores each field through `object.__setattr__` into an
+instance dict: a `ConCall` took 0.79 µs to build that way against 0.66 µs
+as a `Node`, its two cache slots included, and a `Pi` 1.09 against 0.77 µs
+(timeit, net of the call, same host). Creating the class at import took
+0.87 ms for a frozen dataclass and 0.08 ms for a `Node`.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterator, NamedTuple, Optional
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .diagnostics import InternalError, SourceSpan
 
@@ -52,63 +60,130 @@ class Var(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
+# Syntax-tree nodes
+
+
+class Node:
+    """The base of every syntax-tree class: an immutable record in slots.
+
+    A subclass annotates its fields, in constructor order and with `span`
+    last if it has one; they are its `__match_args__`, and a field with a
+    default (`span` always defaults to None) names it in `_defaults`. Its
+    `__slots__` are the fields followed by any caches, which start as None
+    and are filled in later with `object.__setattr__`. `==`, `hash` and
+    `repr` read the fields except `span`, and assignment and deletion raise.
+
+    Each subclass gets an `__init__` that stores every slot through the
+    slot's own descriptor, since `__setattr__` raises; the module docstring
+    gives the measured cost.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls) -> None:
+        if "__slots__" not in cls.__dict__:
+            raise TypeError(f"{cls.__name__} must declare __slots__")
+        fields = cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
+        compared = tuple(f for f in fields if f != "span")
+        cls._compared = compared
+        cls._key = attrgetter(*compared) if compared else staticmethod(_no_fields)
+        # def __init__(self, name, args, span=None):
+        #     _set_name(self, name); ...; _set__fv(self, None)
+        defaults = {"span": None, **cls._defaults}
+        scope = {f"_set_{s}": getattr(cls, s).__set__ for s in cls.__slots__}
+        scope.update((f"_default_{f}", v) for f, v in defaults.items())
+        params = ", ".join(f"{f}=_default_{f}" if f in defaults else f for f in fields)
+        body = "; ".join(
+            f"_set_{s}(self, {s if s in fields else None})" for s in cls.__slots__
+        )
+        exec(f"def __init__(self, {params}):\n    {body or 'pass'}", scope)
+        cls.__init__ = scope["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._compared)
+        return f"{type(self).__qualname__}({fields})"
+
+
+def _no_fields(node: Node) -> tuple[()]:
+    return ()
+
+
+# ---------------------------------------------------------------------------
 # Terms
 
 
-@dataclass(frozen=True)
-class FnCall:
+class FnCall(Node):
     """A function applied to exactly its telescope."""
 
+    __slots__ = ("name", "args", "span", "_fv")
     name: str
     args: tuple[Term, ...]
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    span: Optional[SourceSpan]
 
 
-@dataclass(frozen=True)
-class VarCall:
+class VarCall(Node):
     """A variable applied to a (possibly empty) spine of arguments."""
 
+    __slots__ = ("var", "args", "span", "_fv")
     var: Var
-    args: tuple[Term, ...] = ()
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    args: tuple[Term, ...]
+    span: Optional[SourceSpan]
+    _defaults = {"args": ()}
 
 
-@dataclass(frozen=True)
-class DataCall:
+class DataCall(Node):
     """An inductive type applied to exactly its telescope."""
 
+    __slots__ = ("name", "args", "span", "_fv")
     name: str
     args: tuple[Term, ...]
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    span: Optional[SourceSpan]
 
 
-@dataclass(frozen=True)
-class ConCall:
+class ConCall(Node):
     """A constructor applied to exactly its field telescope."""
 
+    __slots__ = ("name", "args", "span", "_fv", "_spine_normal")
     name: str
     args: tuple[Term, ...]
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    span: Optional[SourceSpan]
 
 
-@dataclass(frozen=True)
-class Pi:
+class Pi(Node):
+    __slots__ = ("binder", "domain", "codomain", "span", "_fv")
     binder: Var
     domain: Term
     codomain: Term
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    span: Optional[SourceSpan]
 
 
-@dataclass(frozen=True)
-class Lam:
+class Lam(Node):
+    __slots__ = ("binder", "body", "span", "_fv")
     binder: Var
     body: Term
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    span: Optional[SourceSpan]
 
 
-@dataclass(frozen=True)
-class Univ:
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+class Univ(Node):
+    __slots__ = ("span", "_fv")
+    span: Optional[SourceSpan]
 
 
 Term = FnCall | VarCall | DataCall | ConCall | Pi | Lam | Univ
@@ -120,15 +195,16 @@ UNIV = Univ()
 # Telescopes
 
 
-@dataclass(frozen=True)
-class Telescope:
+class Telescope(Node):
     """An ordered list of typed bindings; later types may mention earlier vars.
 
     The checker's context is a telescope too: the in-scope bindings, oldest
     first.
     """
 
-    entries: tuple[tuple[Var, Term], ...] = ()
+    __slots__ = ("entries",)
+    entries: tuple[tuple[Var, Term], ...]
+    _defaults = {"entries": ()}
 
     @staticmethod
     def of(*entries: tuple[Var, Term]) -> Telescope:
@@ -164,25 +240,27 @@ EMPTY_TELESCOPE = Telescope()
 # Patterns
 
 
-@dataclass(frozen=True)
-class BindPat:
+class BindPat(Node):
     """A catch-all pattern; its type is filled in by pattern checking."""
 
+    __slots__ = ("var", "ty", "span")
     var: Var
-    ty: Optional[Term] = None
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    ty: Optional[Term]
+    span: Optional[SourceSpan]
+    _defaults = {"ty": None}
 
 
-@dataclass(frozen=True)
-class ConPat:
+class ConPat(Node):
+    __slots__ = ("name", "args", "span")
     name: str
-    args: tuple[Pattern, ...] = ()
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    args: tuple[Pattern, ...]
+    span: Optional[SourceSpan]
+    _defaults = {"args": ()}
 
 
-@dataclass(frozen=True)
-class ImpossiblePat:
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+class ImpossiblePat(Node):
+    __slots__ = ("span",)
+    span: Optional[SourceSpan]
 
 
 Pattern = BindPat | ConPat | ImpossiblePat
@@ -204,78 +282,93 @@ def pattern_has_impossible(p: Pattern) -> bool:
 # Declarations and signatures
 
 
-@dataclass(frozen=True)
-class CtorRow:
+class CtorRow(Node):
     """One constructor of a data declaration.
 
     `patterns` is None for a plain constructor; a pattern row selects the
     constructor only at instantiations its patterns match.
     """
 
+    __slots__ = ("name", "fields", "patterns", "span")
     name: str
     fields: Telescope
-    patterns: Optional[tuple[Pattern, ...]] = None
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    patterns: Optional[tuple[Pattern, ...]]
+    span: Optional[SourceSpan]
+    _defaults = {"patterns": None}
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(Node):
     """One function clause; the body is absent iff a pattern is impossible."""
 
+    __slots__ = ("patterns", "body", "span")
     patterns: tuple[Pattern, ...]
     body: Optional[Term]
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    span: Optional[SourceSpan]
 
 
-@dataclass(frozen=True)
-class DataDecl:
+class DataDecl(Node):
+    __slots__ = ("name", "telescope", "ctors", "span")
     name: str
     telescope: Telescope
     ctors: tuple[CtorRow, ...]
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    span: Optional[SourceSpan]
 
 
-@dataclass(frozen=True)
-class FuncDecl:
+class FuncDecl(Node):
+    __slots__ = ("name", "telescope", "result", "clauses", "span", "_inspected_columns")
     name: str
     telescope: Telescope
     result: Term
     clauses: tuple[Clause, ...]
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    span: Optional[SourceSpan]
 
-    @cached_property
+    @property
     def inspected_columns(self) -> frozenset[int]:
         """The argument positions where some clause has a pattern other than
         a plain binder."""
-        return frozenset(
-            i
-            for cl in self.clauses
-            for i, p in enumerate(cl.patterns)
-            if not isinstance(p, BindPat)
-        )
+        cols = self._inspected_columns
+        if cols is None:
+            cols = frozenset(
+                i
+                for cl in self.clauses
+                for i, p in enumerate(cl.patterns)
+                if not isinstance(p, BindPat)
+            )
+            object.__setattr__(self, "_inspected_columns", cols)
+        return cols
 
 
 Declaration = DataDecl | FuncDecl
 
 
-@dataclass
 class Signature:
     """An ordered list of declarations with name lookup tables.
 
-    Treat instances as immutable: `extended` returns a new signature. Data,
-    function, and constructor names share one global namespace, except that a
-    data declaration may repeat a constructor name across several of its own
-    rows (each row is an alternative selection of the same constructor).
+    `add` appends a declaration in place; `extended` leaves this signature
+    as it is and returns a new one. Data, function, and constructor names
+    share one global namespace, except that a data declaration may repeat a
+    constructor name across several of its own rows (each row is an
+    alternative selection of the same constructor).
     """
 
-    decls: tuple[Declaration, ...] = ()
-
-    def __post_init__(self) -> None:
+    def __init__(self, decls: Iterable[Declaration] = ()) -> None:
+        self.decls: list[Declaration] = []
         self._datas: dict[str, DataDecl] = {}
         self._funcs: dict[str, FuncDecl] = {}
         self._ctor_owner: dict[str, DataDecl] = {}
-        for decl in self.decls:
-            self._index(decl)
+        for decl in decls:
+            self.add(decl)
+
+    def add(self, decl: Declaration) -> None:
+        """Append `decl`; only `decl` is indexed."""
+        self.decls.append(decl)
+        self._index(decl)
+
+    def replace_last(self, decl: Declaration) -> None:
+        """Put `decl` in place of the last declaration, which declared the
+        same names (a checked declaration replaces its unchecked source)."""
+        self.decls[-1] = decl
+        self._index(decl)
 
     def _index(self, decl: Declaration) -> None:
         if isinstance(decl, DataDecl):
@@ -285,14 +378,18 @@ class Signature:
         else:
             self._funcs[decl.name] = decl
 
-    def extended(self, decl: Declaration) -> Signature:
-        """A new signature with `decl` appended; only `decl` is indexed."""
+    def copy(self) -> Signature:
         out = object.__new__(Signature)
-        out.decls = self.decls + (decl,)
+        out.decls = list(self.decls)
         out._datas = dict(self._datas)
         out._funcs = dict(self._funcs)
         out._ctor_owner = dict(self._ctor_owner)
-        out._index(decl)
+        return out
+
+    def extended(self, decl: Declaration) -> Signature:
+        """A new signature with `decl` appended."""
+        out = self.copy()
+        out.add(decl)
         return out
 
     def data(self, name: str) -> Optional[DataDecl]:

@@ -30,6 +30,7 @@ from .core import (
     DataDecl,
     FuncDecl,
     ImpossiblePat,
+    Node,
     Signature,
     Telescope,
     Term,
@@ -50,20 +51,20 @@ from .evaluator import Fuel, index_normal_form, whnf
 from .pattern_ops import Matched, MatchOutcome, Stuck, match_terms, vars_tele
 
 
-@dataclass(frozen=True)
-class Available:
+class Available(Node):
     """Constructor rows selectable at an instantiation, in declaration order.
 
     A name repeats when several rows for the same constructor match.
     """
 
+    __slots__ = ("rows",)
     rows: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Undecidable:
+class Undecidable(Node):
     """Some row's match is stuck, so availability cannot be decided."""
 
+    __slots__ = ("ctor", "position")
     ctor: str
     position: int
 

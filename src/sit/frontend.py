@@ -1,4 +1,4 @@
-"""Surface syntax: lexer, recursive-descent parser, printer, and resolver.
+"""Surface syntax: lexer, parser, printer, and resolver.
 
 Concrete grammar (line comments start with `--`, `->` is right-associative,
 application binds tighter than `->`):
@@ -17,11 +17,18 @@ application binds tighter than `->`):
     expr1   ::= atom+
     atom    ::= ID | "Type" | "(" expr ")"
 
-Tokens are plain tuples of kind, text and start position; a token's span is
-built only when something asks for it: an error message, or an AST leaf. The
-parser builds one span per syntax node, from its first token to its last
-token or child, and a parenthesised expression or pattern takes the span of
-its parentheses.
+The lexer cuts the text into pieces in one `findall` pass, blanks and
+comments included, so the pieces' lengths give each token's line and
+column. Tokens are plain tuples of kind, text and start position; a token's
+span is built only when something asks for it: an error message, or an AST
+leaf. The parser builds one span per syntax node, from its first token to
+its last token or child, and a parenthesised expression or pattern takes
+the span of its parentheses.
+
+Declarations, telescopes and patterns are parsed by recursive descent.
+Expressions are parsed by one loop over an explicit stack of the forms
+still open (parentheses, Pi domains, and `fn`, Pi and arrow bodies), so no
+nesting depth of an expression exhausts Python's stack.
 
 The resolver turns surface declarations into core ones: pattern identifiers
 naming a declared constructor become constructor patterns, all other
@@ -32,7 +39,7 @@ lambdas over their missing parameters, so core terms stay fully applied.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -48,6 +55,7 @@ from .core import (
     FuncDecl,
     ImpossiblePat,
     Lam,
+    Node,
     Pattern,
     Pi,
     Telescope,
@@ -94,7 +102,8 @@ class Token(NamedTuple):
 
     @property
     def span(self) -> SourceSpan:
-        return SourceSpan(self.file, self.line, self.col, self.line, self.end_col)
+        line, col, n = self.line, self.col, len(self.text)
+        return SourceSpan(self.file, line, col, line, col + n - 1 if n else col)
 
     def to(self, end: SourceSpan) -> SourceSpan:
         """The span from this token's start to the end of `end`."""
@@ -127,34 +136,49 @@ def _newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-# One alternative per token kind, named after it; unnamed ones are skipped.
-_TOKEN = re.compile(
-    r"(?P<NEWLINE>\n)|[ \t\r]+|--[^\n]*|(?P<IDENT>[\w']+)|(?P<FATARROW>=>)"
-    r"|(?P<ARROW>->)|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<COLON>:)|(?P<COMMA>,)"
-    r"|(?P<BAR>\|)|(?P<BAD>.)"
-)
+# The pieces of a source text: every character falls in exactly one, so
+# their lengths give each token's position.
+_PIECE = re.compile(r"\n|[ \t\r]+|--[^\n]*|[\w']+|=>|->|.")
+
+# The kind of each piece that is a keyword or a punctuation token.
+_KIND = {k: k for k in KEYWORDS} | {
+    "(": "LPAREN",
+    ")": "RPAREN",
+    ":": "COLON",
+    ",": "COMMA",
+    "|": "BAR",
+    "=>": "FATARROW",
+    "->": "ARROW",
+}
+
+# `Token(...)` would run the named tuple's Python-level `__new__`.
+_new_tuple = tuple.__new__
 
 
 def tokenize(text: str, file: str = "<input>") -> list[Token]:
     tokens: list[Token] = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
-        kind, word = m.lastgroup, m.group()
+    append = tokens.append
+    line, line_start, pos = 1, 0, 0
+    for piece in _PIECE.findall(text):
+        start = pos
+        pos += len(piece)
+        kind = _KIND.get(piece)
         if kind is None:
-            continue
-        if kind == "NEWLINE":
-            line, line_start = line + 1, m.end()
-            continue
-        col = m.start() - line_start + 1
-        # A word starts with a letter or "_": "2x", "'x" and "²x" are errors.
-        if kind == "BAD" or (
-            kind == "IDENT" and not (word[0].isalpha() or word[0] == "_")
-        ):
-            span = SourceSpan(file, line, col, line, col)
-            raise LexError(LEX_ERROR, f"unexpected character {word[0]!r}", span)
-        kind = word if word in KEYWORDS else kind
-        tokens.append(Token(kind, word, file, line, col))
-    tokens.append(Token("EOF", "", file, line, len(text) - line_start + 1))
+            c = piece[0]
+            if c == "\n":
+                line, line_start = line + 1, pos
+                continue
+            if c in " \t\r" or (c == "-" and len(piece) > 1):
+                continue  # blanks, or a comment ("->" has a kind)
+            # A word starts with a letter or "_": "2x", "'x" and "²x" are
+            # errors, and so is any other character.
+            if not (c.isalpha() or c == "_"):
+                col = start - line_start + 1
+                span = SourceSpan(file, line, col, line, col)
+                raise LexError(LEX_ERROR, f"unexpected character {c!r}", span)
+            kind = "IDENT"
+        append(_new_tuple(Token, (kind, piece, file, line, start - line_start + 1)))
+    append(Token("EOF", "", file, line, len(text) - line_start + 1))
     return tokens
 
 
@@ -162,59 +186,60 @@ def tokenize(text: str, file: str = "<input>") -> list[Token]:
 # Surface trees (spans never participate in equality)
 
 
-@dataclass(frozen=True)
-class SRef:
+class SRef(Node):
+    __slots__ = ("name", "span")
     name: str
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    span: Optional[SourceSpan]
 
 
-@dataclass(frozen=True)
-class SUniv:
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+class SUniv(Node):
+    __slots__ = ("span",)
+    span: Optional[SourceSpan]
 
 
-@dataclass(frozen=True)
-class SApp:
+class SApp(Node):
+    __slots__ = ("head", "args", "span")
     head: SExpr
     args: tuple[SExpr, ...]
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    span: Optional[SourceSpan]
 
 
-@dataclass(frozen=True)
-class SArrow:
+class SArrow(Node):
+    __slots__ = ("domain", "codomain", "span")
     domain: SExpr
     codomain: SExpr
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    span: Optional[SourceSpan]
 
 
-@dataclass(frozen=True)
-class SPi:
+class SPi(Node):
+    __slots__ = ("binder", "domain", "codomain", "span")
     binder: str
     domain: SExpr
     codomain: SExpr
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    span: Optional[SourceSpan]
 
 
-@dataclass(frozen=True)
-class SFn:
+class SFn(Node):
+    __slots__ = ("binder", "body", "span")
     binder: str
     body: SExpr
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    span: Optional[SourceSpan]
 
 
 SExpr = SRef | SUniv | SApp | SArrow | SPi | SFn
 
 
-@dataclass(frozen=True)
-class SPatApp:
+class SPatApp(Node):
+    __slots__ = ("name", "args", "span")
     name: str
-    args: tuple[SPat, ...] = ()
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    args: tuple[SPat, ...]
+    span: Optional[SourceSpan]
+    _defaults = {"args": ()}
 
 
-@dataclass(frozen=True)
-class SPatImpossible:
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+class SPatImpossible(Node):
+    __slots__ = ("span",)
+    span: Optional[SourceSpan]
 
 
 SPat = SPatApp | SPatImpossible
@@ -222,36 +247,36 @@ SPat = SPatApp | SPatImpossible
 STeleGroup = tuple[tuple[str, ...], SExpr]
 
 
-@dataclass(frozen=True)
-class SCtorRow:
+class SCtorRow(Node):
+    __slots__ = ("patterns", "name", "tele", "span")
     patterns: Optional[tuple[SPat, ...]]
     name: str
     tele: tuple[STeleGroup, ...]
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    span: Optional[SourceSpan]
 
 
-@dataclass(frozen=True)
-class SClause:
+class SClause(Node):
+    __slots__ = ("patterns", "body", "span")
     patterns: tuple[SPat, ...]
     body: Optional[SExpr]
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    span: Optional[SourceSpan]
 
 
-@dataclass(frozen=True)
-class SData:
+class SData(Node):
+    __slots__ = ("name", "tele", "rows", "span")
     name: str
     tele: tuple[STeleGroup, ...]
     rows: tuple[SCtorRow, ...]
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    span: Optional[SourceSpan]
 
 
-@dataclass(frozen=True)
-class SDef:
+class SDef(Node):
+    __slots__ = ("name", "tele", "result", "clauses", "span")
     name: str
     tele: tuple[STeleGroup, ...]
     result: SExpr
     clauses: tuple[SClause, ...]
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    span: Optional[SourceSpan]
 
 
 SDecl = SData | SDef
@@ -418,61 +443,118 @@ class _Parser:
 
     # expressions
 
-    def expr(self, grouped: bool = False) -> SExpr:
-        """An expression; a `grouped` one is what a pair of parentheses
-        holds (`atom` gives it the parentheses' span, so it builds none)."""
-        tok = self.peek()
-        if tok.kind == "fn":
-            self.next()
-            binder = self.expect("IDENT", "a binder name")
-            self.expect("FATARROW", "'=>'")
-            body = self.expr()
-            return SFn(binder.text, body, None if grouped else tok.to(body.span))
-        if (
-            tok.kind == "LPAREN"
-            and self.peek(1).kind == "IDENT"
-            and self.peek(2).kind == "COLON"
-        ):
-            self.next()
-            binder = self.next()
-            self.next()
-            domain = self.expr()
-            self.expect("RPAREN", "')'")
-            self.expect("ARROW", "'->'")
-            codomain = self.expr()
-            span = None if grouped else tok.to(codomain.span)
-            return SPi(binder.text, domain, codomain, span)
-        head = self.expr1(grouped)
-        if self.accept("ARROW"):
-            codomain = self.expr()
-            span = None if grouped else head.span.to(codomain.span)
-            return SArrow(head, codomain, span)
-        return head
+    def expr(self) -> SExpr:
+        """An expression, read with an explicit stack of the forms still
+        open around it rather than one Python frame per level of nesting.
 
-    def expr1(self, grouped: bool = False) -> SExpr:
-        head = self.atom(grouped)
-        args = []
-        while self.peek().kind in ("IDENT", "Type", "LPAREN"):
-            # "(x :" here can only open a Pi argument's parentheses.
-            args.append(self.atom())
-        if not args:
-            return head
-        if grouped and not self.at("ARROW"):
-            # The whole group: its parentheses give the span.
-            return SApp(head, tuple(args))
-        return SApp(head, tuple(args), head.span.to(args[-1].span))
+        A `fn`, Pi or arrow waits on the stack for its body or codomain, a
+        Pi for its domain, and an application for the group that one of its
+        atoms opens. An expression that fills a pair of parentheses is
+        grouped: the group's span replaces its own, so it builds none.
+        """
+        toks = self.tokens
+        stack: list[tuple] = []
+        grouped = False  # whether the expression starting now is grouped
+        resumed = None  # an application to go on with after its group
+        while True:
+            if resumed is None:
+                tok = toks[self.pos]
+                if tok.kind == "fn":
+                    self.pos += 1
+                    binder = self.expect("IDENT", "a binder name")
+                    self.expect("FATARROW", "'=>'")
+                    stack.append((_FN, tok, binder.text, grouped))
+                    grouped = False
+                    continue
+                pos = self.pos
+                if (
+                    tok.kind == "LPAREN"
+                    and toks[pos + 1].kind == "IDENT"
+                    and toks[pos + 2].kind == "COLON"
+                ):
+                    stack.append((_DOMAIN, tok, toks[pos + 1].text, grouped))
+                    self.pos = pos + 3
+                    grouped = False
+                    continue
+                head, args, app_grouped = None, [], grouped
+            else:
+                head, args, app_grouped = resumed
+                resumed = None
+            # An application: a head atom, then argument atoms while they
+            # come. "(x :" as an argument can only open a Pi's parentheses.
+            while True:
+                tok = toks[self.pos]
+                kind = tok.kind
+                if kind == "IDENT" or kind == "Type":
+                    self.pos += 1
+                    # A head alone in its group gets the group's span.
+                    if head is None and app_grouped and toks[self.pos].kind == "RPAREN":
+                        span = None
+                    else:
+                        span = tok.span
+                    atom = SRef(tok.text, span) if kind == "IDENT" else SUniv(span)
+                elif kind == "LPAREN":
+                    self.pos += 1
+                    stack.append((_GROUP, tok, head, args, app_grouped))
+                    grouped = True
+                    break
+                elif head is None:
+                    raise _unexpected("an expression", tok)
+                else:
+                    break
+                if head is None:
+                    head = atom
+                else:
+                    args.append(atom)
+            if kind == "LPAREN":
+                continue  # the group first; its closing resumes this
+            if not args:
+                e = head
+            elif app_grouped and toks[self.pos].kind != "ARROW":
+                e = SApp(head, tuple(args))
+            else:
+                e = SApp(head, tuple(args), head.span.to(args[-1].span))
+            if toks[self.pos].kind == "ARROW":
+                self.pos += 1
+                stack.append((_ARROW, e, app_grouped))
+                grouped = False
+                continue
+            # `e` is complete: close each form it completes.
+            while stack:
+                frame = stack.pop()
+                form = frame[0]
+                if form is _GROUP:
+                    _, open_tok, head, args, app_grouped = frame
+                    close = self.expect("RPAREN", "')'")
+                    e = _respan(e, _between(open_tok, close))
+                    if head is None:
+                        head = e
+                    else:
+                        args.append(e)
+                    resumed = head, args, app_grouped
+                    break
+                if form is _ARROW:
+                    _, dom, g = frame
+                    e = SArrow(dom, e, None if g else dom.span.to(e.span))
+                elif form is _FN:
+                    _, start, binder, g = frame
+                    e = SFn(binder, e, None if g else start.to(e.span))
+                elif form is _PI:
+                    _, start, binder, dom, g = frame
+                    e = SPi(binder, dom, e, None if g else start.to(e.span))
+                else:  # _DOMAIN: `e` is the domain
+                    _, start, binder, g = frame
+                    self.expect("RPAREN", "')'")
+                    self.expect("ARROW", "'->'")
+                    stack.append((_PI, start, binder, e, g))
+                    grouped = False
+                    break
+            else:
+                return e
 
-    def atom(self, grouped: bool = False) -> SExpr:
-        tok = self.next()
-        if tok.kind in ("IDENT", "Type"):
-            # Alone in its group, the atom gets the parentheses' span.
-            span = None if grouped and self.at("RPAREN") else tok.span
-            return SRef(tok.text, span) if tok.kind == "IDENT" else SUniv(span)
-        if tok.kind == "LPAREN":
-            e = self.expr(grouped=True)
-            close = self.expect("RPAREN", "')'")
-            return _respan(e, _between(tok, close))
-        raise _unexpected("an expression", tok)
+
+# The forms `_Parser.expr` keeps open on its stack.
+_GROUP, _ARROW, _FN, _DOMAIN, _PI = "group", "arrow", "fn", "domain", "pi"
 
 
 def _respan(node, span: SourceSpan):

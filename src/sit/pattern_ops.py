@@ -6,7 +6,6 @@ matcher never reduces. Callers normalize the terms they hand in.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import (
@@ -14,6 +13,7 @@ from .core import (
     ConCall,
     ConPat,
     ImpossiblePat,
+    Node,
     Pattern,
     Telescope,
     Term,
@@ -23,23 +23,24 @@ from .core import (
 from .diagnostics import InternalError
 
 
-@dataclass(frozen=True)
-class Matched:
+class Matched(Node):
     """Positive success; the substitution binds exactly the catch-all vars,
     in binding order (left to right, depth first)."""
 
+    __slots__ = ("sub",)
     sub: dict[Var, Term]
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(Node):
     """Negative success: distinct constructor heads, no match possible."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Stuck:
+
+class Stuck(Node):
     """Cannot decide: position of the term whose head blocks matching."""
 
+    __slots__ = ("position",)
     position: int
 
 

@@ -449,8 +449,12 @@ class TypeChecker:
     def check_signature(
         self, decls: Sequence[Declaration], coverage: bool = True
     ) -> Signature:
-        """Fold the declarations into a checked signature."""
-        sig = self.sig
+        """Fold the declarations into a checked signature.
+
+        The check owns the signature it builds: `self.sig` is copied once
+        and grown in place, so a caller's signature never changes.
+        """
+        self.sig = sig = self.sig.copy()
         for decl in decls:
             if sig.declares(decl.name):
                 raise TypeCheckError(
@@ -458,52 +462,47 @@ class TypeChecker:
                 )
             try:
                 if isinstance(decl, DataDecl):
-                    sig = self._check_data(sig, decl)
+                    self._check_data(decl)
                 else:
-                    sig = self._check_func(sig, decl, coverage)
+                    self._check_func(decl, coverage)
             except FuelError as err:
                 if err.span is None:
                     err.span = decl.span
                 raise
-            self.sig = sig
         return sig
 
-    def _check_data(self, sig: Signature, decl: DataDecl) -> Signature:
-        self.sig = sig
+    def _check_data(self, decl: DataDecl) -> None:
         self.check_telescope(EMPTY_TELESCOPE, decl.telescope)
         for row in decl.ctors:
-            if row.name == decl.name or sig.declares(row.name):
+            if row.name == decl.name or self.sig.declares(row.name):
                 raise TypeCheckError(
                     DUPLICATE_NAME,
                     f"constructor name {row.name} is already declared",
                     row.span,
                 )
         # Rows may mention the data type (and earlier rows) recursively.
-        self.sig = sig.extended(decl)
+        self.sig.add(decl)
         rows = tuple(
             self.check_ctor_row(EMPTY_TELESCOPE, decl.telescope, row)
             for row in decl.ctors
         )
-        return sig.extended(DataDecl(decl.name, decl.telescope, rows, decl.span))
+        self.sig.replace_last(DataDecl(decl.name, decl.telescope, rows, decl.span))
 
-    def _check_func(self, sig: Signature, decl: FuncDecl, coverage: bool) -> Signature:
-        self.sig = sig
+    def _check_func(self, decl: FuncDecl, coverage: bool) -> None:
         ctx = self.check_telescope(EMPTY_TELESCOPE, decl.telescope)
         self.check_term(ctx, decl.result, UNIV)
         # Clauses may call the function being defined.
-        self.sig = sig.extended(decl)
+        self.sig.add(decl)
         clauses = tuple(
             self.check_clause(EMPTY_TELESCOPE, decl.telescope, decl.result, cl)
             for cl in decl.clauses
         )
         checked = FuncDecl(decl.name, decl.telescope, decl.result, clauses, decl.span)
-        out = sig.extended(checked)
+        self.sig.replace_last(checked)
         if coverage:
-            self.sig = out
             self.warnings.extend(
-                coverage_mod.check_coverage(out, checked, self.fuel)
+                coverage_mod.check_coverage(self.sig, checked, self.fuel)
             )
-        return out
 
 
 def _add_bindings(

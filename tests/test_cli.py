@@ -148,8 +148,17 @@ class TestEval:
         err = capsys.readouterr().err
         assert err == "<expr>:1:1: error[E501]: evaluation exceeded 8 reduction steps\n"
 
+    def test_deep_value_prints(self, capsys):
+        def nat(n):
+            return "suc (" * (n - 1) + "suc zero" + ")" * (n - 1)
+
+        expr = f"plus ({nat(400)}) ({nat(400)})"
+        assert run(["eval", corpus("nat.sit"), "-e", expr]) == 0
+        assert capsys.readouterr().out == nat(800) + "\n"
+
     def test_deep_nesting_is_a_diagnostic(self, capsys):
-        deep = "suc (" * 400 + "zero" + ")" * 400
+        # The parser takes any depth; the resolver's walk gives up first.
+        deep = "suc (" * 2000 + "zero" + ")" * 2000
         assert run(["eval", corpus("nat.sit"), "-e", deep]) == 4
         err = capsys.readouterr().err
         assert "error[E502]" in err

@@ -180,6 +180,47 @@ class TestParser:
             assert len(built) == spans, text
 
 
+class TestDeepInput:
+    """The expression parser keeps its open forms on a list, not on Python
+    frames, so nesting depth is limited by memory only."""
+
+    DEPTH = 10_000
+
+    def test_nested_applications(self):
+        e = parse_expression("suc (" * self.DEPTH + "zero" + ")" * self.DEPTH)
+        depth = 0
+        while type(e) is SApp:
+            assert e.head == SRef("suc") and len(e.args) == 1
+            e, depth = e.args[0], depth + 1
+        assert (e, depth) == (SRef("zero"), self.DEPTH)
+        # The innermost group, "(zero)", gives the leaf its span.
+        assert e.span == SourceSpan("<expr>", 1, 5 * self.DEPTH, 1, 5 * self.DEPTH + 5)
+
+    def test_nested_parentheses(self):
+        e = parse_expression("(" * self.DEPTH + "Type" + ")" * self.DEPTH)
+        assert e == SUniv()
+        assert e.span == SourceSpan("<expr>", 1, 1, 1, 2 * self.DEPTH + 4)
+
+    def test_arrow_chain(self):
+        e = parse_expression("Type -> " * self.DEPTH + "Type")
+        depth = 0
+        while type(e) is SArrow:
+            assert e.domain == SUniv()
+            e, depth = e.codomain, depth + 1
+        assert (e, depth) == (SUniv(), self.DEPTH)
+
+    def test_deep_declaration(self):
+        text = (
+            "def f : " + "Type -> " * self.DEPTH + "Type\n"
+            "  | x => " + "(fn y => " * self.DEPTH + "y" + ")" * self.DEPTH + "\n"
+        )
+        (decl,) = parse_file(text)
+        e, depth = decl.clauses[0].body, 0
+        while type(e) is SFn:
+            e, depth = e.body, depth + 1
+        assert (e, depth) == (SRef("y"), self.DEPTH)
+
+
 class TestSourceSpan:
     def test_start_is_never_past_end(self):
         with pytest.raises(ValueError):

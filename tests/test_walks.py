@@ -111,8 +111,8 @@ class TestDepth:
         for _ in range(self.DEPTH):
             t = ConCall("suc", (t,))
         assert free_vars(t) == {x}
-        # Dataclass `==` recurses in C and stops near 240 levels: compare
-        # with `alpha_eq`.
+        # Node `==` recurses through tuple comparison and stops near 240
+        # levels: compare with `alpha_eq`.
         assert alpha_eq(normalize(nat_sig, t, Fuel()), t)
         assert alpha_eq(subst(t, {x: con("zero")}), nat_lit(self.DEPTH))
 
