@@ -20,7 +20,7 @@ from sit.core import ConCall, DataDecl, Var, VarCall, subst
 from sit.frontend import parse_file, resolve
 from sit.pattern_ops import Matched, Mismatch, Stuck
 from sit.typecheck import check_signature
-from sit.coverage import Undecidable, available_fields, row_outcomes
+from sit.coverage import Undecidable, available_ctors, row_outcomes
 from sit.evaluator import Fuel, index_normal_form
 
 
@@ -50,8 +50,7 @@ def closed_terms(sig, ty, depth, fuel):
         return
     if not isinstance(ty, DataCall):
         return
-    indices = [index_normal_form(sig, a, fuel) for a in ty.args]
-    cases = available_fields(sig.data(ty.name), indices, fuel)
+    cases = available_ctors(sig, ty.name, ty.args, fuel)
     if isinstance(cases, Undecidable):
         return
     for ctor, fields in cases.items():

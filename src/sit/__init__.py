@@ -29,7 +29,7 @@ from .core import (
     pretty,
     subst,
 )
-from .coverage import Available, Undecidable, available_ctors, check_coverage
+from .coverage import Undecidable, available_ctors, check_coverage
 from .evaluator import Fuel, convertible, index_normal_form, normalize, whnf
 from .frontend import parse_expression, parse_file, resolve, Resolver
 from .pattern_ops import (

@@ -344,8 +344,8 @@ Declaration = DataDecl | FuncDecl
 class Signature:
     """An ordered list of declarations with name lookup tables.
 
-    `add` appends a declaration in place; `extended` leaves this signature
-    as it is and returns a new one. Data, function, and constructor names
+    `add` appends a declaration in place, and `copy` gives an independent
+    signature to grow. Data, function, and constructor names
     share one global namespace, except that a data declaration may repeat a
     constructor name across several of its own rows (each row is an
     alternative selection of the same constructor).
@@ -384,12 +384,6 @@ class Signature:
         out._datas = dict(self._datas)
         out._funcs = dict(self._funcs)
         out._ctor_owner = dict(self._ctor_owner)
-        return out
-
-    def extended(self, decl: Declaration) -> Signature:
-        """A new signature with `decl` appended."""
-        out = self.copy()
-        out.add(decl)
         return out
 
     def data(self, name: str) -> Optional[DataDecl]:

@@ -10,15 +10,22 @@ plain row always matches. The outcome decides selection:
 - a split, or an impossible pattern, needs every row decided, so it is
   undecidable as soon as any row is stuck.
 
+`available_ctors` is the one availability query, for a split, an unclaimed
+leaf and an impossible pattern alike: it normalizes the indices and gives
+each available constructor with the fields of its first matching row, or
+`Undecidable` at the first stuck row.
+
 Coverage builds a case-splitting tree over a function's telescope. A column
 is split when some clause constrains it with a constructor or impossible
 pattern; the split enumerates the constructors available at the column's
 type. Every leaf must be claimed by a clause, except leaves whose tuple type
-is uninhabited.
+is uninhabited. `check_coverage` walks the tree depth first from an explicit
+stack of problems, pushing a split's cases in reverse so they are taken in
+constructor order: the first missing case or undecidable split reported is
+the leftmost one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .core import (
@@ -36,6 +43,7 @@ from .core import (
     Term,
     Var,
     VarCall,
+    free_vars,
     pretty,
     subst,
 )
@@ -51,25 +59,12 @@ from .evaluator import Fuel, index_normal_form, whnf
 from .pattern_ops import Matched, MatchOutcome, Stuck, match_terms, vars_tele
 
 
-class Available(Node):
-    """Constructor rows selectable at an instantiation, in declaration order.
-
-    A name repeats when several rows for the same constructor match.
-    """
-
-    __slots__ = ("rows",)
-    rows: tuple[str, ...]
-
-
 class Undecidable(Node):
     """Some row's match is stuck, so availability cannot be decided."""
 
     __slots__ = ("ctor", "position")
     ctor: str
     position: int
-
-
-Availability = Available | Undecidable
 
 
 def row_outcomes(
@@ -91,35 +86,24 @@ def row_outcomes(
 
 
 def available_ctors(
-    sig: Signature, data_name: str, args: list[Term], fuel: Fuel
-) -> Availability:
-    """Which constructors of a data type are available at these arguments."""
+    sig: Signature, data_name: str, args: Sequence[Term], fuel: Fuel
+) -> dict[str, Telescope] | Undecidable:
+    """The field telescope of each constructor of a data type available at
+    these arguments, taken from its first matching row, in the order of those
+    rows; `Undecidable` at the first stuck row. The arguments are normalized
+    here."""
     decl = sig.data(data_name)
     if decl is None:
         raise InternalError(f"unknown data type {data_name}")
     args = [index_normal_form(sig, a, fuel) for a in args]
-    names: list[str] = []
-    for row, out in row_outcomes(decl, args, fuel):
-        match out:
-            case Matched(_):
-                names.append(row.name)
-            case Stuck(pos):
-                return Undecidable(row.name, pos)
-    return Available(tuple(names))
-
-
-def available_fields(
-    decl: DataDecl, args: list[Term], fuel: Fuel
-) -> dict[str, Telescope] | Undecidable:
-    """The field telescope of each available constructor at these (normalized)
-    arguments, taken from its first matching row, in the order of those rows."""
     fields: dict[str, Telescope] = {}
     for row, out in row_outcomes(decl, args, fuel):
-        match out:
-            case Matched(sub) if row.name not in fields:
-                fields[row.name] = instantiate_fields(decl, row, args, sub)
-            case Stuck(pos):
-                return Undecidable(row.name, pos)
+        c = type(out)
+        if c is Matched:
+            if row.name not in fields:
+                fields[row.name] = instantiate_fields(decl, row, args, out.sub)
+        elif c is Stuck:
+            return Undecidable(row.name, out.position)
     return fields
 
 
@@ -140,11 +124,7 @@ def instantiate_fields(
 # ---------------------------------------------------------------------------
 # Exhaustiveness
 
-
-@dataclass
-class _Column:
-    var: Var
-    ty: Term
+_HOLE = VarCall(Var("_", 0))
 
 
 def check_coverage(sig: Signature, func: FuncDecl, fuel: Fuel) -> list[Warning]:
@@ -153,13 +133,94 @@ def check_coverage(sig: Signature, func: FuncDecl, fuel: Fuel) -> list[Warning]:
     Raises CoverageError with a concrete uncovered pattern stack, or when a
     needed split has undecidable availability. Returns warnings for clauses
     no leaf selects. `fuel` bounds all evaluation of the check.
+
+    A problem is its columns (a variable and its type each), the rows of
+    clause index and patterns that still claim it, one pattern per column,
+    and the shapes: the function's arguments as constructor spines over the
+    columns' variables.
     """
-    columns = [_Column(x, ty) for x, ty in func.telescope]
-    rows = [(i, list(cl.patterns)) for i, cl in enumerate(func.clauses)]
-    shapes: list[Term] = [VarCall(x) for x, _ in func.telescope]
-    hole_vars = {x for x, _ in func.telescope}
     used: set[int] = set()
-    _cover(sig, func, fuel, columns, rows, shapes, hole_vars, used)
+    stack = [(
+        list(func.telescope),
+        [(i, list(cl.patterns)) for i, cl in enumerate(func.clauses)],
+        [VarCall(x) for x, _ in func.telescope],
+    )]
+    while stack:
+        columns, rows, shapes = stack.pop()
+        if not rows:
+            # Unclaimed leaf: fine only if some remaining column type is empty.
+            for _, ty in columns:
+                ty = whnf(sig, ty, fuel)
+                if type(ty) is DataCall:
+                    av = available_ctors(sig, ty.name, ty.args, fuel)
+                    if type(av) is dict and not av:
+                        break
+            else:
+                # Shapes are constructor spines over the holes, which print as "_".
+                holes = {x: _HOLE for s in shapes for x in free_vars(s)}
+                case = ", ".join(pretty(subst(s, holes)) for s in shapes)
+                raise CoverageError(
+                    MISSING_CASE, f"missing case in {func.name}: {case}", func.span
+                )
+            continue
+
+        split_at = _split_column(rows, len(columns))
+        if split_at is None:
+            # Every surviving row is all catch-alls; the first one claims the leaf.
+            used.add(rows[0][0])
+            continue
+
+        var, col_ty = columns[split_at]
+        ty = whnf(sig, col_ty, fuel)
+        if type(ty) is not DataCall:
+            raise InternalError(f"splitting non-data column {pretty(col_ty)}")
+        cases = available_ctors(sig, ty.name, ty.args, fuel)
+        if type(cases) is Undecidable:
+            raise CoverageError(
+                CANNOT_SPLIT,
+                f"cannot split on {var.text} : {pretty(ty)} in {func.name}: "
+                f"availability of constructor {cases.ctor} is undecidable",
+                func.span,
+            )
+
+        if not cases:
+            # Empty split: impossible patterns here claim the vacuous case.
+            for i, pats in rows:
+                if type(pats[split_at]) is ImpossiblePat:
+                    used.add(i)
+            continue
+
+        # Reversed, so the first constructor's case is taken first.
+        for ctor, fields in reversed(cases.items()):
+            field_vars = [Var.fresh(x.text) for x, _ in fields]
+            rename = {x: VarCall(w) for (x, _), w in zip(fields, field_vars)}
+            refine = {var: ConCall(ctor, tuple(VarCall(w) for w in field_vars))}
+            new_columns = (
+                columns[:split_at]
+                + [(w, subst(ty_i, rename)) for w, (_, ty_i) in zip(field_vars, fields)]
+                + [(x, subst(ty_x, refine)) for x, ty_x in columns[split_at + 1 :]]
+            )
+            new_rows = []
+            for i, pats in rows:
+                p = pats[split_at]
+                c = type(p)
+                if c is BindPat:
+                    sub_pats = [BindPat(w) for w in field_vars]
+                elif c is ConPat:
+                    if p.name != ctor:
+                        continue
+                    if len(p.args) != len(field_vars):
+                        raise InternalError(
+                            f"pattern arity for {p.name} disagrees with the "
+                            f"row selected at this split"
+                        )
+                    sub_pats = list(p.args)
+                else:  # impossible, at a type with constructors
+                    continue
+                new_rows.append((i, pats[:split_at] + sub_pats + pats[split_at + 1 :]))
+            new_shapes = [subst(s, refine) for s in shapes]
+            stack.append((new_columns, new_rows, new_shapes))
+
     warnings = []
     for i, cl in enumerate(func.clauses):
         if i not in used:
@@ -173,88 +234,11 @@ def check_coverage(sig: Signature, func: FuncDecl, fuel: Fuel) -> list[Warning]:
     return warnings
 
 
-def _cover(sig, func, fuel, columns, rows, shapes, hole_vars, used) -> None:
-    if not rows:
-        # Unclaimed leaf: fine only if some remaining column type is empty.
-        for col in columns:
-            ty = whnf(sig, col.ty, fuel)
-            if isinstance(ty, DataCall):
-                av = available_ctors(sig, ty.name, list(ty.args), fuel)
-                if isinstance(av, Available) and not av.rows:
-                    return
-        # Shapes are constructor spines over the holes, which print as "_".
-        holes = {x: VarCall(Var("_", 0)) for x in hole_vars}
-        stack = ", ".join(pretty(subst(s, holes)) for s in shapes)
-        raise CoverageError(
-            MISSING_CASE, f"missing case in {func.name}: {stack}", func.span
-        )
+def _split_column(rows: list[tuple[int, list]], width: int) -> int | None:
+    """The first column that some row constrains with a non-catch-all."""
+    for j in range(width):
+        for _, pats in rows:
+            if type(pats[j]) is not BindPat:
+                return j
+    return None
 
-    split_at = None
-    for j in range(len(columns)):
-        if any(not isinstance(pats[j], BindPat) for _, pats in rows):
-            split_at = j
-            break
-    if split_at is None:
-        # Every surviving row is all catch-alls; the first one claims the leaf.
-        used.add(rows[0][0])
-        return
-
-    col = columns[split_at]
-    ty = whnf(sig, col.ty, fuel)
-    if not isinstance(ty, DataCall):
-        raise InternalError(f"splitting non-data column {pretty(col.ty)}")
-    indices = [index_normal_form(sig, a, fuel) for a in ty.args]
-    cases = available_fields(sig.data(ty.name), indices, fuel)
-    if isinstance(cases, Undecidable):
-        raise CoverageError(
-            CANNOT_SPLIT,
-            f"cannot split on {col.var.text} : {pretty(ty)} in {func.name}: "
-            f"availability of constructor {cases.ctor} is undecidable",
-            func.span,
-        )
-
-    if not cases:
-        # Empty split: impossible patterns here claim the vacuous case.
-        for i, pats in rows:
-            if isinstance(pats[split_at], ImpossiblePat):
-                used.add(i)
-        return
-
-    for ctor, fields in cases.items():
-        field_vars = [Var.fresh(x.text) for x, _ in fields]
-        rename = {x: VarCall(w) for (x, _), w in zip(fields, field_vars)}
-        field_cols = [
-            _Column(w, subst(ty_i, rename))
-            for w, (_, ty_i) in zip(field_vars, fields)
-        ]
-        case_term = ConCall(ctor, tuple(VarCall(w) for w in field_vars))
-        refine = {col.var: case_term}
-
-        new_columns = (
-            [_Column(c.var, c.ty) for c in columns[:split_at]]
-            + field_cols
-            + [_Column(c.var, subst(c.ty, refine)) for c in columns[split_at + 1 :]]
-        )
-        new_shapes = [subst(s, refine) for s in shapes]
-        new_holes = (hole_vars - {col.var}) | set(field_vars)
-
-        new_rows = []
-        for i, pats in rows:
-            p = pats[split_at]
-            match p:
-                case BindPat(_, _):
-                    sub_pats = [BindPat(w) for w in field_vars]
-                case ConPat(name, qs):
-                    if name != ctor:
-                        continue
-                    if len(qs) != len(field_vars):
-                        raise InternalError(
-                            f"pattern arity for {name} disagrees with the "
-                            f"row selected at this split"
-                        )
-                    sub_pats = list(qs)
-                case ImpossiblePat():
-                    continue
-            new_rows.append((i, pats[:split_at] + sub_pats + pats[split_at + 1 :]))
-
-        _cover(sig, func, fuel, new_columns, new_rows, new_shapes, new_holes, used)

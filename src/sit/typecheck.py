@@ -109,7 +109,16 @@ class TypeChecker:
         span = term.span
         c = type(term)
         if c is ConCall:
-            self._check_con_call(ctx, term.name, term.args, expected, span)
+            exp = self._whnf(expected)
+            if type(exp) is not DataCall:
+                raise TypeCheckError(
+                    NOT_A_DATA_TYPE,
+                    f"constructor {term.name} cannot have non-data type "
+                    f"{pretty(expected)}",
+                    span,
+                )
+            fields = self._expect_ctor_at(term.name, exp, span)
+            self.check_args(ctx, term.args, fields, span)
         elif c is VarCall:
             x = term.var
             ty = ctx.lookup(x)
@@ -162,16 +171,6 @@ class TypeChecker:
             self._require_type(UNIV, expected, span)
         else:
             raise TypeCheckError(UNEXPECTED_FORM, f"malformed term {term!r}", span)
-
-    def _check_con_call(self, ctx, name, args, expected, span) -> None:
-        exp = self._whnf(expected)
-        if not isinstance(exp, DataCall):
-            raise TypeCheckError(
-                NOT_A_DATA_TYPE,
-                f"constructor {name} cannot have non-data type {pretty(expected)}",
-                span,
-            )
-        self.check_args(ctx, args, self._expect_ctor_at(name, exp, span), span)
 
     def _expect_ctor_at(
         self, name: str, exp: DataCall, span, lenient: bool = False
@@ -297,9 +296,9 @@ class TypeChecker:
                 pat.span,
             )
         av = coverage_mod.available_ctors(
-            self.sig, scrutinee.name, list(scrutinee.args), self.fuel
+            self.sig, scrutinee.name, scrutinee.args, self.fuel
         )
-        if isinstance(av, coverage_mod.Undecidable):
+        if type(av) is coverage_mod.Undecidable:
             if lenient:
                 return
             raise TypeCheckError(
@@ -308,11 +307,11 @@ class TypeChecker:
                 f"constructor {av.ctor} is stuck, emptiness cannot be certified",
                 pat.span,
             )
-        if av.rows:
+        if av:
             raise TypeCheckError(
                 IMPOSSIBLE_REJECTED,
                 f"impossible pattern at {pretty(scrutinee)}: "
-                f"constructor {av.rows[0]} is available",
+                f"constructor {next(iter(av))} is available",
                 pat.span,
             )
 

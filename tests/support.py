@@ -24,7 +24,7 @@ from sit.core import (
     VarCall,
     subst,
 )
-from sit.coverage import Undecidable, available_fields
+from sit.coverage import Undecidable, available_ctors
 from sit.evaluator import Fuel, index_normal_form
 from sit.frontend import parse_file, resolve
 from sit.pattern_ops import to_term
@@ -91,8 +91,7 @@ def enumerate_terms(sig: Signature, ty: Term, depth: int) -> Iterator[Term]:
                 if isinstance(decl, DataDecl) and not decl.telescope:
                     yield DataCall(decl.name, ())
         case DataCall(name, args):
-            indices = [index_normal_form(sig, a, fuel) for a in args]
-            cases = available_fields(sig.data(name), indices, fuel)
+            cases = available_ctors(sig, name, args, fuel)
             if isinstance(cases, Undecidable):
                 return
             for ctor, fields in cases.items():
@@ -163,8 +162,7 @@ class RowGen:
         fuel = Fuel()
         ty = index_normal_form(self.sig, ty, fuel)
         if depth > 0 and isinstance(ty, DataCall) and self.rng.random() < self.con_prob:
-            indices = [index_normal_form(self.sig, a, fuel) for a in ty.args]
-            cases = available_fields(self.sig.data(ty.name), indices, fuel)
+            cases = available_ctors(self.sig, ty.name, ty.args, fuel)
             if not isinstance(cases, Undecidable) and cases:
                 ctor = self.rng.choice(sorted(cases))
                 fields = cases[ctor]

@@ -96,9 +96,23 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err == f"{src}:3:16: error[E101]: invalid UTF-8 byte 0xff\n"
 
+    def test_deep_vec_literal_checks(self, tmp_path, capsys):
+        # A nested constructor takes two checker frames: check_term and
+        # check_args.
+        n = 450
+        index = "suc (" * n + "zero" + ")" * n
+        literal = "vcons zero (" * n + "vnil" + ")" * n
+        src = tmp_path / "long.sit"
+        src.write_text(
+            (CORPUS / "vec.sit").read_text()
+            + f"def big (u : Nat) : Vec Nat ({index})\n  | u => {literal}\n"
+        )
+        assert run(["check", str(src)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_deep_nesting_is_reported_at_the_file(self, tmp_path, capsys):
         src = tmp_path / "deep.sit"
-        deep = "suc (" * 400 + "zero" + ")" * 400
+        deep = "suc (" * 2000 + "zero" + ")" * 2000
         src.write_text(
             "data Nat : Type\n  | zero\n  | suc (n : Nat)\n"
             f"def big (x : Nat) : Nat\n  | x => {deep}\n"

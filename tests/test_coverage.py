@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from sit.core import EMPTY_TELESCOPE, ConCall, Var, VarCall
-from sit.coverage import Available, Undecidable, available_ctors, check_coverage
+from sit.coverage import Undecidable, available_ctors, check_coverage
 from sit.diagnostics import CoverageError, TypeCheckError
 from sit.evaluator import Fuel
 from sit.pattern_ops import Matched, match_terms
@@ -23,11 +23,16 @@ from support import (
 
 class TestAvailableCtors:
     def test_empty_at_zero(self, fin_sig):
-        assert available_ctors(fin_sig, "Fin", [nat_lit(0)], Fuel()) == Available(())
+        assert available_ctors(fin_sig, "Fin", [nat_lit(0)], Fuel()) == {}
 
     def test_both_at_successor(self, fin_sig):
         out = available_ctors(fin_sig, "Fin", [nat_lit(1)], Fuel())
-        assert out == Available(("fzero", "fsuc"))
+        assert list(out) == ["fzero", "fsuc"]
+        # The fields are the row's, instantiated at the index: fsuc's x is a
+        # Fin zero.
+        assert out["fzero"].entries == ()
+        [(_, x_ty)] = out["fsuc"].entries
+        assert x_ty == dat("Fin", nat_lit(0))
 
     def test_undecidable_at_variable(self, fin_sig):
         k = Var.fresh("k")
@@ -37,14 +42,14 @@ class TestAvailableCtors:
     def test_plain_rows_always_available(self, list_sig):
         a = Var.fresh("A")
         out = available_ctors(list_sig, "List", [ref(a)], Fuel())
-        assert out == Available(("nil", "cons"))
+        assert list(out) == ["nil", "cons"]
 
     def test_arguments_are_normalized_first(self, fin_sig):
         idx = con("suc", dat_fn_to_one(fin_sig))
         out = available_ctors(fin_sig, "Fin", [idx], Fuel())
-        assert out == Available(("fzero", "fsuc"))
+        assert list(out) == ["fzero", "fsuc"]
 
-    def test_duplicate_rows_reported_per_match(self):
+    def test_duplicate_rows_listed_once_with_the_first_rows_fields(self):
         sig = check_source(
             """
 data Nat : Type
@@ -54,11 +59,12 @@ data Nat : Type
 data Parity (n : Nat) : Type
   | zero => even
   | suc m => odd
-  | zero => even
+  | zero => even (k : Nat)
 """
         )
         out = available_ctors(sig, "Parity", [nat_lit(0)], Fuel())
-        assert out == Available(("even", "even"))
+        assert list(out) == ["even"]
+        assert out["even"].entries == ()
 
 
 def dat_fn_to_one(fin_sig):
@@ -106,6 +112,24 @@ def pred2 (a : Nat) : Nat
                 .replace("  | suc (suc m) => suc m\n", "")
             )
         assert "suc (suc _)" in exc.value.message
+
+    def test_first_missing_case_is_the_leftmost(self):
+        # Two cases are missing, one under each branch of the first split;
+        # the one under zero is reported.
+        with pytest.raises(CoverageError) as exc:
+            check_source(
+                """
+data Nat : Type
+  | zero
+  | suc (n : Nat)
+
+def f (a : Nat) (b : Nat) : Nat
+  | zero, zero => zero
+  | suc a, zero => zero
+"""
+            )
+        assert exc.value.code == "E401"
+        assert exc.value.message == "missing case in f: zero, suc _"
 
     def test_impossible_covers_vacuous_split(self, fin_sig):
         sig = check_source(
@@ -271,7 +295,7 @@ class TestSplitAvailabilityAgreement:
                 enumerate_tuples(sig, decl.telescope, depth), 60
             ):
                 av = available_ctors(sig, data_name, list(indices), Fuel())
-                assert isinstance(av, Available)
+                assert type(av) is dict
                 for ctor in ctor_names:
                     row = next(r for r in decl.ctors if r.name == ctor)
                     args = tuple(VarCall(Var.fresh("probe")) for _ in row.fields)
@@ -285,4 +309,4 @@ class TestSplitAvailabilityAgreement:
                             accepted = False
                         else:
                             accepted = True  # unavailable was not the reason
-                    assert accepted == (ctor in av.rows)
+                    assert accepted == (ctor in av)

@@ -24,7 +24,7 @@ from sit.core import (
     Var,
     VarCall,
 )
-from sit.coverage import Available, Undecidable
+from sit.coverage import Undecidable
 from sit.diagnostics import SourceSpan
 from sit.frontend import (
     SApp,
@@ -81,7 +81,6 @@ CASES = [
     (Matched, ({X: N},), "Matched(sub={x#1: VarCall(var=x#1, args=())})", ("sub",)),
     (Mismatch, (), "Mismatch()", ()),
     (Stuck, (2,), "Stuck(position=2)", ("position",)),
-    (Available, (("c", "c"),), "Available(rows=('c', 'c'))", ("rows",)),
     (Undecidable, ("c", 1), "Undecidable(ctor='c', position=1)", ("ctor", "position")),
     (SRef, ("x",), "SRef(name='x')", ("name", "span")),
     (SUniv, (), "SUniv()", ("span",)),

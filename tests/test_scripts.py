@@ -5,8 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-from sit.cli import run
-
 from support import CORPUS
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -30,15 +28,6 @@ def _script(name: str, *args: str) -> str:
     return done.stdout
 
 
-def test_scripts_run(capsys):
+def test_scripts_run():
     report = _script("availability_report.py", str(CORPUS / "fin.sit"), "3")
     assert report == FIN_REPORT_DEPTH_3
-
-    # The script prints what `sit translate` prints per corpus file, under a
-    # header, with its own blank lines between declarations.
-    expected = []
-    for path in sorted(CORPUS.glob("*.sit")):
-        assert run(["translate", str(path)]) == 0
-        expected += [f"-- {path.name}", *capsys.readouterr().out.splitlines()]
-    got = _script("translate_corpus.py").splitlines()
-    assert [line for line in got if line] == [line for line in expected if line]
