@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Tabulate constructor availability across enumerated index instantiations.
 
-For each indexed data type in a file, every closed index tuple up to a depth
-bound is matched against every constructor row, and the three outcomes are
-counted. Tuples with one free variable show how often selection gets stuck.
+For each indexed data type in a file, the availability of every constructor
+is queried at every closed index tuple up to a depth bound, and the three
+outcomes are counted: its first row that does not mismatch matches (available)
+or is stuck, or no row applies (unavailable). Tuples with one free variable
+show how often selection gets stuck.
 
 Usage: availability_report.py [file.sit] [depth]
 """
@@ -18,9 +20,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sit.core import ConCall, DataDecl, Var, VarCall, subst
 from sit.frontend import parse_file, resolve
-from sit.pattern_ops import Matched, Mismatch, Stuck
 from sit.typecheck import check_signature
-from sit.coverage import Undecidable, available_ctors, row_outcomes
+from sit.coverage import Undecidable, available_ctors
 from sit.evaluator import Fuel, index_normal_form
 
 
@@ -76,16 +77,21 @@ def main() -> None:
             for tup in tuples
             for i in range(len(tup))
         ]
+        names = list(dict.fromkeys(row.name for row in decl.ctors))
         for tup in itertools.chain(tuples, poked):
-            for row, out in row_outcomes(decl, tup, fuel):
-                counts[(row.name, type(out))] += 1
-        width = max(len(r.name) for r in decl.ctors)
-        for row in decl.ctors:
-            a = counts[(row.name, Matched)]
-            u = counts[(row.name, Mismatch)]
-            s = counts[(row.name, Stuck)]
+            for name in names:
+                av = available_ctors(sig, decl.name, tup, fuel, name)
+                if isinstance(av, Undecidable):
+                    counts[(name, "stuck")] += 1
+                else:
+                    counts[(name, "available" if av else "unavailable")] += 1
+        width = max(len(name) for name in names)
+        for name in names:
+            a = counts[(name, "available")]
+            u = counts[(name, "unavailable")]
+            s = counts[(name, "stuck")]
             print(
-                f"  {row.name:<{width}}  available {a:4d}   "
+                f"  {name:<{width}}  available {a:4d}   "
                 f"unavailable {u:4d}   stuck {s:4d}"
             )
         print()

@@ -1,19 +1,16 @@
 """Constructor selection and exhaustiveness checking.
 
-`row_outcomes` is the one place constructor rows are matched: each row of a
-data declaration is matched against the (normalized) index terms, and a
-plain row always matches. The outcome decides selection:
+`available_ctors` is the one place constructor rows are matched, for a
+constructor the checker meets, a split, an unclaimed leaf and an impossible
+pattern alike. It normalizes the index terms and matches each row of the
+data declaration against them; a plain row always matches. The outcome
+decides selection:
 
 - per constructor, the first of its rows that does not mismatch is the one
   that applies: if it matches, its instantiated fields are the
   constructor's, and if it is stuck, the constructor cannot be decided;
 - a split, or an impossible pattern, needs every row decided, so it is
   undecidable as soon as any row is stuck.
-
-`available_ctors` is the one availability query, for a split, an unclaimed
-leaf and an impossible pattern alike: it normalizes the indices and gives
-each available constructor with the fields of its first matching row, or
-`Undecidable` at the first stuck row.
 
 Coverage builds a case-splitting tree over a function's telescope. A column
 is split when some clause constrains it with a constructor or impossible
@@ -26,15 +23,13 @@ the leftmost one.
 """
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .core import (
     BindPat,
     ConCall,
     ConPat,
-    CtorRow,
     DataCall,
-    DataDecl,
     FuncDecl,
     ImpossiblePat,
     Node,
@@ -56,7 +51,7 @@ from .diagnostics import (
     Warning,
 )
 from .evaluator import Fuel, index_normal_form, whnf
-from .pattern_ops import Matched, MatchOutcome, Stuck, match_terms, vars_tele
+from .pattern_ops import Matched, Stuck, match_terms, vars_tele
 
 
 class Undecidable(Node):
@@ -67,58 +62,56 @@ class Undecidable(Node):
     position: int
 
 
-def row_outcomes(
-    decl: DataDecl, args: Sequence[Term], fuel: Fuel, ctor: str | None = None
-) -> Iterator[tuple[CtorRow, MatchOutcome]]:
-    """Each constructor row (only those of `ctor`, if given) in declaration
-    order with its match outcome at these (normalized) arguments; a plain row
-    matches with no bindings. Each match is reported to `fuel.observer`."""
-    for row in decl.ctors:
-        if ctor is not None and row.name != ctor:
-            continue
-        if row.patterns is None:
-            yield row, Matched({})
-            continue
-        out = match_terms(args, row.patterns)
-        if fuel.observer is not None:
-            fuel.observer(args, row.patterns, out)
-        yield row, out
-
-
 def available_ctors(
-    sig: Signature, data_name: str, args: Sequence[Term], fuel: Fuel
+    sig: Signature,
+    data_name: str,
+    args: Sequence[Term],
+    fuel: Fuel,
+    ctor: str | None = None,
 ) -> dict[str, Telescope] | Undecidable:
     """The field telescope of each constructor of a data type available at
     these arguments, taken from its first matching row, in the order of those
     rows; `Undecidable` at the first stuck row. The arguments are normalized
-    here."""
+    here.
+
+    Given `ctor`, only its rows are matched, and the first that does not
+    mismatch decides. Every match is reported to `fuel.observer`; a plain
+    row matches with no bindings, unobserved.
+    """
     decl = sig.data(data_name)
     if decl is None:
         raise InternalError(f"unknown data type {data_name}")
     args = [index_normal_form(sig, a, fuel) for a in args]
+    # Fields are instantiated at the row's bindings and the data telescope's
+    # variables all at once: an argument may mention the data telescope's own
+    # variables (a row using its data type at them, swapped).
+    at_args = dict(zip(vars_tele(decl.telescope), args))
+    observer = fuel.observer
     fields: dict[str, Telescope] = {}
-    for row, out in row_outcomes(decl, args, fuel):
-        c = type(out)
-        if c is Matched:
-            if row.name not in fields:
-                fields[row.name] = instantiate_fields(decl, row, args, out.sub)
-        elif c is Stuck:
-            return Undecidable(row.name, out.position)
+    for row in decl.ctors:
+        name = row.name
+        if ctor is not None and name != ctor:
+            continue
+        pats = row.patterns
+        m = at_args
+        if pats is not None:
+            out = match_terms(args, pats)
+            if observer is not None:
+                observer(args, pats, out)
+            c = type(out)
+            if c is Stuck:
+                return Undecidable(name, out.position)
+            if c is not Matched:
+                continue
+            m = {**out.sub, **at_args}
+        if name not in fields:
+            tele = row.fields
+            if m:
+                tele = Telescope(tuple((x, subst(ty, m)) for x, ty in tele.entries))
+            fields[name] = tele
+        if ctor is not None:
+            break
     return fields
-
-
-def instantiate_fields(
-    decl: DataDecl, row: CtorRow, args: list[Term], sub: dict[Var, Term]
-) -> Telescope:
-    """The field telescope of a row at a concrete instantiation of the data.
-
-    The row's match result and the data telescope's variables, replaced by
-    the arguments, are substituted at once: an argument may mention the data
-    telescope's own variables (a row using its data type at them, swapped).
-    """
-    m = dict(sub)
-    m.update(zip(vars_tele(decl.telescope), args))
-    return Telescope(tuple((x, subst(ty, m)) for x, ty in row.fields))
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +134,9 @@ def check_coverage(sig: Signature, func: FuncDecl, fuel: Fuel) -> list[Warning]:
     """
     used: set[int] = set()
     stack = [(
-        list(func.telescope),
+        list(func.telescope.entries),
         [(i, list(cl.patterns)) for i, cl in enumerate(func.clauses)],
-        [VarCall(x) for x, _ in func.telescope],
+        [VarCall(x) for x, _ in func.telescope.entries],
     )]
     while stack:
         columns, rows, shapes = stack.pop()
@@ -192,12 +185,13 @@ def check_coverage(sig: Signature, func: FuncDecl, fuel: Fuel) -> list[Warning]:
 
         # Reversed, so the first constructor's case is taken first.
         for ctor, fields in reversed(cases.items()):
-            field_vars = [Var.fresh(x.text) for x, _ in fields]
-            rename = {x: VarCall(w) for (x, _), w in zip(fields, field_vars)}
+            entries = fields.entries
+            field_vars = [Var.fresh(x.text) for x, _ in entries]
+            rename = {x: VarCall(w) for (x, _), w in zip(entries, field_vars)}
             refine = {var: ConCall(ctor, tuple(VarCall(w) for w in field_vars))}
             new_columns = (
                 columns[:split_at]
-                + [(w, subst(ty_i, rename)) for w, (_, ty_i) in zip(field_vars, fields)]
+                + [(w, subst(ty_i, rename)) for w, (_, ty_i) in zip(field_vars, entries)]
                 + [(x, subst(ty_x, refine)) for x, ty_x in columns[split_at + 1 :]]
             )
             new_rows = []

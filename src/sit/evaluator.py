@@ -38,7 +38,7 @@ class Fuel:
     and the evaluator spends one step of the same `limit`.
 
     `observer`, when set, is told every match the run makes (the terms, the
-    patterns and the outcome), by `whnf` and `coverage.row_outcomes`.
+    patterns and the outcome), by `whnf` and `coverage.available_ctors`.
     """
 
     limit: int = DEFAULT_FUEL
@@ -59,7 +59,7 @@ def whnf(sig: Signature, t: Term, fuel: Fuel) -> Term:
     Function calls whose dispatch is stuck, or which no clause matches, are
     returned as neutral heads.
     """
-    while isinstance(t, FnCall):
+    while type(t) is FnCall:
         func = sig.func(t.name)
         if func is None:
             raise InternalError(f"call to undeclared function {t.name}")
@@ -101,28 +101,30 @@ def index_normal_form(sig: Signature, t: Term, fuel: Fuel) -> Term:
     never sticks on an unreduced redex. Returns `t` itself when it is already
     in this form.
     """
-    if getattr(t, "_spine_normal", False):
+    c = type(t)
+    if c is FnCall:
+        t = whnf(sig, t, fuel)
+        c = type(t)
+    if c is not ConCall or t._spine_normal:
         return t
-    t = whnf(sig, t, fuel)
-    if type(t) is ConCall:
-        args = []
-        changed = False
-        normal = True
-        for a in t.args:
-            b = index_normal_form(sig, a, fuel)
-            args.append(b)
-            changed = changed or b is not a
-            c = type(b)
-            if c is ConCall:
-                normal = normal and getattr(b, "_spine_normal", False)
-            elif c is FnCall:
-                normal = False
-        if changed:
-            t = ConCall(t.name, tuple(args))
-        if normal:
-            # No argument can reduce under any signature: later calls on this
-            # object (it is shared by substitution) return at once.
-            object.__setattr__(t, "_spine_normal", True)
+    args = []
+    changed = False
+    normal = True
+    for a in t.args:
+        b = index_normal_form(sig, a, fuel)
+        args.append(b)
+        changed = changed or b is not a
+        c = type(b)
+        if c is ConCall:
+            normal = normal and b._spine_normal
+        elif c is FnCall:
+            normal = False
+    if changed:
+        t = ConCall(t.name, tuple(args))
+    if normal:
+        # No argument can reduce under any signature: later calls on this
+        # object (it is shared by substitution) return at once.
+        object.__setattr__(t, "_spine_normal", True)
     return t
 
 

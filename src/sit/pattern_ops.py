@@ -49,7 +49,7 @@ MatchOutcome = Matched | Mismatch | Stuck
 
 def vars_tele(tele: Telescope) -> list[Var]:
     """The binders of a telescope, in order."""
-    return [x for x, _ in tele]
+    return [x for x, _ in tele.entries]
 
 
 def vars_pats(pats: Sequence[Pattern]) -> Telescope:

@@ -1,11 +1,14 @@
 """Type checking: terms, patterns, clauses, constructor rows, and signatures.
 
-Constructor calls are checked against the expected data type by matching its
-(normalized) arguments against the constructor's pattern row; a positive
-match instantiates the field types, a negative match means the constructor
-is unavailable, and a stuck match is its own hard error. Signature formation
-folds declarations left to right, so every name refers to an earlier
-declaration (or to the one being checked, for recursion).
+Constructor calls and constructor patterns are checked against the expected
+data type through `coverage.available_ctors`, the one query that matches
+constructor rows: the constructor's first row that does not mismatch its
+(normalized) arguments decides. A match instantiates the field types, no
+such row means the constructor is unavailable, and a stuck match is its own
+hard error. A row of patterns is checked in one walk, which gives each
+pattern's typed form and its term together. Signature formation folds
+declarations left to right, so every name refers to an earlier declaration
+(or to the one being checked, for recursion).
 """
 from __future__ import annotations
 
@@ -36,7 +39,6 @@ from .core import (
     UNIV,
     Var,
     VarCall,
-    pattern_has_impossible,
     pretty,
     subst,
 )
@@ -56,13 +58,12 @@ from .diagnostics import (
     UNKNOWN_NAME,
     WRONG_DATA_TYPE,
     FuelError,
-    InternalError,
     SourceSpan,
     TypeCheckError,
     Warning,
 )
-from .evaluator import Fuel, convertible, index_normal_form, whnf
-from .pattern_ops import Matched, Stuck, to_term, to_terms, vars_tele
+from .evaluator import Fuel, convertible, whnf
+from .pattern_ops import vars_tele
 
 
 @dataclass
@@ -85,9 +86,6 @@ class TypeChecker:
 
     def _whnf(self, t: Term) -> Term:
         return whnf(self.sig, t, self.fuel)
-
-    def _index_nf(self, ts: Sequence[Term]) -> list[Term]:
-        return [index_normal_form(self.sig, t, self.fuel) for t in ts]
 
     def _convertible(self, u: Term, v: Term) -> bool:
         return convertible(self.sig, u, v, self.fuel)
@@ -190,25 +188,23 @@ class TypeChecker:
                 f"constructor {name} belongs to {owner.name}, not {exp.name}",
                 span,
             )
-        indices = self._index_nf(exp.args)
-        for row, out in coverage_mod.row_outcomes(owner, indices, self.fuel, name):
-            match out:
-                case Matched(sub):
-                    return coverage_mod.instantiate_fields(owner, row, indices, sub)
-                case Stuck():
-                    if lenient:
-                        return None
-                    raise TypeCheckError(
-                        CTOR_STUCK,
-                        f"cannot decide availability of constructor {name} "
-                        f"at {pretty(exp)}",
-                        span,
-                    )
-        raise TypeCheckError(
-            CTOR_UNAVAILABLE,
-            f"constructor {name} is not available at {pretty(exp)}",
-            span,
-        )
+        av = coverage_mod.available_ctors(self.sig, exp.name, exp.args, self.fuel, name)
+        if type(av) is coverage_mod.Undecidable:
+            if lenient:
+                return None
+            raise TypeCheckError(
+                CTOR_STUCK,
+                f"cannot decide availability of constructor {name} "
+                f"at {pretty(exp)}",
+                span,
+            )
+        if not av:
+            raise TypeCheckError(
+                CTOR_UNAVAILABLE,
+                f"constructor {name} is not available at {pretty(exp)}",
+                span,
+            )
+        return av[name]
 
     def check_args(
         self,
@@ -223,20 +219,21 @@ class TypeChecker:
         an argument may mention the telescope's own variables (a data type's
         rows can use it at its own parameters, swapped).
         """
-        if len(args) != len(tele):
+        entries = tele.entries
+        if len(args) != len(entries):
             raise TypeCheckError(
                 ARITY_MISMATCH,
-                f"expected {len(tele)} arguments, got {len(args)}",
+                f"expected {len(entries)} arguments, got {len(args)}",
                 span,
             )
         earlier: dict[Var, Term] = {}
-        for arg, (x, ty) in zip(args, tele):
-            self.check_term(ctx, arg, subst(ty, earlier))
+        for arg, (x, ty) in zip(args, entries):
+            self.check_term(ctx, arg, subst(ty, earlier) if earlier else ty)
             earlier[x] = arg
 
     def check_telescope(self, ctx: Telescope, tele: Telescope) -> Telescope:
         """Check each entry's type is a type; returns the extended context."""
-        for x, ty in tele:
+        for x, ty in tele.entries:
             self.check_term(ctx, ty, UNIV)
             ctx = ctx.extended(x, ty)
         return ctx
@@ -252,42 +249,103 @@ class TypeChecker:
         of its bindings. `lenient` applies after an impossible pattern made
         the remaining types opaque: stuck availability is then tolerated.
         """
-        c = type(pat)
-        if c is BindPat:
-            return BindPat(pat.var, ty, pat.span), Telescope.of((pat.var, ty))
-        if c is ConPat:
-            return self._check_con_pattern(ctx, pat, pat.name, pat.args, ty, lenient)
-        if c is ImpossiblePat:
-            self._check_impossible(pat, ty, lenient)
-            return pat, Telescope()
-        raise TypeCheckError(UNEXPECTED_FORM, f"malformed pattern {pat!r}", pat.span)
+        self._check_linear((pat,))
+        binds: list[tuple[Var, Term]] = []
+        typed, _ = self._check_pat(pat, ty, lenient, binds)
+        return typed, Telescope(tuple(binds))
 
-    def _check_con_pattern(self, ctx, pat, name, qs, ty, lenient):
-        scrutinee = self._whnf(ty)
-        if not isinstance(scrutinee, DataCall):
-            if lenient:
-                return self._lenient_pattern(pat)
-            raise TypeCheckError(
-                NOT_A_DATA_TYPE,
-                f"constructor pattern {name} at non-data type {pretty(ty)}",
-                pat.span,
-            )
-        fields = self._expect_ctor_at(name, scrutinee, pat.span, lenient)
-        if fields is None:
-            return self._lenient_pattern(pat)
-        if len(qs) != len(fields):
+    def check_patterns(
+        self,
+        ctx: Telescope,
+        pats: Sequence[Pattern],
+        tele: Telescope,
+        lenient: bool = False,
+    ) -> tuple[tuple[Pattern, ...], Telescope]:
+        """Check a pattern row against a telescope.
+
+        Returns the typed patterns and the telescope of their bindings, left
+        to right and depth first.
+        """
+        return self._check_row(pats, tele, lenient)[:2]
+
+    def _check_row(self, pats, tele: Telescope, lenient: bool):
+        """`check_patterns`, plus the row's terms: None when some pattern
+        contains `impossible`."""
+        if len(pats) != len(tele.entries):
             raise TypeCheckError(
                 ARITY_MISMATCH,
-                f"constructor {name} has {len(fields)} fields, "
-                f"pattern has {len(qs)}",
-                pat.span,
+                f"row has {len(pats)} patterns for {len(tele)} telescope entries",
+                pats[0].span if pats else None,
             )
-        typed_qs, theta = self.check_patterns(ctx, qs, fields, lenient)
-        return ConPat(name, typed_qs, pat.span), theta
+        self._check_linear(pats)
+        binds: list[tuple[Var, Term]] = []
+        typed, terms = self._check_pats(pats, tele.entries, lenient, binds)
+        return typed, Telescope(tuple(binds)), terms
+
+    def _check_pats(self, pats, entries, lenient, binds):
+        """The one walk over a row's patterns, nested rows included.
+
+        Each pattern's term is substituted into the remaining entry types; a
+        pattern containing `impossible` has no term, so a fresh opaque
+        variable stands in and the rest is checked leniently. Bindings are
+        appended to `binds`. Returns the typed patterns and their terms, or
+        None for the terms when some pattern contains `impossible`.
+        """
+        earlier: dict[Var, Term] = {}
+        typed: list[Pattern] = []
+        terms: Optional[list[Term]] = []
+        for pat, (x, ty) in zip(pats, entries):
+            typed_p, term = self._check_pat(
+                pat, subst(ty, earlier) if earlier else ty, lenient, binds
+            )
+            typed.append(typed_p)
+            if term is None:
+                term = VarCall(Var.fresh("_abs"))
+                lenient = True
+                terms = None
+            elif terms is not None:
+                terms.append(term)
+            earlier[x] = term
+        return tuple(typed), terms
+
+    def _check_pat(self, pat, ty, lenient, binds) -> tuple[Pattern, Optional[Term]]:
+        c = type(pat)
+        if c is BindPat:
+            binds.append((pat.var, ty))
+            return BindPat(pat.var, ty, pat.span), VarCall(pat.var)
+        if c is ConPat:
+            name = pat.name
+            scrutinee = self._whnf(ty)
+            if type(scrutinee) is not DataCall:
+                if lenient:
+                    return self._lenient_pattern(pat, binds)
+                raise TypeCheckError(
+                    NOT_A_DATA_TYPE,
+                    f"constructor pattern {name} at non-data type {pretty(ty)}",
+                    pat.span,
+                )
+            fields = self._expect_ctor_at(name, scrutinee, pat.span, lenient)
+            if fields is None:
+                return self._lenient_pattern(pat, binds)
+            qs = pat.args
+            if len(qs) != len(fields.entries):
+                raise TypeCheckError(
+                    ARITY_MISMATCH,
+                    f"constructor {name} has {len(fields)} fields, "
+                    f"pattern has {len(qs)}",
+                    pat.span,
+                )
+            typed, terms = self._check_pats(qs, fields.entries, lenient, binds)
+            term = None if terms is None else ConCall(name, tuple(terms))
+            return ConPat(name, typed, pat.span), term
+        if c is ImpossiblePat:
+            self._check_impossible(pat, ty, lenient)
+            return pat, None
+        raise TypeCheckError(UNEXPECTED_FORM, f"malformed pattern {pat!r}", pat.span)
 
     def _check_impossible(self, pat, ty, lenient) -> None:
         scrutinee = self._whnf(ty)
-        if not isinstance(scrutinee, DataCall):
+        if type(scrutinee) is not DataCall:
             if lenient:
                 return
             raise TypeCheckError(
@@ -315,64 +373,28 @@ class TypeChecker:
                 pat.span,
             )
 
-    def _lenient_pattern(self, pat: Pattern) -> tuple[Pattern, Telescope]:
+    def _lenient_pattern(self, pat, binds) -> tuple[Pattern, Optional[Term]]:
         # Under an opaque type nothing can be verified; bindings get opaque
         # placeholder types. Only reachable in bodiless (impossible) clauses.
-        match pat:
-            case BindPat(x, _):
-                ty = VarCall(Var.fresh("_ty"))
-                return BindPat(x, ty, pat.span), Telescope.of((x, ty))
-            case ImpossiblePat():
-                return pat, Telescope()
-            case ConPat(name, qs):
-                if self.sig.ctor_owner(name) is None:
-                    raise TypeCheckError(
-                        UNKNOWN_NAME, f"unknown constructor {name}", pat.span
-                    )
-                entries: list[tuple[Var, Term]] = []
-                seen: set[Var] = set()
-                typed = []
-                for q in qs:
-                    tq, th = self._lenient_pattern(q)
-                    typed.append(tq)
-                    _add_bindings(entries, seen, th)
-                return ConPat(name, tuple(typed), pat.span), Telescope(tuple(entries))
-
-    def check_patterns(
-        self,
-        ctx: Telescope,
-        pats: Sequence[Pattern],
-        tele: Telescope,
-        lenient: bool = False,
-    ) -> tuple[tuple[Pattern, ...], Telescope]:
-        """Check a pattern row against a telescope.
-
-        Each checked pattern's term form is substituted into the remaining
-        entry types; a pattern containing `impossible` has no term form, so a
-        fresh opaque variable stands in and the rest of the row is checked
-        leniently.
-        """
-        if len(pats) != len(tele):
+        c = type(pat)
+        if c is BindPat:
+            ty = VarCall(Var.fresh("_ty"))
+            binds.append((pat.var, ty))
+            return BindPat(pat.var, ty, pat.span), VarCall(pat.var)
+        if c is ImpossiblePat:
+            return pat, None
+        if self.sig.ctor_owner(pat.name) is None:
             raise TypeCheckError(
-                ARITY_MISMATCH,
-                f"row has {len(pats)} patterns for {len(tele)} telescope entries",
-                pats[0].span if pats else None,
+                UNKNOWN_NAME, f"unknown constructor {pat.name}", pat.span
             )
-        self._check_linear(pats)
-        earlier: dict[Var, Term] = {}
-        entries: list[tuple[Var, Term]] = []
-        seen: set[Var] = set()
-        typed: list[Pattern] = []
-        for pat, (x, ty) in zip(pats, tele):
-            typed_p, th = self.check_pattern(ctx, pat, subst(ty, earlier), lenient)
-            typed.append(typed_p)
-            _add_bindings(entries, seen, th)
-            if pattern_has_impossible(typed_p):
-                earlier[x] = VarCall(Var.fresh("_abs"))
-                lenient = True
-            else:
-                earlier[x] = to_term(typed_p)
-        return tuple(typed), Telescope(tuple(entries))
+        typed = []
+        terms = []
+        for q in pat.args:
+            typed_q, term = self._lenient_pattern(q, binds)
+            typed.append(typed_q)
+            terms.append(term)
+        term = None if None in terms else ConCall(pat.name, tuple(terms))
+        return ConPat(pat.name, tuple(typed), pat.span), term
 
     def _check_linear(self, pats: Sequence[Pattern]) -> None:
         seen: dict[str, Pattern] = {}
@@ -401,8 +423,8 @@ class TypeChecker:
         self, ctx: Telescope, tele: Telescope, result: Term, clause: Clause
     ) -> Clause:
         """Check one function clause; returns it with typed patterns."""
-        typed, theta = self.check_patterns(ctx, clause.patterns, tele)
-        has_impossible = any(pattern_has_impossible(p) for p in typed)
+        typed, theta, terms = self._check_row(clause.patterns, tele, False)
+        has_impossible = terms is None
         if has_impossible and clause.body is not None:
             raise TypeCheckError(
                 IMPOSSIBLE_HAS_BODY,
@@ -416,7 +438,7 @@ class TypeChecker:
                 clause.span,
             )
         if clause.body is not None:
-            expected = subst(result, dict(zip(vars_tele(tele), to_terms(typed))))
+            expected = subst(result, dict(zip(vars_tele(tele), terms)))
             self.check_term(ctx + theta, clause.body, expected)
         return Clause(typed, clause.body, clause.span)
 
@@ -502,21 +524,6 @@ class TypeChecker:
             self.warnings.extend(
                 coverage_mod.check_coverage(self.sig, checked, self.fuel)
             )
-
-
-def _add_bindings(
-    entries: list[tuple[Var, Term]], seen: set[Var], theta: Telescope
-) -> None:
-    """Append one pattern's bindings to those of the patterns before it.
-
-    A binding seen twice means pattern linearity was violated upstream,
-    which is a bug, not a user error.
-    """
-    for entry in theta.entries:
-        if entry[0] in seen:
-            raise InternalError(f"binding {entry[0]!r} occurs on both sides")
-        seen.add(entry[0])
-        entries.append(entry)
 
 
 # Module-level entry points over an explicit signature.

@@ -34,6 +34,54 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
+# Programs whose check evaluates its indices, in the shapes of the benchmark's
+# `indexed` probes: constructor rows are selected at `plus`/`mul` indices, and
+# each pattern nests one constructor per level. Each has a variant that fails
+# at a computed index.
+_NAT_PLUS = """\
+data Nat : Type
+  | zero
+  | suc (n : Nat)
+
+def plus (a : Nat) (b : Nat) : Nat
+  | zero, b => b
+  | suc a, b => suc (plus a b)
+"""
+_FIN = """
+data Fin (n : Nat) : Type
+  | suc m => fzero
+  | suc m => fsuc (x : Fin m)
+"""
+_SUM = """
+def mul (a : Nat) (b : Nat) : Nat
+  | zero, b => zero
+  | suc a, b => plus b (mul a b)
+
+data Vec (A : Type) (n : Nat) : Type
+  | A, zero => vnil
+  | A, suc m => vcons (x : A) (xs : Vec A m)
+
+def sum (xs : Vec Nat (mul (suc zero) (suc (suc zero)))) : Nat
+"""
+COMPUTED_INDEX_PROGRAMS = {
+    "pick": _NAT_PLUS + _FIN + """
+def pick (x : Fin (plus (suc zero) (suc zero))) : Nat
+  | fzero => zero
+  | fsuc fzero => suc zero
+  | fsuc (fsuc impossible)
+""",
+    # fsuc's field is at Fin (plus n n), where fzero's row is stuck.
+    "pick_E306": _NAT_PLUS + _FIN + """
+def pick (n : Nat) (x : Fin (plus (suc zero) (plus n n))) : Nat
+  | n, fzero => zero
+  | n, fsuc fzero => suc zero
+""",
+    "sum": _NAT_PLUS + _SUM + "  | vcons x0 (vcons x1 vnil) => plus x0 (plus x1 zero)\n",
+    # One element short: vnil is not available at Vec Nat (suc zero).
+    "sum_E305": _NAT_PLUS + _SUM + "  | vcons x0 vnil => x0\n",
+}
+
+
 def load_corpus(name: str) -> Signature:
     path = CORPUS / f"{name}.sit"
     decls = resolve(parse_file(path.read_text(encoding="utf-8"), str(path)))

@@ -7,7 +7,7 @@ import pytest
 from sit import cli
 from sit.cli import run
 
-from support import CORPUS, FIXTURES
+from support import COMPUTED_INDEX_PROGRAMS, CORPUS, FIXTURES
 
 
 def corpus(name: str) -> str:
@@ -179,6 +179,16 @@ class TestEval:
         assert err.startswith("<expr>:1:1: error[E502]")
         assert "Traceback" not in err
 
+    def test_trace_match_at_computed_indices(self, capsys, tmp_path):
+        for name, text in COMPUTED_INDEX_PROGRAMS.items():
+            path = tmp_path / f"{name}.sit"
+            path.write_text(text, encoding="utf-8")
+            code = 1 if "_E" in name else 0
+            assert run(["check", str(path), "--trace-match"]) == code
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err.replace(str(path), path.name) == COMPUTED_INDEX_TRACES[name]
+
     def test_trace_match_logs_outcomes(self, capsys, monkeypatch):
         args = ["eval", corpus("nat.sit"), "-e", "plus zero zero"]
         assert run(args + ["--trace-match"]) == 0
@@ -233,6 +243,95 @@ match [boolT] ~ [boolT] -> matched {}
 match [boolT] ~ [boolT] -> matched {}
 match [boolT] ~ [A] -> matched {A := boolT}
 """
+
+
+# `sit check --trace-match` on each program of support.COMPUTED_INDEX_PROGRAMS:
+# the matches of row selection at computed indices, in the order they are
+# made, then the diagnostic of each failing variant.
+COMPUTED_INDEX_TRACES = {
+    "pick": """\
+match [suc zero, suc zero] ~ [zero, b] -> mismatch
+match [suc zero, suc zero] ~ [suc a, b] -> matched {a := zero, b := suc zero}
+match [zero, suc zero] ~ [zero, b] -> matched {b := suc zero}
+match [suc (suc zero)] ~ [suc m] -> matched {m := suc zero}
+match [suc zero, suc zero] ~ [zero, b] -> mismatch
+match [suc zero, suc zero] ~ [suc a, b] -> matched {a := zero, b := suc zero}
+match [zero, suc zero] ~ [zero, b] -> matched {b := suc zero}
+match [suc (suc zero)] ~ [suc m] -> matched {m := suc zero}
+match [suc zero] ~ [suc m] -> matched {m := zero}
+match [suc zero, suc zero] ~ [zero, b] -> mismatch
+match [suc zero, suc zero] ~ [suc a, b] -> matched {a := zero, b := suc zero}
+match [zero, suc zero] ~ [zero, b] -> matched {b := suc zero}
+match [suc (suc zero)] ~ [suc m] -> matched {m := suc zero}
+match [suc zero] ~ [suc m] -> matched {m := zero}
+match [zero] ~ [suc m] -> mismatch
+match [zero] ~ [suc m] -> mismatch
+match [suc zero, suc zero] ~ [zero, b] -> mismatch
+match [suc zero, suc zero] ~ [suc a, b] -> matched {a := zero, b := suc zero}
+match [zero, suc zero] ~ [zero, b] -> matched {b := suc zero}
+match [suc (suc zero)] ~ [suc m] -> matched {m := suc zero}
+match [suc (suc zero)] ~ [suc m] -> matched {m := suc zero}
+match [suc zero] ~ [suc m] -> matched {m := zero}
+match [suc zero] ~ [suc m] -> matched {m := zero}
+match [zero] ~ [suc m] -> mismatch
+match [zero] ~ [suc m] -> mismatch
+""",
+    "pick_E306": """\
+match [suc zero, plus n n] ~ [zero, b] -> mismatch
+match [suc zero, plus n n] ~ [suc a, b] -> matched {a := zero, b := plus n n}
+match [zero, plus n n] ~ [zero, b] -> matched {b := plus n n}
+match [n, n] ~ [zero, b] -> stuck at 0
+match [suc (plus n n)] ~ [suc m] -> matched {m := plus n n}
+match [suc zero, plus n n] ~ [zero, b] -> mismatch
+match [suc zero, plus n n] ~ [suc a, b] -> matched {a := zero, b := plus n n}
+match [zero, plus n n] ~ [zero, b] -> matched {b := plus n n}
+match [n, n] ~ [zero, b] -> stuck at 0
+match [suc (plus n n)] ~ [suc m] -> matched {m := plus n n}
+match [n, n] ~ [zero, b] -> stuck at 0
+match [plus n n] ~ [suc m] -> stuck at 0
+pick_E306.sit:15:13: error[E306]: cannot decide availability of constructor fzero at Fin (plus n n)
+""",
+    "sum": """\
+match [suc zero, suc (suc zero)] ~ [zero, b] -> mismatch
+match [suc zero, suc (suc zero)] ~ [suc a, b] -> matched {a := zero, b := suc (suc zero)}
+match [suc (suc zero), mul zero (suc (suc zero))] ~ [zero, b] -> mismatch
+match [suc (suc zero), mul zero (suc (suc zero))] ~ [suc a, b] -> matched {a := suc zero, b := mul zero (suc (suc zero))}
+match [suc zero, mul zero (suc (suc zero))] ~ [zero, b] -> mismatch
+match [suc zero, mul zero (suc (suc zero))] ~ [suc a, b] -> matched {a := zero, b := mul zero (suc (suc zero))}
+match [zero, mul zero (suc (suc zero))] ~ [zero, b] -> matched {b := mul zero (suc (suc zero))}
+match [zero, suc (suc zero)] ~ [zero, b] -> matched {b := suc (suc zero)}
+match [Nat, suc (suc zero)] ~ [A, suc m] -> matched {A := Nat, m := suc zero}
+match [Nat, suc zero] ~ [A, suc m] -> matched {A := Nat, m := zero}
+match [Nat, zero] ~ [A, zero] -> matched {A := Nat}
+match [suc zero, suc (suc zero)] ~ [zero, b] -> mismatch
+match [suc zero, suc (suc zero)] ~ [suc a, b] -> matched {a := zero, b := suc (suc zero)}
+match [suc (suc zero), mul zero (suc (suc zero))] ~ [zero, b] -> mismatch
+match [suc (suc zero), mul zero (suc (suc zero))] ~ [suc a, b] -> matched {a := suc zero, b := mul zero (suc (suc zero))}
+match [suc zero, mul zero (suc (suc zero))] ~ [zero, b] -> mismatch
+match [suc zero, mul zero (suc (suc zero))] ~ [suc a, b] -> matched {a := zero, b := mul zero (suc (suc zero))}
+match [zero, mul zero (suc (suc zero))] ~ [zero, b] -> matched {b := mul zero (suc (suc zero))}
+match [zero, suc (suc zero)] ~ [zero, b] -> matched {b := suc (suc zero)}
+match [Nat, suc (suc zero)] ~ [A, zero] -> mismatch
+match [Nat, suc (suc zero)] ~ [A, suc m] -> matched {A := Nat, m := suc zero}
+match [Nat, suc zero] ~ [A, zero] -> mismatch
+match [Nat, suc zero] ~ [A, suc m] -> matched {A := Nat, m := zero}
+match [Nat, zero] ~ [A, zero] -> matched {A := Nat}
+match [Nat, zero] ~ [A, suc m] -> mismatch
+""",
+    "sum_E305": """\
+match [suc zero, suc (suc zero)] ~ [zero, b] -> mismatch
+match [suc zero, suc (suc zero)] ~ [suc a, b] -> matched {a := zero, b := suc (suc zero)}
+match [suc (suc zero), mul zero (suc (suc zero))] ~ [zero, b] -> mismatch
+match [suc (suc zero), mul zero (suc (suc zero))] ~ [suc a, b] -> matched {a := suc zero, b := mul zero (suc (suc zero))}
+match [suc zero, mul zero (suc (suc zero))] ~ [zero, b] -> mismatch
+match [suc zero, mul zero (suc (suc zero))] ~ [suc a, b] -> matched {a := zero, b := mul zero (suc (suc zero))}
+match [zero, mul zero (suc (suc zero))] ~ [zero, b] -> matched {b := mul zero (suc (suc zero))}
+match [zero, suc (suc zero)] ~ [zero, b] -> matched {b := suc (suc zero)}
+match [Nat, suc (suc zero)] ~ [A, suc m] -> matched {A := Nat, m := suc zero}
+match [Nat, suc zero] ~ [A, zero] -> mismatch
+sum_E305.sit:18:14: error[E305]: constructor vnil is not available at Vec Nat (suc zero)
+""",
+}
 
 
 class TestTranslate:

@@ -26,10 +26,10 @@ from sit.core import (
     pretty,
     subst,
 )
-from sit.coverage import instantiate_fields, row_outcomes
+from sit.coverage import Undecidable, available_ctors
 from sit.diagnostics import InternalError
 from sit.evaluator import Fuel
-from sit.pattern_ops import Matched, vars_tele
+from sit.pattern_ops import Matched, match_terms, vars_tele
 
 from support import (
     check_source,
@@ -222,15 +222,30 @@ class TestOnePassInstantiation:
                 xs = vars_tele(decl.telescope)
                 for args in self.instantiations(sig, decl.telescope):
                     data_sub = dict(zip(xs, args))
-                    for row, out in row_outcomes(decl, args, Fuel()):
-                        if not isinstance(out, Matched):
+                    for name in dict.fromkeys(row.name for row in decl.ctors):
+                        got = available_ctors(sig, decl.name, args, Fuel(), name)
+                        if isinstance(got, Undecidable) or not got:
                             continue
-                        got = instantiate_fields(decl, row, list(args), out.sub)
+                        got = got[name]
+                        row, sub = _first_matching_row(decl, name, args)
                         assert [x for x, _ in got] == [x for x, _ in row.fields]
                         for (_, a), (_, ty) in zip(got, row.fields):
-                            assert alpha_eq(a, subst(subst(ty, out.sub), data_sub))
+                            assert alpha_eq(a, subst(subst(ty, sub), data_sub))
                             checked += 1
         assert checked > 100
+
+
+def _first_matching_row(decl, name, args):
+    """The first row of constructor `name` that matches `args`, and its
+    bindings: the row whose fields `available_ctors` gives."""
+    for row in decl.ctors:
+        if row.name == name:
+            if row.patterns is None:
+                return row, {}
+            out = match_terms(args, row.patterns)
+            if isinstance(out, Matched):
+                return row, out.sub
+    raise AssertionError(f"no row of {name} matches")
 
 
 class TestTelescope:

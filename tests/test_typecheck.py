@@ -6,6 +6,7 @@ from sit import core, coverage, evaluator, typecheck
 from sit.core import (
     BindPat,
     Clause,
+    ConCall,
     ConPat,
     CtorRow,
     DataDecl,
@@ -29,6 +30,7 @@ from sit.typecheck import (
 )
 
 from support import (
+    COMPUTED_INDEX_PROGRAMS,
     CORPUS,
     FIXTURES,
     check_source,
@@ -226,6 +228,30 @@ class TestCheckPatterns:
 
         assert count(80) <= 2.5 * count(40)
 
+    def test_nested_patterns_check_in_linear_work(self, fin_sig, monkeypatch):
+        # Each nesting level builds its pattern's term from its fields' terms
+        # once, rather than walking the whole sub-pattern below it again.
+        built = []
+        real = ConCall.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            real(self, *args, **kwargs)
+
+        def count(n: int) -> int:
+            pat = ConPat("fzero")
+            for _ in range(n):
+                pat = ConPat("fsuc", (pat,))
+            ty = dat("Fin", nat_lit(n + 1))
+            monkeypatch.setattr(ConCall, "__init__", counted)
+            built.clear()
+            typed, _ = check_pattern(fin_sig, EMPTY_TELESCOPE, pat, ty)
+            monkeypatch.undo()
+            assert typed == pat
+            return len(built)
+
+        assert count(80) <= 2.5 * count(40)
+
 
 class TestCheckClauseAndRows:
     def test_clause_body_checked_under_pattern_bindings_only(self):
@@ -325,8 +351,9 @@ def bad (k : Nat) : Nat
         assert len(made) == 1 and made[0].used == 7
 
     def test_fuel_used_is_pinned(self):
-        # The clause firings of checking each corpus file and each fixture
-        # the checker reaches; the benchmark's firings_per_s counts these.
+        # The clause firings of checking each corpus file, each fixture the
+        # checker reaches and each program that selects rows at computed
+        # indices; the benchmark's firings_per_s counts these.
         from sit.frontend import parse_file, resolve
 
         pinned = {
@@ -339,13 +366,17 @@ def bad (k : Nat) : Nat
             "14_pattern_at_function_type": 0, "15_cannot_split": 0,
             "18_wrong_data_type": 0, "19_ctor_pattern_arity": 0,
             "20_self_call_match": 2,
+            "pick": 8, "pick_E306": 4, "sum": 10, "sum_E305": 5,
         }
         used = {}
         for name in pinned:
-            path = CORPUS / f"{name}.sit"
-            if not path.exists():
-                path = FIXTURES / f"{name}.sit"
-            decls = resolve(parse_file(path.read_text(encoding="utf-8"), str(path)))
+            text = COMPUTED_INDEX_PROGRAMS.get(name)
+            if text is None:
+                path = CORPUS / f"{name}.sit"
+                if not path.exists():
+                    path = FIXTURES / f"{name}.sit"
+                text = path.read_text(encoding="utf-8")
+            decls = resolve(parse_file(text, name))
             checker = TypeChecker()
             try:
                 checker.check_signature(decls)
