@@ -18,16 +18,24 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sit.core import ConCall, DataDecl, Var, VarCall, subst
-from sit.frontend import parse_file, resolve
-from sit.typecheck import check_signature
+from sit.core import (
+    ConCall,
+    DataCall,
+    DataDecl,
+    Telescope,
+    UNIV,
+    Univ,
+    Var,
+    VarCall,
+    subst,
+)
 from sit.coverage import Undecidable, available_ctors
 from sit.evaluator import Fuel, index_normal_form
+from sit.frontend import parse_file, resolve
+from sit.typecheck import TypeChecker
 
 
 def closed_tuples(sig, tele, depth, fuel):
-    from sit.core import Telescope
-
     if not tele:
         yield ()
         return
@@ -42,9 +50,8 @@ def closed_terms(sig, ty, depth, fuel):
     if depth <= 0:
         return
     ty = index_normal_form(sig, ty, fuel)
-    from sit.core import DataCall, Univ
-
     if isinstance(ty, Univ):
+        yield UNIV  # Type : Type
         for decl in sig.decls:
             if isinstance(decl, DataDecl) and not decl.telescope:
                 yield DataCall(decl.name, ())
@@ -64,7 +71,8 @@ def main() -> None:
     depth = int(sys.argv[2]) if len(sys.argv) > 2 else 5
     if path is None:
         path = Path(__file__).resolve().parent.parent / "corpus" / "fin.sit"
-    sig = check_signature(resolve(parse_file(path.read_text(), str(path))))
+    decls = resolve(parse_file(path.read_text(), str(path)))
+    sig = TypeChecker().check_signature(decls)
     fuel = Fuel()
     for decl in sig.decls:
         if not isinstance(decl, DataDecl) or not decl.telescope:

@@ -43,15 +43,6 @@ from .pattern_ops import (
     vars_tele,
 )
 from .translate import GeneralData, emit_general, synth_ctor_type, to_general
-from .typecheck import (
-    TypeChecker,
-    check_args,
-    check_clause,
-    check_ctor_row,
-    check_pattern,
-    check_patterns,
-    check_signature,
-    check_term,
-)
+from .typecheck import TypeChecker
 
 __version__ = "0.1.0"

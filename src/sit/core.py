@@ -213,9 +213,6 @@ class Telescope(Node):
     def extended(self, var: Var, ty: Term) -> Telescope:
         return Telescope(self.entries + ((var, ty),))
 
-    def __add__(self, other: Telescope) -> Telescope:
-        return Telescope(self.entries + other.entries)
-
     def lookup(self, var: Var) -> Optional[Term]:
         """The type of the latest binding of `var`, or None."""
         for x, ty in reversed(self.entries):

@@ -103,19 +103,7 @@ class ResolveError(SitError):
 
 
 class TypeCheckError(SitError):
-    """A rejection from the type checker, optionally with the two offending types."""
-
-    def __init__(
-        self,
-        code: str,
-        message: str,
-        span: SourceSpan | None = None,
-        expected: str | None = None,
-        actual: str | None = None,
-    ):
-        super().__init__(code, message, span)
-        self.expected = expected
-        self.actual = actual
+    """A rejection from the type checker."""
 
 
 class CoverageError(TypeCheckError):

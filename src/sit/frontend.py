@@ -1,4 +1,4 @@
-"""Surface syntax: lexer, parser, printer, and resolver.
+"""Surface syntax: lexer, parser, and resolver.
 
 Concrete grammar (line comments start with `--`, `->` is right-associative,
 application binds tighter than `->`):
@@ -579,86 +579,6 @@ def parse_expression(text: str, file: str = "<expr>") -> SExpr:
     e = parser.expr()
     parser.expect("EOF", "end of input")
     return e
-
-
-# ---------------------------------------------------------------------------
-# Surface printer
-
-
-def print_surface(decls: list[SDecl]) -> str:
-    return "\n".join(_print_decl(d) for d in decls)
-
-
-def _print_decl(d: SDecl) -> str:
-    match d:
-        case SData(name, tele, rows):
-            header = f"data {name}{_print_tele(tele)} : Type"
-            lines = [header] + [f"  | {_print_row(r)}" for r in rows]
-            return "\n".join(lines) + "\n"
-        case SDef(name, tele, result, clauses):
-            header = f"def {name}{_print_tele(tele)} : {print_expr(result)}"
-            lines = [header] + [f"  | {_print_clause(c)}" for c in clauses]
-            return "\n".join(lines) + "\n"
-    raise InternalError(f"unexpected declaration {d!r}")
-
-
-def _print_tele(tele: tuple[STeleGroup, ...]) -> str:
-    return "".join(f" ({' '.join(names)} : {print_expr(ty)})" for names, ty in tele)
-
-
-def _print_row(r: SCtorRow) -> str:
-    head = "" if r.patterns is None else f"{_print_pats(r.patterns)} => "
-    return f"{head}{r.name}{_print_tele(r.tele)}"
-
-
-def _print_clause(c: SClause) -> str:
-    if c.body is None:
-        return _print_pats(c.patterns)
-    return f"{_print_pats(c.patterns)} => {print_expr(c.body)}"
-
-
-def _print_pats(pats) -> str:
-    return ", ".join(_print_pat(p) for p in pats)
-
-
-def _print_pat(p: SPat) -> str:
-    match p:
-        case SPatImpossible():
-            return "impossible"
-        case SPatApp(name, args):
-            parts = [name]
-            for a in args:
-                s = _print_pat(a)
-                parts.append(f"({s})" if isinstance(a, SPatApp) and a.args else s)
-            return " ".join(parts)
-    raise InternalError(f"unexpected pattern {p!r}")
-
-
-def print_expr(e: SExpr) -> str:
-    match e:
-        case SRef(name):
-            return name
-        case SUniv():
-            return "Type"
-        case SApp(head, args):
-            return " ".join([_print_atom(head)] + [_print_atom(a) for a in args])
-        case SArrow(dom, cod):
-            left = print_expr(dom)
-            if isinstance(dom, (SArrow, SPi, SFn)):
-                left = f"({left})"
-            return f"{left} -> {print_expr(cod)}"
-        case SPi(x, dom, cod):
-            return f"({x} : {print_expr(dom)}) -> {print_expr(cod)}"
-        case SFn(x, body):
-            return f"fn {x} => {print_expr(body)}"
-    raise InternalError(f"unexpected expression {e!r}")
-
-
-def _print_atom(e: SExpr) -> str:
-    s = print_expr(e)
-    if isinstance(e, (SRef, SUniv)):
-        return s
-    return f"({s})"
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,21 @@
-"""Type checking: terms, patterns, clauses, constructor rows, and signatures.
+"""Type checking: terms, pattern rows, clauses, constructor rows, signatures.
 
-Constructor calls and constructor patterns are checked against the expected
-data type through `coverage.available_ctors`, the one query that matches
-constructor rows: the constructor's first row that does not mismatch its
-(normalized) arguments decides. A match instantiates the field types, no
-such row means the constructor is unavailable, and a stuck match is its own
-hard error. A row of patterns is checked in one walk, which gives each
-pattern's typed form and its term together. Signature formation folds
-declarations left to right, so every name refers to an earlier declaration
-(or to the one being checked, for recursion).
+`TypeChecker` is the API: it holds the signature, the one `Fuel` of the
+check and the warnings. Constructor calls and constructor patterns are
+checked against the expected data type through `coverage.available_ctors`,
+the one query that matches constructor rows: the constructor's first row
+that does not mismatch its (normalized) arguments decides. A match
+instantiates the field types, no such row means the constructor is
+unavailable, and a stuck match is its own hard error.
+
+`check_row` is the one pattern check, for clauses and constructor rows
+alike: one walk gives each pattern's typed form and its term together.
+After an `impossible` pattern the row has no term for that column, so the
+later types are checked leniently: where availability is stuck, or the type
+is not a data type, the type is opaque, and a pattern under it need only
+name known constructors. Signature formation folds declarations left to
+right, so every name refers to an earlier declaration (or to the one being
+checked, for recursion).
 """
 from __future__ import annotations
 
@@ -96,8 +103,6 @@ class TypeChecker:
                 TYPE_MISMATCH,
                 f"expected {pretty(expected)}, got {pretty(actual)}",
                 span,
-                expected=pretty(expected),
-                actual=pretty(actual),
             )
 
     # -- terms --------------------------------------------------------------
@@ -240,37 +245,15 @@ class TypeChecker:
 
     # -- patterns -----------------------------------------------------------
 
-    def check_pattern(
-        self, ctx: Telescope, pat: Pattern, ty: Term, lenient: bool = False
-    ) -> tuple[Pattern, Telescope]:
-        """Check one pattern against a type.
-
-        Returns the pattern with binding types filled in, plus the telescope
-        of its bindings. `lenient` applies after an impossible pattern made
-        the remaining types opaque: stuck availability is then tolerated.
-        """
-        self._check_linear((pat,))
-        binds: list[tuple[Var, Term]] = []
-        typed, _ = self._check_pat(pat, ty, lenient, binds)
-        return typed, Telescope(tuple(binds))
-
-    def check_patterns(
-        self,
-        ctx: Telescope,
-        pats: Sequence[Pattern],
-        tele: Telescope,
-        lenient: bool = False,
-    ) -> tuple[tuple[Pattern, ...], Telescope]:
+    def check_row(
+        self, pats: Sequence[Pattern], tele: Telescope
+    ) -> tuple[tuple[Pattern, ...], Telescope, Optional[list[Term]]]:
         """Check a pattern row against a telescope.
 
-        Returns the typed patterns and the telescope of their bindings, left
-        to right and depth first.
+        Returns the typed patterns, the telescope of their bindings (left to
+        right and depth first), and the row's terms: None when some pattern
+        contains `impossible`.
         """
-        return self._check_row(pats, tele, lenient)[:2]
-
-    def _check_row(self, pats, tele: Telescope, lenient: bool):
-        """`check_patterns`, plus the row's terms: None when some pattern
-        contains `impossible`."""
         if len(pats) != len(tele.entries):
             raise TypeCheckError(
                 ARITY_MISMATCH,
@@ -279,7 +262,7 @@ class TypeChecker:
             )
         self._check_linear(pats)
         binds: list[tuple[Var, Term]] = []
-        typed, terms = self._check_pats(pats, tele.entries, lenient, binds)
+        typed, terms = self._check_pats(pats, tele.entries, False, binds)
         return typed, Telescope(tuple(binds)), terms
 
     def _check_pats(self, pats, entries, lenient, binds):
@@ -309,37 +292,57 @@ class TypeChecker:
         return tuple(typed), terms
 
     def _check_pat(self, pat, ty, lenient, binds) -> tuple[Pattern, Optional[Term]]:
+        """Check one pattern at `ty`, or under an opaque type when `ty` is
+        None: a binding then gets a placeholder type, `impossible` is not
+        checked, and a constructor need only exist."""
         c = type(pat)
         if c is BindPat:
+            if ty is None:
+                ty = VarCall(Var.fresh("_ty"))
             binds.append((pat.var, ty))
             return BindPat(pat.var, ty, pat.span), VarCall(pat.var)
         if c is ConPat:
             name = pat.name
-            scrutinee = self._whnf(ty)
-            if type(scrutinee) is not DataCall:
-                if lenient:
-                    return self._lenient_pattern(pat, binds)
-                raise TypeCheckError(
-                    NOT_A_DATA_TYPE,
-                    f"constructor pattern {name} at non-data type {pretty(ty)}",
-                    pat.span,
-                )
-            fields = self._expect_ctor_at(name, scrutinee, pat.span, lenient)
-            if fields is None:
-                return self._lenient_pattern(pat, binds)
+            fields = None
+            if ty is not None:
+                scrutinee = self._whnf(ty)
+                if type(scrutinee) is DataCall:
+                    fields = self._expect_ctor_at(name, scrutinee, pat.span, lenient)
+                elif not lenient:
+                    raise TypeCheckError(
+                        NOT_A_DATA_TYPE,
+                        f"constructor pattern {name} at non-data type {pretty(ty)}",
+                        pat.span,
+                    )
             qs = pat.args
-            if len(qs) != len(fields.entries):
+            if fields is None:
+                if self.sig.ctor_owner(name) is None:
+                    raise TypeCheckError(
+                        UNKNOWN_NAME, f"unknown constructor {name}", pat.span
+                    )
+                # A loop, not a comprehension: one frame per nesting level.
+                typed, terms = [], []
+                for q in qs:
+                    typed_q, term = self._check_pat(q, None, lenient, binds)
+                    typed.append(typed_q)
+                    terms.append(term)
+                typed = tuple(typed)
+                if None in terms:
+                    terms = None
+            elif len(qs) != len(fields.entries):
                 raise TypeCheckError(
                     ARITY_MISMATCH,
                     f"constructor {name} has {len(fields)} fields, "
                     f"pattern has {len(qs)}",
                     pat.span,
                 )
-            typed, terms = self._check_pats(qs, fields.entries, lenient, binds)
+            else:
+                typed, terms = self._check_pats(qs, fields.entries, lenient, binds)
             term = None if terms is None else ConCall(name, tuple(terms))
             return ConPat(name, typed, pat.span), term
         if c is ImpossiblePat:
-            self._check_impossible(pat, ty, lenient)
+            if ty is not None:
+                self._check_impossible(pat, ty, lenient)
             return pat, None
         raise TypeCheckError(UNEXPECTED_FORM, f"malformed pattern {pat!r}", pat.span)
 
@@ -373,29 +376,6 @@ class TypeChecker:
                 pat.span,
             )
 
-    def _lenient_pattern(self, pat, binds) -> tuple[Pattern, Optional[Term]]:
-        # Under an opaque type nothing can be verified; bindings get opaque
-        # placeholder types. Only reachable in bodiless (impossible) clauses.
-        c = type(pat)
-        if c is BindPat:
-            ty = VarCall(Var.fresh("_ty"))
-            binds.append((pat.var, ty))
-            return BindPat(pat.var, ty, pat.span), VarCall(pat.var)
-        if c is ImpossiblePat:
-            return pat, None
-        if self.sig.ctor_owner(pat.name) is None:
-            raise TypeCheckError(
-                UNKNOWN_NAME, f"unknown constructor {pat.name}", pat.span
-            )
-        typed = []
-        terms = []
-        for q in pat.args:
-            typed_q, term = self._lenient_pattern(q, binds)
-            typed.append(typed_q)
-            terms.append(term)
-        term = None if None in terms else ConCall(pat.name, tuple(terms))
-        return ConPat(pat.name, tuple(typed), pat.span), term
-
     def _check_linear(self, pats: Sequence[Pattern]) -> None:
         seen: dict[str, Pattern] = {}
 
@@ -419,11 +399,9 @@ class TypeChecker:
 
     # -- clauses and rows ---------------------------------------------------
 
-    def check_clause(
-        self, ctx: Telescope, tele: Telescope, result: Term, clause: Clause
-    ) -> Clause:
+    def check_clause(self, tele: Telescope, result: Term, clause: Clause) -> Clause:
         """Check one function clause; returns it with typed patterns."""
-        typed, theta, terms = self._check_row(clause.patterns, tele, False)
+        typed, theta, terms = self.check_row(clause.patterns, tele)
         has_impossible = terms is None
         if has_impossible and clause.body is not None:
             raise TypeCheckError(
@@ -439,21 +417,19 @@ class TypeChecker:
             )
         if clause.body is not None:
             expected = subst(result, dict(zip(vars_tele(tele), terms)))
-            self.check_term(ctx + theta, clause.body, expected)
+            self.check_term(theta, clause.body, expected)
         return Clause(typed, clause.body, clause.span)
 
-    def check_ctor_row(
-        self, ctx: Telescope, tele: Telescope, row: CtorRow
-    ) -> CtorRow:
+    def check_ctor_row(self, tele: Telescope, row: CtorRow) -> CtorRow:
         """Check one constructor row; returns it with typed patterns."""
         if row.patterns is None:
-            self.check_telescope(ctx + tele, row.fields)
+            self.check_telescope(tele, row.fields)
             return row
-        typed, theta = self.check_patterns(ctx, row.patterns, tele)
-        self.check_telescope(ctx + theta, row.fields)
+        typed, theta, _ = self.check_row(row.patterns, tele)
+        self.check_telescope(theta, row.fields)
         if self.strict_row_fields:
             try:
-                self.check_telescope(ctx + tele, row.fields)
+                self.check_telescope(tele, row.fields)
             except TypeCheckError as err:
                 self.warnings.append(
                     Warning(
@@ -504,7 +480,7 @@ class TypeChecker:
         # Rows may mention the data type (and earlier rows) recursively.
         self.sig.add(decl)
         rows = tuple(
-            self.check_ctor_row(EMPTY_TELESCOPE, decl.telescope, row)
+            self.check_ctor_row(decl.telescope, row)
             for row in decl.ctors
         )
         self.sig.replace_last(DataDecl(decl.name, decl.telescope, rows, decl.span))
@@ -515,7 +491,7 @@ class TypeChecker:
         # Clauses may call the function being defined.
         self.sig.add(decl)
         clauses = tuple(
-            self.check_clause(EMPTY_TELESCOPE, decl.telescope, decl.result, cl)
+            self.check_clause(decl.telescope, decl.result, cl)
             for cl in decl.clauses
         )
         checked = FuncDecl(decl.name, decl.telescope, decl.result, clauses, decl.span)
@@ -525,41 +501,3 @@ class TypeChecker:
                 coverage_mod.check_coverage(self.sig, checked, self.fuel)
             )
 
-
-# Module-level entry points over an explicit signature.
-
-
-def check_term(sig: Signature, ctx: Telescope, term: Term, expected: Term) -> None:
-    TypeChecker(sig).check_term(ctx, term, expected)
-
-
-def check_args(sig: Signature, ctx: Telescope, args: Sequence[Term], tele: Telescope) -> None:
-    TypeChecker(sig).check_args(ctx, args, tele)
-
-
-def check_pattern(
-    sig: Signature, ctx: Telescope, pat: Pattern, ty: Term
-) -> tuple[Pattern, Telescope]:
-    return TypeChecker(sig).check_pattern(ctx, pat, ty)
-
-
-def check_patterns(
-    sig: Signature, ctx: Telescope, pats: Sequence[Pattern], tele: Telescope
-) -> tuple[tuple[Pattern, ...], Telescope]:
-    return TypeChecker(sig).check_patterns(ctx, pats, tele)
-
-
-def check_clause(
-    sig: Signature, ctx: Telescope, tele: Telescope, result: Term, clause: Clause
-) -> Clause:
-    return TypeChecker(sig).check_clause(ctx, tele, result, clause)
-
-
-def check_ctor_row(
-    sig: Signature, ctx: Telescope, tele: Telescope, row: CtorRow
-) -> CtorRow:
-    return TypeChecker(sig).check_ctor_row(ctx, tele, row)
-
-
-def check_signature(decls: Sequence[Declaration], coverage: bool = True) -> Signature:
-    return TypeChecker().check_signature(decls, coverage=coverage)

@@ -28,7 +28,7 @@ from sit.coverage import Undecidable, available_ctors
 from sit.evaluator import Fuel, index_normal_form
 from sit.frontend import parse_file, resolve
 from sit.pattern_ops import to_term
-from sit.typecheck import check_signature
+from sit.typecheck import TypeChecker
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -85,12 +85,13 @@ def pick (n : Nat) (x : Fin (plus (suc zero) (plus n n))) : Nat
 def load_corpus(name: str) -> Signature:
     path = CORPUS / f"{name}.sit"
     decls = resolve(parse_file(path.read_text(encoding="utf-8"), str(path)))
-    return check_signature(decls)
+    return TypeChecker().check_signature(decls)
 
 
 def check_source(text: str, coverage: bool = True) -> Signature:
     """Parse, resolve, and check a program given as a string."""
-    return check_signature(resolve(parse_file(text, "<test>")), coverage=coverage)
+    decls = resolve(parse_file(text, "<test>"))
+    return TypeChecker().check_signature(decls, coverage=coverage)
 
 
 # Term builders.

@@ -25,7 +25,7 @@ from sit.core import (
 from sit.evaluator import Fuel, normalize
 from sit.pattern_ops import Matched, Mismatch, match_terms, to_terms, vars_pats
 from sit.translate import as_pattern_row, to_general
-from sit.typecheck import TypeChecker, check_args, check_term
+from sit.typecheck import TypeChecker
 from sit.core import UNIV
 
 from support import (
@@ -78,7 +78,7 @@ def random_rows(sigs):
         sig, gen, checker, teles = pool[i % len(pool)]
         tele = rng.choice(teles)
         pats = gen.row(tele)
-        typed, theta = checker.check_patterns(EMPTY_TELESCOPE, pats, tele)
+        typed, theta, _ = checker.check_row(pats, tele)
         rows.append((sig, tele, typed, theta))
     return rows
 
@@ -149,10 +149,12 @@ def test_c4_pattern_terms_instantiate_telescopes(sigs, random_rows):
                 else:
                     rows = [cl.patterns for cl in decl.clauses]
                 for pats in rows:
-                    check_args(sig, vars_pats(pats), to_terms(pats), decl.telescope)
+                    TypeChecker(sig).check_args(
+                        vars_pats(pats), to_terms(pats), decl.telescope
+                    )
                     checked += 1
         for sig, tele, typed, theta in random_rows:
-            check_args(sig, theta, to_terms(typed), tele)
+            TypeChecker(sig).check_args(theta, to_terms(typed), tele)
             checked += 1
         assert checked >= 1000
 
@@ -232,7 +234,7 @@ def test_c6_translated_constructors_recheck(sigs):
                 if not isinstance(decl, DataDecl):
                     continue
                 for _, ty in to_general(sig, decl).ctors:
-                    check_term(sig, EMPTY_TELESCOPE, ty, UNIV)
+                    TypeChecker(sig).check_term(EMPTY_TELESCOPE, ty, UNIV)
                     total += 1
         assert total > 0
 
@@ -314,9 +316,7 @@ def test_c9_match_stability(sigs):
         for i in range(1000):
             sig, gen, checker, teles = pool[i % len(pool)]
             tele = rng.choice(teles)
-            typed, theta = checker.check_patterns(
-                EMPTY_TELESCOPE, gen.row(tele), tele
-            )
+            typed, theta, _ = checker.check_row(gen.row(tele), tele)
 
             # Instantiate the row's own match: closed values for some
             # bindings, fresh holes (with tau mappings) for the rest.

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -386,3 +390,21 @@ class TestExitCodes:
             "def f (x : Nat) : Nat\n  | x => Nat\n"
         )
         assert run(["check", str(src)]) == 1
+
+    def test_module_entry_point(self):
+        # `sit.cli.main` as a new process runs it: exit codes come back through
+        # `sys.exit`.
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+
+        def sit(*args: str) -> subprocess.CompletedProcess:
+            return subprocess.run(
+                [sys.executable, "-m", "sit.cli", *args],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+
+        ok = sit("check", corpus("nat.sit"))
+        assert (ok.returncode, ok.stdout, ok.stderr) == (0, "", "")
+        bad = sit("check", str(FIXTURES / "01_vnil_wrong_length.sit"))
+        assert bad.returncode == 1
+        assert "error[E305]" in bad.stderr

@@ -250,14 +250,14 @@ def _first_matching_row(decl, name, args):
 
 class TestTelescope:
     def test_empty_left(self):
-        theta = Telescope.of((Var.fresh("m"), con("Nat")))
-        assert Telescope() + theta == theta
+        m = Var.fresh("m")
+        theta = Telescope.of((m, con("Nat")))
+        assert Telescope().extended(m, con("Nat")) == theta
 
     def test_concatenation_order(self):
         m, x = Var.fresh("m"), Var.fresh("x")
         t1 = Telescope.of((m, UNIV))
-        t2 = Telescope.of((x, UNIV))
-        assert [v for v, _ in t1 + t2] == [m, x]
+        assert [v for v, _ in t1.extended(x, UNIV)] == [m, x]
 
 
 class TestApplySpine:

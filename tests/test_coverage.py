@@ -9,7 +9,7 @@ from sit.coverage import Undecidable, available_ctors, check_coverage
 from sit.diagnostics import CoverageError, TypeCheckError
 from sit.evaluator import Fuel
 from sit.pattern_ops import Matched, match_terms
-from sit.typecheck import check_term
+from sit.typecheck import TypeChecker
 
 from support import (
     check_source,
@@ -300,8 +300,8 @@ class TestSplitAvailabilityAgreement:
                     row = next(r for r in decl.ctors if r.name == ctor)
                     args = tuple(VarCall(Var.fresh("probe")) for _ in row.fields)
                     try:
-                        check_term(
-                            sig, EMPTY_TELESCOPE, ConCall(ctor, args), dat(data_name, *indices)
+                        TypeChecker(sig).check_term(
+                            EMPTY_TELESCOPE, ConCall(ctor, args), dat(data_name, *indices)
                         )
                         accepted = True
                     except TypeCheckError as err:

@@ -8,7 +8,7 @@ from sit import evaluator
 from sit.core import EMPTY_TELESCOPE, ConCall, FnCall, Lam, UNIV, Var, VarCall
 from sit.diagnostics import FuelError
 from sit.evaluator import Fuel, convertible, index_normal_form, normalize, whnf
-from sit.typecheck import check_term
+from sit.typecheck import TypeChecker
 
 from support import check_source, con, dat, fn, nat_lit, ref
 
@@ -260,6 +260,6 @@ class TestSubjectReduction:
             ),
         ]
         for sig, term, ty in cases:
-            check_term(sig, EMPTY_TELESCOPE, term, ty)
+            TypeChecker(sig).check_term(EMPTY_TELESCOPE, term, ty)
             reduced = normalize(sig, term, Fuel())
-            check_term(sig, EMPTY_TELESCOPE, reduced, ty)
+            TypeChecker(sig).check_term(EMPTY_TELESCOPE, reduced, ty)

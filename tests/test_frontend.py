@@ -29,7 +29,6 @@ from sit.frontend import (
     SUniv,
     parse_expression,
     parse_file,
-    print_surface,
     resolve,
     tokenize,
 )
@@ -245,22 +244,6 @@ class TestLexer:
         eof = tokenize("data -- done")[-1]
         assert eof.kind == "EOF"
         assert (eof.span.start_line, eof.span.start_col) == (1, 13)
-
-
-class TestRoundTrip:
-    @pytest.mark.parametrize(
-        "name", ["nat.sit", "list.sit", "vec.sit", "fin.sit", "normalize.sit"]
-    )
-    def test_corpus_print_parse(self, name):
-        text = (CORPUS / name).read_text(encoding="utf-8")
-        parsed = parse_file(text, name)
-        printed = print_surface(parsed)
-        assert parse_file(printed, name) == parsed
-
-    def test_printing_is_stable(self):
-        parsed = parse_file(NAT)
-        printed = print_surface(parsed)
-        assert print_surface(parse_file(printed)) == printed
 
 
 class TestResolver:

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sit.core import (
-    EMPTY_TELESCOPE,
     BindPat,
     ConPat,
     ImpossiblePat,
@@ -167,7 +166,7 @@ class TestRoundTrip:
         gen = RowGen(norm_sig, rng)
         checker = TypeChecker(norm_sig)
         tele = rng.choice(corpus_telescopes(norm_sig))
-        typed, theta = checker.check_patterns(EMPTY_TELESCOPE, gen.row(tele), tele)
+        typed, theta, _ = checker.check_row(gen.row(tele), tele)
         out = match_terms(to_terms(typed), typed)
         assert isinstance(out, Matched)
         for x, _ in theta:
@@ -181,7 +180,7 @@ class TestRoundTrip:
         for _ in range(150):
             tele = rng.choice(teles)
             pats = gen.row(tele)
-            typed, theta = checker.check_patterns(EMPTY_TELESCOPE, pats, tele)
+            typed, theta, _ = checker.check_row(pats, tele)
             out = match_terms(to_terms(typed), typed)
             assert isinstance(out, Matched)
             # The substitution's domain is exactly the bindings, in order.
@@ -201,7 +200,7 @@ class TestStability:
         for _ in range(100):
             tele = rng.choice(teles)
             pats = gen.row(tele)
-            typed, theta = checker.check_patterns(EMPTY_TELESCOPE, pats, tele)
+            typed, theta, _ = checker.check_row(pats, tele)
             # Instantiate some bindings with closed terms and leave the rest
             # as free variables targeted by a second substitution.
             rho, tau = {}, {}

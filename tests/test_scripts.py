@@ -16,6 +16,15 @@ Fin (depth <= 3):
 
 """
 
+# Type : Type, so List's parameter A ranges over Type itself: the file
+# declares no parameterless data type to put there.
+LIST_REPORT_DEPTH_3 = """\
+List (depth <= 3):
+  nil   available    2   unavailable    0   stuck    0
+  cons  available    2   unavailable    0   stuck    0
+
+"""
+
 
 def _script(name: str, *args: str) -> str:
     done = subprocess.run(
@@ -31,3 +40,8 @@ def _script(name: str, *args: str) -> str:
 def test_scripts_run():
     report = _script("availability_report.py", str(CORPUS / "fin.sit"), "3")
     assert report == FIN_REPORT_DEPTH_3
+
+
+def test_availability_report_at_a_type_parameter():
+    report = _script("availability_report.py", str(CORPUS / "list.sit"), "3")
+    assert report == LIST_REPORT_DEPTH_3

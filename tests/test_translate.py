@@ -8,7 +8,7 @@ from sit.core import EMPTY_TELESCOPE, DataCall, Pi, pretty
 from sit.diagnostics import TypeCheckError
 from sit.pattern_ops import Matched, Mismatch, match_terms, to_terms, vars_pats
 from sit.translate import as_pattern_row, emit_general, synth_ctor_type, to_general
-from sit.typecheck import check_args, check_term
+from sit.typecheck import TypeChecker
 from sit.core import UNIV
 
 from support import (
@@ -94,7 +94,9 @@ class TestSynthCtorType:
 
     def test_synthesized_types_check_as_types(self, vec_sig, fin_sig):
         for sig, ctor in ((vec_sig, "vcons"), (vec_sig, "vnil"), (fin_sig, "fsuc")):
-            check_term(sig, EMPTY_TELESCOPE, synth_ctor_type(sig, ctor), UNIV)
+            TypeChecker(sig).check_term(
+                EMPTY_TELESCOPE, synth_ctor_type(sig, ctor), UNIV
+            )
 
 
 class TestEmit:
@@ -130,14 +132,16 @@ class TestWellTypedness:
                 if not hasattr(decl, "ctors"):
                     continue
                 for _, ty in to_general(sig, decl).ctors:
-                    check_term(sig, EMPTY_TELESCOPE, ty, UNIV)
+                    TypeChecker(sig).check_term(EMPTY_TELESCOPE, ty, UNIV)
 
     def test_pattern_terms_instantiate_the_telescope(self, vec_sig, fin_sig):
         for sig, name in ((vec_sig, "Vec"), (fin_sig, "Fin")):
             decl = sig.data(name)
             for row in decl.ctors:
                 pats = as_pattern_row(decl, row).patterns
-                check_args(sig, vars_pats(pats), to_terms(pats), decl.telescope)
+                TypeChecker(sig).check_args(
+                    vars_pats(pats), to_terms(pats), decl.telescope
+                )
 
 
 class TestSoundnessAgainstUnificationOracle:

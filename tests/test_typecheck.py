@@ -19,15 +19,9 @@ from sit.core import (
     pretty,
 )
 from sit.diagnostics import TypeCheckError
+from sit.frontend import parse_file, resolve
 from sit.pattern_ops import to_terms, vars_pats
-from sit.typecheck import (
-    TypeChecker,
-    check_args,
-    check_pattern,
-    check_patterns,
-    check_signature,
-    check_term,
-)
+from sit.typecheck import TypeChecker
 
 from support import (
     COMPUTED_INDEX_PROGRAMS,
@@ -49,79 +43,88 @@ def code_of(excinfo) -> str:
 
 class TestCheckTerm:
     def test_vnil_at_zero_length(self, vec_sig):
-        check_term(vec_sig, EMPTY_TELESCOPE, con("vnil"), dat("Vec", dat("Nat"), nat_lit(0)))
+        ty = dat("Vec", dat("Nat"), nat_lit(0))
+        TypeChecker(vec_sig).check_term(EMPTY_TELESCOPE, con("vnil"), ty)
 
     def test_vnil_at_nonzero_length_is_unavailable(self, vec_sig):
         with pytest.raises(TypeCheckError) as exc:
-            check_term(
-                vec_sig, EMPTY_TELESCOPE, con("vnil"), dat("Vec", dat("Nat"), nat_lit(1))
+            TypeChecker(vec_sig).check_term(
+                EMPTY_TELESCOPE, con("vnil"), dat("Vec", dat("Nat"), nat_lit(1))
             )
         assert code_of(exc) == "E305"
 
     def test_vcons_fields_are_instantiated_by_the_match(self, vec_sig):
         term = con("vcons", nat_lit(0), con("vnil"))
-        check_term(vec_sig, EMPTY_TELESCOPE, term, dat("Vec", dat("Nat"), nat_lit(1)))
+        ty = dat("Vec", dat("Nat"), nat_lit(1))
+        TypeChecker(vec_sig).check_term(EMPTY_TELESCOPE, term, ty)
 
     def test_vcons_field_type_enforced(self, vec_sig):
         term = con("vcons", con("vnil"), con("vnil"))  # head is not a Nat
+        ty = dat("Vec", dat("Nat"), nat_lit(1))
         with pytest.raises(TypeCheckError):
-            check_term(vec_sig, EMPTY_TELESCOPE, term, dat("Vec", dat("Nat"), nat_lit(1)))
+            TypeChecker(vec_sig).check_term(EMPTY_TELESCOPE, term, ty)
 
     def test_fzero_at_variable_index_is_stuck(self, fin_sig):
         k = Var.fresh("k")
         ctx = Telescope.of((k, dat("Nat")))
         with pytest.raises(TypeCheckError) as exc:
-            check_term(fin_sig, ctx, con("fzero"), dat("Fin", ref(k)))
+            TypeChecker(fin_sig).check_term(ctx, con("fzero"), dat("Fin", ref(k)))
         assert code_of(exc) == "E306"
 
     def test_indices_are_normalized_before_matching(self, fin_sig):
         # Fin (toNat ...) style: the index reduces to suc zero first.
         idx = fn("toNat", nat_lit(2), con("fsuc", con("fzero")))
-        check_term(fin_sig, EMPTY_TELESCOPE, con("fzero"), dat("Fin", con("suc", idx)))
+        ty = dat("Fin", con("suc", idx))
+        TypeChecker(fin_sig).check_term(EMPTY_TELESCOPE, con("fzero"), ty)
 
     def test_universe_in_universe(self, nat_sig):
-        check_term(nat_sig, EMPTY_TELESCOPE, UNIV, UNIV)
+        TypeChecker(nat_sig).check_term(EMPTY_TELESCOPE, UNIV, UNIV)
 
     def test_conversion_rule_uses_evaluation(self, norm_sig):
-        check_term(norm_sig, EMPTY_TELESCOPE, nat_lit(3), fn("termTy", con("natT")))
+        ty = fn("termTy", con("natT"))
+        TypeChecker(norm_sig).check_term(EMPTY_TELESCOPE, nat_lit(3), ty)
 
     def test_unknown_head(self, nat_sig):
         with pytest.raises(TypeCheckError) as exc:
-            check_term(nat_sig, EMPTY_TELESCOPE, fn("mystery"), dat("Nat"))
+            TypeChecker(nat_sig).check_term(EMPTY_TELESCOPE, fn("mystery"), dat("Nat"))
         assert code_of(exc) == "E301"
 
     def test_ctor_of_other_data(self, norm_sig):
         with pytest.raises(TypeCheckError) as exc:
-            check_term(norm_sig, EMPTY_TELESCOPE, con("true"), dat("Nat"))
+            TypeChecker(norm_sig).check_term(EMPTY_TELESCOPE, con("true"), dat("Nat"))
         assert code_of(exc) == "E309"
 
 
 class TestCheckArgs:
     def test_empty(self, nat_sig):
-        check_args(nat_sig, EMPTY_TELESCOPE, [], Telescope())
+        TypeChecker(nat_sig).check_args(EMPTY_TELESCOPE, [], Telescope())
 
     def test_vec_telescope(self, vec_sig):
         tele = vec_sig.data("Vec").telescope
-        check_args(vec_sig, EMPTY_TELESCOPE, [dat("Nat"), nat_lit(0)], tele)
+        TypeChecker(vec_sig).check_args(EMPTY_TELESCOPE, [dat("Nat"), nat_lit(0)], tele)
 
     def test_failure_at_first_position(self, vec_sig):
         tele = vec_sig.data("Vec").telescope
         with pytest.raises(TypeCheckError):
-            check_args(vec_sig, EMPTY_TELESCOPE, [nat_lit(0), dat("Nat")], tele)
+            TypeChecker(vec_sig).check_args(
+                EMPTY_TELESCOPE, [nat_lit(0), dat("Nat")], tele
+            )
 
     def test_length_mismatch(self, vec_sig):
         tele = vec_sig.data("Vec").telescope
         with pytest.raises(TypeCheckError) as exc:
-            check_args(vec_sig, EMPTY_TELESCOPE, [dat("Nat")], tele)
+            TypeChecker(vec_sig).check_args(EMPTY_TELESCOPE, [dat("Nat")], tele)
         assert code_of(exc) == "E302"
 
     def test_dependency_threading(self, vec_sig):
         # Second entry's type mentions the first argument.
         a, n = Var.fresh("A"), Var.fresh("n")
         tele = Telescope.of((a, UNIV), (n, ref(a)))
-        check_args(vec_sig, EMPTY_TELESCOPE, [dat("Nat"), nat_lit(0)], tele)
+        TypeChecker(vec_sig).check_args(EMPTY_TELESCOPE, [dat("Nat"), nat_lit(0)], tele)
         with pytest.raises(TypeCheckError):
-            check_args(vec_sig, EMPTY_TELESCOPE, [dat("Nat"), con("vnil")], tele)
+            TypeChecker(vec_sig).check_args(
+                EMPTY_TELESCOPE, [dat("Nat"), con("vnil")], tele
+            )
 
     def test_subst_walks_grow_linearly(self, nat_sig, monkeypatch):
         # Each entry type is instantiated once, at every earlier argument at
@@ -140,37 +143,40 @@ class TestCheckArgs:
             xs = [Var.fresh("x") for _ in range(n)]
             tele = Telescope.of((a, UNIV), *((x, ref(a)) for x in xs))
             calls.clear()
-            check_args(nat_sig, EMPTY_TELESCOPE, [dat("Nat")] + [nat_lit(0)] * n, tele)
+            args = [dat("Nat")] + [nat_lit(0)] * n
+            TypeChecker(nat_sig).check_args(EMPTY_TELESCOPE, args, tele)
             return len(calls)
 
         assert count(20) <= 2.5 * count(10)
 
 
+def column(ty):
+    """The telescope of a row of one pattern at `ty`."""
+    return Telescope.of((Var.fresh("x"), ty))
+
+
 class TestCheckPattern:
     def test_fzero_pattern_has_no_bindings(self, fin_sig):
         n = Var.fresh("n")
-        ctx = Telescope.of((n, dat("Nat")))
-        typed, theta = check_pattern(
-            fin_sig, ctx, ConPat("fzero", ()), dat("Fin", con("suc", ref(n)))
-        )
+        tele = column(dat("Fin", con("suc", ref(n))))
+        typed, theta, _ = TypeChecker(fin_sig).check_row((ConPat("fzero", ()),), tele)
         assert theta.entries == ()
 
     def test_impossible_at_empty_type(self, fin_sig):
-        typed, theta = check_pattern(
-            fin_sig, EMPTY_TELESCOPE, ImpossiblePat(), dat("Fin", nat_lit(0))
-        )
+        tele = column(dat("Fin", nat_lit(0)))
+        typed, theta, _ = TypeChecker(fin_sig).check_row((ImpossiblePat(),), tele)
         assert theta.entries == ()
 
     def test_impossible_rejected_when_constructors_available(self, fin_sig):
         n = Var.fresh("n")
-        ctx = Telescope.of((n, dat("Nat")))
+        tele = column(dat("Fin", con("suc", ref(n))))
         with pytest.raises(TypeCheckError) as exc:
-            check_pattern(fin_sig, ctx, ImpossiblePat(), dat("Fin", con("suc", ref(n))))
+            TypeChecker(fin_sig).check_row((ImpossiblePat(),), tele)
         assert code_of(exc) == "E308"
 
     def test_bind_type_is_stored(self, nat_sig):
         p = BindPat(Var.fresh("m"))
-        typed, theta = check_pattern(nat_sig, EMPTY_TELESCOPE, p, dat("Nat"))
+        (typed,), theta, _ = TypeChecker(nat_sig).check_row((p,), column(dat("Nat")))
         assert typed.ty == dat("Nat")
         assert theta.entries == ((p.var, dat("Nat")),)
 
@@ -180,11 +186,11 @@ class TestCheckPatterns:
         m = BindPat(Var.fresh("m"))
         pats = [ConPat("suc", (m,)), ConPat("fzero", ())]
         tele = fin_sig.func("toNat").telescope
-        typed, theta = check_patterns(fin_sig, EMPTY_TELESCOPE, pats, tele)
+        typed, theta, _ = TypeChecker(fin_sig).check_row(pats, tele)
         assert [(x.text, pretty(ty)) for x, ty in theta] == [("m", "Nat")]
 
     def test_empty_row(self, nat_sig):
-        typed, theta = check_patterns(nat_sig, EMPTY_TELESCOPE, [], Telescope())
+        typed, theta, _ = TypeChecker(nat_sig).check_row([], Telescope())
         assert typed == ()
         assert theta.entries == ()
 
@@ -192,7 +198,7 @@ class TestCheckPatterns:
         tele = nat_sig.func("plus").telescope
         pats = [BindPat(Var.fresh("m")), BindPat(Var.fresh("m"))]
         with pytest.raises(TypeCheckError) as exc:
-            check_patterns(nat_sig, EMPTY_TELESCOPE, pats, tele)
+            TypeChecker(nat_sig).check_row(pats, tele)
         assert code_of(exc) == "E310"
 
     def test_second_pattern_sees_first_match(self, fin_sig):
@@ -201,7 +207,7 @@ class TestCheckPatterns:
         m, y = BindPat(Var.fresh("m")), BindPat(Var.fresh("y"))
         pats = [ConPat("suc", (m,)), ConPat("fsuc", (y,))]
         tele = fin_sig.func("toNat").telescope
-        typed, theta = check_patterns(fin_sig, EMPTY_TELESCOPE, pats, tele)
+        typed, theta, _ = TypeChecker(fin_sig).check_row(pats, tele)
         entries = {x.text: pretty(ty) for x, ty in theta}
         assert entries == {"m": "Nat", "y": "Fin m"}
 
@@ -222,7 +228,7 @@ class TestCheckPatterns:
             tele = Telescope(tuple((x, dat("Nat")) for x in xs))
             pats = [BindPat(Var.fresh(f"y{i}")) for i in range(n)]
             built.clear()
-            typed, theta = check_patterns(nat_sig, EMPTY_TELESCOPE, pats, tele)
+            typed, theta, _ = TypeChecker(nat_sig).check_row(pats, tele)
             assert [x for x, _ in theta] == [p.var for p in pats]
             return sum(built)
 
@@ -245,7 +251,7 @@ class TestCheckPatterns:
             ty = dat("Fin", nat_lit(n + 1))
             monkeypatch.setattr(ConCall, "__init__", counted)
             built.clear()
-            typed, _ = check_pattern(fin_sig, EMPTY_TELESCOPE, pat, ty)
+            (typed,), _, _ = TypeChecker(fin_sig).check_row((pat,), column(ty))
             monkeypatch.undo()
             assert typed == pat
             return len(built)
@@ -273,14 +279,14 @@ def f (a : Nat) : Nat
         tele = nat_sig.func("plus").telescope
         clause = Clause((BindPat(Var.fresh("x")), BindPat(Var.fresh("y"))), UNIV)
         with pytest.raises(TypeCheckError) as exc:
-            TypeChecker(nat_sig).check_clause(EMPTY_TELESCOPE, tele, dat("Nat"), clause)
+            TypeChecker(nat_sig).check_clause(tele, dat("Nat"), clause)
         assert code_of(exc) == "E303"
 
     def test_unbound_variable_in_ctor_fields(self, nat_sig):
         m = Var.fresh("m")
         row = CtorRow("bad", Telescope.of((Var.fresh("x"), ref(m))), None)
         with pytest.raises(TypeCheckError) as exc:
-            TypeChecker(nat_sig).check_ctor_row(EMPTY_TELESCOPE, Telescope(), row)
+            TypeChecker(nat_sig).check_ctor_row(Telescope(), row)
         assert code_of(exc) == "E301"
 
 
@@ -296,7 +302,7 @@ class TestCheckSignature:
             (),
         )
         with pytest.raises(TypeCheckError) as exc:
-            check_signature([vec])
+            TypeChecker().check_signature([vec])
         assert code_of(exc) == "E301"
 
     def test_row_uses_its_data_type_at_swapped_parameters(self):
@@ -311,7 +317,7 @@ class TestCheckSignature:
     def test_duplicate_names(self, nat_sig):
         decl = DataDecl("Twice", Telescope(), ())
         with pytest.raises(TypeCheckError) as exc:
-            check_signature([decl, decl])
+            TypeChecker().check_signature([decl, decl])
         assert code_of(exc) == "E313"
 
     def test_determinism(self):
@@ -407,6 +413,16 @@ data Vec (A : Type) (n : Nat) : Type
         assert not checker.warnings
 
 
+def _unknown_ctor_at_y(decls):
+    # The resolver rejects an unknown constructor name, so this row is built
+    # in the library: the last clause's `suc k` at y becomes `nope k`.
+    f = decls[-1]
+    pats = list(f.clauses[0].patterns)
+    pats[2] = ConPat("nope", pats[2].args)
+    clause = Clause(tuple(pats), None)
+    return decls[:-1] + [FuncDecl(f.name, f.telescope, f.result, (clause,))]
+
+
 class TestImpossibleRows:
     FIN = """
 data Nat : Type
@@ -434,6 +450,56 @@ data Fin (n : Nat) : Type
             + "def unwrap (w : Wrap) : Nat\n  | wrap impossible\n"
         )
 
+    # The columns after the impossible first one are checked leniently: y's
+    # type is the pattern variable T, not a data type, and Fin n is stuck at
+    # the pattern variable n; n itself is still at Nat.
+    OPAQUE = "def f (x : Fin zero) (T : Type) (y : T) (n : Nat) (z : Fin n) : Nat\n  | "
+
+    @pytest.mark.parametrize(
+        "decl, edit, code, message",
+        [
+            (OPAQUE + "impossible, T, suc k, n, z", None, None, None),
+            (OPAQUE + "impossible, T, suc impossible, n, z", None, None, None),
+            (OPAQUE + "impossible, T, y, n, impossible", None, None, None),
+            (OPAQUE + "impossible, T, impossible, n, z", None, None, None),
+            (OPAQUE + "impossible, T, y, impossible, z", None, "E308", "at Nat"),
+            (
+                "data D (x : Fin zero) (T : Type) (y : T) : Type\n"
+                "  | impossible, T, suc k => w (f : Fin k)",
+                None,
+                "E303",
+                "expected Nat, got _ty",
+            ),
+            (
+                OPAQUE + "impossible, T, suc k, n, z",
+                _unknown_ctor_at_y,
+                "E301",
+                "unknown constructor nope",
+            ),
+        ],
+        ids=[
+            "ctor_at_binder_type",
+            "nested_impossible_at_binder_type",
+            "impossible_at_stuck_fin",
+            "impossible_at_binder_type",
+            "impossible_at_nat",
+            "data_row_field_at_opaque_binder",
+            "unknown_ctor_at_opaque_type",
+        ],
+    )
+    def test_patterns_after_impossible(self, decl, edit, code, message):
+        decls = resolve(parse_file(self.FIN + decl + "\n", "<test>"))
+        if edit is not None:
+            decls = edit(decls)
+        checker = TypeChecker()
+        if code is None:
+            checker.check_signature(decls)
+            return
+        with pytest.raises(TypeCheckError) as exc:
+            checker.check_signature(decls)
+        assert code_of(exc) == code
+        assert message in exc.value.message
+
     def test_nested_impossible_at_inhabited_field_rejected(self):
         with pytest.raises(TypeCheckError) as exc:
             check_source(
@@ -456,15 +522,15 @@ data Parity (n : Nat) : Type
 """
 
     def test_any_matching_row_makes_the_constructor_available(self):
-        sig = check_source(self.PARITY)
-        check_term(sig, EMPTY_TELESCOPE, con("whole"), dat("Parity", nat_lit(0)))
-        check_term(sig, EMPTY_TELESCOPE, con("whole"), dat("Parity", nat_lit(2)))
-        check_term(sig, EMPTY_TELESCOPE, con("half"), dat("Parity", nat_lit(1)))
+        checker = TypeChecker(check_source(self.PARITY))
+        checker.check_term(EMPTY_TELESCOPE, con("whole"), dat("Parity", nat_lit(0)))
+        checker.check_term(EMPTY_TELESCOPE, con("whole"), dat("Parity", nat_lit(2)))
+        checker.check_term(EMPTY_TELESCOPE, con("half"), dat("Parity", nat_lit(1)))
 
     def test_unavailable_when_every_row_mismatches(self):
-        sig = check_source(self.PARITY)
+        checker = TypeChecker(check_source(self.PARITY))
         with pytest.raises(TypeCheckError) as exc:
-            check_term(sig, EMPTY_TELESCOPE, con("whole"), dat("Parity", nat_lit(1)))
+            checker.check_term(EMPTY_TELESCOPE, con("whole"), dat("Parity", nat_lit(1)))
         assert code_of(exc) == "E305"
 
 
@@ -482,7 +548,7 @@ class TestPatternTermsAreWellTyped:
                 elif isinstance(decl, FuncDecl):
                     rows = [(cl.patterns, decl.telescope) for cl in decl.clauses]
                 for pats, tele in rows:
-                    check_args(sig, vars_pats(pats), to_terms(pats), tele)
+                    TypeChecker(sig).check_args(vars_pats(pats), to_terms(pats), tele)
 
 
 class TestPlainAndPatternRowAgreement:
@@ -503,7 +569,7 @@ data List (A : Type) : Type
         decl = list_sig.data("List")
         pattern_rows = tuple(as_pattern_row(decl, row) for row in decl.ctors)
         converted = DataDecl(decl.name, decl.telescope, pattern_rows)
-        sig2 = check_signature([list_sig.data("Nat"), converted])
+        sig2 = TypeChecker().check_signature([list_sig.data("Nat"), converted])
 
         good = [
             (con("nil"), dat("List", dat("Nat"))),
@@ -513,9 +579,9 @@ data List (A : Type) : Type
             (con("cons", con("nil"), con("nil")), dat("List", dat("Nat"))),
         ]
         for term, ty in good:
-            check_term(list_sig, EMPTY_TELESCOPE, term, ty)
-            check_term(sig2, EMPTY_TELESCOPE, term, ty)
+            TypeChecker(list_sig).check_term(EMPTY_TELESCOPE, term, ty)
+            TypeChecker(sig2).check_term(EMPTY_TELESCOPE, term, ty)
         for term, ty in bad:
             for sig in (list_sig, sig2):
                 with pytest.raises(TypeCheckError):
-                    check_term(sig, EMPTY_TELESCOPE, term, ty)
+                    TypeChecker(sig).check_term(EMPTY_TELESCOPE, term, ty)

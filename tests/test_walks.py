@@ -15,6 +15,7 @@ from sit.core import (
     EMPTY_TELESCOPE,
     UNIV,
     ConCall,
+    Telescope,
     Var,
     VarCall,
     alpha_eq,
@@ -27,7 +28,7 @@ from sit.diagnostics import InternalError, SourceSpan, TypeCheckError
 from sit.evaluator import Fuel, convertible, index_normal_form, normalize
 from sit.frontend import Resolver, SClause, SDef, SUniv
 from sit.pattern_ops import match_terms, to_term
-from sit.typecheck import check_pattern, check_term
+from sit.typecheck import TypeChecker
 
 from support import con, nat_lit
 
@@ -75,9 +76,10 @@ class TestForeignNode:
 
     def test_check_term_and_check_pattern(self, nat_sig):
         with pytest.raises(TypeCheckError):
-            check_term(nat_sig, EMPTY_TELESCOPE, FOREIGN, UNIV)
+            TypeChecker(nat_sig).check_term(EMPTY_TELESCOPE, FOREIGN, UNIV)
         with pytest.raises(TypeCheckError):
-            check_pattern(nat_sig, EMPTY_TELESCOPE, FOREIGN, UNIV)
+            tele = Telescope.of((Var.fresh("x"), UNIV))
+            TypeChecker(nat_sig).check_row((FOREIGN,), tele)
 
     def test_resolver(self):
         with pytest.raises(InternalError):
