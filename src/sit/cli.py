@@ -6,7 +6,8 @@ steps. `--trace-match` is that `Fuel`'s match observer.
 
 Exit codes: 0 success, 1 type or coverage error, 2 parse or resolve error,
 3 usage error, 4 resource limit: reduction steps (E501) or nesting depth
-(E502). Diagnostics go to stderr, one per line, as
+(E502), 5 internal error (E900, a broken invariant of sit itself, reported
+at FILE:1:1). Diagnostics go to stderr, one per line, as
 FILE:LINE:COL: error[Ennn]: message.
 """
 from __future__ import annotations
@@ -18,8 +19,10 @@ from dataclasses import dataclass
 
 from .core import DataDecl, Signature, Term, pretty, pretty_pattern
 from .diagnostics import (
+    INTERNAL_ERROR,
     NESTING_TOO_DEEP,
     FuelError,
+    InternalError,
     LexError,
     ParseError,
     ResolveError,
@@ -38,6 +41,7 @@ EXIT_TYPE_ERROR = 1
 EXIT_SYNTAX_ERROR = 2
 EXIT_USAGE = 3
 EXIT_LIMIT = 4
+EXIT_INTERNAL = 5
 
 
 @dataclass
@@ -186,6 +190,12 @@ def run(argv: list[str] | None = None) -> int:
     except SitError as err:
         print(err.render(), file=sys.stderr)
         return _classify(err)
+    except InternalError as err:
+        # The last resort: one diagnostic line, never a traceback.
+        message = "internal error: " + " ".join(str(err).split())
+        where = SourceSpan(args.file, 1, 1, 1, 1)
+        print(SitError(INTERNAL_ERROR, message, where).render(), file=sys.stderr)
+        return EXIT_INTERNAL
     except OSError as err:
         print(f"sit: {err}", file=sys.stderr)
         return EXIT_USAGE

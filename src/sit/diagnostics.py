@@ -68,6 +68,8 @@ CANNOT_SPLIT = "E402"
 FUEL_EXHAUSTED = "E501"
 NESTING_TOO_DEEP = "E502"
 
+INTERNAL_ERROR = "E900"
+
 UNREACHABLE_CLAUSE = "W401"
 STRICT_FIELD_SCOPE = "W301"
 

@@ -5,6 +5,14 @@ to bottom, the first positive match fires, and a stuck match freezes the
 call as a neutral term. There is no termination checker; a step budget turns
 runaway evaluation into an error instead of a hang. Every evaluation takes
 the budget explicitly, so one `Fuel` can bound a whole command.
+
+Each firing is one turn of `whnf`'s loop: it normalizes the columns some
+clause inspects in place, tries the clauses and goes on with the reduct.
+A call nested in an inspected column costs two Python frames, `whnf` and
+`index_normal_form`, so `sit eval` takes about 490 nested calls under the
+default recursion limit. `normalize` calls `whnf` only on a function call,
+and a node none of whose children changes is returned itself, so a value
+that is already normal is walked but never copied.
 """
 from __future__ import annotations
 
@@ -63,7 +71,20 @@ def whnf(sig: Signature, t: Term, fuel: Fuel) -> Term:
         func = sig.func(t.name)
         if func is None:
             raise InternalError(f"call to undeclared function {t.name}")
-        args = _dispatch_args(sig, func, t.args, fuel)
+        # Normalize only the columns some clause actually inspects; pure
+        # catch-all columns are substituted into bodies untouched. A value
+        # already known to be normal (substitution shares them) needs no call.
+        args = t.args
+        hot = func.inspected_columns
+        if hot:
+            dispatched = []
+            i = 0
+            for a in args:
+                if i in hot and not (type(a) is ConCall and a._spine_normal):
+                    a = index_normal_form(sig, a, fuel)
+                dispatched.append(a)
+                i += 1
+            args = tuple(dispatched)
         reduct = None
         for clause in func.clauses:
             out = match_terms(args, clause.patterns)
@@ -82,16 +103,6 @@ def whnf(sig: Signature, t: Term, fuel: Fuel) -> Term:
             return FnCall(t.name, args)
         t = reduct
     return t
-
-
-def _dispatch_args(sig, func, args, fuel) -> tuple[Term, ...]:
-    # Normalize only the columns some clause actually inspects; pure catch-all
-    # columns are substituted into bodies untouched.
-    hot = func.inspected_columns
-    out = []
-    for i, a in enumerate(args):
-        out.append(index_normal_form(sig, a, fuel) if i in hot else a)
-    return tuple(out)
 
 
 def index_normal_form(sig: Signature, t: Term, fuel: Fuel) -> Term:
@@ -129,21 +140,36 @@ def index_normal_form(sig: Signature, t: Term, fuel: Fuel) -> Term:
 
 
 def normalize(sig: Signature, t: Term, fuel: Fuel) -> Term:
-    """Fully normalize; idempotent."""
-    t = whnf(sig, t, fuel)
+    """Fully normalize; idempotent. A node none of whose children changes
+    is returned itself, not rebuilt."""
     c = type(t)
+    if c is FnCall:
+        t = whnf(sig, t, fuel)
+        c = type(t)
     if c is ConCall or c is FnCall or c is DataCall or c is VarCall:
+        if not t.args:
+            return t
         args = []
+        changed = False
         for a in t.args:
-            args.append(normalize(sig, a, fuel))
+            b = normalize(sig, a, fuel)
+            args.append(b)
+            if b is not a:
+                changed = True
+        if not changed:
+            return t
         if c is VarCall:
             return VarCall(t.var, tuple(args))
         return c(t.name, tuple(args))
     if c is Pi:
         dom = normalize(sig, t.domain, fuel)
-        return Pi(t.binder, dom, normalize(sig, t.codomain, fuel))
+        cod = normalize(sig, t.codomain, fuel)
+        if dom is t.domain and cod is t.codomain:
+            return t
+        return Pi(t.binder, dom, cod)
     if c is Lam:
-        return Lam(t.binder, normalize(sig, t.body, fuel))
+        body = normalize(sig, t.body, fuel)
+        return t if body is t.body else Lam(t.binder, body)
     if c is Univ:
         return t
     raise InternalError(f"unexpected term {t!r}")

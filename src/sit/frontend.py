@@ -487,12 +487,13 @@ class _Parser:
                 kind = tok.kind
                 if kind == "IDENT" or kind == "Type":
                     self.pos += 1
+                    _, text, file, line, col = tok
                     # A head alone in its group gets the group's span.
                     if head is None and app_grouped and toks[self.pos].kind == "RPAREN":
                         span = None
                     else:
-                        span = tok.span
-                    atom = SRef(tok.text, span) if kind == "IDENT" else SUniv(span)
+                        span = SourceSpan(file, line, col, line, col + len(text) - 1)
+                    atom = SRef(text, span) if kind == "IDENT" else SUniv(span)
                 elif kind == "LPAREN":
                     self.pos += 1
                     stack.append((_GROUP, tok, head, args, app_grouped))
@@ -525,8 +526,13 @@ class _Parser:
                 form = frame[0]
                 if form is _GROUP:
                     _, open_tok, head, args, app_grouped = frame
-                    close = self.expect("RPAREN", "')'")
-                    e = _respan(e, _between(open_tok, close))
+                    close = toks[self.pos]
+                    if close.kind != "RPAREN":
+                        raise _unexpected("')'", close)
+                    self.pos += 1
+                    # ")" is one character wide: it ends where it starts.
+                    _, _, file, line, col = open_tok
+                    e = _respan(e, SourceSpan(file, line, col, close.line, close.col))
                     if head is None:
                         head = e
                     else:
@@ -724,21 +730,44 @@ class Resolver:
             )
         return Var.fresh(name)
 
-    def _lookup_local(self, scopes, name) -> Optional[Var]:
-        for frame in reversed(scopes):
-            if name in frame:
-                return frame[name]
-        return None
-
     def _expr(self, e: SExpr, scopes: list[dict[str, Var]]) -> Term:
         c = type(e)
-        if c is SRef:
-            return self._apply(e, [], scopes, e.span)
-        if c is SApp:
-            args = []
-            for a in e.args:
-                args.append(self._expr(a, scopes))
-            return self._apply(e.head, args, scopes, e.span)
+        if c is SRef or c is SApp:
+            # An application is resolved in this one frame: its arguments
+            # first, then its head, a local binder before a global.
+            args: list[Term] = []
+            if c is SRef:
+                head = e
+            else:
+                head = e.head
+                for a in e.args:
+                    args.append(self._expr(a, scopes))
+            if type(head) is not SRef:
+                inner = self._expr(head, scopes)
+                try:
+                    return apply_spine(inner, tuple(args))
+                except InternalError:
+                    raise ResolveError(
+                        BAD_APPLICATION, "this expression cannot take arguments", e.span
+                    ) from None
+            name = head.name
+            for frame in reversed(scopes):
+                var = frame.get(name)
+                if var is not None:
+                    return VarCall(var, tuple(args), e.span)
+            entry = self.globals.get(name)
+            if entry is None:
+                raise ResolveError(UNKNOWN_IDENT, f"unknown identifier {name}", head.span)
+            # A fully applied global is built here; `_apply_global` expands
+            # the partial applications and reports the bad ones.
+            kind = entry.kind
+            if kind == "ctor":
+                if len(args) == entry.fields_arity:
+                    return ConCall(name, tuple(args), e.span)
+            elif len(args) == entry.arity:
+                call = FnCall if kind == "func" else DataCall
+                return call(name, tuple(args), e.span)
+            return self._apply_global(name, entry, args, e.span)
         if c is SArrow:
             dom = self._expr(e.domain, scopes)
             cod = self._expr(e.codomain, scopes)
@@ -756,30 +785,12 @@ class Resolver:
             return Univ(e.span)
         raise InternalError(f"unexpected expression {e!r}")
 
-    def _apply(self, head: SExpr, args: list[Term], scopes, span) -> Term:
-        if isinstance(head, SRef):
-            var = self._lookup_local(scopes, head.name)
-            if var is not None:
-                return VarCall(var, tuple(args), span)
-            entry = self.globals.get(head.name)
-            if entry is None:
-                raise ResolveError(
-                    UNKNOWN_IDENT, f"unknown identifier {head.name}", head.span
-                )
-            return self._apply_global(head.name, entry, args, span)
-        inner = self._expr(head, scopes)
-        try:
-            return apply_spine(inner, tuple(args))
-        except InternalError:
-            raise ResolveError(
-                BAD_APPLICATION, "this expression cannot take arguments", span
-            ) from None
-
     def _apply_global(self, name: str, entry: _Global, args, span) -> Term:
+        """A global applied to fewer or more arguments than it takes: an
+        under-applied one is expanded to lambdas, an over-applied one is an
+        error."""
         n = len(args)
         if entry.kind == "ctor":
-            if n == entry.fields_arity:
-                return ConCall(name, tuple(args), span)
             if n == 0:
                 return self._expand_ctor(name, entry, span)
             raise ResolveError(

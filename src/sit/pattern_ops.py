@@ -37,6 +37,9 @@ class Mismatch(Node):
     __slots__ = ()
 
 
+_MISMATCH = Mismatch()
+
+
 class Stuck(Node):
     """Cannot decide: position of the term whose head blocks matching."""
 
@@ -108,21 +111,52 @@ def match_terms(terms: Sequence[Term], pats: Sequence[Pattern]) -> MatchOutcome:
     Type, a data type) is Stuck. A Mismatch anywhere decides the whole list
     negatively even if another position is Stuck; otherwise any Stuck position
     makes the list Stuck; otherwise the per-position substitutions are joined.
+
+    The top-level row is walked here and nested rows by `_collect`, one frame
+    per level of nesting. Every Mismatch is one shared instance: it has
+    no fields, so a clause that fails allocates no outcome.
     """
-    if len(terms) != len(pats):
-        raise InternalError(
-            f"matching {len(terms)} terms against {len(pats)} patterns"
-        )
+    n = len(pats)
+    if len(terms) != n:
+        raise InternalError(f"matching {len(terms)} terms against {n} patterns")
     sub: dict[Var, Term] = {}
-    out = _collect(terms, pats, sub)
-    return Matched(sub) if out is None else out
+    stuck_at = -1
+    for i in range(n):
+        p = pats[i]
+        c = type(p)
+        if c is BindPat:
+            x = p.var
+            if x in sub:
+                raise InternalError(f"pattern variable {x!r} is bound twice")
+            sub[x] = terms[i]
+        elif c is ConPat:
+            u = terms[i]
+            if type(u) is not ConCall:
+                if stuck_at < 0:
+                    stuck_at = i
+                continue
+            if u.name != p.name:
+                return _MISMATCH
+            if len(u.args) != len(p.args):
+                raise InternalError(f"constructor {p.name} matched with wrong arity")
+            if p.args:
+                out = _collect(u.args, p.args, sub)
+                if out is _MISMATCH:
+                    return out
+                if out is not None and stuck_at < 0:
+                    stuck_at = i
+        elif c is ImpossiblePat:
+            return _MISMATCH
+        else:
+            raise InternalError(f"unexpected pattern {p!r}")
+    return Matched(sub) if stuck_at < 0 else Stuck(stuck_at)
 
 
 def _collect(
     terms: Sequence[Term], pats: Sequence[Pattern], sub: dict[Var, Term]
 ) -> Optional[Mismatch | Stuck]:
-    """Add the bindings of every position to `sub`, left to right and depth
-    first; None when every position matches.
+    """Add the bindings of every nested position to `sub`, left to right and
+    depth first; None when every position matches.
 
     A variable already in `sub` is bound twice: pattern linearity was
     violated upstream, which is a bug.
@@ -141,16 +175,16 @@ def _collect(
                     stuck_at = i
                 continue
             if u.name != p.name:
-                return Mismatch()
+                return _MISMATCH
             if len(u.args) != len(p.args):
                 raise InternalError(f"constructor {p.name} matched with wrong arity")
             out = _collect(u.args, p.args, sub)
-            if type(out) is Mismatch:
+            if out is _MISMATCH:
                 return out
             if out is not None and stuck_at is None:
                 stuck_at = i
         elif c is ImpossiblePat:
-            return Mismatch()
+            return _MISMATCH
         else:
             raise InternalError(f"unexpected pattern {p!r}")
     return None if stuck_at is None else Stuck(stuck_at)

@@ -377,9 +377,13 @@ class TypeChecker:
             )
 
     def _check_linear(self, pats: Sequence[Pattern]) -> None:
-        seen: dict[str, Pattern] = {}
-
-        def walk(p: Pattern) -> None:
+        # Left to right and depth first, from a stack: the first repeated
+        # name is the one reported. A recursive closure here would leave a
+        # reference cycle per row for the cyclic collector.
+        seen: set[str] = set()
+        stack = list(reversed(pats))
+        while stack:
+            p = stack.pop()
             c = type(p)
             if c is BindPat:
                 text = p.var.text
@@ -389,13 +393,9 @@ class TypeChecker:
                         f"pattern variable {text} bound twice in one row",
                         p.span,
                     )
-                seen[text] = p
+                seen.add(text)
             elif c is ConPat:
-                for q in p.args:
-                    walk(q)
-
-        for p in pats:
-            walk(p)
+                stack.extend(reversed(p.args))
 
     # -- clauses and rows ---------------------------------------------------
 

@@ -18,6 +18,18 @@ def corpus(name: str) -> str:
     return str(CORPUS / name)
 
 
+def sit_process(*args: str) -> subprocess.CompletedProcess:
+    """`sit ARGS` as a new process, with the default recursion limit."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "sit.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+
+
 class TestCheck:
     def test_success_is_silent(self, capsys):
         assert run(["check", corpus("vec.sit")]) == 0
@@ -173,6 +185,16 @@ class TestEval:
         expr = f"plus ({nat(400)}) ({nat(400)})"
         assert run(["eval", corpus("nat.sit"), "-e", expr]) == 0
         assert capsys.readouterr().out == nat(800) + "\n"
+
+    def test_deep_nested_calls_evaluate(self):
+        # Each nested call costs `whnf` and `index_normal_form` one frame
+        # each, so 450 levels fit under the default recursion limit.
+        expr = "suc zero"
+        for _ in range(450):
+            expr = f"plus ({expr}) (suc zero)"
+        res = sit_process("eval", corpus("nat.sit"), "-e", expr)
+        assert (res.returncode, res.stderr) == (0, "")
+        assert res.stdout == "suc (" * 450 + "suc zero" + ")" * 450 + "\n"
 
     def test_deep_nesting_is_a_diagnostic(self, capsys):
         # The parser takes any depth; the resolver's walk gives up first.
@@ -394,17 +416,24 @@ class TestExitCodes:
     def test_module_entry_point(self):
         # `sit.cli.main` as a new process runs it: exit codes come back through
         # `sys.exit`.
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": src}
-
-        def sit(*args: str) -> subprocess.CompletedProcess:
-            return subprocess.run(
-                [sys.executable, "-m", "sit.cli", *args],
-                capture_output=True, text=True, env=env, timeout=120,
-            )
-
-        ok = sit("check", corpus("nat.sit"))
+        ok = sit_process("check", corpus("nat.sit"))
         assert (ok.returncode, ok.stdout, ok.stderr) == (0, "", "")
-        bad = sit("check", str(FIXTURES / "01_vnil_wrong_length.sit"))
+        bad = sit_process("check", str(FIXTURES / "01_vnil_wrong_length.sit"))
         assert bad.returncode == 1
         assert "error[E305]" in bad.stderr
+
+    def test_internal_error_is_one_diagnostic_line(self, tmp_path):
+        # Applying a function-valued call breaks the core's application
+        # invariant (a known gap): the last resort reports it as E900 with
+        # exit 5, not as a traceback with the type-error code.
+        src = tmp_path / "higher_order.sit"
+        src.write_text(
+            "data Nat : Type\n  | zero\n  | suc (n : Nat)\n"
+            "def k (n : Nat) : Nat -> Nat\n  | n => fn m => suc n\n"
+            "def use (g : Nat -> Nat) : Nat\n  | g => g zero\n"
+        )
+        res = sit_process("eval", str(src), "-e", "use (k zero)")
+        assert res.returncode == 5
+        assert "Traceback" not in res.stderr
+        (line,) = res.stderr.splitlines()
+        assert line.startswith(f"{src}:1:1: error[E900]: internal error: cannot apply")

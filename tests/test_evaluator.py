@@ -92,6 +92,14 @@ class TestNormalize:
             once = normalize(nat_sig, t, Fuel())
             assert normalize(nat_sig, once, Fuel()) == once
 
+    def test_normal_value_is_returned_itself(self, nat_sig):
+        # A closed constructor value is already normal: nothing is rebuilt
+        # and no clause fires.
+        v = nat_lit(3)
+        fuel = Fuel()
+        assert normalize(nat_sig, v, fuel) is v
+        assert fuel.used == 0
+
     def test_normalizes_under_binders(self, nat_sig):
         x = Var.fresh("x")
         t = Lam(x, fn("plus", nat_lit(0), ref(x)))

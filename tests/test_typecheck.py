@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from sit import core, coverage, evaluator, typecheck
@@ -294,6 +296,19 @@ class TestCheckSignature:
     def test_corpus_accepts(self):
         for name in ("nat", "list", "vec", "fin", "normalize"):
             load_corpus(name)
+
+    def test_checking_leaves_no_reference_cycles(self):
+        # Every cycle left behind waits for the cyclic collector, which then
+        # walks it on each collection: checking a file should make none.
+        gc.collect()
+        gc.disable()
+        try:
+            for path in sorted(CORPUS.glob("*.sit")):
+                load_corpus(path.stem)
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0
 
     def test_out_of_order_reference(self):
         vec = DataDecl(
