@@ -153,7 +153,9 @@ def check_coverage(sig: Signature, func: FuncDecl, fuel: Fuel) -> list[Warning]:
                 holes = {x: _HOLE for s in shapes for x in free_vars(s)}
                 case = ", ".join(pretty(subst(s, holes)) for s in shapes)
                 raise CoverageError(
-                    MISSING_CASE, f"missing case in {func.name}: {case}", func.span
+                    MISSING_CASE,
+                    f"missing case in {func.name}: {case or '(no arguments)'}",
+                    func.span,
                 )
             continue
 

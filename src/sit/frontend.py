@@ -17,13 +17,16 @@ application binds tighter than `->`):
     expr1   ::= atom+
     atom    ::= ID | "Type" | "(" expr ")"
 
-The lexer cuts the text into pieces in one `findall` pass, blanks and
-comments included, so the pieces' lengths give each token's line and
-column. Tokens are plain tuples of kind, text and start position; a token's
-span is built only when something asks for it: an error message, or an AST
-leaf. The parser builds one span per syntax node, from its first token to
-its last token or child, and a parenthesised expression or pattern takes
-the span of its parentheses.
+The lexer cuts each line into pieces in one `findall` pass, blanks and
+comments included, so the pieces' lengths give each token's column. Its
+output is four parallel lists (kind, text, line and column, one entry per
+token) rather than one object per token: strings and small integers are not
+tracked by the cyclic garbage collector, so a file's tokens add nothing to
+its passes while the file is parsed. The parser reads the lists through one
+cursor; a `Token` is built only for an error message or for a reader of
+`tokenize`'s result. The parser builds one span per syntax node, from its
+first token to its last token or child, and a parenthesised expression or
+pattern takes the span of its parentheses.
 
 Declarations, telescopes and patterns are parsed by recursive descent.
 Expressions are parsed by one loop over an explicit stack of the forms
@@ -87,8 +90,7 @@ KEYWORDS = {"data", "def", "fn", "impossible", "Type"}
 
 
 class Token(NamedTuple):
-    """One token and where it starts. Its span is built on demand, so lexing
-    allocates one tuple per token and nothing more."""
+    """One token and where it starts."""
 
     kind: str  # IDENT, one of KEYWORDS, LPAREN, RPAREN, COLON, COMMA, BAR, FATARROW, ARROW, EOF
     text: str  # "" for EOF
@@ -97,22 +99,27 @@ class Token(NamedTuple):
     col: int
 
     @property
-    def end_col(self) -> int:
-        return self.col + len(self.text) - 1 if self.text else self.col
-
-    @property
     def span(self) -> SourceSpan:
         line, col, n = self.line, self.col, len(self.text)
         return SourceSpan(self.file, line, col, line, col + n - 1 if n else col)
 
-    def to(self, end: SourceSpan) -> SourceSpan:
-        """The span from this token's start to the end of `end`."""
-        return SourceSpan(self.file, self.line, self.col, end.end_line, end.end_col)
 
+@dataclass
+class Tokens:
+    """The tokens of one text as four parallel lists, one entry per token
+    and EOF last. Indexing, and so iterating, builds each entry's `Token`."""
 
-def _between(first: Token, last: Token) -> SourceSpan:
-    """The span from the start of `first` to the end of `last`."""
-    return SourceSpan(first.file, first.line, first.col, last.line, last.end_col)
+    kinds: list[str]
+    texts: list[str]
+    lines: list[int]
+    cols: list[int]
+    file: str
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, i: int) -> Token:
+        return Token(self.kinds[i], self.texts[i], self.file, self.lines[i], self.cols[i])
 
 
 def decode_source(data: bytes, file: str) -> str:
@@ -136,9 +143,10 @@ def _newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-# The pieces of a source text: every character falls in exactly one, so
-# their lengths give each token's position.
-_PIECE = re.compile(r"\n|[ \t\r]+|--[^\n]*|[\w']+|=>|->|.")
+# The pieces of one line: each blank belongs to the piece after it, and
+# each other character to exactly one piece, so the pieces' lengths give
+# each token's column.
+_PIECE = re.compile(r"[ \t\r]*(?:--.*|[\w']+|=>|->|.)")
 
 # The kind of each piece that is a keyword or a punctuation token.
 _KIND = {k: k for k in KEYWORDS} | {
@@ -151,35 +159,51 @@ _KIND = {k: k for k in KEYWORDS} | {
     "->": "ARROW",
 }
 
-# `Token(...)` would run the named tuple's Python-level `__new__`.
-_new_tuple = tuple.__new__
 
-
-def tokenize(text: str, file: str = "<input>") -> list[Token]:
-    tokens: list[Token] = []
-    append = tokens.append
-    line, line_start, pos = 1, 0, 0
-    for piece in _PIECE.findall(text):
-        start = pos
-        pos += len(piece)
-        kind = _KIND.get(piece)
-        if kind is None:
-            c = piece[0]
-            if c == "\n":
-                line, line_start = line + 1, pos
-                continue
-            if c in " \t\r" or (c == "-" and len(piece) > 1):
-                continue  # blanks, or a comment ("->" has a kind)
-            # A word starts with a letter or "_": "2x", "'x" and "²x" are
-            # errors, and so is any other character.
-            if not (c.isalpha() or c == "_"):
-                col = start - line_start + 1
-                span = SourceSpan(file, line, col, line, col)
-                raise LexError(LEX_ERROR, f"unexpected character {c!r}", span)
-            kind = "IDENT"
-        append(_new_tuple(Token, (kind, piece, file, line, start - line_start + 1)))
-    append(Token("EOF", "", file, line, len(text) - line_start + 1))
-    return tokens
+def tokenize(text: str, file: str = "<input>") -> Tokens:
+    """The tokens of `text`, EOF last. A character that starts no token is a
+    lex error at its line and column."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    lines: list[int] = []
+    cols: list[int] = []
+    add_kind, add_text, add_line, add_col = (
+        kinds.append, texts.append, lines.append, cols.append
+    )
+    kind_of, pieces = _KIND.get, _PIECE.findall
+    line = 0
+    for line_text in text.split("\n"):
+        line += 1
+        end = 1  # the column after the pieces so far
+        for piece in pieces(line_text):
+            end += len(piece)
+            kind = kind_of(piece)
+            if kind is None:
+                if piece[0] in " \t\r":
+                    piece = piece.lstrip(" \t\r")
+                    kind = kind_of(piece)
+                if kind is None:
+                    if not piece:
+                        continue  # blanks at the end of the line
+                    c = piece[0]
+                    if c == "-" and len(piece) > 1:
+                        continue  # a comment ("->" has a kind)
+                    # A word starts with a letter or "_": "2x", "'x" and "²x"
+                    # are errors, and so is any other character.
+                    if not (c.isalpha() or c == "_"):
+                        col = end - len(piece)
+                        span = SourceSpan(file, line, col, line, col)
+                        raise LexError(LEX_ERROR, f"unexpected character {c!r}", span)
+                    kind = "IDENT"
+            add_kind(kind)
+            add_text(piece)
+            add_line(line)
+            add_col(end - len(piece))
+    add_kind("EOF")
+    add_text("")
+    add_line(line)
+    add_col(len(line_text) + 1)
+    return Tokens(kinds, texts, lines, cols, file)
 
 
 # ---------------------------------------------------------------------------
@@ -291,49 +315,56 @@ _ROW_END = ("BAR", "data", "def", "EOF")
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    """Reads a `Tokens` record through one cursor, `pos`, an index into its
+    lists."""
+
+    def __init__(self, tokens: Tokens):
         # The parser looks at most two tokens past the current one, and its
-        # scans stop at EOF, so two more EOFs keep every index in range.
-        self.tokens = tokens + tokens[-1:] * 2
+        # scans stop at EOF, so two more EOFs keep every index in range. They
+        # are appended in place: the lists were made for this parser alone.
+        for column in (tokens.kinds, tokens.texts, tokens.lines, tokens.cols):
+            column += column[-1:] * 2
+        self.tokens = tokens
+        self.kinds, self.texts = tokens.kinds, tokens.texts
+        self.lines, self.cols = tokens.lines, tokens.cols
+        self.filename = tokens.file
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[self.pos + ahead]
+    def expect(self, kind: str, what: str) -> int:
+        """The index of the current token, which must be a `kind`; the
+        cursor moves past it."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            raise _unexpected(what, self.tokens[pos])
+        self.pos = pos + 1
+        return pos
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def span(self, first: int, last: int) -> SourceSpan:
+        """The span from the start of token `first` to the end of token
+        `last`, which is not EOF."""
+        lines, cols = self.lines, self.cols
+        end_col = cols[last] + len(self.texts[last]) - 1
+        return SourceSpan(self.filename, lines[first], cols[first], lines[last], end_col)
 
-    def at(self, kind: str) -> bool:
-        return self.tokens[self.pos].kind == kind
-
-    def accept(self, kind: str) -> Optional[Token]:
-        if self.at(kind):
-            return self.next()
-        return None
-
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise _unexpected(what, tok)
-        return self.next()
+    def span_to(self, first: int, end: SourceSpan) -> SourceSpan:
+        """The span from the start of token `first` to the end of `end`."""
+        return SourceSpan(
+            self.filename, self.lines[first], self.cols[first], end.end_line, end.end_col
+        )
 
     # declarations
 
     def file(self) -> list[SDecl]:
         decls = []
-        while not self.at("EOF"):
-            decls.append(self.decl())
+        kinds = self.kinds
+        while (kind := kinds[self.pos]) != "EOF":
+            if kind == "data":
+                decls.append(self.data_decl())
+            elif kind == "def":
+                decls.append(self.def_decl())
+            else:
+                raise _unexpected("a declaration", self.tokens[self.pos])
         return decls
-
-    def decl(self) -> SDecl:
-        tok = self.peek()
-        if tok.kind == "data":
-            return self.data_decl()
-        if tok.kind == "def":
-            return self.def_decl()
-        raise _unexpected("a declaration", tok)
 
     def data_decl(self) -> SData:
         start = self.expect("data", "'data'")
@@ -342,10 +373,10 @@ class _Parser:
         self.expect("COLON", "':'")
         self.expect("Type", "'Type'")
         rows = []
-        while self.at("BAR"):
+        while self.kinds[self.pos] == "BAR":
             rows.append(self.ctor_row())
-        span = start.to(rows[-1].span) if rows else _between(start, name)
-        return SData(name.text, tele, tuple(rows), span)
+        span = self.span_to(start, rows[-1].span) if rows else self.span(start, name)
+        return SData(self.texts[name], tele, tuple(rows), span)
 
     def def_decl(self) -> SDef:
         start = self.expect("def", "'def'")
@@ -354,10 +385,10 @@ class _Parser:
         self.expect("COLON", "':'")
         result = self.expr()
         clauses = []
-        while self.at("BAR"):
+        while self.kinds[self.pos] == "BAR":
             clauses.append(self.clause())
-        end = clauses[-1].span if clauses else result.span
-        return SDef(name.text, tele, result, tuple(clauses), start.to(end))
+        span = self.span_to(start, clauses[-1].span if clauses else result.span)
+        return SDef(self.texts[name], tele, result, tuple(clauses), span)
 
     def ctor_row(self) -> SCtorRow:
         bar = self.expect("BAR", "'|'")
@@ -365,80 +396,86 @@ class _Parser:
         # end, and neither can follow a pattern's head: anything else starts
         # a pattern row, which must reach "=>".
         pats = None
+        pos = self.pos
         if not (
-            self.at("IDENT")
-            and (self.binder_group(1) or self.peek(1).kind in _ROW_END)
+            self.kinds[pos] == "IDENT"
+            and (self.kinds[pos + 1] in _ROW_END or self.binder_group(pos + 1))
         ):
             pats = tuple(self.pat_list())
             self.expect("FATARROW", "'=>'")
         name = self.expect("IDENT", "a constructor name")
         tele = self.tele()
-        return SCtorRow(pats, name.text, tele, _between(bar, name))
+        return SCtorRow(pats, self.texts[name], tele, self.span(bar, name))
 
     def clause(self) -> SClause:
         bar = self.expect("BAR", "'|'")
         pats = self.pat_list()
-        body = self.expr() if self.accept("FATARROW") else None
-        span = bar.to(body.span) if body is not None else bar.span
+        if self.kinds[self.pos] == "FATARROW":
+            self.pos += 1
+            body = self.expr()
+            span = self.span_to(bar, body.span)
+        else:
+            body, span = None, self.span(bar, bar)
         return SClause(tuple(pats), body, span)
 
-    def binder_group(self, ahead: int = 0) -> bool:
-        """Whether a telescope group `"(" IDENT+ ":"` starts `ahead` tokens on.
+    def binder_group(self, pos: int) -> int:
+        """The index of the ":" of a telescope group `"(" IDENT+ ":"` that
+        starts at token `pos`, or 0 when none starts there.
 
         A Pi type also starts with "(" IDENT, but result types following a
         telescope always sit behind an explicit ":".
         """
-        if self.peek(ahead).kind != "LPAREN":
-            return False
-        i = ahead + 1
-        while self.peek(i).kind == "IDENT":
+        kinds = self.kinds
+        if kinds[pos] != "LPAREN":
+            return 0
+        i = pos + 1
+        while kinds[i] == "IDENT":
             i += 1
-        return i > ahead + 1 and self.peek(i).kind == "COLON"
+        return i if i > pos + 1 and kinds[i] == "COLON" else 0
 
     def tele(self) -> tuple[STeleGroup, ...]:
         groups = []
-        while self.binder_group():
-            self.next()
-            names = []
-            while self.at("IDENT"):
-                names.append(self.next().text)
-            self.next()
+        while colon := self.binder_group(self.pos):
+            names = tuple(self.texts[self.pos + 1 : colon])
+            self.pos = colon + 1
             ty = self.expr()
             self.expect("RPAREN", "')'")
-            groups.append((tuple(names), ty))
+            groups.append((names, ty))
         return tuple(groups)
 
     # patterns
 
     def pat_list(self) -> list[SPat]:
         pats = [self.pattern()]
-        while self.accept("COMMA"):
+        while self.kinds[self.pos] == "COMMA":
+            self.pos += 1
             pats.append(self.pattern())
         return pats
 
     def pattern(self) -> SPat:
-        if self.at("impossible"):
+        if self.kinds[self.pos] == "impossible":
             return self.pat_atom()
         head = self.expect("IDENT", "a pattern")
         args = []
         while (atom := self.pat_atom()) is not None:
             args.append(atom)
-        span = head.to(args[-1].span) if args else head.span
-        return SPatApp(head.text, tuple(args), span)
+        span = self.span_to(head, args[-1].span) if args else self.span(head, head)
+        return SPatApp(self.texts[head], tuple(args), span)
 
     def pat_atom(self) -> Optional[SPat]:
-        tok = self.peek()
-        if tok.kind == "IDENT":
-            self.next()
-            return SPatApp(tok.text, (), tok.span)
-        if tok.kind == "impossible":
-            self.next()
-            return SPatImpossible(tok.span)
-        if tok.kind == "LPAREN":
-            self.next()
+        pos = self.pos
+        kind = self.kinds[pos]
+        if kind == "IDENT":
+            self.pos = pos + 1
+            return SPatApp(self.texts[pos], (), self.span(pos, pos))
+        if kind == "impossible":
+            self.pos = pos + 1
+            return SPatImpossible(self.span(pos, pos))
+        if kind == "LPAREN":
+            self.pos = pos + 1
             p = self.pattern()
             close = self.expect("RPAREN", "')'")
-            return _respan(p, _between(tok, close))
+            return _respan(p, self.span(pos, close))
         return None
 
     # expressions
@@ -452,28 +489,32 @@ class _Parser:
         atoms opens. An expression that fills a pair of parentheses is
         grouped: the group's span replaces its own, so it builds none.
         """
-        toks = self.tokens
+        kinds, texts, lines, cols, file = (
+            self.kinds, self.texts, self.lines, self.cols, self.filename
+        )
+        pos = self.pos
         stack: list[tuple] = []
         grouped = False  # whether the expression starting now is grouped
         resumed = None  # an application to go on with after its group
         while True:
             if resumed is None:
-                tok = toks[self.pos]
-                if tok.kind == "fn":
-                    self.pos += 1
-                    binder = self.expect("IDENT", "a binder name")
-                    self.expect("FATARROW", "'=>'")
-                    stack.append((_FN, tok, binder.text, grouped))
+                kind = kinds[pos]
+                if kind == "fn":
+                    if kinds[pos + 1] != "IDENT":
+                        raise _unexpected("a binder name", self.tokens[pos + 1])
+                    if kinds[pos + 2] != "FATARROW":
+                        raise _unexpected("'=>'", self.tokens[pos + 2])
+                    stack.append((_FN, pos, texts[pos + 1], grouped))
+                    pos += 3
                     grouped = False
                     continue
-                pos = self.pos
                 if (
-                    tok.kind == "LPAREN"
-                    and toks[pos + 1].kind == "IDENT"
-                    and toks[pos + 2].kind == "COLON"
+                    kind == "LPAREN"
+                    and kinds[pos + 1] == "IDENT"
+                    and kinds[pos + 2] == "COLON"
                 ):
-                    stack.append((_DOMAIN, tok, toks[pos + 1].text, grouped))
-                    self.pos = pos + 3
+                    stack.append((_DOMAIN, pos, texts[pos + 1], grouped))
+                    pos += 3
                     grouped = False
                     continue
                 head, args, app_grouped = None, [], grouped
@@ -483,24 +524,24 @@ class _Parser:
             # An application: a head atom, then argument atoms while they
             # come. "(x :" as an argument can only open a Pi's parentheses.
             while True:
-                tok = toks[self.pos]
-                kind = tok.kind
+                kind = kinds[pos]
                 if kind == "IDENT" or kind == "Type":
-                    self.pos += 1
-                    _, text, file, line, col = tok
                     # A head alone in its group gets the group's span.
-                    if head is None and app_grouped and toks[self.pos].kind == "RPAREN":
+                    if head is None and app_grouped and kinds[pos + 1] == "RPAREN":
                         span = None
                     else:
-                        span = SourceSpan(file, line, col, line, col + len(text) - 1)
-                    atom = SRef(text, span) if kind == "IDENT" else SUniv(span)
+                        line, col = lines[pos], cols[pos]
+                        end_col = col + len(texts[pos]) - 1
+                        span = SourceSpan(file, line, col, line, end_col)
+                    atom = SRef(texts[pos], span) if kind == "IDENT" else SUniv(span)
+                    pos += 1
                 elif kind == "LPAREN":
-                    self.pos += 1
-                    stack.append((_GROUP, tok, head, args, app_grouped))
+                    stack.append((_GROUP, pos, head, args, app_grouped))
+                    pos += 1
                     grouped = True
                     break
                 elif head is None:
-                    raise _unexpected("an expression", tok)
+                    raise _unexpected("an expression", self.tokens[pos])
                 else:
                     break
                 if head is None:
@@ -509,14 +550,15 @@ class _Parser:
                     args.append(atom)
             if kind == "LPAREN":
                 continue  # the group first; its closing resumes this
+            arrow = kinds[pos] == "ARROW"
             if not args:
                 e = head
-            elif app_grouped and toks[self.pos].kind != "ARROW":
+            elif app_grouped and not arrow:
                 e = SApp(head, tuple(args))
             else:
                 e = SApp(head, tuple(args), head.span.to(args[-1].span))
-            if toks[self.pos].kind == "ARROW":
-                self.pos += 1
+            if arrow:
+                pos += 1
                 stack.append((_ARROW, e, app_grouped))
                 grouped = False
                 continue
@@ -525,14 +567,15 @@ class _Parser:
                 frame = stack.pop()
                 form = frame[0]
                 if form is _GROUP:
-                    _, open_tok, head, args, app_grouped = frame
-                    close = toks[self.pos]
-                    if close.kind != "RPAREN":
-                        raise _unexpected("')'", close)
-                    self.pos += 1
+                    _, open_pos, head, args, app_grouped = frame
+                    if kinds[pos] != "RPAREN":
+                        raise _unexpected("')'", self.tokens[pos])
                     # ")" is one character wide: it ends where it starts.
-                    _, _, file, line, col = open_tok
-                    e = _respan(e, SourceSpan(file, line, col, close.line, close.col))
+                    span = SourceSpan(
+                        file, lines[open_pos], cols[open_pos], lines[pos], cols[pos]
+                    )
+                    e = _respan(e, span)
+                    pos += 1
                     if head is None:
                         head = e
                     else:
@@ -544,18 +587,22 @@ class _Parser:
                     e = SArrow(dom, e, None if g else dom.span.to(e.span))
                 elif form is _FN:
                     _, start, binder, g = frame
-                    e = SFn(binder, e, None if g else start.to(e.span))
+                    e = SFn(binder, e, None if g else self.span_to(start, e.span))
                 elif form is _PI:
                     _, start, binder, dom, g = frame
-                    e = SPi(binder, dom, e, None if g else start.to(e.span))
+                    e = SPi(binder, dom, e, None if g else self.span_to(start, e.span))
                 else:  # _DOMAIN: `e` is the domain
                     _, start, binder, g = frame
-                    self.expect("RPAREN", "')'")
-                    self.expect("ARROW", "'->'")
+                    if kinds[pos] != "RPAREN":
+                        raise _unexpected("')'", self.tokens[pos])
+                    if kinds[pos + 1] != "ARROW":
+                        raise _unexpected("'->'", self.tokens[pos + 1])
+                    pos += 2
                     stack.append((_PI, start, binder, e, g))
                     grouped = False
                     break
             else:
+                self.pos = pos
                 return e
 
 
@@ -735,26 +782,29 @@ class Resolver:
         if c is SRef or c is SApp:
             # An application is resolved in this one frame: its arguments
             # first, then its head, a local binder before a global.
-            args: list[Term] = []
             if c is SRef:
-                head = e
+                head, args = e, ()
             else:
                 head = e.head
+                resolved: list[Term] = []
                 for a in e.args:
-                    args.append(self._expr(a, scopes))
-            if type(head) is not SRef:
-                inner = self._expr(head, scopes)
-                try:
-                    return apply_spine(inner, tuple(args))
-                except InternalError:
-                    raise ResolveError(
-                        BAD_APPLICATION, "this expression cannot take arguments", e.span
-                    ) from None
+                    resolved.append(self._expr(a, scopes))
+                args = tuple(resolved)
+                if type(head) is not SRef:
+                    inner = self._expr(head, scopes)
+                    try:
+                        return apply_spine(inner, args)
+                    except InternalError:
+                        raise ResolveError(
+                            BAD_APPLICATION, "this expression cannot take arguments", e.span
+                        ) from None
             name = head.name
-            for frame in reversed(scopes):
-                var = frame.get(name)
+            i = len(scopes)
+            while i:
+                i -= 1
+                var = scopes[i].get(name)
                 if var is not None:
-                    return VarCall(var, tuple(args), e.span)
+                    return VarCall(var, args, e.span)
             entry = self.globals.get(name)
             if entry is None:
                 raise ResolveError(UNKNOWN_IDENT, f"unknown identifier {name}", head.span)
@@ -763,10 +813,10 @@ class Resolver:
             kind = entry.kind
             if kind == "ctor":
                 if len(args) == entry.fields_arity:
-                    return ConCall(name, tuple(args), e.span)
+                    return ConCall(name, args, e.span)
             elif len(args) == entry.arity:
                 call = FnCall if kind == "func" else DataCall
-                return call(name, tuple(args), e.span)
+                return call(name, args, e.span)
             return self._apply_global(name, entry, args, e.span)
         if c is SArrow:
             dom = self._expr(e.domain, scopes)
@@ -785,7 +835,9 @@ class Resolver:
             return Univ(e.span)
         raise InternalError(f"unexpected expression {e!r}")
 
-    def _apply_global(self, name: str, entry: _Global, args, span) -> Term:
+    def _apply_global(
+        self, name: str, entry: _Global, args: tuple[Term, ...], span
+    ) -> Term:
         """A global applied to fewer or more arguments than it takes: an
         under-applied one is expanded to lambdas, an over-applied one is an
         error."""
@@ -806,7 +858,7 @@ class Resolver:
                 span,
             )
         missing = [Var.fresh(h) for h in entry.hints[n:]]
-        full = tuple(args) + tuple(VarCall(v) for v in missing)
+        full = args + tuple(VarCall(v) for v in missing)
         call: Term = (
             FnCall(name, full, span)
             if entry.kind == "func"

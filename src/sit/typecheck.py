@@ -298,7 +298,12 @@ class TypeChecker:
         c = type(pat)
         if c is BindPat:
             if ty is None:
-                ty = VarCall(Var.fresh("_ty"))
+                # A fresh variable, so no other type converts to it. It is
+                # printed only in diagnostics, and no identifier can spell it.
+                ty = VarCall(Var.fresh(
+                    f"the type of {pat.var.text}, which is unknown after an "
+                    "impossible pattern"
+                ))
             binds.append((pat.var, ty))
             return BindPat(pat.var, ty, pat.span), VarCall(pat.var)
         if c is ConPat:

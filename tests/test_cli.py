@@ -55,6 +55,13 @@ class TestCheck:
         err = capsys.readouterr().err.strip()
         assert re.fullmatch(r".*\.sit:\d+:\d+: error\[E\d{3}\]: .+", err)
 
+    def test_missing_case_without_arguments(self, tmp_path, capsys):
+        src = tmp_path / "no_clauses.sit"
+        src.write_text("def f : Type\n")
+        assert run(["check", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"{src}:1:1: error[E401]: missing case in f: (no arguments)\n"
+
     def test_coverage_spends_the_fuel_limit(self, tmp_path, capsys):
         src = tmp_path / "loop_index.sit"
         src.write_text(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from sit.core import (
@@ -27,6 +29,8 @@ from sit.frontend import (
     SPi,
     SRef,
     SUniv,
+    Token,
+    decode_source,
     parse_expression,
     parse_file,
     resolve,
@@ -244,6 +248,117 @@ class TestLexer:
         eof = tokenize("data -- done")[-1]
         assert eof.kind == "EOF"
         assert (eof.span.start_line, eof.span.start_col) == (1, 13)
+
+
+class TestTokenPins:
+    """Every token's kind, text, line and column on the lexer's edge cases,
+    EOF included."""
+
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            pytest.param(
+                decode_source(b"data Nat : Type\r\n  | zero\r\n  | suc (n : Nat)\r\n", "f.sit"),
+                [
+                    ("data", "data", 1, 1), ("IDENT", "Nat", 1, 6), ("COLON", ":", 1, 10),
+                    ("Type", "Type", 1, 12), ("BAR", "|", 2, 3), ("IDENT", "zero", 2, 5),
+                    ("BAR", "|", 3, 3), ("IDENT", "suc", 3, 5), ("LPAREN", "(", 3, 9),
+                    ("IDENT", "n", 3, 10), ("COLON", ":", 3, 12), ("IDENT", "Nat", 3, 14),
+                    ("RPAREN", ")", 3, 17), ("EOF", "", 4, 1),
+                ],
+                id="crlf",
+            ),
+            pytest.param(
+                decode_source(b"def f\r: Type\r  | x", "f.sit"),
+                [
+                    ("def", "def", 1, 1), ("IDENT", "f", 1, 5), ("COLON", ":", 2, 1),
+                    ("Type", "Type", 2, 3), ("BAR", "|", 3, 3), ("IDENT", "x", 3, 5),
+                    ("EOF", "", 3, 6),
+                ],
+                id="lone_cr",
+            ),
+            pytest.param(
+                "def\tf\t: Type\n\t|\tx => x",
+                [
+                    ("def", "def", 1, 1), ("IDENT", "f", 1, 5), ("COLON", ":", 1, 7),
+                    ("Type", "Type", 1, 9), ("BAR", "|", 2, 2), ("IDENT", "x", 2, 4),
+                    ("FATARROW", "=>", 2, 6), ("IDENT", "x", 2, 9), ("EOF", "", 2, 10),
+                ],
+                id="tabs",
+            ),
+            pytest.param(
+                "data D : Type -- rows follow\n  | c",
+                [
+                    ("data", "data", 1, 1), ("IDENT", "D", 1, 6), ("COLON", ":", 1, 8),
+                    ("Type", "Type", 1, 10), ("BAR", "|", 2, 3), ("IDENT", "c", 2, 5),
+                    ("EOF", "", 2, 6),
+                ],
+                id="comment_at_line_end",
+            ),
+            pytest.param(
+                "data -- done",
+                [("data", "data", 1, 1), ("EOF", "", 1, 13)],
+                id="comment_at_eof",
+            ),
+            pytest.param(
+                "a-->b\nc",
+                [("IDENT", "a", 1, 1), ("IDENT", "c", 2, 1), ("EOF", "", 2, 2)],
+                id="comment_after_dashes",
+            ),
+            pytest.param(
+                "fn x=>x->y=>z",
+                [
+                    ("fn", "fn", 1, 1), ("IDENT", "x", 1, 4), ("FATARROW", "=>", 1, 5),
+                    ("IDENT", "x", 1, 7), ("ARROW", "->", 1, 8), ("IDENT", "y", 1, 10),
+                    ("FATARROW", "=>", 1, 11), ("IDENT", "z", 1, 13), ("EOF", "", 1, 14),
+                ],
+                id="arrows_against_words",
+            ),
+            pytest.param(
+                "x' x'' x²'",
+                [
+                    ("IDENT", "x'", 1, 1), ("IDENT", "x''", 1, 4), ("IDENT", "x²'", 1, 8),
+                    ("EOF", "", 1, 11),
+                ],
+                id="primes",
+            ),
+            pytest.param("", [("EOF", "", 1, 1)], id="empty"),
+            pytest.param("  \n\t \n ", [("EOF", "", 3, 2)], id="blank_only"),
+        ],
+    )
+    def test_tokens(self, text, tokens):
+        result = tokenize(text, "f.sit")
+        assert [(t.kind, t.text, t.line, t.col) for t in result] == tokens
+        assert len(result) == len(tokens)
+        assert result[-1] == Token("EOF", "", "f.sit", *tokens[-1][2:])
+        assert [result[i] for i in range(len(result))] == list(result)
+
+    @pytest.mark.parametrize(
+        "text, line, col",
+        [("def ²x", 1, 5), ("2x", 1, 1), ("def f\n  'x", 2, 3), ("a @ b", 1, 3)],
+    )
+    def test_bad_character(self, text, line, col):
+        with pytest.raises(LexError) as exc:
+            tokenize(text)
+        assert exc.value.code == "E101"
+        span = exc.value.span
+        assert (span.start_line, span.start_col, span.end_line, span.end_col) == (
+            line, col, line, col
+        )
+
+    def test_no_tracked_object_per_token(self):
+        # Tokens kept as tuples until parsing ends would each count towards
+        # the cyclic collector's next pass.
+        text = (CORPUS / "normalize.sit").read_text() * 20
+        gc.disable()
+        try:
+            before = gc.get_count()[0]
+            tokens = tokenize(text)
+            grown = gc.get_count()[0] - before
+        finally:
+            gc.enable()
+        assert len(tokens) == 5161
+        assert grown < 50
 
 
 class TestResolver:

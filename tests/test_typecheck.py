@@ -483,7 +483,8 @@ data Fin (n : Nat) : Type
                 "  | impossible, T, suc k => w (f : Fin k)",
                 None,
                 "E303",
-                "expected Nat, got _ty",
+                "expected Nat, got the type of k, which is unknown after an "
+                "impossible pattern",
             ),
             (
                 OPAQUE + "impossible, T, suc k, n, z",
