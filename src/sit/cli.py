@@ -67,9 +67,8 @@ def _trace(terms, pats, outcome) -> None:
 def _load(args, fuel: Fuel) -> Checked:
     with open(args.file, "rb") as fh:
         text = decode_source(fh.read(), args.file)
-    surface = parse_file(text, args.file)
     resolver = Resolver()
-    decls = resolver.run(surface)
+    decls = resolver.run(parse_file(text, args.file))
     checker = TypeChecker(
         fuel=fuel, strict_row_fields=getattr(args, "strict_row_fields", False)
     )
@@ -208,9 +207,9 @@ def _dispatch(args, fuel: Fuel) -> int:
         return EXIT_OK
     if args.command == "eval":
         with _nesting_limit("<expr>"):
-            surface = parse_expression(args.expr)
-            term: Term = checked.resolver.resolve_expression(surface)
-            with _located(surface.span):
+            syntax = parse_expression(args.expr)
+            term: Term = checked.resolver.resolve_expression(syntax)
+            with _located(syntax.span):
                 result = normalize(checked.sig, term, fuel)
             print(pretty(result))
         return EXIT_OK

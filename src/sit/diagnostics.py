@@ -16,8 +16,9 @@ class _Span(NamedTuple):
 class SourceSpan(_Span):
     """A 1-based region of a source file; start is never past end.
 
-    A tuple, so building one costs one allocation: the parser makes one per
-    syntax node.
+    A tuple, so building one costs one allocation: the resolver makes one per
+    core node it builds from syntax, from token positions already in order,
+    so it skips the check this constructor makes.
     """
 
     __slots__ = ()
@@ -29,14 +30,13 @@ class SourceSpan(_Span):
             raise ValueError(f"backwards span {file}:{start_line}:{start_col}")
         return tuple.__new__(cls, (file, start_line, start_col, end_line, end_col))
 
-    def to(self, other: SourceSpan) -> SourceSpan:
-        """The smallest span covering both self and other."""
-        return SourceSpan(
-            self.file, self.start_line, self.start_col, other.end_line, other.end_col
-        )
-
     def __str__(self) -> str:
         return f"{self.file}:{self.start_line}:{self.start_col}"
+
+
+def counted(n: int, noun: str) -> str:
+    """`n` `noun`s in words: "no fields", "1 field", "2 fields"."""
+    return f"no {noun}s" if n == 0 else f"1 {noun}" if n == 1 else f"{n} {noun}s"
 
 
 # Diagnostic codes, grouped by pipeline stage.

@@ -22,28 +22,51 @@ comments included, so the pieces' lengths give each token's column. Its
 output is four parallel lists (kind, text, line and column, one entry per
 token) rather than one object per token: strings and small integers are not
 tracked by the cyclic garbage collector, so a file's tokens add nothing to
-its passes while the file is parsed. The parser reads the lists through one
-cursor; a `Token` is built only for an error message or for a reader of
-`tokenize`'s result. The parser builds one span per syntax node, from its
-first token to its last token or child, and a parenthesised expression or
-pattern takes the span of its parentheses.
+its passes. The parser reads the lists through one cursor; a `Token` is
+built only for an error message or for a reader of `tokenize`'s result.
+
+The parser builds no node and no span. It returns a `Syntax`: the tokens,
+and the syntax as plain tuples over token positions. Each tuple is a kind,
+the index of its first and of its last token, then its children; a name,
+`Type` or `impossible` with nothing around it is just its token's index.
+One line per kind:
+
+    (DATA, data, last, name, tele, rows)      last: the last row's name
+    (DEF, def, last, name, tele, result, clauses)
+    (ROW, bar, name, patterns, tele)          patterns: None in a plain row
+    (CLAUSE, bar, last, patterns, body)       body: None without "=>"
+    (APP, first, last, head, arg, ...)        an application, in a term or
+                                              a pattern; with no args, a
+                                              name in parentheses
+    (ARROW, first, last, domain, codomain)
+    (PI, first, last, binder, domain, codomain)
+    (FN, first, last, binder, body)
+
+`name` and `binder` are token indices, and a clause without "=>" ends at
+its bar. A telescope is a tuple of groups `(first, colon, type)`, whose
+names are the tokens from `first` up to the colon. Rows, clauses and
+patterns are tuples. An expression or pattern that fills a pair of
+parentheses takes their positions as its own.
 
 Declarations, telescopes and patterns are parsed by recursive descent.
 Expressions are parsed by one loop over an explicit stack of the forms
 still open (parentheses, Pi domains, and `fn`, Pi and arrow bodies), so no
 nesting depth of an expression exhausts Python's stack.
 
-The resolver turns surface declarations into core ones: pattern identifiers
+The resolver turns the tuples into core declarations: pattern identifiers
 naming a declared constructor become constructor patterns, all other
 identifiers bind; expression heads resolve to local binders, then functions,
 then data types, then constructors. Under-applied heads are expanded to
 lambdas over their missing parameters, so core terms stay fully applied.
+Each core node built from a tuple gets one span, made once from the token
+lists at the tuple's first and last token; the lambdas of an expanded head
+share its span, and the variables they bind have none.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .core import (
     BindPat,
@@ -58,7 +81,6 @@ from .core import (
     FuncDecl,
     ImpossiblePat,
     Lam,
-    Node,
     Pattern,
     Pi,
     Telescope,
@@ -80,6 +102,7 @@ from .diagnostics import (
     ParseError,
     ResolveError,
     SourceSpan,
+    counted,
 )
 
 KEYWORDS = {"data", "def", "fn", "impossible", "Type"}
@@ -207,107 +230,28 @@ def tokenize(text: str, file: str = "<input>") -> Tokens:
 
 
 # ---------------------------------------------------------------------------
-# Surface trees (spans never participate in equality)
-
-
-class SRef(Node):
-    __slots__ = ("name", "span")
-    name: str
-    span: Optional[SourceSpan]
-
-
-class SUniv(Node):
-    __slots__ = ("span",)
-    span: Optional[SourceSpan]
-
-
-class SApp(Node):
-    __slots__ = ("head", "args", "span")
-    head: SExpr
-    args: tuple[SExpr, ...]
-    span: Optional[SourceSpan]
-
-
-class SArrow(Node):
-    __slots__ = ("domain", "codomain", "span")
-    domain: SExpr
-    codomain: SExpr
-    span: Optional[SourceSpan]
-
-
-class SPi(Node):
-    __slots__ = ("binder", "domain", "codomain", "span")
-    binder: str
-    domain: SExpr
-    codomain: SExpr
-    span: Optional[SourceSpan]
-
-
-class SFn(Node):
-    __slots__ = ("binder", "body", "span")
-    binder: str
-    body: SExpr
-    span: Optional[SourceSpan]
-
-
-SExpr = SRef | SUniv | SApp | SArrow | SPi | SFn
-
-
-class SPatApp(Node):
-    __slots__ = ("name", "args", "span")
-    name: str
-    args: tuple[SPat, ...]
-    span: Optional[SourceSpan]
-    _defaults = {"args": ()}
-
-
-class SPatImpossible(Node):
-    __slots__ = ("span",)
-    span: Optional[SourceSpan]
-
-
-SPat = SPatApp | SPatImpossible
-
-STeleGroup = tuple[tuple[str, ...], SExpr]
-
-
-class SCtorRow(Node):
-    __slots__ = ("patterns", "name", "tele", "span")
-    patterns: Optional[tuple[SPat, ...]]
-    name: str
-    tele: tuple[STeleGroup, ...]
-    span: Optional[SourceSpan]
-
-
-class SClause(Node):
-    __slots__ = ("patterns", "body", "span")
-    patterns: tuple[SPat, ...]
-    body: Optional[SExpr]
-    span: Optional[SourceSpan]
-
-
-class SData(Node):
-    __slots__ = ("name", "tele", "rows", "span")
-    name: str
-    tele: tuple[STeleGroup, ...]
-    rows: tuple[SCtorRow, ...]
-    span: Optional[SourceSpan]
-
-
-class SDef(Node):
-    __slots__ = ("name", "tele", "result", "clauses", "span")
-    name: str
-    tele: tuple[STeleGroup, ...]
-    result: SExpr
-    clauses: tuple[SClause, ...]
-    span: Optional[SourceSpan]
-
-
-SDecl = SData | SDef
-
-
-# ---------------------------------------------------------------------------
 # Parser
+
+# The kinds of syntax tuples; the module docstring gives their fields.
+DATA, DEF, ROW, CLAUSE = "data", "def", "row", "clause"
+APP, ARROW, PI, FN = "app", "arrow", "pi", "fn"
+
+
+class Syntax(NamedTuple):
+    """What the parser returns: the tokens, and the syntax read from them as
+    plain tuples over token positions."""
+
+    tokens: Tokens
+    tree: object  # a list of declarations, or one expression
+
+    @property
+    def span(self) -> SourceSpan:
+        """From the start of the first token to the end of the last one before
+        EOF; the text has at least one."""
+        tokens = self.tokens
+        first, last = tokens[0], tokens[tokens.kinds.index("EOF") - 1]
+        end_col = last.col + len(last.text) - 1
+        return SourceSpan(tokens.file, first.line, first.col, last.line, end_col)
 
 
 # Tokens that end a constructor row: the next row or declaration.
@@ -321,13 +265,12 @@ class _Parser:
     def __init__(self, tokens: Tokens):
         # The parser looks at most two tokens past the current one, and its
         # scans stop at EOF, so two more EOFs keep every index in range. They
-        # are appended in place: the lists were made for this parser alone.
+        # are appended in place, as the lists belong to this parse: the
+        # tokens of its `Syntax` end with three EOFs.
         for column in (tokens.kinds, tokens.texts, tokens.lines, tokens.cols):
             column += column[-1:] * 2
         self.tokens = tokens
-        self.kinds, self.texts = tokens.kinds, tokens.texts
-        self.lines, self.cols = tokens.lines, tokens.cols
-        self.filename = tokens.file
+        self.kinds = tokens.kinds
         self.pos = 0
 
     def expect(self, kind: str, what: str) -> int:
@@ -339,22 +282,9 @@ class _Parser:
         self.pos = pos + 1
         return pos
 
-    def span(self, first: int, last: int) -> SourceSpan:
-        """The span from the start of token `first` to the end of token
-        `last`, which is not EOF."""
-        lines, cols = self.lines, self.cols
-        end_col = cols[last] + len(self.texts[last]) - 1
-        return SourceSpan(self.filename, lines[first], cols[first], lines[last], end_col)
-
-    def span_to(self, first: int, end: SourceSpan) -> SourceSpan:
-        """The span from the start of token `first` to the end of `end`."""
-        return SourceSpan(
-            self.filename, self.lines[first], self.cols[first], end.end_line, end.end_col
-        )
-
     # declarations
 
-    def file(self) -> list[SDecl]:
+    def file(self) -> list[tuple]:
         decls = []
         kinds = self.kinds
         while (kind := kinds[self.pos]) != "EOF":
@@ -366,7 +296,7 @@ class _Parser:
                 raise _unexpected("a declaration", self.tokens[self.pos])
         return decls
 
-    def data_decl(self) -> SData:
+    def data_decl(self) -> tuple:
         start = self.expect("data", "'data'")
         name = self.expect("IDENT", "a data type name")
         tele = self.tele()
@@ -375,22 +305,22 @@ class _Parser:
         rows = []
         while self.kinds[self.pos] == "BAR":
             rows.append(self.ctor_row())
-        span = self.span_to(start, rows[-1].span) if rows else self.span(start, name)
-        return SData(self.texts[name], tele, tuple(rows), span)
+        return (DATA, start, rows[-1][2] if rows else name, name, tele, tuple(rows))
 
-    def def_decl(self) -> SDef:
+    def def_decl(self) -> tuple:
         start = self.expect("def", "'def'")
         name = self.expect("IDENT", "a function name")
         tele = self.tele()
         self.expect("COLON", "':'")
         result = self.expr()
+        last = self.pos - 1
         clauses = []
         while self.kinds[self.pos] == "BAR":
             clauses.append(self.clause())
-        span = self.span_to(start, clauses[-1].span if clauses else result.span)
-        return SDef(self.texts[name], tele, result, tuple(clauses), span)
+            last = clauses[-1][2]
+        return (DEF, start, last, name, tele, result, tuple(clauses))
 
-    def ctor_row(self) -> SCtorRow:
+    def ctor_row(self) -> tuple:
         bar = self.expect("BAR", "'|'")
         # A plain row's name is followed by a telescope group or the row's
         # end, and neither can follow a pattern's head: anything else starts
@@ -401,22 +331,19 @@ class _Parser:
             self.kinds[pos] == "IDENT"
             and (self.kinds[pos + 1] in _ROW_END or self.binder_group(pos + 1))
         ):
-            pats = tuple(self.pat_list())
+            pats = self.pat_list()
             self.expect("FATARROW", "'=>'")
         name = self.expect("IDENT", "a constructor name")
-        tele = self.tele()
-        return SCtorRow(pats, self.texts[name], tele, self.span(bar, name))
+        return (ROW, bar, name, pats, self.tele())
 
-    def clause(self) -> SClause:
+    def clause(self) -> tuple:
         bar = self.expect("BAR", "'|'")
         pats = self.pat_list()
-        if self.kinds[self.pos] == "FATARROW":
-            self.pos += 1
-            body = self.expr()
-            span = self.span_to(bar, body.span)
-        else:
-            body, span = None, self.span(bar, bar)
-        return SClause(tuple(pats), body, span)
+        if self.kinds[self.pos] != "FATARROW":
+            return (CLAUSE, bar, bar, pats, None)
+        self.pos += 1
+        body = self.expr()
+        return (CLAUSE, bar, self.pos - 1, pats, body)
 
     def binder_group(self, pos: int) -> int:
         """The index of the ":" of a telescope group `"(" IDENT+ ":"` that
@@ -433,65 +360,62 @@ class _Parser:
             i += 1
         return i if i > pos + 1 and kinds[i] == "COLON" else 0
 
-    def tele(self) -> tuple[STeleGroup, ...]:
+    def tele(self) -> tuple:
         groups = []
         while colon := self.binder_group(self.pos):
-            names = tuple(self.texts[self.pos + 1 : colon])
+            first = self.pos + 1
             self.pos = colon + 1
             ty = self.expr()
             self.expect("RPAREN", "')'")
-            groups.append((names, ty))
+            groups.append((first, colon, ty))
         return tuple(groups)
 
     # patterns
 
-    def pat_list(self) -> list[SPat]:
+    def pat_list(self) -> tuple:
         pats = [self.pattern()]
         while self.kinds[self.pos] == "COMMA":
             self.pos += 1
             pats.append(self.pattern())
-        return pats
+        return tuple(pats)
 
-    def pattern(self) -> SPat:
+    def pattern(self):
         if self.kinds[self.pos] == "impossible":
             return self.pat_atom()
         head = self.expect("IDENT", "a pattern")
         args = []
         while (atom := self.pat_atom()) is not None:
             args.append(atom)
-        span = self.span_to(head, args[-1].span) if args else self.span(head, head)
-        return SPatApp(self.texts[head], tuple(args), span)
+        return (APP, head, self.pos - 1, head, *args) if args else head
 
-    def pat_atom(self) -> Optional[SPat]:
+    def pat_atom(self):
         pos = self.pos
         kind = self.kinds[pos]
-        if kind == "IDENT":
+        if kind == "IDENT" or kind == "impossible":
             self.pos = pos + 1
-            return SPatApp(self.texts[pos], (), self.span(pos, pos))
-        if kind == "impossible":
-            self.pos = pos + 1
-            return SPatImpossible(self.span(pos, pos))
+            return pos
         if kind == "LPAREN":
             self.pos = pos + 1
             p = self.pattern()
             close = self.expect("RPAREN", "')'")
-            return _respan(p, self.span(pos, close))
+            if type(p) is int:
+                return (APP, pos, close, p)
+            return (APP, pos, close) + p[3:]
         return None
 
     # expressions
 
-    def expr(self) -> SExpr:
+    def expr(self):
         """An expression, read with an explicit stack of the forms still
         open around it rather than one Python frame per level of nesting.
 
         A `fn`, Pi or arrow waits on the stack for its body or codomain, a
         Pi for its domain, and an application for the group that one of its
         atoms opens. An expression that fills a pair of parentheses is
-        grouped: the group's span replaces its own, so it builds none.
+        grouped: it is built with the group's positions, the group (on top
+        of the stack) giving the first and the ")" due next the last.
         """
-        kinds, texts, lines, cols, file = (
-            self.kinds, self.texts, self.lines, self.cols, self.filename
-        )
+        kinds = self.kinds
         pos = self.pos
         stack: list[tuple] = []
         grouped = False  # whether the expression starting now is grouped
@@ -504,7 +428,7 @@ class _Parser:
                         raise _unexpected("a binder name", self.tokens[pos + 1])
                     if kinds[pos + 2] != "FATARROW":
                         raise _unexpected("'=>'", self.tokens[pos + 2])
-                    stack.append((_FN, pos, texts[pos + 1], grouped))
+                    stack.append((FN, pos, grouped))
                     pos += 3
                     grouped = False
                     continue
@@ -513,7 +437,7 @@ class _Parser:
                     and kinds[pos + 1] == "IDENT"
                     and kinds[pos + 2] == "COLON"
                 ):
-                    stack.append((_DOMAIN, pos, texts[pos + 1], grouped))
+                    stack.append((_DOMAIN, pos, grouped))
                     pos += 3
                     grouped = False
                     continue
@@ -526,14 +450,7 @@ class _Parser:
             while True:
                 kind = kinds[pos]
                 if kind == "IDENT" or kind == "Type":
-                    # A head alone in its group gets the group's span.
-                    if head is None and app_grouped and kinds[pos + 1] == "RPAREN":
-                        span = None
-                    else:
-                        line, col = lines[pos], cols[pos]
-                        end_col = col + len(texts[pos]) - 1
-                        span = SourceSpan(file, line, col, line, end_col)
-                    atom = SRef(texts[pos], span) if kind == "IDENT" else SUniv(span)
+                    atom = pos
                     pos += 1
                 elif kind == "LPAREN":
                     stack.append((_GROUP, pos, head, args, app_grouped))
@@ -554,12 +471,13 @@ class _Parser:
             if not args:
                 e = head
             elif app_grouped and not arrow:
-                e = SApp(head, tuple(args))
+                e = (APP, stack[-1][1], pos, head, *args)
             else:
-                e = SApp(head, tuple(args), head.span.to(args[-1].span))
+                first = head if type(head) is int else head[1]
+                e = (APP, first, pos - 1, head, *args)
             if arrow:
                 pos += 1
-                stack.append((_ARROW, e, app_grouped))
+                stack.append((ARROW, e, app_grouped))
                 grouped = False
                 continue
             # `e` is complete: close each form it completes.
@@ -570,11 +488,10 @@ class _Parser:
                     _, open_pos, head, args, app_grouped = frame
                     if kinds[pos] != "RPAREN":
                         raise _unexpected("')'", self.tokens[pos])
-                    # ")" is one character wide: it ends where it starts.
-                    span = SourceSpan(
-                        file, lines[open_pos], cols[open_pos], lines[pos], cols[pos]
-                    )
-                    e = _respan(e, span)
+                    if type(e) is int:
+                        e = (APP, open_pos, pos, e)
+                    elif e[1] != open_pos:  # a group just inside this one
+                        e = (e[0], open_pos, pos) + e[3:]
                     pos += 1
                     if head is None:
                         head = e
@@ -582,39 +499,37 @@ class _Parser:
                         args.append(e)
                     resumed = head, args, app_grouped
                     break
-                if form is _ARROW:
-                    _, dom, g = frame
-                    e = SArrow(dom, e, None if g else dom.span.to(e.span))
-                elif form is _FN:
-                    _, start, binder, g = frame
-                    e = SFn(binder, e, None if g else self.span_to(start, e.span))
-                elif form is _PI:
-                    _, start, binder, dom, g = frame
-                    e = SPi(binder, dom, e, None if g else self.span_to(start, e.span))
-                else:  # _DOMAIN: `e` is the domain
-                    _, start, binder, g = frame
+                if form is _DOMAIN:  # `e` is the domain
+                    _, start, g = frame
                     if kinds[pos] != "RPAREN":
                         raise _unexpected("')'", self.tokens[pos])
                     if kinds[pos + 1] != "ARROW":
                         raise _unexpected("'->'", self.tokens[pos + 1])
                     pos += 2
-                    stack.append((_PI, start, binder, e, g))
+                    stack.append((PI, start, e, g))
                     grouped = False
                     break
+                # A `fn`, Pi or arrow whose body or codomain is `e`. One that
+                # fills a group takes the group's positions.
+                g = frame[-1]
+                last = pos if g else pos - 1
+                if form is ARROW:
+                    _, dom, _ = frame
+                    first = stack[-1][1] if g else dom if type(dom) is int else dom[1]
+                    e = (ARROW, first, last, dom, e)
+                elif form is FN:
+                    _, start, _ = frame
+                    e = (FN, stack[-1][1] if g else start, last, start + 1, e)
+                else:  # PI
+                    _, start, dom, _ = frame
+                    e = (PI, stack[-1][1] if g else start, last, start + 1, dom, e)
             else:
                 self.pos = pos
                 return e
 
 
-# The forms `_Parser.expr` keeps open on its stack.
-_GROUP, _ARROW, _FN, _DOMAIN, _PI = "group", "arrow", "fn", "domain", "pi"
-
-
-def _respan(node, span: SourceSpan):
-    # The node was just built by the parser and nothing else holds it yet, so
-    # giving it its parentheses' span in place is as good as a copy.
-    object.__setattr__(node, "span", span)
-    return node
+# The forms `_Parser.expr` keeps open on its stack besides `fn`, Pi and arrow.
+_GROUP, _DOMAIN = "group", "domain"
 
 
 def _unexpected(what: str, tok: Token) -> ParseError:
@@ -622,16 +537,18 @@ def _unexpected(what: str, tok: Token) -> ParseError:
     return ParseError(PARSE_ERROR, f"expected {what}, found {got!r}", tok.span)
 
 
-def parse_file(text: str, file: str = "<input>") -> list[SDecl]:
+def parse_file(text: str, file: str = "<input>") -> Syntax:
     """Parse a whole compilation unit."""
-    return _Parser(tokenize(text, file)).file()
+    tokens = tokenize(text, file)
+    return Syntax(tokens, _Parser(tokens).file())
 
 
-def parse_expression(text: str, file: str = "<expr>") -> SExpr:
-    parser = _Parser(tokenize(text, file))
+def parse_expression(text: str, file: str = "<expr>") -> Syntax:
+    tokens = tokenize(text, file)
+    parser = _Parser(tokens)
     e = parser.expr()
     parser.expect("EOF", "end of input")
-    return e
+    return Syntax(tokens, e)
 
 
 # ---------------------------------------------------------------------------
@@ -648,18 +565,42 @@ class _Global:
     owner: str = ""
 
 
+_new_tuple = tuple.__new__
+
+
 class Resolver:
-    """Resolves surface declarations into core ones, in order.
+    """Resolves parsed declarations into core ones, in order.
 
     Later declarations see earlier ones; a declaration also sees itself (for
-    recursive fields and clauses).
+    recursive fields and clauses). The declared names stay for later calls,
+    so an expression resolves against the file resolved before it.
     """
 
     def __init__(self) -> None:
         self.globals: dict[str, _Global] = {}
 
-    def run(self, decls: list[SDecl]) -> list[Declaration]:
-        return [self._decl(d) for d in decls]
+    def run(self, syntax: Syntax) -> list[Declaration]:
+        self._read(syntax.tokens)
+        return [self._decl(d) for d in syntax.tree]
+
+    def resolve_expression(self, syntax: Syntax) -> Term:
+        """Resolve a standalone expression against the declared globals."""
+        self._read(syntax.tokens)
+        return self._term(syntax.tree, [{}])
+
+    def _read(self, tokens: Tokens) -> None:
+        self.texts, self.lines, self.cols = tokens.texts, tokens.lines, tokens.cols
+        self.file = tokens.file
+
+    def _span(self, first: int, last: int) -> SourceSpan:
+        """The span from the start of token `first` to the end of token
+        `last`. Tokens come in source order and none is empty, so it is
+        built without the start-before-end check of `SourceSpan(...)`."""
+        lines, cols = self.lines, self.cols
+        end_col = cols[last] + len(self.texts[last]) - 1
+        return _new_tuple(
+            SourceSpan, (self.file, lines[first], cols[first], lines[last], end_col)
+        )
 
     # declarations
 
@@ -671,36 +612,36 @@ class Resolver:
             raise ResolveError(DUPLICATE_DECL, f"duplicate name {name}", span)
         self.globals[name] = entry
 
-    def _decl(self, d: SDecl) -> Declaration:
-        match d:
-            case SData(name, stele, rows):
-                scope: dict[str, Var] = {}
-                tele = self._tele(stele, scope, d.span)
-                self._declare(
-                    name,
-                    _Global("data", len(tele), tuple(x.text for x, _ in tele)),
-                    d.span,
-                )
-                core_rows = tuple(self._row(name, tele, scope, r) for r in rows)
-                return DataDecl(name, tele, core_rows, d.span)
-            case SDef(name, stele, sresult, sclauses):
-                scope = {}
-                tele = self._tele(stele, scope, d.span)
-                result = self._expr(sresult, [scope])
-                self._declare(
-                    name,
-                    _Global("func", len(tele), tuple(x.text for x, _ in tele)),
-                    d.span,
-                )
-                clauses = tuple(self._clause(c) for c in sclauses)
-                return FuncDecl(name, tele, result, clauses, d.span)
+    def _decl(self, d: tuple) -> Declaration:
+        kind = d[0]
+        if kind is DATA:
+            _, first, last, name_at, stele, rows = d
+            name, span = self.texts[name_at], self._span(first, last)
+            scope: dict[str, Var] = {}
+            tele = self._tele(stele, scope, span)
+            self._declare(
+                name, _Global("data", len(tele), tuple(x.text for x, _ in tele)), span
+            )
+            core_rows = tuple(self._row(name, tele, scope, r) for r in rows)
+            return DataDecl(name, tele, core_rows, span)
+        if kind is DEF:
+            _, first, last, name_at, stele, sresult, sclauses = d
+            name, span = self.texts[name_at], self._span(first, last)
+            scope = {}
+            tele = self._tele(stele, scope, span)
+            result = self._term(sresult, [scope])
+            self._declare(
+                name, _Global("func", len(tele), tuple(x.text for x, _ in tele)), span
+            )
+            clauses = tuple(self._clause(c) for c in sclauses)
+            return FuncDecl(name, tele, result, clauses, span)
         raise InternalError(f"unexpected declaration {d!r}")
 
     def _tele(self, groups, scope: dict[str, Var], span) -> Telescope:
         entries: list[tuple[Var, Term]] = []
-        for names, sty in groups:
-            ty = self._expr(sty, [scope])
-            for n in names:
+        for first, colon, sty in groups:
+            ty = self._term(sty, [scope])
+            for n in self.texts[first:colon]:
                 var = self._bind(n, span)
                 if n in scope:
                     raise ResolveError(
@@ -710,20 +651,22 @@ class Resolver:
                 entries.append((var, ty))
         return Telescope(tuple(entries))
 
-    def _row(self, data_name, data_tele, data_scope, r: SCtorRow) -> CtorRow:
-        if r.patterns is None:
+    def _row(self, data_name, data_tele, data_scope, r: tuple) -> CtorRow:
+        _, bar, name_at, spats, stele = r
+        name, span = self.texts[name_at], self._span(bar, name_at)
+        if spats is None:
             fields_scope = dict(data_scope)
-            fields = self._tele(r.tele, fields_scope, r.span)
+            fields = self._tele(stele, fields_scope, span)
             pats = None
             binds = len(data_tele)
         else:
             pat_scope: dict[str, Var] = {}
-            pats = tuple(self._pattern(p, pat_scope) for p in r.patterns)
+            pats = tuple(self._pattern(p, pat_scope) for p in spats)
             binds = len(pat_scope)
             fields_scope = pat_scope
-            fields = self._tele(r.tele, fields_scope, r.span)
+            fields = self._tele(stele, fields_scope, span)
         self._declare(
-            r.name,
+            name,
             _Global(
                 "ctor",
                 binds + len(fields),
@@ -731,41 +674,45 @@ class Resolver:
                 fields_arity=len(fields),
                 owner=data_name,
             ),
-            r.span,
+            span,
             same_data_ok=data_name,
         )
-        return CtorRow(r.name, fields, pats, r.span)
+        return CtorRow(name, fields, pats, span)
 
-    def _clause(self, c: SClause) -> Clause:
+    def _clause(self, c: tuple) -> Clause:
         # Clause bodies see the pattern bindings only; the telescope's
         # variables are substituted away by the checker.
+        _, bar, last, spats, sbody = c
         pat_scope: dict[str, Var] = {}
-        pats = tuple(self._pattern(p, pat_scope) for p in c.patterns)
-        body = self._expr(c.body, [pat_scope]) if c.body is not None else None
-        return Clause(pats, body, c.span)
+        pats = tuple(self._pattern(p, pat_scope) for p in spats)
+        body = self._term(sbody, [pat_scope]) if sbody is not None else None
+        return Clause(pats, body, self._span(bar, last))
 
     # patterns
 
-    def _pattern(self, p: SPat, scope: dict[str, Var]) -> Pattern:
-        c = type(p)
-        if c is SPatApp:
-            name = p.name
-            entry = self.globals.get(name)
-            if entry is not None and entry.kind == "ctor":
-                args = []
-                for a in p.args:
-                    args.append(self._pattern(a, scope))
-                return ConPat(name, tuple(args), p.span)
-            if p.args:
-                raise ResolveError(
-                    UNKNOWN_IDENT, f"unknown constructor {name}", p.span
-                )
-            var = Var.fresh(name)
-            scope[name] = var
-            return BindPat(var, None, p.span)
-        if c is SPatImpossible:
-            return ImpossiblePat(p.span)
-        raise InternalError(f"unexpected pattern {p!r}")
+    def _pattern(self, p, scope: dict[str, Var]) -> Pattern:
+        if type(p) is int:
+            first = last = head = p
+            sargs = ()
+        elif p[0] is APP:
+            first, last, head, sargs = p[1], p[2], p[3], p[4:]
+        else:
+            raise InternalError(f"unexpected pattern {p!r}")
+        span = self._span(first, last)
+        name = self.texts[head]
+        if name == "impossible":  # the keyword: no identifier is spelt so
+            return ImpossiblePat(span)
+        entry = self.globals.get(name)
+        if entry is not None and entry.kind == "ctor":
+            args = []
+            for a in sargs:
+                args.append(self._pattern(a, scope))
+            return ConPat(name, tuple(args), span)
+        if sargs:
+            raise ResolveError(UNKNOWN_IDENT, f"unknown constructor {name}", span)
+        var = Var.fresh(name)
+        scope[name] = var
+        return BindPat(var, None, span)
 
     # expressions
 
@@ -777,63 +724,89 @@ class Resolver:
             )
         return Var.fresh(name)
 
-    def _expr(self, e: SExpr, scopes: list[dict[str, Var]]) -> Term:
-        c = type(e)
-        if c is SRef or c is SApp:
-            # An application is resolved in this one frame: its arguments
-            # first, then its head, a local binder before a global.
-            if c is SRef:
-                head, args = e, ()
+    def _term(self, e, scopes: list[dict[str, Var]]) -> Term:
+        if type(e) is int:
+            first = last = head = e
+            args = ()
+        else:
+            kind = e[0]
+            if kind is APP:
+                # An application is resolved in this one frame: its arguments
+                # first, then its head, a local binder before a global.
+                first, last, head = e[1], e[2], e[3]
+                args = ()
+                if len(e) > 4:
+                    resolved: list[Term] = []
+                    for a in e[4:]:
+                        resolved.append(self._term(a, scopes))
+                    args = tuple(resolved)
+                if type(head) is not int:
+                    if head[0] is APP and len(head) == 4:  # a name in parentheses
+                        head = head[3]
+                    else:
+                        inner = self._term(head, scopes)
+                        try:
+                            return apply_spine(inner, args)
+                        except InternalError:
+                            raise ResolveError(
+                                BAD_APPLICATION,
+                                "this expression cannot take arguments",
+                                self._span(first, last),
+                            ) from None
+            elif kind is ARROW:
+                _, first, last, sdom, scod = e
+                dom = self._term(sdom, scopes)
+                cod = self._term(scod, scopes)
+                return Pi(Var.fresh("_"), dom, cod, self._span(first, last))
+            elif kind is PI:
+                _, first, last, binder, sdom, scod = e
+                span = self._span(first, last)
+                dom = self._term(sdom, scopes)
+                name = self.texts[binder]
+                var = self._bind(name, span)
+                cod = self._term(scod, scopes + [{name: var}])
+                return Pi(var, dom, cod, span)
+            elif kind is FN:
+                _, first, last, binder, sbody = e
+                span = self._span(first, last)
+                name = self.texts[binder]
+                var = self._bind(name, span)
+                body = self._term(sbody, scopes + [{name: var}])
+                return Lam(var, body, span)
             else:
-                head = e.head
-                resolved: list[Term] = []
-                for a in e.args:
-                    resolved.append(self._expr(a, scopes))
-                args = tuple(resolved)
-                if type(head) is not SRef:
-                    inner = self._expr(head, scopes)
-                    try:
-                        return apply_spine(inner, args)
-                    except InternalError:
-                        raise ResolveError(
-                            BAD_APPLICATION, "this expression cannot take arguments", e.span
-                        ) from None
-            name = head.name
-            i = len(scopes)
-            while i:
-                i -= 1
-                var = scopes[i].get(name)
-                if var is not None:
-                    return VarCall(var, args, e.span)
-            entry = self.globals.get(name)
-            if entry is None:
-                raise ResolveError(UNKNOWN_IDENT, f"unknown identifier {name}", head.span)
-            # A fully applied global is built here; `_apply_global` expands
-            # the partial applications and reports the bad ones.
-            kind = entry.kind
-            if kind == "ctor":
-                if len(args) == entry.fields_arity:
-                    return ConCall(name, args, e.span)
-            elif len(args) == entry.arity:
-                call = FnCall if kind == "func" else DataCall
-                return call(name, args, e.span)
-            return self._apply_global(name, entry, args, e.span)
-        if c is SArrow:
-            dom = self._expr(e.domain, scopes)
-            cod = self._expr(e.codomain, scopes)
-            return Pi(Var.fresh("_"), dom, cod, e.span)
-        if c is SPi:
-            dom = self._expr(e.domain, scopes)
-            var = self._bind(e.binder, e.span)
-            cod = self._expr(e.codomain, scopes + [{e.binder: var}])
-            return Pi(var, dom, cod, e.span)
-        if c is SFn:
-            var = self._bind(e.binder, e.span)
-            body = self._expr(e.body, scopes + [{e.binder: var}])
-            return Lam(var, body, e.span)
-        if c is SUniv:
-            return Univ(e.span)
-        raise InternalError(f"unexpected expression {e!r}")
+                raise InternalError(f"unexpected expression {e!r}")
+        # A name or `Type` at token `head`, applied to `args`.
+        span = self._span(first, last)
+        name = self.texts[head]
+        if name == "Type":  # the keyword: no identifier is spelt so
+            if args:
+                raise ResolveError(
+                    BAD_APPLICATION, "this expression cannot take arguments", span
+                )
+            return Univ(span)
+        i = len(scopes)
+        while i:
+            i -= 1
+            var = scopes[i].get(name)
+            if var is not None:
+                return VarCall(var, args, span)
+        entry = self.globals.get(name)
+        if entry is None:
+            # The span of the head as written: a name alone, even in
+            # parentheses, is its whole application.
+            h = e[3] if args else e
+            at = self._span(h, h) if type(h) is int else self._span(h[1], h[2])
+            raise ResolveError(UNKNOWN_IDENT, f"unknown identifier {name}", at)
+        # A fully applied global is built here; `_apply_global` expands
+        # the partial applications and reports the bad ones.
+        kind = entry.kind
+        if kind == "ctor":
+            if len(args) == entry.fields_arity:
+                return ConCall(name, args, span)
+        elif len(args) == entry.arity:
+            call = FnCall if kind == "func" else DataCall
+            return call(name, args, span)
+        return self._apply_global(name, entry, args, span)
 
     def _apply_global(
         self, name: str, entry: _Global, args: tuple[Term, ...], span
@@ -845,16 +818,15 @@ class Resolver:
         if entry.kind == "ctor":
             if n == 0:
                 return self._expand_ctor(name, entry, span)
+            k = entry.fields_arity
+            takes = counted(k, "argument") + (" (or none)" if k else "")
             raise ResolveError(
-                BAD_APPLICATION,
-                f"constructor {name} takes {entry.fields_arity} arguments "
-                f"(or none), got {n}",
-                span,
+                BAD_APPLICATION, f"constructor {name} takes {takes}, got {n}", span
             )
         if n > entry.arity:
             raise ResolveError(
                 BAD_APPLICATION,
-                f"{name} takes {entry.arity} arguments, got {n}",
+                f"{name} takes {counted(entry.arity, 'argument')}, got {n}",
                 span,
             )
         missing = [Var.fresh(h) for h in entry.hints[n:]]
@@ -879,11 +851,7 @@ class Resolver:
             call = Lam(v, call, span)
         return call
 
-    def resolve_expression(self, e: SExpr) -> Term:
-        """Resolve a standalone expression against the declared globals."""
-        return self._expr(e, [{}])
 
-
-def resolve(decls: list[SDecl]) -> list[Declaration]:
+def resolve(syntax: Syntax) -> list[Declaration]:
     """Resolve a parsed file into core declarations."""
-    return Resolver().run(decls)
+    return Resolver().run(syntax)

@@ -68,6 +68,7 @@ from .diagnostics import (
     SourceSpan,
     TypeCheckError,
     Warning,
+    counted,
 )
 from .evaluator import Fuel, convertible, whnf
 from .pattern_ops import vars_tele
@@ -228,7 +229,7 @@ class TypeChecker:
         if len(args) != len(entries):
             raise TypeCheckError(
                 ARITY_MISMATCH,
-                f"expected {len(entries)} arguments, got {len(args)}",
+                f"expected {counted(len(entries), 'argument')}, got {len(args)}",
                 span,
             )
         earlier: dict[Var, Term] = {}
@@ -337,7 +338,7 @@ class TypeChecker:
             elif len(qs) != len(fields.entries):
                 raise TypeCheckError(
                     ARITY_MISMATCH,
-                    f"constructor {name} has {len(fields)} fields, "
+                    f"constructor {name} has {counted(len(fields), 'field')}, "
                     f"pattern has {len(qs)}",
                     pat.span,
                 )

@@ -5,30 +5,32 @@ import gc
 import pytest
 
 from sit.core import (
+    EMPTY_TELESCOPE,
     BindPat,
+    Clause,
     ConCall,
     ConPat,
+    CtorRow,
+    DataCall,
     DataDecl,
     FnCall,
     FuncDecl,
+    ImpossiblePat,
     Lam,
+    Node,
     Pi,
+    Telescope,
+    Univ,
+    Var,
     VarCall,
+    alpha_eq,
 )
 from sit.diagnostics import LexError, ParseError, ResolveError, SourceSpan
 from sit.frontend import (
+    APP,
+    ARROW,
+    FN,
     Resolver,
-    SApp,
-    SArrow,
-    SClause,
-    SCtorRow,
-    SData,
-    SFn,
-    SPatApp,
-    SPatImpossible,
-    SPi,
-    SRef,
-    SUniv,
     Token,
     decode_source,
     parse_expression,
@@ -46,59 +48,98 @@ data Nat : Type
   | suc (n : Nat)
 """
 
+# Names for the expressions below to use: two indexed types and three
+# functions, the last of no arguments.
+PRELUDE = NAT + """
+data Vec (A : Type) (n : Nat) : Type
+data Fin (n : Nat) : Type
+def f (a : Nat) : Nat
+def g (a : Nat) : Nat
+def x : Nat
+"""
+
+NAT_T = DataCall("Nat", ())
+
+
+def _expr(text: str):
+    resolver = Resolver()
+    resolver.run(parse_file(PRELUDE))
+    return resolver.resolve_expression(parse_expression(text))
+
+
+def _node_classes(cls=Node):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _node_classes(sub)
+
 
 class TestParser:
+    """The parser, through the core tree its result resolves to."""
+
     def test_plain_data(self):
-        decls = parse_file("data Nat : Type | zero | suc (n : Nat)")
-        assert decls == [
-            SData(
-                "Nat",
-                (),
-                (
-                    SCtorRow(None, "zero", ()),
-                    SCtorRow(None, "suc", ((("n",), SRef("Nat")),)),
-                ),
-            )
-        ]
+        (decl,) = resolve(parse_file("data Nat : Type | zero | suc (n : Nat)"))
+        n = decl.ctors[1].fields.entries[0][0]
+        assert n.text == "n"
+        assert decl == DataDecl(
+            "Nat",
+            EMPTY_TELESCOPE,
+            (
+                CtorRow("zero", EMPTY_TELESCOPE, None),
+                CtorRow("suc", Telescope(((n, NAT_T),)), None),
+            ),
+        )
 
     def test_pattern_row(self):
-        decls = parse_file(
-            "data Vec (A : Type) (n : Nat) : Type\n"
-            "  | A, zero => vnil\n"
-            "  | A, suc m => vcons (x : A) (xs : Vec A m)\n"
+        decls = resolve(
+            parse_file(
+                NAT
+                + "data Vec (A : Type) (n : Nat) : Type\n"
+                "  | A, zero => vnil\n"
+                "  | A, suc m => vcons (x : A) (xs : Vec A m)\n"
+            )
         )
-        rows = decls[0].rows
-        assert rows[0] == SCtorRow((SPatApp("A"), SPatApp("zero")), "vnil", ())
-        assert rows[1].patterns == (SPatApp("A"), SPatApp("suc", (SPatApp("m"),)))
+        rows = decls[1].ctors
+        a = rows[0].patterns[0].var
+        assert rows[0] == CtorRow("vnil", EMPTY_TELESCOPE, (BindPat(a), ConPat("zero", ())))
+        a, m = rows[1].patterns[0].var, rows[1].patterns[1].args[0].var
+        assert (a.text, m.text) == ("A", "m")
+        assert rows[1].patterns == (BindPat(a), ConPat("suc", (BindPat(m),)))
         assert rows[1].name == "vcons"
 
     def test_nested_and_impossible_patterns(self):
-        decls = parse_file(
-            "def f (a : Nat) : Nat\n"
-            "  | suc (suc m) => m\n"
-            "  | impossible\n"
+        decls = resolve(
+            parse_file(
+                NAT
+                + "def f (a : Nat) : Nat\n"
+                "  | suc (suc m) => m\n"
+                "  | impossible\n"
+            )
         )
-        clauses = decls[0].clauses
-        assert clauses[0].patterns == (
-            SPatApp("suc", (SPatApp("suc", (SPatApp("m"),)),)),
-        )
-        assert clauses[1] == SClause((SPatImpossible(),), None)
+        clauses = decls[1].clauses
+        m = clauses[0].patterns[0].args[0].args[0].var
+        assert clauses[0].patterns == (ConPat("suc", (ConPat("suc", (BindPat(m),)),)),)
+        assert clauses[1] == Clause((ImpossiblePat(),), None)
 
     def test_arrows_are_right_associative(self):
-        e = parse_expression("Nat -> Nat -> Nat")
-        assert e == SArrow(SRef("Nat"), SArrow(SRef("Nat"), SRef("Nat")))
+        e = _expr("Nat -> Nat -> Nat")
+        want = Pi(Var.fresh("_"), NAT_T, Pi(Var.fresh("_"), NAT_T, NAT_T))
+        assert alpha_eq(e, want)
 
     def test_application_binds_tighter_than_arrow(self):
-        e = parse_expression("Vec A n -> Type")
-        assert e == SArrow(SApp(SRef("Vec"), (SRef("A"), SRef("n"))), SUniv())
+        e = _expr("fn A => fn n => Vec A n -> Type")
+        a, n = e.binder, e.body.binder
+        vec = DataCall("Vec", (VarCall(a), VarCall(n)))
+        assert alpha_eq(e, Lam(a, Lam(n, Pi(Var.fresh("_"), vec, Univ()))))
 
     def test_dependent_function_type(self):
-        e = parse_expression("(n : Nat) -> Fin n")
-        assert e == SPi("n", SRef("Nat"), SApp(SRef("Fin"), (SRef("n"),)))
+        e = _expr("(n : Nat) -> Fin n")
+        n = e.binder
+        assert n.text == "n"
+        assert e == Pi(n, NAT_T, DataCall("Fin", (VarCall(n),)))
 
     def test_lambda(self):
-        e = parse_expression("fn x => suc x")
-        assert e == SFn("x", SApp(SRef("suc"), (SRef("x"),)))
+        e = _expr("fn x => suc x")
+        assert e == Lam(e.binder, ConCall("suc", (VarCall(e.binder),)))
 
     def test_missing_clause_body_is_an_error(self):
         with pytest.raises(ParseError):
@@ -109,14 +150,14 @@ class TestParser:
             parse_expression("(Nat")
 
     def test_comments_and_crlf(self):
-        decls = parse_file(
-            "-- a comment\r\ndata Nat : Type -- trailing\r\n  | zero\r\n"
+        decls = resolve(
+            parse_file("-- a comment\r\ndata Nat : Type -- trailing\r\n  | zero\r\n")
         )
         assert decls[0].name == "Nat"
-        assert decls[0].rows[0].name == "zero"
+        assert decls[0].ctors[0].name == "zero"
 
     def test_spans_are_recorded(self):
-        decls = parse_file("data Nat : Type\n  | zero\n", file="demo.sit")
+        decls = resolve(parse_file("data Nat : Type\n  | zero\n", file="demo.sit"))
         span = decls[0].span
         assert span.file == "demo.sit"
         assert (span.start_line, span.start_col) == (1, 1)
@@ -141,46 +182,49 @@ class TestParser:
         assert (exc.value.span.start_line, exc.value.span.start_col) == (2, 16)
 
     def test_parenthesised_expression_spans_its_parentheses(self):
-        e = parse_expression("f (g x)")
+        e = _expr("f (g x)")
         assert e.span == SourceSpan("<expr>", 1, 1, 1, 7)
         assert e.args[0].span == SourceSpan("<expr>", 1, 3, 1, 7)
         assert e.args[0].args[0].span == SourceSpan("<expr>", 1, 6, 1, 6)
 
     def test_parenthesised_pattern_spans_its_parentheses(self):
-        decls = parse_file(NAT + "def f (n : Nat) : Nat\n  | suc (suc m) => m\n")
+        decls = resolve(parse_file(NAT + "def f (n : Nat) : Nat\n  | suc (suc m) => m\n"))
         pat = decls[1].clauses[0].patterns[0]
         assert pat.span == SourceSpan("<input>", 6, 5, 6, 15)
         assert pat.args[0].span == SourceSpan("<input>", 6, 9, 6, 15)
         assert pat.args[0].args[0].span == SourceSpan("<input>", 6, 14, 6, 14)
 
     def test_at_most_one_span_per_token(self, monkeypatch):
-        text = "suc (" * 60 + "zero" + ")" * 60
-        built = []
-        new = SourceSpan.__new__
+        built = {"nodes": 0, "checked spans": 0, "spans": 0}
 
-        def counting_new(cls, *args):
-            built.append(args)
-            return new(cls, *args)
+        def counting(key, f):
+            def counted(*args, **kwargs):
+                built[key] += 1
+                return f(*args, **kwargs)
 
-        monkeypatch.setattr(SourceSpan, "__new__", counting_new)
-        tokens = tokenize(text)
-        built.clear()
-        parse_expression(text)
-        assert 0 < len(built) <= len(tokens)
-        # None is thrown away: 60 for the names `suc`, 60 for the pairs of
-        # parentheses and one for the outermost application.
-        assert len(built) == 121
-        # A parenthesised lambda, Pi or arrow takes its parentheses' span
-        # and builds none of its own: `f`, the group, the application and
-        # the group's named leaves (`x`; `Type` and `x`; two `Type`s).
-        for text, spans in [
-            ("f (fn x => x)", 4),
-            ("f ((x : Type) -> x)", 5),
-            ("f (Type -> Type)", 5),
+            return counted
+
+        for cls in _node_classes():
+            monkeypatch.setattr(cls, "__init__", counting("nodes", cls.__init__))
+        monkeypatch.setattr(SourceSpan, "__new__", counting("checked spans", SourceSpan.__new__))
+        monkeypatch.setattr(Resolver, "_span", counting("spans", Resolver._span))
+        resolver = Resolver()
+        resolver.run(parse_file(PRELUDE))
+        for text, nodes in [
+            ("suc (" * 60 + "zero" + ")" * 60, 61),
+            ("f (fn y => y)", 3),
+            ("(n : Nat) -> (Nat -> Fin n)", 6),
+            ("(fn y => y) zero", 3),
         ]:
-            built.clear()
-            parse_expression(text)
-            assert len(built) == spans, text
+            built.update(dict.fromkeys(built, 0))
+            # Parsing builds neither a node nor a span.
+            syntax = parse_expression(text)
+            assert built == {"nodes": 0, "checked spans": 0, "spans": 0}, text
+            # Resolving builds one span per core node, none of them through
+            # the check, and so at most one per token.
+            resolver.resolve_expression(syntax)
+            assert built == {"nodes": nodes, "checked spans": 0, "spans": nodes}, text
+            assert nodes <= len(syntax.tokens)
 
 
 class TestDeepInput:
@@ -189,39 +233,52 @@ class TestDeepInput:
 
     DEPTH = 10_000
 
+    @staticmethod
+    def _span(syntax, e) -> SourceSpan:
+        first, last = syntax.tokens[e[1]], syntax.tokens[e[2]]
+        end_col = last.col + len(last.text) - 1
+        return SourceSpan(first.file, first.line, first.col, last.line, end_col)
+
     def test_nested_applications(self):
-        e = parse_expression("suc (" * self.DEPTH + "zero" + ")" * self.DEPTH)
-        depth = 0
-        while type(e) is SApp:
-            assert e.head == SRef("suc") and len(e.args) == 1
-            e, depth = e.args[0], depth + 1
-        assert (e, depth) == (SRef("zero"), self.DEPTH)
+        syntax = parse_expression("suc (" * self.DEPTH + "zero" + ")" * self.DEPTH)
+        texts = syntax.tokens.texts
+        e, depth = syntax.tree, 0
+        while len(e) > 4:
+            assert e[0] is APP and texts[e[3]] == "suc" and len(e) == 5
+            e, depth = e[4], depth + 1
+        assert (e[0], texts[e[3]], len(e), depth) == (APP, "zero", 4, self.DEPTH)
         # The innermost group, "(zero)", gives the leaf its span.
-        assert e.span == SourceSpan("<expr>", 1, 5 * self.DEPTH, 1, 5 * self.DEPTH + 5)
+        assert self._span(syntax, e) == SourceSpan(
+            "<expr>", 1, 5 * self.DEPTH, 1, 5 * self.DEPTH + 5
+        )
 
     def test_nested_parentheses(self):
-        e = parse_expression("(" * self.DEPTH + "Type" + ")" * self.DEPTH)
-        assert e == SUniv()
-        assert e.span == SourceSpan("<expr>", 1, 1, 1, 2 * self.DEPTH + 4)
+        syntax = parse_expression("(" * self.DEPTH + "Type" + ")" * self.DEPTH)
+        e = syntax.tree
+        assert (e[0], syntax.tokens.texts[e[3]], len(e)) == (APP, "Type", 4)
+        assert self._span(syntax, e) == SourceSpan("<expr>", 1, 1, 1, 2 * self.DEPTH + 4)
 
     def test_arrow_chain(self):
-        e = parse_expression("Type -> " * self.DEPTH + "Type")
-        depth = 0
-        while type(e) is SArrow:
-            assert e.domain == SUniv()
-            e, depth = e.codomain, depth + 1
-        assert (e, depth) == (SUniv(), self.DEPTH)
+        syntax = parse_expression("Type -> " * self.DEPTH + "Type")
+        texts = syntax.tokens.texts
+        e, depth = syntax.tree, 0
+        while type(e) is tuple:
+            assert e[0] is ARROW and texts[e[3]] == "Type"
+            e, depth = e[4], depth + 1
+        assert (texts[e], depth) == ("Type", self.DEPTH)
 
     def test_deep_declaration(self):
         text = (
             "def f : " + "Type -> " * self.DEPTH + "Type\n"
             "  | x => " + "(fn y => " * self.DEPTH + "y" + ")" * self.DEPTH + "\n"
         )
-        (decl,) = parse_file(text)
-        e, depth = decl.clauses[0].body, 0
-        while type(e) is SFn:
-            e, depth = e.body, depth + 1
-        assert (e, depth) == (SRef("y"), self.DEPTH)
+        syntax = parse_file(text)
+        (decl,) = syntax.tree
+        e, depth = decl[6][0][4], 0  # the body of the first clause
+        while type(e) is tuple:
+            assert e[0] is FN
+            e, depth = e[4], depth + 1
+        assert (syntax.tokens.texts[e], depth) == ("y", self.DEPTH)
 
 
 class TestSourceSpan:

@@ -1,7 +1,9 @@
-"""The term, pattern and surface-tree walks branch on a node's exact class.
+"""The term and pattern walks branch on a node's exact class, and the
+resolver on a syntax tuple's kind.
 
-A node of any other class reaches each walk's fallback error, and the walks
-over arguments are plain loops, one Python frame per level of nesting.
+A node of any other class, or a tuple of any other kind, reaches each
+walk's fallback error, and the walks over arguments are plain loops, one
+Python frame per level of nesting.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from sit.core import (
 )
 from sit.diagnostics import InternalError, SourceSpan, TypeCheckError
 from sit.evaluator import Fuel, convertible, index_normal_form, normalize
-from sit.frontend import Resolver, SClause, SDef, SUniv
+from sit.frontend import CLAUSE, DEF, Resolver, Syntax, tokenize
 from sit.pattern_ops import match_terms, to_term
 from sit.typecheck import TypeChecker
 
@@ -82,11 +84,16 @@ class TestForeignNode:
             TypeChecker(nat_sig).check_row((FOREIGN,), tele)
 
     def test_resolver(self):
+        # An expression, a declaration and a pattern of a kind the parser
+        # never makes, over the tokens of `f Type`.
+        tokens, foreign = tokenize("f Type"), ("foreign", 0, 1)
         with pytest.raises(InternalError):
-            Resolver().resolve_expression(FOREIGN)
-        bad_clause = SClause((FOREIGN,), SUniv())
+            Resolver().resolve_expression(Syntax(tokens, foreign))
         with pytest.raises(InternalError):
-            Resolver().run([SDef("f", (), SUniv(), (bad_clause,))])
+            Resolver().run(Syntax(tokens, [foreign]))
+        bad_clause = (CLAUSE, 0, 0, [foreign], None)
+        with pytest.raises(InternalError):
+            Resolver().run(Syntax(tokens, [(DEF, 0, 1, 0, [], 1, [bad_clause])]))
 
 
 class TestDepth:
