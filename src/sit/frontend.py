@@ -775,15 +775,10 @@ class Resolver:
                 return Lam(var, body, span)
             else:
                 raise InternalError(f"unexpected expression {e!r}")
-        # A name or `Type` at token `head`, applied to `args`.
+        # A name or `Type` at token `head`, applied to `args`. No binder or
+        # global is named `Type`: it is a keyword.
         span = self._span(first, last)
         name = self.texts[head]
-        if name == "Type":  # the keyword: no identifier is spelt so
-            if args:
-                raise ResolveError(
-                    BAD_APPLICATION, "this expression cannot take arguments", span
-                )
-            return Univ(span)
         i = len(scopes)
         while i:
             i -= 1
@@ -792,6 +787,12 @@ class Resolver:
                 return VarCall(var, args, span)
         entry = self.globals.get(name)
         if entry is None:
+            if name == "Type":
+                if args:
+                    raise ResolveError(
+                        BAD_APPLICATION, "this expression cannot take arguments", span
+                    )
+                return Univ(span)
             # The span of the head as written: a name alone, even in
             # parentheses, is its whole application.
             h = e[3] if args else e
