@@ -207,9 +207,9 @@ def _dispatch(args, fuel: Fuel) -> int:
         return EXIT_OK
     if args.command == "eval":
         with _nesting_limit("<expr>"):
-            syntax = parse_expression(args.expr)
-            term: Term = checked.resolver.resolve_expression(syntax)
-            with _located(syntax.span):
+            tokens = parse_expression(args.expr)
+            term: Term = checked.resolver.resolve_expression(tokens)
+            with _located(tokens.span):
                 result = normalize(checked.sig, term, fuel)
             print(pretty(result))
         return EXIT_OK

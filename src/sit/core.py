@@ -7,7 +7,7 @@ may grow. Binders are globally unique `Var`s carrying a surface name for
 printing.
 
 The term walks (`free_vars`, `_subst`, `_alpha`, `pretty`, and those of
-`evaluator`, `pattern_ops`, `typecheck` and the resolver) visit every node
+`evaluator`, `pattern_ops` and `typecheck`) visit every node
 of every term the checker builds, so their cost per node sets the speed of
 the whole pipeline. They branch on `type(t) is C`, most frequent class
 first, and not on `match` class patterns: under CPython 3.11 a class

@@ -16,9 +16,9 @@ class _Span(NamedTuple):
 class SourceSpan(_Span):
     """A 1-based region of a source file; start is never past end.
 
-    A tuple, so building one costs one allocation: the resolver makes one per
-    core node it builds from syntax, from token positions already in order,
-    so it skips the check this constructor makes.
+    A tuple, so building one costs one allocation: the frontend makes one per
+    core node it builds, from token positions already in order, so it skips
+    the check this constructor makes.
     """
 
     __slots__ = ()

@@ -1,4 +1,4 @@
-"""Surface syntax: lexer, parser, and resolver.
+"""Surface syntax: the lexer, and one pass from tokens to core declarations.
 
 Concrete grammar (line comments start with `--`, `->` is right-associative,
 application binds tighter than `->`):
@@ -22,45 +22,40 @@ comments included, so the pieces' lengths give each token's column. Its
 output is four parallel lists (kind, text, line and column, one entry per
 token) rather than one object per token: strings and small integers are not
 tracked by the cyclic garbage collector, so a file's tokens add nothing to
-its passes. The parser reads the lists through one cursor; a `Token` is
+its passes. The pass below reads the lists through one cursor; a `Token` is
 built only for an error message or for a reader of `tokenize`'s result.
 
-The parser builds no node and no span. It returns a `Syntax`: the tokens,
-and the syntax as plain tuples over token positions. Each tuple is a kind,
-the index of its first and of its last token, then its children; a name,
-`Type` or `impossible` with nothing around it is just its token's index.
-One line per kind:
+Declarations are read in order, and whether a pattern name is a constructor
+or a binder depends only on the declarations above it, so one pass reads the
+tokens straight into core declarations, resolving each form as it is read.
+`parse_file` and `parse_expression` only tokenize; `Resolver.run` and
+`Resolver.resolve_expression` do the pass. Pattern identifiers naming a
+declared constructor become constructor patterns, all other identifiers
+bind; expression heads resolve to local binders, then functions, then data
+types, then constructors. Under-applied heads are expanded to lambdas over
+their missing parameters, so core terms stay fully applied. Fresh binders
+are made in reading order, except that an application's arguments come
+before its head name, a Pi binder after its domain and an arrow's `_` after
+its codomain.
 
-    (DATA, data, last, name, tele, rows)      last: the last row's name
-    (DEF, def, last, name, tele, result, clauses)
-    (ROW, bar, name, patterns, tele)          patterns: None in a plain row
-    (CLAUSE, bar, last, patterns, body)       body: None without "=>"
-    (APP, first, last, head, arg, ...)        an application, in a term or
-                                              a pattern; with no args, a
-                                              name in parentheses
-    (ARROW, first, last, domain, codomain)
-    (PI, first, last, binder, domain, codomain)
-    (FN, first, last, binder, body)
+Declarations, telescopes and patterns are read by recursive descent.
+Expressions are read by one loop over an explicit stack of the forms still
+open (parentheses, Pi domains, and `fn`, Pi and arrow bodies), which also
+holds the scopes that `fn` and Pi open, so no nesting depth of an
+expression exhausts Python's stack.
 
-`name` and `binder` are token indices, and a clause without "=>" ends at
-its bar. A telescope is a tuple of groups `(first, colon, type)`, whose
-names are the tokens from `first` up to the colon. Rows, clauses and
-patterns are tuples. An expression or pattern that fills a pair of
-parentheses takes their positions as its own.
+A parse error is raised at once. A resolve error is recorded and the pass
+goes on. Only the first is kept, in resolution order: an application's
+arguments come before its head, even a head in parentheses. The recorded
+error is raised at the end of the input, so a parse error anywhere comes
+first. An error about a declaration's telescope or name, a row's fields or
+name, a `fn` or Pi binder, or a pattern's head spans that whole form, and
+gets its span when the form closes.
 
-Declarations, telescopes and patterns are parsed by recursive descent.
-Expressions are parsed by one loop over an explicit stack of the forms
-still open (parentheses, Pi domains, and `fn`, Pi and arrow bodies), so no
-nesting depth of an expression exhausts Python's stack.
-
-The resolver turns the tuples into core declarations: pattern identifiers
-naming a declared constructor become constructor patterns, all other
-identifiers bind; expression heads resolve to local binders, then functions,
-then data types, then constructors. Under-applied heads are expanded to
-lambdas over their missing parameters, so core terms stay fully applied.
-Each core node built from a tuple gets one span, made once from the token
-lists at the tuple's first and last token; the lambdas of an expanded head
-share its span, and the variables they bind have none.
+Each core node gets one span, made once from the token lists at its form's
+first and last token; a form that fills a pair of parentheses takes their
+positions. The lambdas of an expanded head share its span, and the
+variables they bind have none.
 """
 from __future__ import annotations
 
@@ -86,6 +81,7 @@ from .core import (
     Telescope,
     Term,
     Univ,
+    UNIV,
     Var,
     VarCall,
     apply_spine,
@@ -143,6 +139,14 @@ class Tokens:
 
     def __getitem__(self, i: int) -> Token:
         return Token(self.kinds[i], self.texts[i], self.file, self.lines[i], self.cols[i])
+
+    @property
+    def span(self) -> SourceSpan:
+        """From the start of the first token to the end of the last one before
+        EOF; there must be one."""
+        first, last = self[0], self[len(self) - 2]
+        end_col = last.col + len(last.text) - 1
+        return SourceSpan(self.file, first.line, first.col, last.line, end_col)
 
 
 def decode_source(data: bytes, file: str) -> str:
@@ -230,48 +234,81 @@ def tokenize(text: str, file: str = "<input>") -> Tokens:
 
 
 # ---------------------------------------------------------------------------
-# Parser
-
-# The kinds of syntax tuples; the module docstring gives their fields.
-DATA, DEF, ROW, CLAUSE = "data", "def", "row", "clause"
-APP, ARROW, PI, FN = "app", "arrow", "pi", "fn"
+# Parser and resolver
 
 
-class Syntax(NamedTuple):
-    """What the parser returns: the tokens, and the syntax read from them as
-    plain tuples over token positions."""
+def parse_file(text: str, file: str = "<input>") -> Tokens:
+    """The tokens of a whole compilation unit, for `Resolver.run`."""
+    return tokenize(text, file)
 
-    tokens: Tokens
-    tree: object  # a list of declarations, or one expression
 
-    @property
-    def span(self) -> SourceSpan:
-        """From the start of the first token to the end of the last one before
-        EOF; the text has at least one."""
-        tokens = self.tokens
-        first, last = tokens[0], tokens[tokens.kinds.index("EOF") - 1]
-        end_col = last.col + len(last.text) - 1
-        return SourceSpan(tokens.file, first.line, first.col, last.line, end_col)
+def parse_expression(text: str, file: str = "<expr>") -> Tokens:
+    """The tokens of a standalone expression, for
+    `Resolver.resolve_expression`."""
+    return tokenize(text, file)
+
+
+@dataclass
+class _Global:
+    kind: str  # "data" | "func" | "ctor"
+    arity: int
+    hints: tuple[str, ...]  # one binder name per parameter, for eta-expansion
+    # constructors only:
+    fields_arity: int = 0
+    owner: str = ""
+
+
+class Resolver:
+    """Reads declarations into core ones, in order.
+
+    Later declarations see earlier ones; a declaration also sees itself (for
+    recursive fields and clauses). The declared names are all a resolver
+    keeps between calls, so an expression resolves against the file read
+    before it.
+    """
+
+    def __init__(self) -> None:
+        self.globals: dict[str, _Global] = {}
+
+    def run(self, tokens: Tokens) -> list[Declaration]:
+        """The core declarations of a file's tokens."""
+        return _Reader(tokens, self.globals).decls()
+
+    def resolve_expression(self, tokens: Tokens) -> Term:
+        """Resolve a standalone expression against the declared globals."""
+        return _Reader(tokens, self.globals).expression()
+
+
+def resolve(tokens: Tokens) -> list[Declaration]:
+    """The core declarations of a file's tokens, read by a new `Resolver`."""
+    return Resolver().run(tokens)
 
 
 # Tokens that end a constructor row: the next row or declaration.
 _ROW_END = ("BAR", "data", "def", "EOF")
 
+# Tokens that start an argument of a pattern.
+_PATTERN_ARG = ("IDENT", "impossible", "LPAREN")
 
-class _Parser:
+# The forms `_Reader.expr` keeps open on its stack.
+_GROUP, _DOMAIN, _PI, _FN, _ARROW = "group", "domain", "pi", "fn", "arrow"
+
+_new_tuple = tuple.__new__
+
+
+class _Reader:
     """Reads a `Tokens` record through one cursor, `pos`, an index into its
-    lists."""
+    lists, declaring what it reads in `globals` and building core terms as
+    it goes."""
 
-    def __init__(self, tokens: Tokens):
-        # The parser looks at most two tokens past the current one, and its
-        # scans stop at EOF, so two more EOFs keep every index in range. They
-        # are appended in place, as the lists belong to this parse: the
-        # tokens of its `Syntax` end with three EOFs.
-        for column in (tokens.kinds, tokens.texts, tokens.lines, tokens.cols):
-            column += column[-1:] * 2
+    def __init__(self, tokens: Tokens, globals: dict[str, _Global]):
         self.tokens = tokens
-        self.kinds = tokens.kinds
+        self.kinds, self.texts = tokens.kinds, tokens.texts
+        self.lines, self.cols, self.file = tokens.lines, tokens.cols, tokens.file
+        self.globals = globals
         self.pos = 0
+        self.error: ResolveError | None = None
+        self.error_at = -1  # the first token of the form that gives its span
 
     def expect(self, kind: str, what: str) -> int:
         """The index of the current token, which must be a `kind`; the
@@ -282,9 +319,7 @@ class _Parser:
         self.pos = pos + 1
         return pos
 
-    # declarations
-
-    def file(self) -> list[tuple]:
+    def decls(self) -> list[Declaration]:
         decls = []
         kinds = self.kinds
         while (kind := kinds[self.pos]) != "EOF":
@@ -294,56 +329,143 @@ class _Parser:
                 decls.append(self.def_decl())
             else:
                 raise _unexpected("a declaration", self.tokens[self.pos])
-        return decls
+        return self.done(decls)
 
-    def data_decl(self) -> tuple:
+    def expression(self) -> Term:
+        e = self.expr([{}])
+        self.expect("EOF", "end of input")
+        return self.done(e)
+
+    # errors and spans
+
+    def fail(self, code: str, message: str, span=None, at: int = -1) -> None:
+        """Record a resolve error, unless an earlier one is recorded. One
+        without a span gets that of the form starting at token `at` when the
+        form closes."""
+        if self.error is None:
+            self.error = ResolveError(code, message, span)
+            self.error_at = at
+
+    def done(self, result):
+        """`result`, read to the end of the input, unless an error was
+        recorded on the way."""
+        if self.error is not None:
+            raise self.error
+        return result
+
+    def _span(self, first: int, last: int) -> SourceSpan:
+        """The span from the start of token `first` to the end of token
+        `last`. Tokens come in source order and none is empty, so it is
+        built without the start-before-end check of `SourceSpan(...)`."""
+        lines, cols = self.lines, self.cols
+        end_col = cols[last] + len(self.texts[last]) - 1
+        return _new_tuple(
+            SourceSpan, (self.file, lines[first], cols[first], lines[last], end_col)
+        )
+
+    def spanned(self, at: int, first: int, last: int) -> SourceSpan:
+        """The span of the form starting at token `at`, from token `first`
+        to token `last`, given also to the error waiting for it."""
+        span = self._span(first, last)
+        if at == self.error_at:
+            self.error.span = span
+        return span
+
+    # declarations
+
+    def declare(
+        self, name: str, entry: _Global, at: int, *, same_data_ok: str = ""
+    ) -> None:
+        existing = self.globals.get(name)
+        if existing is None:
+            self.globals[name] = entry
+        elif existing.kind != "ctor" or existing.owner != same_data_ok:
+            self.fail(DUPLICATE_DECL, f"duplicate name {name}", at=at)
+        # else another selection row for the same constructor
+
+    def data_decl(self) -> DataDecl:
         start = self.expect("data", "'data'")
-        name = self.expect("IDENT", "a data type name")
-        tele = self.tele()
+        name_at = self.expect("IDENT", "a data type name")
+        name = self.texts[name_at]
+        scope: dict[str, Var] = {}
+        tele = self.tele(scope, start)
         self.expect("COLON", "':'")
         self.expect("Type", "'Type'")
-        rows = []
+        hints = tuple(x.text for x, _ in tele)
+        self.declare(name, _Global("data", len(tele), hints), start)
+        rows, last = [], name_at
         while self.kinds[self.pos] == "BAR":
-            rows.append(self.ctor_row())
-        return (DATA, start, rows[-1][2] if rows else name, name, tele, tuple(rows))
+            row, last = self.ctor_row(name, len(tele), scope)
+            rows.append(row)
+        return DataDecl(name, tele, tuple(rows), self.spanned(start, start, last))
 
-    def def_decl(self) -> tuple:
+    def def_decl(self) -> FuncDecl:
         start = self.expect("def", "'def'")
-        name = self.expect("IDENT", "a function name")
-        tele = self.tele()
+        name = self.texts[self.expect("IDENT", "a function name")]
+        scope: dict[str, Var] = {}
+        tele = self.tele(scope, start)
         self.expect("COLON", "':'")
-        result = self.expr()
-        last = self.pos - 1
+        result = self.expr([scope])
+        hints = tuple(x.text for x, _ in tele)
+        self.declare(name, _Global("func", len(tele), hints), start)
         clauses = []
+        last = self.pos - 1
         while self.kinds[self.pos] == "BAR":
-            clauses.append(self.clause())
-            last = clauses[-1][2]
-        return (DEF, start, last, name, tele, result, tuple(clauses))
+            bar = self.pos
+            clause = self.clause()
+            clauses.append(clause)
+            last = bar if clause.body is None else self.pos - 1
+        span = self.spanned(start, start, last)
+        return FuncDecl(name, tele, result, tuple(clauses), span)
 
-    def ctor_row(self) -> tuple:
+    def ctor_row(
+        self, data_name: str, data_arity: int, data_scope: dict[str, Var]
+    ) -> tuple[CtorRow, int]:
+        """A constructor row, and the index of its name."""
         bar = self.expect("BAR", "'|'")
         # A plain row's name is followed by a telescope group or the row's
         # end, and neither can follow a pattern's head: anything else starts
         # a pattern row, which must reach "=>".
-        pats = None
-        pos = self.pos
-        if not (
-            self.kinds[pos] == "IDENT"
-            and (self.kinds[pos + 1] in _ROW_END or self.binder_group(pos + 1))
+        kinds, pos = self.kinds, self.pos
+        if kinds[pos] == "IDENT" and (
+            kinds[pos + 1] in _ROW_END or self.binder_group(pos + 1)
         ):
-            pats = self.pat_list()
+            pats = None
+            scope = dict(data_scope)
+            binds = data_arity
+        else:
+            scope = {}
+            pats = self.pat_list(scope)
+            binds = len(scope)
             self.expect("FATARROW", "'=>'")
-        name = self.expect("IDENT", "a constructor name")
-        return (ROW, bar, name, pats, self.tele())
+        name_at = self.expect("IDENT", "a constructor name")
+        fields = self.tele(scope, bar)
+        name = self.texts[name_at]
+        self.declare(
+            name,
+            _Global(
+                "ctor",
+                binds + len(fields),
+                tuple(scope),
+                fields_arity=len(fields),
+                owner=data_name,
+            ),
+            bar,
+            same_data_ok=data_name,
+        )
+        return CtorRow(name, fields, pats, self.spanned(bar, bar, name_at)), name_at
 
-    def clause(self) -> tuple:
+    def clause(self) -> Clause:
+        # Clause bodies see the pattern bindings only; the telescope's
+        # variables are substituted away by the checker.
         bar = self.expect("BAR", "'|'")
-        pats = self.pat_list()
+        scope: dict[str, Var] = {}
+        pats = self.pat_list(scope)
         if self.kinds[self.pos] != "FATARROW":
-            return (CLAUSE, bar, bar, pats, None)
+            return Clause(pats, None, self._span(bar, bar))
         self.pos += 1
-        body = self.expr()
-        return (CLAUSE, bar, self.pos - 1, pats, body)
+        body = self.expr([scope])
+        return Clause(pats, body, self._span(bar, self.pos - 1))
 
     def binder_group(self, pos: int) -> int:
         """The index of the ":" of a telescope group `"(" IDENT+ ":"` that
@@ -360,62 +482,94 @@ class _Parser:
             i += 1
         return i if i > pos + 1 and kinds[i] == "COLON" else 0
 
-    def tele(self) -> tuple:
-        groups = []
+    def tele(self, scope: dict[str, Var], at: int) -> Telescope:
+        """A telescope, its binders added to `scope`; the form that starts
+        at token `at` gives the span of an error in it."""
+        entries: list[tuple[Var, Term]] = []
         while colon := self.binder_group(self.pos):
             first = self.pos + 1
             self.pos = colon + 1
-            ty = self.expr()
+            ty = self.expr([scope])
             self.expect("RPAREN", "')'")
-            groups.append((first, colon, ty))
-        return tuple(groups)
+            for name in self.texts[first:colon]:
+                var = self.bind(name, at)
+                if name in scope:
+                    self.fail(DUPLICATE_DECL, f"duplicate telescope binder {name}", at=at)
+                scope[name] = var
+                entries.append((var, ty))
+        return Telescope(tuple(entries))
 
-    # patterns
+    def bind(self, name: str, at: int) -> Var:
+        entry = self.globals.get(name)
+        if entry is not None and entry.kind == "ctor":
+            self.fail(SHADOWS_CTOR, f"binder {name} shadows a constructor", at=at)
+        return Var.fresh(name)
 
-    def pat_list(self) -> tuple:
-        pats = [self.pattern()]
+    # patterns: a name naming a declared constructor is one, any other binds
+
+    def pat_list(self, scope: dict[str, Var]) -> tuple[Pattern, ...]:
+        pats = [self.pattern(scope)]
         while self.kinds[self.pos] == "COMMA":
             self.pos += 1
-            pats.append(self.pattern())
+            pats.append(self.pattern(scope))
         return tuple(pats)
 
-    def pattern(self):
-        if self.kinds[self.pos] == "impossible":
-            return self.pat_atom()
-        head = self.expect("IDENT", "a pattern")
+    def pattern(self, scope: dict[str, Var], group: int = -1) -> Pattern:
+        """A name and its arguments, or `impossible`. Inside the parentheses
+        that open at token `group`, it reads their ")" and takes their
+        positions."""
+        kinds = self.kinds
+        head = self.pos
         args = []
-        while (atom := self.pat_atom()) is not None:
-            args.append(atom)
-        return (APP, head, self.pos - 1, head, *args) if args else head
+        if kinds[head] == "impossible":
+            self.pos += 1
+        else:
+            self.expect("IDENT", "a pattern")
+            if kinds[self.pos] in _PATTERN_ARG:
+                name = self.texts[head]
+                entry = self.globals.get(name)
+                if entry is None or entry.kind != "ctor":
+                    self.fail(UNKNOWN_IDENT, f"unknown constructor {name}", at=head)
+                while kinds[pos := self.pos] in _PATTERN_ARG:
+                    self.pos = pos + 1
+                    if kinds[pos] == "LPAREN":
+                        args.append(self.pattern(scope, pos))
+                    else:
+                        args.append(self.pat_node(pos, (), pos, pos, scope))
+        if group < 0:
+            return self.pat_node(head, tuple(args), head, self.pos - 1, scope)
+        last = self.expect("RPAREN", "')'")
+        return self.pat_node(head, tuple(args), group, last, scope)
 
-    def pat_atom(self):
-        pos = self.pos
-        kind = self.kinds[pos]
-        if kind == "IDENT" or kind == "impossible":
-            self.pos = pos + 1
-            return pos
-        if kind == "LPAREN":
-            self.pos = pos + 1
-            p = self.pattern()
-            close = self.expect("RPAREN", "')'")
-            if type(p) is int:
-                return (APP, pos, close, p)
-            return (APP, pos, close) + p[3:]
-        return None
+    def pat_node(self, head: int, args: tuple, first: int, last: int, scope) -> Pattern:
+        span = self.spanned(head, first, last)
+        name = self.texts[head]
+        if name == "impossible":  # the keyword: no identifier is spelt so
+            return ImpossiblePat(span)
+        entry = self.globals.get(name)
+        if entry is not None and entry.kind == "ctor":
+            return ConPat(name, args, span)
+        var = Var.fresh(name)
+        scope[name] = var
+        return BindPat(var, None, span)
 
     # expressions
 
-    def expr(self):
-        """An expression, read with an explicit stack of the forms still
-        open around it rather than one Python frame per level of nesting.
+    def expr(self, scopes: list[dict[str, Var]]) -> Term:
+        """An expression resolved in `scopes`, innermost last, read with an
+        explicit stack of the forms still open around it rather than one
+        Python frame per level of nesting.
 
         A `fn`, Pi or arrow waits on the stack for its body or codomain, a
         Pi for its domain, and an application for the group that one of its
-        atoms opens. An expression that fills a pair of parentheses is
-        grouped: it is built with the group's positions, the group (on top
-        of the stack) giving the first and the ")" due next the last.
+        atoms opens; a `fn` or Pi keeps its binder's scope on `scopes` until
+        it closes. An application is resolved when it ends, its arguments
+        before its head name. An expression that fills a pair of
+        parentheses takes their positions, the outermost pair's when it
+        fills several; a name alone in the group at an application's head
+        is resolved with that application's arguments.
         """
-        kinds = self.kinds
+        kinds, texts = self.kinds, self.texts
         pos = self.pos
         stack: list[tuple] = []
         grouped = False  # whether the expression starting now is grouped
@@ -428,7 +582,10 @@ class _Parser:
                         raise _unexpected("a binder name", self.tokens[pos + 1])
                     if kinds[pos + 2] != "FATARROW":
                         raise _unexpected("'=>'", self.tokens[pos + 2])
-                    stack.append((FN, pos, grouped))
+                    name = texts[pos + 1]
+                    var = self.bind(name, pos)
+                    scopes.append({name: var})
+                    stack.append((_FN, pos, grouped, var))
                     pos += 3
                     grouped = False
                     continue
@@ -441,19 +598,26 @@ class _Parser:
                     pos += 3
                     grouped = False
                     continue
-                head, args, app_grouped = None, [], grouped
+                # The head, where its name as written starts and ends, the
+                # arguments, and the first error in a group at the head.
+                head, hf, hl, args, app_grouped, late = None, 0, 0, [], grouped, None
             else:
-                head, args, app_grouped = resumed
+                head, hf, hl, args, app_grouped, late = resumed
                 resumed = None
             # An application: a head atom, then argument atoms while they
             # come. "(x :" as an argument can only open a Pi's parentheses.
             while True:
                 kind = kinds[pos]
                 if kind == "IDENT" or kind == "Type":
-                    atom = pos
+                    if head is None:
+                        head = hf = hl = pos
+                    else:
+                        args.append(self.name(pos, (), pos, pos, scopes))
                     pos += 1
                 elif kind == "LPAREN":
-                    stack.append((_GROUP, pos, head, args, app_grouped))
+                    stack.append(
+                        (_GROUP, pos, head, hf, hl, args, app_grouped, late, self.error)
+                    )
                     pos += 1
                     grouped = True
                     break
@@ -461,23 +625,34 @@ class _Parser:
                     raise _unexpected("an expression", self.tokens[pos])
                 else:
                     break
-                if head is None:
-                    head = atom
-                else:
-                    args.append(atom)
             if kind == "LPAREN":
                 continue  # the group first; its closing resumes this
+            if late is not None and self.error is None:
+                self.error = late  # a head's errors come after its arguments'
             arrow = kinds[pos] == "ARROW"
-            if not args:
+            fills = app_grouped and not arrow  # the group on top of the stack
+            if type(head) is not int:
                 e = head
-            elif app_grouped and not arrow:
-                e = (APP, stack[-1][1], pos, head, *args)
+                if args:
+                    try:
+                        e = apply_spine(head, tuple(args))
+                    except InternalError:
+                        first, last = self.filled(stack, pos) if fills else (hf, pos - 1)
+                        self.fail(
+                            BAD_APPLICATION,
+                            "this expression cannot take arguments",
+                            self._span(first, last),
+                        )
+            elif not fills:
+                e = self.name(head, tuple(args), hf, pos - 1, scopes, hf, hl)
+            elif args or stack[-1][2] is not None:
+                first, last = self.filled(stack, pos)
+                e = self.name(head, tuple(args), first, last, scopes, hf, hl)
             else:
-                first = head if type(head) is int else head[1]
-                e = (APP, first, pos - 1, head, *args)
+                e = head  # a name alone in a group at an application's head
             if arrow:
                 pos += 1
-                stack.append((ARROW, e, app_grouped))
+                stack.append((_ARROW, hf, app_grouped, e))
                 grouped = False
                 continue
             # `e` is complete: close each form it completes.
@@ -485,19 +660,18 @@ class _Parser:
                 frame = stack.pop()
                 form = frame[0]
                 if form is _GROUP:
-                    _, open_pos, head, args, app_grouped = frame
+                    _, open_pos, head, hf, hl, args, app_grouped, late, before = frame
                     if kinds[pos] != "RPAREN":
                         raise _unexpected("')'", self.tokens[pos])
-                    if type(e) is int:
-                        e = (APP, open_pos, pos, e)
-                    elif e[1] != open_pos:  # a group just inside this one
-                        e = (e[0], open_pos, pos) + e[3:]
-                    pos += 1
                     if head is None:
-                        head = e
+                        # The group is the head: what it recorded waits for
+                        # the arguments.
+                        head, hf, hl = e, open_pos, pos
+                        late, self.error = self.error, before
                     else:
                         args.append(e)
-                    resumed = head, args, app_grouped
+                    pos += 1
+                    resumed = head, hf, hl, args, app_grouped, late
                     break
                 if form is _DOMAIN:  # `e` is the domain
                     _, start, g = frame
@@ -505,278 +679,50 @@ class _Parser:
                         raise _unexpected("')'", self.tokens[pos])
                     if kinds[pos + 1] != "ARROW":
                         raise _unexpected("'->'", self.tokens[pos + 1])
+                    name = texts[start + 1]
+                    var = self.bind(name, start)
+                    scopes.append({name: var})
+                    stack.append((_PI, start, g, var, e))
                     pos += 2
-                    stack.append((PI, start, e, g))
                     grouped = False
                     break
-                # A `fn`, Pi or arrow whose body or codomain is `e`. One that
-                # fills a group takes the group's positions.
-                g = frame[-1]
-                last = pos if g else pos - 1
-                if form is ARROW:
-                    _, dom, _ = frame
-                    first = stack[-1][1] if g else dom if type(dom) is int else dom[1]
-                    e = (ARROW, first, last, dom, e)
-                elif form is FN:
-                    _, start, _ = frame
-                    e = (FN, stack[-1][1] if g else start, last, start + 1, e)
-                else:  # PI
-                    _, start, dom, _ = frame
-                    e = (PI, stack[-1][1] if g else start, last, start + 1, dom, e)
+                # A `fn`, Pi or arrow whose body or codomain is `e`, starting
+                # at token `start` unless it fills a group.
+                start = frame[1]
+                first, last = self.filled(stack, pos) if frame[2] else (start, pos - 1)
+                if form is _ARROW:
+                    e = Pi(Var.fresh("_"), frame[3], e, self._span(first, last))
+                    continue
+                scopes.pop()
+                span = self.spanned(start, first, last)
+                if form is _FN:
+                    e = Lam(frame[3], e, span)
+                else:
+                    e = Pi(frame[3], frame[4], e, span)
             else:
                 self.pos = pos
                 return e
 
+    def filled(self, stack: list[tuple], pos: int) -> tuple[int, int]:
+        """The first and last token of an expression that ends before token
+        `pos` and fills the group on top of `stack`: its "(" and its ")",
+        or those of the outermost group it fills."""
+        kinds = self.kinds
+        i = len(stack) - 1
+        if kinds[pos] == "RPAREN":
+            # The group fills the one below it when it is the head of an
+            # application that starts that group and ends with it.
+            while stack[i][2] is None and stack[i][6] and kinds[pos + 1] == "RPAREN":
+                i -= 1
+                pos += 1
+        return stack[i][1], pos
 
-# The forms `_Parser.expr` keeps open on its stack besides `fn`, Pi and arrow.
-_GROUP, _DOMAIN = "group", "domain"
-
-
-def _unexpected(what: str, tok: Token) -> ParseError:
-    got = tok.text or "end of input"
-    return ParseError(PARSE_ERROR, f"expected {what}, found {got!r}", tok.span)
-
-
-def parse_file(text: str, file: str = "<input>") -> Syntax:
-    """Parse a whole compilation unit."""
-    tokens = tokenize(text, file)
-    return Syntax(tokens, _Parser(tokens).file())
-
-
-def parse_expression(text: str, file: str = "<expr>") -> Syntax:
-    tokens = tokenize(text, file)
-    parser = _Parser(tokens)
-    e = parser.expr()
-    parser.expect("EOF", "end of input")
-    return Syntax(tokens, e)
-
-
-# ---------------------------------------------------------------------------
-# Resolver
-
-
-@dataclass
-class _Global:
-    kind: str  # "data" | "func" | "ctor"
-    arity: int
-    hints: tuple[str, ...]  # one binder name per parameter, for eta-expansion
-    # constructors only:
-    fields_arity: int = 0
-    owner: str = ""
-
-
-_new_tuple = tuple.__new__
-
-
-class Resolver:
-    """Resolves parsed declarations into core ones, in order.
-
-    Later declarations see earlier ones; a declaration also sees itself (for
-    recursive fields and clauses). The declared names stay for later calls,
-    so an expression resolves against the file resolved before it.
-    """
-
-    def __init__(self) -> None:
-        self.globals: dict[str, _Global] = {}
-
-    def run(self, syntax: Syntax) -> list[Declaration]:
-        self._read(syntax.tokens)
-        return [self._decl(d) for d in syntax.tree]
-
-    def resolve_expression(self, syntax: Syntax) -> Term:
-        """Resolve a standalone expression against the declared globals."""
-        self._read(syntax.tokens)
-        return self._term(syntax.tree, [{}])
-
-    def _read(self, tokens: Tokens) -> None:
-        self.texts, self.lines, self.cols = tokens.texts, tokens.lines, tokens.cols
-        self.file = tokens.file
-
-    def _span(self, first: int, last: int) -> SourceSpan:
-        """The span from the start of token `first` to the end of token
-        `last`. Tokens come in source order and none is empty, so it is
-        built without the start-before-end check of `SourceSpan(...)`."""
-        lines, cols = self.lines, self.cols
-        end_col = cols[last] + len(self.texts[last]) - 1
-        return _new_tuple(
-            SourceSpan, (self.file, lines[first], cols[first], lines[last], end_col)
-        )
-
-    # declarations
-
-    def _declare(self, name: str, entry: _Global, span, *, same_data_ok: str = "") -> None:
-        existing = self.globals.get(name)
-        if existing is not None:
-            if existing.kind == "ctor" and existing.owner == same_data_ok:
-                return  # another selection row for the same constructor
-            raise ResolveError(DUPLICATE_DECL, f"duplicate name {name}", span)
-        self.globals[name] = entry
-
-    def _decl(self, d: tuple) -> Declaration:
-        kind = d[0]
-        if kind is DATA:
-            _, first, last, name_at, stele, rows = d
-            name, span = self.texts[name_at], self._span(first, last)
-            scope: dict[str, Var] = {}
-            tele = self._tele(stele, scope, span)
-            self._declare(
-                name, _Global("data", len(tele), tuple(x.text for x, _ in tele)), span
-            )
-            core_rows = tuple(self._row(name, tele, scope, r) for r in rows)
-            return DataDecl(name, tele, core_rows, span)
-        if kind is DEF:
-            _, first, last, name_at, stele, sresult, sclauses = d
-            name, span = self.texts[name_at], self._span(first, last)
-            scope = {}
-            tele = self._tele(stele, scope, span)
-            result = self._term(sresult, [scope])
-            self._declare(
-                name, _Global("func", len(tele), tuple(x.text for x, _ in tele)), span
-            )
-            clauses = tuple(self._clause(c) for c in sclauses)
-            return FuncDecl(name, tele, result, clauses, span)
-        raise InternalError(f"unexpected declaration {d!r}")
-
-    def _tele(self, groups, scope: dict[str, Var], span) -> Telescope:
-        entries: list[tuple[Var, Term]] = []
-        for first, colon, sty in groups:
-            ty = self._term(sty, [scope])
-            for n in self.texts[first:colon]:
-                var = self._bind(n, span)
-                if n in scope:
-                    raise ResolveError(
-                        DUPLICATE_DECL, f"duplicate telescope binder {n}", span
-                    )
-                scope[n] = var
-                entries.append((var, ty))
-        return Telescope(tuple(entries))
-
-    def _row(self, data_name, data_tele, data_scope, r: tuple) -> CtorRow:
-        _, bar, name_at, spats, stele = r
-        name, span = self.texts[name_at], self._span(bar, name_at)
-        if spats is None:
-            fields_scope = dict(data_scope)
-            fields = self._tele(stele, fields_scope, span)
-            pats = None
-            binds = len(data_tele)
-        else:
-            pat_scope: dict[str, Var] = {}
-            pats = tuple(self._pattern(p, pat_scope) for p in spats)
-            binds = len(pat_scope)
-            fields_scope = pat_scope
-            fields = self._tele(stele, fields_scope, span)
-        self._declare(
-            name,
-            _Global(
-                "ctor",
-                binds + len(fields),
-                tuple(fields_scope.keys()),
-                fields_arity=len(fields),
-                owner=data_name,
-            ),
-            span,
-            same_data_ok=data_name,
-        )
-        return CtorRow(name, fields, pats, span)
-
-    def _clause(self, c: tuple) -> Clause:
-        # Clause bodies see the pattern bindings only; the telescope's
-        # variables are substituted away by the checker.
-        _, bar, last, spats, sbody = c
-        pat_scope: dict[str, Var] = {}
-        pats = tuple(self._pattern(p, pat_scope) for p in spats)
-        body = self._term(sbody, [pat_scope]) if sbody is not None else None
-        return Clause(pats, body, self._span(bar, last))
-
-    # patterns
-
-    def _pattern(self, p, scope: dict[str, Var]) -> Pattern:
-        if type(p) is int:
-            first = last = head = p
-            sargs = ()
-        elif p[0] is APP:
-            first, last, head, sargs = p[1], p[2], p[3], p[4:]
-        else:
-            raise InternalError(f"unexpected pattern {p!r}")
-        span = self._span(first, last)
-        name = self.texts[head]
-        if name == "impossible":  # the keyword: no identifier is spelt so
-            return ImpossiblePat(span)
-        entry = self.globals.get(name)
-        if entry is not None and entry.kind == "ctor":
-            args = []
-            for a in sargs:
-                args.append(self._pattern(a, scope))
-            return ConPat(name, tuple(args), span)
-        if sargs:
-            raise ResolveError(UNKNOWN_IDENT, f"unknown constructor {name}", span)
-        var = Var.fresh(name)
-        scope[name] = var
-        return BindPat(var, None, span)
-
-    # expressions
-
-    def _bind(self, name: str, span) -> Var:
-        entry = self.globals.get(name)
-        if entry is not None and entry.kind == "ctor":
-            raise ResolveError(
-                SHADOWS_CTOR, f"binder {name} shadows a constructor", span
-            )
-        return Var.fresh(name)
-
-    def _term(self, e, scopes: list[dict[str, Var]]) -> Term:
-        if type(e) is int:
-            first = last = head = e
-            args = ()
-        else:
-            kind = e[0]
-            if kind is APP:
-                # An application is resolved in this one frame: its arguments
-                # first, then its head, a local binder before a global.
-                first, last, head = e[1], e[2], e[3]
-                args = ()
-                if len(e) > 4:
-                    resolved: list[Term] = []
-                    for a in e[4:]:
-                        resolved.append(self._term(a, scopes))
-                    args = tuple(resolved)
-                if type(head) is not int:
-                    if head[0] is APP and len(head) == 4:  # a name in parentheses
-                        head = head[3]
-                    else:
-                        inner = self._term(head, scopes)
-                        try:
-                            return apply_spine(inner, args)
-                        except InternalError:
-                            raise ResolveError(
-                                BAD_APPLICATION,
-                                "this expression cannot take arguments",
-                                self._span(first, last),
-                            ) from None
-            elif kind is ARROW:
-                _, first, last, sdom, scod = e
-                dom = self._term(sdom, scopes)
-                cod = self._term(scod, scopes)
-                return Pi(Var.fresh("_"), dom, cod, self._span(first, last))
-            elif kind is PI:
-                _, first, last, binder, sdom, scod = e
-                span = self._span(first, last)
-                dom = self._term(sdom, scopes)
-                name = self.texts[binder]
-                var = self._bind(name, span)
-                cod = self._term(scod, scopes + [{name: var}])
-                return Pi(var, dom, cod, span)
-            elif kind is FN:
-                _, first, last, binder, sbody = e
-                span = self._span(first, last)
-                name = self.texts[binder]
-                var = self._bind(name, span)
-                body = self._term(sbody, scopes + [{name: var}])
-                return Lam(var, body, span)
-            else:
-                raise InternalError(f"unexpected expression {e!r}")
-        # A name or `Type` at token `head`, applied to `args`. No binder or
-        # global is named `Type`: it is a keyword.
+    def name(
+        self, head: int, args: tuple[Term, ...], first: int, last: int, scopes, hf=0, hl=0
+    ) -> Term:
+        """The name or `Type` at token `head` applied to `args`, spanning
+        tokens `first` to `last`: a local binder before a global. With
+        arguments, the name as written spans tokens `hf` to `hl`."""
         span = self._span(first, last)
         name = self.texts[head]
         i = len(scopes)
@@ -787,19 +733,17 @@ class Resolver:
                 return VarCall(var, args, span)
         entry = self.globals.get(name)
         if entry is None:
-            if name == "Type":
-                if args:
-                    raise ResolveError(
-                        BAD_APPLICATION, "this expression cannot take arguments", span
-                    )
+            # No binder or global is named `Type`: it is a keyword.
+            if name != "Type":
+                at = self._span(hf, hl) if args else span
+                self.fail(UNKNOWN_IDENT, f"unknown identifier {name}", at)
+            elif not args:
                 return Univ(span)
-            # The span of the head as written: a name alone, even in
-            # parentheses, is its whole application.
-            h = e[3] if args else e
-            at = self._span(h, h) if type(h) is int else self._span(h[1], h[2])
-            raise ResolveError(UNKNOWN_IDENT, f"unknown identifier {name}", at)
-        # A fully applied global is built here; `_apply_global` expands
-        # the partial applications and reports the bad ones.
+            else:
+                self.fail(BAD_APPLICATION, "this expression cannot take arguments", span)
+            return UNIV
+        # A fully applied global is built here; `apply_global` expands the
+        # partial applications and reports the bad ones.
         kind = entry.kind
         if kind == "ctor":
             if len(args) == entry.fields_arity:
@@ -807,9 +751,9 @@ class Resolver:
         elif len(args) == entry.arity:
             call = FnCall if kind == "func" else DataCall
             return call(name, args, span)
-        return self._apply_global(name, entry, args, span)
+        return self.apply_global(name, entry, args, span)
 
-    def _apply_global(
+    def apply_global(
         self, name: str, entry: _Global, args: tuple[Term, ...], span
     ) -> Term:
         """A global applied to fewer or more arguments than it takes: an
@@ -821,15 +765,15 @@ class Resolver:
                 return self._expand_ctor(name, entry, span)
             k = entry.fields_arity
             takes = counted(k, "argument") + (" (or none)" if k else "")
-            raise ResolveError(
-                BAD_APPLICATION, f"constructor {name} takes {takes}, got {n}", span
-            )
+            self.fail(BAD_APPLICATION, f"constructor {name} takes {takes}, got {n}", span)
+            return UNIV
         if n > entry.arity:
-            raise ResolveError(
+            self.fail(
                 BAD_APPLICATION,
                 f"{name} takes {counted(entry.arity, 'argument')}, got {n}",
                 span,
             )
+            return UNIV
         missing = [Var.fresh(h) for h in entry.hints[n:]]
         full = args + tuple(VarCall(v) for v in missing)
         call: Term = (
@@ -853,6 +797,6 @@ class Resolver:
         return call
 
 
-def resolve(syntax: Syntax) -> list[Declaration]:
-    """Resolve a parsed file into core declarations."""
-    return Resolver().run(syntax)
+def _unexpected(what: str, tok: Token) -> ParseError:
+    got = "end of input" if tok.kind == "EOF" else repr(tok.text)
+    return ParseError(PARSE_ERROR, f"expected {what}, found {got}", tok.span)

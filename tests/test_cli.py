@@ -204,7 +204,7 @@ class TestEval:
         assert res.stdout == "suc (" * 450 + "suc zero" + ")" * 450 + "\n"
 
     def test_deep_nesting_is_a_diagnostic(self, capsys):
-        # The parser takes any depth; the resolver's walk gives up first.
+        # The frontend takes any depth; evaluating the value gives up first.
         deep = "suc (" * 2000 + "zero" + ")" * 2000
         assert run(["eval", corpus("nat.sit"), "-e", deep]) == 4
         err = capsys.readouterr().err
@@ -411,6 +411,16 @@ class TestExitCodes:
         src = tmp_path / "broken.sit"
         src.write_text("def f (x : Nat) : Nat | zero =>\n")
         assert run(["check", str(src)]) == 2
+
+    def test_parse_error_at_end_of_input(self, tmp_path, capsys):
+        assert run(["eval", corpus("nat.sit"), "-e", ""]) == 2
+        err = capsys.readouterr().err
+        assert err == "<expr>:1:1: error[E102]: expected an expression, found end of input\n"
+        src = tmp_path / "cut.sit"
+        src.write_text("data Nat : Type\n  | zero\n  | suc (n :")
+        assert run(["check", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"{src}:3:13: error[E102]: expected an expression, found end of input\n"
 
     def test_type_error(self, tmp_path):
         src = tmp_path / "ill.sit"

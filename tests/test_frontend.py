@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import weakref
 
 import pytest
 
@@ -27,11 +28,9 @@ from sit.core import (
 )
 from sit.diagnostics import LexError, ParseError, ResolveError, SourceSpan
 from sit.frontend import (
-    APP,
-    ARROW,
-    FN,
     Resolver,
     Token,
+    _Reader,
     decode_source,
     parse_expression,
     parse_file,
@@ -143,11 +142,11 @@ class TestParser:
 
     def test_missing_clause_body_is_an_error(self):
         with pytest.raises(ParseError):
-            parse_file("def f (x : Nat) : Nat | zero =>")
+            resolve(parse_file("def f (x : Nat) : Nat | zero =>"))
 
     def test_unterminated_group(self):
         with pytest.raises(ParseError):
-            parse_expression("(Nat")
+            _expr("(Nat")
 
     def test_comments_and_crlf(self):
         decls = resolve(
@@ -171,13 +170,13 @@ class TestParser:
             + "def f (a : Nat) : Nat\n"
         )
         with pytest.raises(ParseError) as exc:
-            parse_file(src)
+            resolve(parse_file(src))
         assert exc.value.message == "expected ')', found 'def'"
         assert (exc.value.span.start_line, exc.value.span.start_col) == (8, 1)
 
     def test_pattern_row_needs_a_constructor_name(self):
         with pytest.raises(ParseError) as exc:
-            parse_file("data T (a : Nat) (b : Nat) : Type\n  | zero, m => (\n")
+            resolve(parse_file("data T (a : Nat) (b : Nat) : Type\n  | zero, m => (\n"))
         assert exc.value.message.startswith("expected a constructor name")
         assert (exc.value.span.start_line, exc.value.span.start_col) == (2, 16)
 
@@ -207,7 +206,7 @@ class TestParser:
         for cls in _node_classes():
             monkeypatch.setattr(cls, "__init__", counting("nodes", cls.__init__))
         monkeypatch.setattr(SourceSpan, "__new__", counting("checked spans", SourceSpan.__new__))
-        monkeypatch.setattr(Resolver, "_span", counting("spans", Resolver._span))
+        monkeypatch.setattr(_Reader, "_span", counting("spans", _Reader._span))
         resolver = Resolver()
         resolver.run(parse_file(PRELUDE))
         for text, nodes in [
@@ -217,68 +216,65 @@ class TestParser:
             ("(fn y => y) zero", 3),
         ]:
             built.update(dict.fromkeys(built, 0))
-            # Parsing builds neither a node nor a span.
-            syntax = parse_expression(text)
+            # Tokenizing builds neither a node nor a span.
+            tokens = parse_expression(text)
             assert built == {"nodes": 0, "checked spans": 0, "spans": 0}, text
             # Resolving builds one span per core node, none of them through
             # the check, and so at most one per token.
-            resolver.resolve_expression(syntax)
+            resolver.resolve_expression(tokens)
             assert built == {"nodes": nodes, "checked spans": 0, "spans": nodes}, text
-            assert nodes <= len(syntax.tokens)
+            assert nodes <= len(tokens)
 
 
 class TestDeepInput:
-    """The expression parser keeps its open forms on a list, not on Python
-    frames, so nesting depth is limited by memory only."""
+    """Expressions are read and resolved on a list of the forms still open,
+    not on Python frames, so nesting depth is limited by memory only. The
+    results are walked in loops: `==` on nodes recurses."""
 
     DEPTH = 10_000
 
-    @staticmethod
-    def _span(syntax, e) -> SourceSpan:
-        first, last = syntax.tokens[e[1]], syntax.tokens[e[2]]
-        end_col = last.col + len(last.text) - 1
-        return SourceSpan(first.file, first.line, first.col, last.line, end_col)
-
     def test_nested_applications(self):
-        syntax = parse_expression("suc (" * self.DEPTH + "zero" + ")" * self.DEPTH)
-        texts = syntax.tokens.texts
-        e, depth = syntax.tree, 0
-        while len(e) > 4:
-            assert e[0] is APP and texts[e[3]] == "suc" and len(e) == 5
-            e, depth = e[4], depth + 1
-        assert (e[0], texts[e[3]], len(e), depth) == (APP, "zero", 4, self.DEPTH)
-        # The innermost group, "(zero)", gives the leaf its span.
-        assert self._span(syntax, e) == SourceSpan(
-            "<expr>", 1, 5 * self.DEPTH, 1, 5 * self.DEPTH + 5
-        )
+        e = _expr("suc (" * self.DEPTH + "zero" + ")" * self.DEPTH)
+        end = 6 * self.DEPTH + 4
+        assert e.span == SourceSpan("<expr>", 1, 1, 1, end)
+        depth = 0
+        while e.name == "suc":
+            (e,) = e.args
+            depth += 1
+            # Each argument fills the group that opens at its left.
+            assert e.span == SourceSpan("<expr>", 1, 5 * depth, 1, end - depth + 1)
+        assert (type(e), e.name, e.args, depth) == (ConCall, "zero", (), self.DEPTH)
 
     def test_nested_parentheses(self):
-        syntax = parse_expression("(" * self.DEPTH + "Type" + ")" * self.DEPTH)
-        e = syntax.tree
-        assert (e[0], syntax.tokens.texts[e[3]], len(e)) == (APP, "Type", 4)
-        assert self._span(syntax, e) == SourceSpan("<expr>", 1, 1, 1, 2 * self.DEPTH + 4)
+        e = _expr("(" * self.DEPTH + "Type" + ")" * self.DEPTH)
+        assert type(e) is Univ
+        assert e.span == SourceSpan("<expr>", 1, 1, 1, 2 * self.DEPTH + 4)
 
     def test_arrow_chain(self):
-        syntax = parse_expression("Type -> " * self.DEPTH + "Type")
-        texts = syntax.tokens.texts
-        e, depth = syntax.tree, 0
-        while type(e) is tuple:
-            assert e[0] is ARROW and texts[e[3]] == "Type"
-            e, depth = e[4], depth + 1
-        assert (texts[e], depth) == ("Type", self.DEPTH)
+        e = _expr("Type -> " * self.DEPTH + "Type")
+        depth, uid = 0, None
+        while type(e) is Pi:
+            assert (type(e.domain), e.binder.text) == (Univ, "_")
+            # An arrow's binder is made after its codomain's.
+            assert uid is None or e.binder.uid < uid
+            assert e.span == SourceSpan("<expr>", 1, 8 * depth + 1, 1, 8 * self.DEPTH + 4)
+            e, uid, depth = e.codomain, e.binder.uid, depth + 1
+        assert (type(e), depth) == (Univ, self.DEPTH)
 
     def test_deep_declaration(self):
         text = (
             "def f : " + "Type -> " * self.DEPTH + "Type\n"
             "  | x => " + "(fn y => " * self.DEPTH + "y" + ")" * self.DEPTH + "\n"
         )
-        syntax = parse_file(text)
-        (decl,) = syntax.tree
-        e, depth = decl[6][0][4], 0  # the body of the first clause
-        while type(e) is tuple:
-            assert e[0] is FN
-            e, depth = e[4], depth + 1
-        assert (syntax.tokens.texts[e], depth) == ("y", self.DEPTH)
+        (decl,) = resolve(parse_file(text))
+        e, depth = decl.result, 0
+        while type(e) is Pi:
+            e, depth = e.codomain, depth + 1
+        assert (type(e), depth) == (Univ, self.DEPTH)
+        e, depth = decl.clauses[0].body, 0  # the body of the first clause
+        while type(e) is Lam:
+            binder, e, depth = e.binder, e.body, depth + 1
+        assert (e, depth) == (VarCall(binder), self.DEPTH)
 
 
 class TestSourceSpan:
@@ -561,3 +557,64 @@ def f (a : Nat) : Nat
         with pytest.raises(ResolveError) as exc:
             resolve(parse_file(NAT + "def f (a : Nat) : Nat\n  | m => a\n"))
         assert exc.value.code == "E201"
+
+    def test_keeps_only_the_global_table(self):
+        resolver = Resolver()
+        tokens = parse_file(PRELUDE)
+        ref = weakref.ref(tokens)
+        resolver.run(tokens)
+        del tokens
+        assert list(vars(resolver)) == ["globals"] and ref() is None
+        tokens = parse_expression("f (suc x)")
+        ref = weakref.ref(tokens)
+        resolver.resolve_expression(tokens)
+        del tokens
+        assert list(vars(resolver)) == ["globals"] and ref() is None
+
+
+def _error(text: str, expression: bool = False):
+    """The error of reading `text` as a file, or as an expression after the
+    prelude."""
+    with pytest.raises((ParseError, ResolveError)) as exc:
+        if expression:
+            _expr(text)
+        else:
+            resolve(parse_file(text))
+    err = exc.value
+    return err.code, err.message, tuple(err.span)[1:]
+
+
+class TestErrorOrder:
+    """A parse error anywhere comes first; else the first resolve error in
+    resolution order, spanning the whole form it is about."""
+
+    def test_parse_error_after_a_resolve_error(self):
+        text = "def f : Type\n  | x => foo\n" + "\n" * 6 + "def g : Type\n"
+        assert _error(text) == ("E201", "unknown identifier foo", (2, 10, 2, 12))
+        assert _error(text.replace("g : Type", "g : Type )")) == (
+            "E102", "expected a declaration, found ')'", (9, 14, 9, 14)
+        )
+
+    def test_trailing_token_after_an_unknown_name(self):
+        assert _error("foo )", expression=True) == (
+            "E102", "expected end of input, found ')'", (1, 5, 1, 5)
+        )
+
+    def test_binder_error_spans_its_fn(self):
+        assert _error("fn zero => foo", expression=True) == (
+            "E204", "binder zero shadows a constructor", (1, 1, 1, 14)
+        )
+
+    def test_duplicate_data_spans_its_declaration(self):
+        assert _error(NAT + "data Nat : Type\n  | one\n  | two (n : Nat)\n") == (
+            "E203", "duplicate name Nat", (5, 1, 7, 7)
+        )
+
+    def test_arguments_before_a_head_in_parentheses(self):
+        # The head `(foo zero)` is resolved after its argument, as a name is.
+        assert _error("(foo zero) bar", expression=True) == (
+            "E201", "unknown identifier bar", (1, 12, 1, 14)
+        )
+        assert _error("(foo zero) zero", expression=True) == (
+            "E201", "unknown identifier foo", (1, 2, 1, 4)
+        )

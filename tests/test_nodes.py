@@ -2,13 +2,14 @@
 no instance dict, no assignment or deletion, `==` and `hash` blind to
 `span`, and the same `repr` and `__match_args__`.
 
-Every surface form (the ids that start with "S") is a plain tuple over
-token positions, or a bare token index, with the same guarantees: it holds
-no span, so the same text parsed at another place in a file gives an equal
-form with an equal hash, while its first and last tokens still give where
-it is.
+Every surface form (the ids that start with "S") is read straight into one
+core node of a known class. Its span runs from the form's first token to its
+last, and the same text read two lines lower in another file gives the same
+node, but for its variables' ids, with its span two lines lower.
 """
 from __future__ import annotations
+
+import re
 
 import pytest
 
@@ -32,7 +33,7 @@ from sit.core import (
 )
 from sit.coverage import Undecidable
 from sit.diagnostics import SourceSpan
-from sit.frontend import APP, ARROW, CLAUSE, DATA, DEF, FN, PI, ROW, parse_file
+from sit.frontend import parse_file, resolve
 from sit.pattern_ops import Matched, Mismatch, Stuck
 
 X = Var("x", 1)
@@ -79,6 +80,9 @@ CASES = [
 
 
 SRC = """\
+data Nat : Type
+  | zero
+  | suc (n : Nat)
 data Fin (n : Nat) : Type
   | suc m => fz
   | suc m => fs (i : Fin m)
@@ -88,39 +92,31 @@ def f (n : Nat) : Nat -> Nat
   | zero => (x : Type) -> f x
 """
 
-# Id, where the form sits in the declarations of SRC, the form, and the
-# texts of its first and last token.
+# Id, the path to the node in the declarations of SRC (an attribute name or
+# an index per step), its class, and the index and text of the first and the
+# last token of its form.
 SYNTAX_CASES = [
-    ("SRef", (1, 6, 0, 4, 4), 45, "x", "x"),
-    ("SUniv", (1, 6, 2, 4, 4), 56, "Type", "Type"),
-    ("SApp", (1, 6, 2, 4, 5), (APP, 59, 60, 59, 60), "f", "x"),
-    ("SArrow", (1, 5), (ARROW, 33, 35, 33, 35), "Nat", "Nat"),
-    ("SPi", (1, 6, 2, 4), (PI, 53, 60, 54, 56, (APP, 59, 60, 59, 60)), "(", "x"),
-    ("SFn", (1, 6, 0, 4), (FN, 42, 45, 43, 45), "fn", "x"),
-    ("SPatApp", (1, 6, 0, 3, 0), (APP, 37, 40, 37, (APP, 38, 40, 39)), "suc", ")"),
-    ("SPatImpossible", (1, 6, 1, 3, 1), 49, "impossible", "impossible"),
-    ("SCtorRow", (0, 5, 1),
-     (ROW, 14, 18, ((APP, 15, 16, 15, 16),), ((20, 21, (APP, 22, 23, 22, 23)),)), "|", "fs"),
-    ("SClause", (1, 6, 1), (CLAUSE, 46, 46, (47, 49), None), "|", "|"),
-    ("SData", (0,),
-     (DATA, 0, 18, 1, ((3, 4, 5),), (
-         (ROW, 9, 13, ((APP, 10, 11, 10, 11),), ()),
-         (ROW, 14, 18, ((APP, 15, 16, 15, 16),), ((20, 21, (APP, 22, 23, 22, 23)),)),
-     )), "data", "fs"),
-    ("SDef", (1,),
-     (DEF, 25, 60, 26, ((28, 29, 30),), (ARROW, 33, 35, 33, 35), (
-         (CLAUSE, 36, 45, ((APP, 37, 40, 37, (APP, 38, 40, 39)),), (FN, 42, 45, 43, 45)),
-         (CLAUSE, 46, 46, (47, 49), None),
-         (CLAUSE, 50, 60, (51,), (PI, 53, 60, 54, 56, (APP, 59, 60, 59, 60))),
-     )), "def", "x"),
+    ("SRef", (2, "clauses", 0, "body", "body"), VarCall, (58, "x"), (58, "x")),
+    ("SUniv", (2, "clauses", 2, "body", "domain"), Univ, (69, "Type"), (69, "Type")),
+    ("SApp", (2, "clauses", 2, "body", "codomain"), FnCall, (72, "f"), (73, "x")),
+    ("SArrow", (2, "result"), Pi, (46, "Nat"), (48, "Nat")),
+    ("SPi", (2, "clauses", 2, "body"), Pi, (66, "("), (73, "x")),
+    ("SFn", (2, "clauses", 0, "body"), Lam, (55, "fn"), (58, "x")),
+    ("SPatApp", (2, "clauses", 0, "patterns", 0), ConPat, (50, "suc"), (53, ")")),
+    ("SPatImpossible", (2, "clauses", 1, "patterns", 1), ImpossiblePat,
+     (62, "impossible"), (62, "impossible")),
+    ("SCtorRow", (1, "ctors", 1), CtorRow, (27, "|"), (31, "fs")),
+    ("SClause", (2, "clauses", 1), Clause, (59, "|"), (59, "|")),
+    ("SData", (1,), DataDecl, (13, "data"), (31, "fs")),
+    ("SDef", (2,), FuncDecl, (38, "def"), (73, "x")),
 ]
 
 
-def _form(syntax, path):
-    form = syntax.tree
-    for i in path:
-        form = form[i]
-    return form
+def _at(decls, path):
+    node = decls
+    for step in path:
+        node = getattr(node, step) if type(step) is str else node[step]
+    return node
 
 
 def _pair(cls, fields):
@@ -151,20 +147,19 @@ def _node_contract(cls, fields, text, match_args):
         assert (node.span, other.span) == (A, B)
 
 
-def _syntax_contract(path, expected, first_text, last_text):
-    syntax = parse_file(SRC, "a.sit")
+def _syntax_contract(path, cls, first, last):
+    tokens = parse_file(SRC, "a.sit")
     moved = parse_file("\n\n  " + SRC, "b.sit")
-    form, other = _form(syntax, path), _form(moved, path)
-    assert type(form) is type(expected)
-    assert form == expected and other == form and not other != form
-    assert hash(other) == hash(form)
-    first, last = (form, form) if type(form) is int else form[1:3]
-    assert first <= last
-    tokens = syntax.tokens
+    node, other = _at(resolve(tokens), path), _at(resolve(moved), path)
+    assert type(node) is cls and type(other) is cls
+    (first, first_text), (last, last_text) = first, last
     assert (tokens.texts[first], tokens.texts[last]) == (first_text, last_text)
-    assert (moved.tokens[first].line, moved.tokens[first].file) == (
-        tokens[first].line + 2, "b.sit"
+    start, end = tokens[first], tokens[last]
+    assert node.span == SourceSpan(
+        "a.sit", start.line, start.col, end.line, end.col + len(end.text) - 1
     )
+    assert re.sub(r"#\d+", "", repr(other)) == re.sub(r"#\d+", "", repr(node))
+    assert (other.span.file, other.span.start_line) == ("b.sit", start.line + 2)
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,9 @@
 """The term and pattern walks branch on a node's exact class, and the
-resolver on a syntax tuple's kind.
+frontend's one pass on a token's kind.
 
-A node of any other class, or a tuple of any other kind, reaches each
-walk's fallback error, and the walks over arguments are plain loops, one
-Python frame per level of nesting.
+A node of any other class reaches each walk's fallback error, a token of any
+other kind is a parse error, and the walks over arguments are plain loops,
+one Python frame per level of nesting.
 """
 from __future__ import annotations
 
@@ -26,9 +26,9 @@ from sit.core import (
     pretty,
     subst,
 )
-from sit.diagnostics import InternalError, SourceSpan, TypeCheckError
+from sit.diagnostics import InternalError, ParseError, SourceSpan, TypeCheckError
 from sit.evaluator import Fuel, convertible, index_normal_form, normalize
-from sit.frontend import CLAUSE, DEF, Resolver, Syntax, tokenize
+from sit.frontend import Resolver, tokenize
 from sit.pattern_ops import match_terms, to_term
 from sit.typecheck import TypeChecker
 
@@ -84,16 +84,18 @@ class TestForeignNode:
             TypeChecker(nat_sig).check_row((FOREIGN,), tele)
 
     def test_resolver(self):
-        # An expression, a declaration and a pattern of a kind the parser
-        # never makes, over the tokens of `f Type`.
-        tokens, foreign = tokenize("f Type"), ("foreign", 0, 1)
-        with pytest.raises(InternalError):
-            Resolver().resolve_expression(Syntax(tokens, foreign))
-        with pytest.raises(InternalError):
-            Resolver().run(Syntax(tokens, [foreign]))
-        bad_clause = (CLAUSE, 0, 0, [foreign], None)
-        with pytest.raises(InternalError):
-            Resolver().run(Syntax(tokens, [(DEF, 0, 1, 0, [], 1, [bad_clause])]))
+        # A token of a kind the lexer never makes where an expression, a
+        # declaration and a pattern start: the token at `at` of `text`.
+        for text, at, method, what in [
+            ("f Type", 0, "resolve_expression", "an expression"),
+            ("f Type", 0, "run", "a declaration"),
+            ("def f : Type | f", 5, "run", "a pattern"),
+        ]:
+            tokens = tokenize(text)
+            tokens.kinds[at] = "foreign"
+            with pytest.raises(ParseError) as exc:
+                getattr(Resolver(), method)(tokens)
+            assert (exc.value.code, exc.value.message) == ("E102", f"expected {what}, found 'f'")
 
 
 class TestDepth:
