@@ -6,11 +6,12 @@ call as a neutral term. There is no termination checker; a step budget turns
 runaway evaluation into an error instead of a hang. Every evaluation takes
 the budget explicitly, so one `Fuel` can bound a whole command.
 
-Each firing is one turn of `whnf`'s loop: it normalizes the columns some
-clause inspects in place, tries the clauses and goes on with the reduct.
-A call nested in an inspected column costs two Python frames, `whnf` and
-`index_normal_form`, so `sit eval` takes about 490 nested calls under the
-default recursion limit. `normalize` calls `whnf` only on a function call,
+Each firing is one turn of `whnf`'s loop: it passes every column some
+clause inspects through `index_normal_form`, which returns a value already
+known to be normal at once, tries the clauses with `match_terms` and goes
+on with the reduct. A call nested in an inspected column costs two Python
+frames, `whnf` and `index_normal_form`, so `sit eval` takes about 490
+nested calls under the default recursion limit. `normalize` calls `whnf` only on a function call,
 and a node none of whose children changes is returned itself, so a value
 that is already normal is walked but never copied.
 """
@@ -72,15 +73,14 @@ def whnf(sig: Signature, t: Term, fuel: Fuel) -> Term:
         if func is None:
             raise InternalError(f"call to undeclared function {t.name}")
         # Normalize only the columns some clause actually inspects; pure
-        # catch-all columns are substituted into bodies untouched. A value
-        # already known to be normal (substitution shares them) needs no call.
+        # catch-all columns are substituted into bodies untouched.
         args = t.args
         hot = func.inspected_columns
         if hot:
             dispatched = []
             i = 0
             for a in args:
-                if i in hot and not (type(a) is ConCall and a._spine_normal):
+                if i in hot:
                     a = index_normal_form(sig, a, fuel)
                 dispatched.append(a)
                 i += 1

@@ -250,12 +250,12 @@ def parse_expression(text: str, file: str = "<expr>") -> Tokens:
 
 @dataclass
 class _Global:
-    kind: str  # "data" | "func" | "ctor"
-    arity: int
-    hints: tuple[str, ...]  # one binder name per parameter, for eta-expansion
-    # constructors only:
-    fields_arity: int = 0
-    owner: str = ""
+    kind: type[DataCall | FnCall | ConCall]  # the node a full call builds
+    arity: int  # the arguments a full call takes: a constructor's fields
+    # One binder name per parameter, for eta-expansion: a constructor's
+    # parameters are its row's bindings, then its fields.
+    hints: tuple[str, ...]
+    owner: str = ""  # a constructor's data type
 
 
 class Resolver:
@@ -379,7 +379,7 @@ class _Reader:
         existing = self.globals.get(name)
         if existing is None:
             self.globals[name] = entry
-        elif existing.kind != "ctor" or existing.owner != same_data_ok:
+        elif existing.kind is not ConCall or existing.owner != same_data_ok:
             self.fail(DUPLICATE_DECL, f"duplicate name {name}", at=at)
         # else another selection row for the same constructor
 
@@ -392,7 +392,7 @@ class _Reader:
         self.expect("COLON", "':'")
         self.expect("Type", "'Type'")
         hints = tuple(x.text for x, _ in tele)
-        self.declare(name, _Global("data", len(tele), hints), start)
+        self.declare(name, _Global(DataCall, len(tele), hints), start)
         rows, last = [], name_at
         while self.kinds[self.pos] == "BAR":
             row, last = self.ctor_row(name, len(tele), scope)
@@ -407,7 +407,7 @@ class _Reader:
         self.expect("COLON", "':'")
         result = self.expr([scope])
         hints = tuple(x.text for x, _ in tele)
-        self.declare(name, _Global("func", len(tele), hints), start)
+        self.declare(name, _Global(FnCall, len(tele), hints), start)
         clauses = []
         last = self.pos - 1
         while self.kinds[self.pos] == "BAR":
@@ -443,13 +443,7 @@ class _Reader:
         name = self.texts[name_at]
         self.declare(
             name,
-            _Global(
-                "ctor",
-                binds + len(fields),
-                tuple(scope),
-                fields_arity=len(fields),
-                owner=data_name,
-            ),
+            _Global(ConCall, len(fields), tuple(scope), owner=data_name),
             bar,
             same_data_ok=data_name,
         )
@@ -501,7 +495,7 @@ class _Reader:
 
     def bind(self, name: str, at: int) -> Var:
         entry = self.globals.get(name)
-        if entry is not None and entry.kind == "ctor":
+        if entry is not None and entry.kind is ConCall:
             self.fail(SHADOWS_CTOR, f"binder {name} shadows a constructor", at=at)
         return Var.fresh(name)
 
@@ -528,7 +522,7 @@ class _Reader:
             if kinds[self.pos] in _PATTERN_ARG:
                 name = self.texts[head]
                 entry = self.globals.get(name)
-                if entry is None or entry.kind != "ctor":
+                if entry is None or entry.kind is not ConCall:
                     self.fail(UNKNOWN_IDENT, f"unknown constructor {name}", at=head)
                 while kinds[pos := self.pos] in _PATTERN_ARG:
                     self.pos = pos + 1
@@ -547,7 +541,7 @@ class _Reader:
         if name == "impossible":  # the keyword: no identifier is spelt so
             return ImpossiblePat(span)
         entry = self.globals.get(name)
-        if entry is not None and entry.kind == "ctor":
+        if entry is not None and entry.kind is ConCall:
             return ConPat(name, args, span)
         var = Var.fresh(name)
         scope[name] = var
@@ -634,15 +628,19 @@ class _Reader:
             if type(head) is not int:
                 e = head
                 if args:
+                    first, last = self.filled(stack, pos) if fills else (hf, pos - 1)
+                    span = self._span(first, last)
                     try:
                         e = apply_spine(head, tuple(args))
                     except InternalError:
-                        first, last = self.filled(stack, pos) if fills else (hf, pos - 1)
                         self.fail(
-                            BAD_APPLICATION,
-                            "this expression cannot take arguments",
-                            self._span(first, last),
+                            BAD_APPLICATION, "this expression cannot take arguments", span
                         )
+                    else:
+                        # The grown spine or the beta-reduct stands for the
+                        # whole application: a copy of its root takes its span.
+                        c = type(e)
+                        e = c(*[getattr(e, f) for f in c._compared], span)
             elif not fills:
                 e = self.name(head, tuple(args), hf, pos - 1, scopes, hf, hl)
             elif args or stack[-1][2] is not None:
@@ -744,26 +742,20 @@ class _Reader:
             return UNIV
         # A fully applied global is built here; `apply_global` expands the
         # partial applications and reports the bad ones.
-        kind = entry.kind
-        if kind == "ctor":
-            if len(args) == entry.fields_arity:
-                return ConCall(name, args, span)
-        elif len(args) == entry.arity:
-            call = FnCall if kind == "func" else DataCall
-            return call(name, args, span)
+        if len(args) == entry.arity:
+            return entry.kind(name, args, span)
         return self.apply_global(name, entry, args, span)
 
     def apply_global(
         self, name: str, entry: _Global, args: tuple[Term, ...], span
     ) -> Term:
         """A global applied to fewer or more arguments than it takes: an
-        under-applied one is expanded to lambdas, an over-applied one is an
-        error."""
+        under-applied one, or a constructor with none, is expanded to
+        lambdas over its missing parameters; any other is an error."""
         n = len(args)
-        if entry.kind == "ctor":
-            if n == 0:
-                return self._expand_ctor(name, entry, span)
-            k = entry.fields_arity
+        kind = entry.kind
+        if kind is ConCall and n:
+            k = entry.arity
             takes = counted(k, "argument") + (" (or none)" if k else "")
             self.fail(BAD_APPLICATION, f"constructor {name} takes {takes}, got {n}", span)
             return UNIV
@@ -776,23 +768,9 @@ class _Reader:
             return UNIV
         missing = [Var.fresh(h) for h in entry.hints[n:]]
         full = args + tuple(VarCall(v) for v in missing)
-        call: Term = (
-            FnCall(name, full, span)
-            if entry.kind == "func"
-            else DataCall(name, full, span)
-        )
+        # A constructor's call takes only its fields, the trailing parameters.
+        call: Term = kind(name, full[len(full) - entry.arity :], span)
         for v in reversed(missing):
-            call = Lam(v, call, span)
-        return call
-
-    def _expand_ctor(self, name: str, entry: _Global, span) -> Term:
-        # A bare constructor reference stands for a function over all its
-        # synthesized parameters; only the trailing field parameters feed the
-        # actual call.
-        params = [Var.fresh(h) for h in entry.hints]
-        field_params = params[len(params) - entry.fields_arity :]
-        call: Term = ConCall(name, tuple(VarCall(v) for v in field_params), span)
-        for v in reversed(params):
             call = Lam(v, call, span)
         return call
 

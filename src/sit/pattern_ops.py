@@ -2,11 +2,12 @@
 conversion, and the three-outcome matcher.
 
 Matching is purely syntactic over weak-head-normal constructor spines; the
-matcher never reduces. Callers normalize the terms they hand in.
+matcher never reduces. Callers normalize the terms they hand in. The matcher
+is one loop over an explicit stack of rows, with no nesting limit.
 """
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import (
     BindPat,
@@ -105,23 +106,38 @@ def to_terms(pats: Sequence[Pattern]) -> list[Term]:
 def match_terms(terms: Sequence[Term], pats: Sequence[Pattern]) -> MatchOutcome:
     """Match a list of terms against a list of patterns.
 
-    Per position: a binding matches anything; equal constructor heads recurse;
-    distinct constructor heads are a Mismatch; a constructor pattern against
-    any non-constructor head (neutral variable or function call, lambda, Pi,
-    Type, a data type) is Stuck. A Mismatch anywhere decides the whole list
-    negatively even if another position is Stuck; otherwise any Stuck position
-    makes the list Stuck; otherwise the per-position substitutions are joined.
+    Per position: a binding matches anything; equal constructor heads match
+    their argument rows; distinct constructor heads are a Mismatch; a
+    constructor pattern against any non-constructor head (neutral variable or
+    function call, lambda, Pi, Type, a data type) is Stuck. A Mismatch
+    anywhere decides the whole list negatively even if another position is
+    Stuck; otherwise any Stuck position, at any depth, makes the list Stuck at
+    its top-level position; otherwise the bindings are joined, left to right
+    and depth first.
 
-    The top-level row is walked here and nested rows by `_collect`, one frame
-    per level of nesting. Every Mismatch is one shared instance: it has
-    no fields, so a clause that fails allocates no outcome.
+    One loop walks every row, nested ones included, keeping the rows it has
+    yet to finish on an explicit stack, so nesting has no depth limit. Every
+    Mismatch is one shared instance: it has no fields, so a clause that fails
+    allocates no outcome. A variable bound twice means pattern linearity was
+    violated upstream, which is a bug.
     """
     n = len(pats)
     if len(terms) != n:
         raise InternalError(f"matching {len(terms)} terms against {n} patterns")
     sub: dict[Var, Term] = {}
     stuck_at = -1
-    for i in range(n):
+    # Frames (terms, patterns, next index, top-level position) of the rows
+    # left unfinished; `top` is -1 while the top-level row is walked.
+    stack: list[tuple[Sequence[Term], Sequence[Pattern], int, int]] = []
+    top = -1
+    i = 0
+    while True:
+        if i == n:
+            if not stack:
+                break
+            terms, pats, i, top = stack.pop()
+            n = len(pats)
+            continue
         p = pats[i]
         c = type(p)
         if c is BindPat:
@@ -133,58 +149,20 @@ def match_terms(terms: Sequence[Term], pats: Sequence[Pattern]) -> MatchOutcome:
             u = terms[i]
             if type(u) is not ConCall:
                 if stuck_at < 0:
-                    stuck_at = i
-                continue
-            if u.name != p.name:
+                    stuck_at = i if top < 0 else top
+            elif u.name != p.name:
                 return _MISMATCH
-            if len(u.args) != len(p.args):
+            elif len(u.args) != len(p.args):
                 raise InternalError(f"constructor {p.name} matched with wrong arity")
-            if p.args:
-                out = _collect(u.args, p.args, sub)
-                if out is _MISMATCH:
-                    return out
-                if out is not None and stuck_at < 0:
-                    stuck_at = i
+            elif p.args:
+                stack.append((terms, pats, i + 1, top))
+                if top < 0:
+                    top = i
+                terms, pats, n, i = u.args, p.args, len(p.args), 0
+                continue
         elif c is ImpossiblePat:
             return _MISMATCH
         else:
             raise InternalError(f"unexpected pattern {p!r}")
+        i += 1
     return Matched(sub) if stuck_at < 0 else Stuck(stuck_at)
-
-
-def _collect(
-    terms: Sequence[Term], pats: Sequence[Pattern], sub: dict[Var, Term]
-) -> Optional[Mismatch | Stuck]:
-    """Add the bindings of every nested position to `sub`, left to right and
-    depth first; None when every position matches.
-
-    A variable already in `sub` is bound twice: pattern linearity was
-    violated upstream, which is a bug.
-    """
-    stuck_at: Optional[int] = None
-    for i, (u, p) in enumerate(zip(terms, pats)):
-        c = type(p)
-        if c is BindPat:
-            x = p.var
-            if x in sub:
-                raise InternalError(f"pattern variable {x!r} is bound twice")
-            sub[x] = u
-        elif c is ConPat:
-            if type(u) is not ConCall:
-                if stuck_at is None:
-                    stuck_at = i
-                continue
-            if u.name != p.name:
-                return _MISMATCH
-            if len(u.args) != len(p.args):
-                raise InternalError(f"constructor {p.name} matched with wrong arity")
-            out = _collect(u.args, p.args, sub)
-            if out is _MISMATCH:
-                return out
-            if out is not None and stuck_at is None:
-                stuck_at = i
-        elif c is ImpossiblePat:
-            return _MISMATCH
-        else:
-            raise InternalError(f"unexpected pattern {p!r}")
-    return None if stuck_at is None else Stuck(stuck_at)

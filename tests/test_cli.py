@@ -62,6 +62,21 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err == f"{src}:1:1: error[E401]: missing case in f: (no arguments)\n"
 
+    @pytest.mark.parametrize("operand", ["(plus zero) zero", "plus zero zero"])
+    def test_application_of_a_group_is_located(self, tmp_path, capsys, operand):
+        # A head in parentheses applied to arguments is located like a name
+        # applied to them: from the head's first token to the last argument.
+        src = tmp_path / "app.sit"
+        src.write_text(
+            (CORPUS / "nat.sit").read_text()
+            + "data T (n : Nat) : Type\n"
+            + f"def g (y : T zero) (x : {operand}) : Nat\n"
+        )
+        line = len(src.read_text().splitlines())
+        assert run(["check", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"{src}:{line}:25: error[E303]: expected Type, got Nat\n"
+
     def test_coverage_spends_the_fuel_limit(self, tmp_path, capsys):
         src = tmp_path / "loop_index.sit"
         src.write_text(

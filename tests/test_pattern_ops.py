@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sit.core import (
     BindPat,
+    ConCall,
     ConPat,
     ImpossiblePat,
     Lam,
@@ -31,7 +32,16 @@ from sit.pattern_ops import (
 )
 from sit.typecheck import TypeChecker
 
-from support import RowGen, con, corpus_telescopes, dat, ref
+from support import (
+    RowGen,
+    con,
+    corpus_telescopes,
+    dat,
+    enumerate_tuples,
+    fn,
+    index_tuples_with_one_var,
+    ref,
+)
 
 
 def bind(name: str, ty=None) -> BindPat:
@@ -142,6 +152,162 @@ class TestMatchTerms:
         x = bind("x")
         with pytest.raises(InternalError):
             match_terms([con("zero"), con("zero")], [x, x])
+
+    def test_nested_variable_bound_twice_is_internal(self):
+        x = bind("x")
+        with pytest.raises(InternalError):
+            match_terms([con("zero"), con("suc", con("zero"))], [x, ConPat("suc", (x,))])
+
+    def test_wrong_arity_is_internal(self):
+        with pytest.raises(InternalError):
+            match_terms([con("suc", con("zero"))], [ConPat("suc", ())])
+
+    def test_unknown_pattern_is_internal(self):
+        with pytest.raises(InternalError):
+            match_terms([con("suc", con("zero"))], [ConPat("suc", (object(),))])
+
+    def test_every_mismatch_is_one_instance(self):
+        first = match_terms([con("zero")], [ConPat("suc", (bind("m"),))])
+        nested = match_terms([con("suc", con("zero"))], [ConPat("suc", (ImpossiblePat(),))])
+        assert type(first) is Mismatch and first is nested
+
+
+class TestNestedRows:
+    """Rows inside constructor patterns are walked by the same loop as the
+    top-level row."""
+
+    def test_bindings_are_made_depth_first_left_to_right(self):
+        a, b, c, d, e = (bind(x) for x in "abcde")
+        pats = [ConPat("pair", (a, ConPat("pair", (b, ConPat("suc", (c,)))), d)), e]
+        terms = [
+            con("pair", con("zero"), con("pair", dat("Nat"), con("suc", UNIV)), ref(e.var)),
+            con("zero"),
+        ]
+        out = match_terms(terms, pats)
+        assert isinstance(out, Matched)
+        assert list(out.sub.items()) == [
+            (a.var, con("zero")),
+            (b.var, dat("Nat")),
+            (c.var, UNIV),
+            (d.var, ref(e.var)),
+            (e.var, con("zero")),
+        ]
+
+    def test_mismatch_after_a_nested_stuck(self):
+        k = Var.fresh("k")
+        deep = ConPat("suc", (ConPat("suc", (bind("m"),)),))
+        # in a later top-level position
+        out = match_terms([con("suc", ref(k)), con("zero")], [deep, ConPat("suc", (bind("n"),))])
+        assert out is match_terms([con("zero")], [ConPat("suc", (bind("n"),))])
+        # and later in the same nested row
+        pats = [ConPat("pair", (deep, ConPat("zero", ())))]
+        out = match_terms([con("pair", con("suc", ref(k)), con("suc", con("zero")))], pats)
+        assert type(out) is Mismatch
+
+    def test_stuck_at_depth_is_reported_at_its_top_level_position(self):
+        k = Var.fresh("k")
+        three = ConPat("suc", (ConPat("suc", (ConPat("suc", (bind("m"),)),)),))
+        out = match_terms([con("zero"), con("suc", con("suc", ref(k)))], [bind("x"), three])
+        assert out == Stuck(1)
+        # The first stuck position in the row wins, whatever its depth.
+        out = match_terms(
+            [con("suc", con("suc", fn("plus", ref(k), ref(k)))), ref(k)],
+            [three, ConPat("zero", ())],
+        )
+        assert out == Stuck(0)
+
+
+def suc_pattern(depth: int, leaf) -> ConPat:
+    p = leaf
+    for _ in range(depth):
+        p = ConPat("suc", (p,))
+    return p
+
+
+def suc_term(depth: int, leaf):
+    t = leaf
+    for _ in range(depth):
+        t = con("suc", t)
+    return t
+
+
+class TestDeepRows:
+    """Matching keeps the rows it has yet to finish on a list, not on Python
+    frames, so nesting is limited by memory only. Outcomes are compared with
+    `is` or by position: `==` on nodes recurses."""
+
+    DEPTH = 10_000
+
+    def test_matches(self):
+        x = bind("x")
+        leaf = con("zero")
+        out = match_terms([suc_term(self.DEPTH, leaf)], [suc_pattern(self.DEPTH, x)])
+        assert isinstance(out, Matched)
+        assert list(out.sub) == [x.var] and out.sub[x.var] is leaf
+
+    def test_mismatch_at_the_deepest_level(self):
+        pats = [suc_pattern(self.DEPTH, bind("x"))]
+        out = match_terms([suc_term(self.DEPTH - 1, con("zero"))], pats)
+        assert type(out) is Mismatch
+
+    def test_stuck_at_the_deepest_level(self):
+        pats = [bind("y"), suc_pattern(self.DEPTH, bind("x"))]
+        terms = [con("zero"), suc_term(self.DEPTH - 1, ref(Var.fresh("k")))]
+        assert match_terms(terms, pats) == Stuck(1)
+
+
+def reference_match(terms, pats):
+    """`match_terms`'s docstring, one recursive call per position: a
+    Mismatch anywhere wins, then the first top-level position with a Stuck
+    anywhere inside it; otherwise every binding, depth first."""
+    sub = {}
+    outcomes = [_reference_one(u, p, sub) for u, p in zip(terms, pats, strict=True)]
+    if Mismatch in outcomes:
+        return Mismatch()
+    if Stuck in outcomes:
+        return Stuck(outcomes.index(Stuck))
+    return Matched(sub)
+
+
+def _reference_one(u, p, sub):
+    if isinstance(p, BindPat):
+        sub[p.var] = u
+        return Matched
+    if isinstance(p, ImpossiblePat):
+        return Mismatch
+    if not isinstance(u, ConCall):
+        return Stuck
+    if u.name != p.name:
+        return Mismatch
+    outcomes = [_reference_one(a, q, sub) for a, q in zip(u.args, p.args, strict=True)]
+    for outcome in (Mismatch, Stuck):
+        if outcome in outcomes:
+            return outcome
+    return Matched
+
+
+class TestAgainstReference:
+    def test_random_rows_and_index_tuples(self, norm_sig, vec_sig, fin_sig):
+        rng = random.Random(19)
+        seen = {Matched: 0, Mismatch: 0, Stuck: 0}
+        for sig in (norm_sig, vec_sig, fin_sig):
+            gen = RowGen(sig, rng, con_prob=0.8)
+            for tele in corpus_telescopes(sig):
+                rows = [gen.row(tele) for _ in range(6)]
+                rows += [[ImpossiblePat()] + row[1:] for row in rows[:1]]
+                closed = list(enumerate_tuples(sig, tele, 3))[:40]
+                open_ = list(index_tuples_with_one_var(sig, tele, 3))[:40]
+                for terms in closed + open_ + [to_terms(row) for row in rows[:-1]]:
+                    for pats in rows:
+                        out = match_terms(terms, pats)
+                        want = reference_match(terms, pats)
+                        assert type(out) is type(want)
+                        if type(out) is Matched:
+                            assert list(out.sub.items()) == list(want.sub.items())
+                        elif type(out) is Stuck:
+                            assert out.position == want.position
+                        seen[type(out)] += 1
+        assert min(seen.values()) >= 50, seen
 
 
 class TestRoundTrip:
