@@ -11,9 +11,10 @@ clause inspects through `index_normal_form`, which returns a value already
 known to be normal at once, tries the clauses with `match_terms` and goes
 on with the reduct. A call nested in an inspected column costs two Python
 frames, `whnf` and `index_normal_form`, so `sit eval` takes about 490
-nested calls under the default recursion limit. `normalize` calls `whnf` only on a function call,
-and a node none of whose children changes is returned itself, so a value
-that is already normal is walked but never copied.
+nested calls under the default recursion limit. `normalize` calls `whnf`
+only on a function call, and a node none of whose children changes is
+returned itself, so a value that is already normal is walked but never
+copied.
 """
 from __future__ import annotations
 

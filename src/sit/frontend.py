@@ -55,7 +55,9 @@ gets its span when the form closes.
 Each core node gets one span, made once from the token lists at its form's
 first and last token; a form that fills a pair of parentheses takes their
 positions. The lambdas of an expanded head share its span, and the
-variables they bind have none.
+variables they bind have none. A head in parentheses applied to arguments
+gives a grown spine or a beta-reduct, whose root is copied to take the
+application's span.
 """
 from __future__ import annotations
 
@@ -638,9 +640,10 @@ class _Reader:
                         )
                     else:
                         # The grown spine or the beta-reduct stands for the
-                        # whole application: a copy of its root takes its span.
-                        c = type(e)
-                        e = c(*[getattr(e, f) for f in c._compared], span)
+                        # whole application: a copy of its root takes its
+                        # span, which is every term class's last field.
+                        fields = type(e).__match_args__[:-1]
+                        e = type(e)(*[getattr(e, f) for f in fields], span)
             elif not fills:
                 e = self.name(head, tuple(args), hf, pos - 1, scopes, hf, hl)
             elif args or stack[-1][2] is not None:
