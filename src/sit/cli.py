@@ -2,7 +2,9 @@
 
 One `Fuel` is made per command: `--fuel N` bounds every reduction step of
 the command, so the check and the `-e` evaluation after it share the N
-steps. `--trace-match` is that `Fuel`'s match observer.
+steps. `--trace-match` is that `Fuel`'s match observer. `eval` checks the
+`-e` expression against the type its head fixes, if any, before it
+normalizes it.
 
 Exit codes: 0 success, 1 type or coverage error, 2 parse or resolve error,
 3 usage error, 4 resource limit: reduction steps (E501) or nesting depth
@@ -16,8 +18,23 @@ import argparse
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Optional
 
-from .core import DataDecl, Signature, Term, pretty, pretty_pattern
+from .core import (
+    EMPTY_TELESCOPE,
+    UNIV,
+    ConCall,
+    DataCall,
+    DataDecl,
+    FnCall,
+    Pi,
+    Signature,
+    Term,
+    Univ,
+    pretty,
+    pretty_pattern,
+    subst,
+)
 from .diagnostics import (
     INTERNAL_ERROR,
     NESTING_TOO_DEEP,
@@ -32,7 +49,7 @@ from .diagnostics import (
 )
 from .evaluator import DEFAULT_FUEL, Fuel, normalize
 from .frontend import Resolver, decode_source, parse_expression, parse_file
-from .pattern_ops import Matched, Stuck
+from .pattern_ops import Matched, Stuck, vars_tele
 from .translate import emit_general, synth_ctor_type, to_general
 from .typecheck import TypeChecker
 
@@ -76,6 +93,27 @@ def _load(args, fuel: Fuel) -> Checked:
         decls, coverage=not getattr(args, "no_coverage", False)
     )
     return Checked(sig, resolver, checker.warnings)
+
+
+def _head_type(sig: Signature, term: Term) -> Optional[Term]:
+    """The type that the head of a closed expression fixes, or None.
+
+    A function call has the function's result at its arguments; a data
+    type, a Pi or `Type` has type `Type`; a constructor of a data type with
+    an empty telescope has that type. A lambda, or a constructor of a type
+    with parameters or indices, fixes none: its type's arguments cannot be
+    inferred without unification.
+    """
+    c = type(term)
+    if c is FnCall:
+        func = sig.func(term.name)
+        return subst(func.result, dict(zip(vars_tele(func.telescope), term.args)))
+    if c is ConCall:
+        owner = sig.ctor_owner(term.name)
+        return None if owner.telescope else DataCall(owner.name, ())
+    if c is DataCall or c is Pi or c is Univ:
+        return UNIV
+    return None
 
 
 def _print_warnings(warnings: list[Warning]) -> None:
@@ -210,6 +248,9 @@ def _dispatch(args, fuel: Fuel) -> int:
             tokens = parse_expression(args.expr)
             term: Term = checked.resolver.resolve_expression(tokens)
             with _located(tokens.span):
+                ty = _head_type(checked.sig, term)
+                if ty is not None:
+                    TypeChecker(checked.sig, fuel).check_term(EMPTY_TELESCOPE, term, ty)
                 result = normalize(checked.sig, term, fuel)
             print(pretty(result))
         return EXIT_OK

@@ -6,7 +6,7 @@ declared arity; partial application only exists for variables, whose spines
 may grow. Binders are globally unique `Var`s carrying a surface name for
 printing.
 
-The term walks (`free_vars`, `_subst`, `_alpha`, `pretty`, and those of
+The term walks (`free_vars`, `_subst`, `alpha_eq`, `pretty`, and those of
 `evaluator`, `pattern_ops` and `typecheck`) visit every node
 of every term the checker builds, so their cost per node sets the speed of
 the whole pipeline. They branch on `type(t) is C`, most frequent class
@@ -16,10 +16,9 @@ and dispatching a `ConCall` through a six-case `match` took 0.33 µs against
 0.01 µs for a chain of `type(t) is` tests (timeit, net of the call, on an
 Intel Xeon). They loop over arguments with plain `for` loops, not `all()`
 or `tuple()` over a generator: every frame a level adds lowers the nesting
-a walk takes before `RecursionError`. `alpha_eq` through a helper and
-`all()` stopped at 247 levels; at one frame per level it reaches about 990
-under the default recursion limit. `Var` is a named tuple, so it hashes and
-compares in C.
+a recursive walk takes before `RecursionError`. `alpha_eq` is one loop over
+an explicit stack, so it takes any nesting. `Var` is a named tuple, so it
+hashes and compares in C.
 
 Every pass builds nodes as it goes, so the cost of building one counts as
 much as the cost of visiting it. Tree classes derive from `Node`, which
@@ -524,39 +523,70 @@ def _subst_under(y: Var, body: Term, m: dict[Var, Term]) -> tuple[Var, Term]:
 
 
 # ---------------------------------------------------------------------------
-# Alpha equality and printing
+# Equality and printing
 
 
 def alpha_eq(u: Term, v: Term) -> bool:
-    """Structural equality up to renaming of bound variables (no eta)."""
-    return _alpha(u, v, {})
+    """Equality up to renaming of bound variables and eta for lambdas:
+    `fn x => f x` equals `f`.
 
-
-def _alpha(u: Term, v: Term, env: dict[Var, Var]) -> bool:
-    c = type(u)
-    if c is not type(v):
-        return False
-    if c is VarCall:
-        if env.get(u.var, u.var) != v.var:
+    One loop walks both terms, keeping what it has yet to compare on an
+    explicit stack, so nesting has no depth limit. `env` renames each binder
+    of `u` in scope to the binder of `v` at the same place. Entering a
+    binder pushes its outer renaming (the binder itself when it has none),
+    which is put back once everything under the binder is compared. A node
+    of no term class equals nothing.
+    """
+    env: dict[Var, Var] = {}
+    # Pairs of terms left to compare, and (binder, outer renaming) pairs
+    # that end a binder's scope.
+    stack: list[tuple] = []
+    while True:
+        c = type(u)
+        if c is not type(v):
+            # Eta: `fn x => b` and `f` are equal when `b` and `f x` are.
+            if c is Lam and type(v) is VarCall:
+                x = u.binder
+                u, v = u.body, VarCall(v.var, v.args + (VarCall(x),))
+            elif c is VarCall and type(v) is Lam:
+                x = v.binder
+                u, v = VarCall(u.var, u.args + (VarCall(x),)), v.body
+            else:
+                return False
+            stack.append((x, env.get(x, x)))
+            env[x] = x
+            continue
+        if c is ConCall or c is FnCall or c is DataCall or c is VarCall:
+            if c is VarCall:
+                if env.get(u.var, u.var) != v.var:
+                    return False
+            elif u.name != v.name:
+                return False
+            us, vs = u.args, v.args
+            if len(us) != len(vs):
+                return False
+            if us:
+                # The first arguments are compared next, the others later.
+                if len(us) > 1:
+                    stack.extend(zip(us[1:], vs[1:]))
+                u, v = us[0], vs[0]
+                continue
+        elif c is Pi or c is Lam:
+            if c is Pi:
+                stack.append((u.domain, v.domain))
+            x = u.binder
+            stack.append((x, env.get(x, x)))
+            env[x] = v.binder
+            u, v = (u.codomain, v.codomain) if c is Pi else (u.body, v.body)
+            continue
+        elif c is Var:
+            # A binder's scope has ended: put back its outer renaming.
+            env[u] = v
+        elif c is not Univ:
             return False
-    elif c is ConCall or c is FnCall or c is DataCall:
-        if u.name != v.name:
-            return False
-    elif c is Pi:
-        return _alpha(u.domain, v.domain, env) and _alpha(
-            u.codomain, v.codomain, {**env, u.binder: v.binder}
-        )
-    elif c is Lam:
-        return _alpha(u.body, v.body, {**env, u.binder: v.binder})
-    else:
-        return c is Univ
-    us, vs = u.args, v.args
-    if len(us) != len(vs):
-        return False
-    for a, b in zip(us, vs):
-        if not _alpha(a, b, env):
-            return False
-    return True
+        if not stack:
+            return True
+        u, v = stack.pop()
 
 
 def pretty(t: Term) -> str:

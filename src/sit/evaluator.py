@@ -1,5 +1,9 @@
 """Weak-head and full normalization plus definitional equality.
 
+Definitional equality is `core.alpha_eq`, the one term comparison (alpha
+and eta for lambdas), of the normal forms; `convertible` first compares the
+terms as they are, so equal terms are never evaluated.
+
 Function calls unfold by first-match clause dispatch: clauses are tried top
 to bottom, the first positive match fires, and a stuck match freezes the
 call as a neutral term. There is no termination checker; a step budget turns
@@ -31,7 +35,6 @@ from .core import (
     Signature,
     Term,
     Univ,
-    Var,
     VarCall,
     alpha_eq,
     subst,
@@ -177,45 +180,12 @@ def normalize(sig: Signature, t: Term, fuel: Fuel) -> Term:
 
 
 def convertible(sig: Signature, u: Term, v: Term, fuel: Fuel) -> bool:
-    """Definitional equality: normal forms alpha-equal, with eta for lambdas.
+    """Definitional equality: `alpha_eq` of the normal forms.
 
-    Conversion is reflexive, so alpha-equal terms are equal without being
-    evaluated and spend no fuel, even when their evaluation would diverge.
+    Conversion is reflexive, so alpha- or eta-equal terms are equal without
+    being evaluated and spend no fuel, even when their evaluation would
+    diverge.
     """
-    if u is v or alpha_eq(u, v):
-        return True
-    return _conv(normalize(sig, u, fuel), normalize(sig, v, fuel), {})
-
-
-def _conv(u: Term, v: Term, env: dict[Var, Var]) -> bool:
-    c = type(u)
-    if c is not type(v):
-        if c is Lam and type(v) is VarCall:
-            # fn x => f x is equal to f: compare the body with f applied to x.
-            x = u.binder
-            return _conv(u.body, VarCall(v.var, v.args + (VarCall(x),)), {**env, x: x})
-        if c is VarCall and type(v) is Lam:
-            y = v.binder
-            return _conv(VarCall(u.var, u.args + (VarCall(y),)), v.body, {**env, y: y})
-        return False
-    if c is VarCall:
-        if env.get(u.var, u.var) != v.var:
-            return False
-    elif c is ConCall or c is FnCall or c is DataCall:
-        if u.name != v.name:
-            return False
-    elif c is Pi:
-        return _conv(u.domain, v.domain, env) and _conv(
-            u.codomain, v.codomain, {**env, u.binder: v.binder}
-        )
-    elif c is Lam:
-        return _conv(u.body, v.body, {**env, u.binder: v.binder})
-    else:
-        return c is Univ
-    us, vs = u.args, v.args
-    if len(us) != len(vs):
-        return False
-    for a, b in zip(us, vs):
-        if not _conv(a, b, env):
-            return False
-    return True
+    return u is v or alpha_eq(u, v) or alpha_eq(
+        normalize(sig, u, fuel), normalize(sig, v, fuel)
+    )

@@ -54,10 +54,10 @@ gets its span when the form closes.
 
 Each core node gets one span, made once from the token lists at its form's
 first and last token; a form that fills a pair of parentheses takes their
-positions. The lambdas of an expanded head share its span, and the
-variables they bind have none. A head in parentheses applied to arguments
-gives a grown spine or a beta-reduct, whose root is copied to take the
-application's span.
+positions. The lambdas of an expanded head share its span, and so do the
+uses of the variables they bind, so an error on one points at the head. A
+head in parentheses applied to arguments gives a grown spine or a
+beta-reduct, whose root is copied to take the application's span.
 """
 from __future__ import annotations
 
@@ -770,7 +770,7 @@ class _Reader:
             )
             return UNIV
         missing = [Var.fresh(h) for h in entry.hints[n:]]
-        full = args + tuple(VarCall(v) for v in missing)
+        full = args + tuple(VarCall(v, (), span) for v in missing)
         # A constructor's call takes only its fields, the trailing parameters.
         call: Term = kind(name, full[len(full) - entry.arity :], span)
         for v in reversed(missing):

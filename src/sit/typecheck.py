@@ -95,11 +95,8 @@ class TypeChecker:
     def _whnf(self, t: Term) -> Term:
         return whnf(self.sig, t, self.fuel)
 
-    def _convertible(self, u: Term, v: Term) -> bool:
-        return convertible(self.sig, u, v, self.fuel)
-
     def _require_type(self, actual: Term, expected: Term, span: Optional[SourceSpan]):
-        if not self._convertible(actual, expected):
+        if not convertible(self.sig, actual, expected, self.fuel):
             raise TypeCheckError(
                 TYPE_MISMATCH,
                 f"expected {pretty(expected)}, got {pretty(actual)}",

@@ -82,6 +82,37 @@ def pick (n : Nat) (x : Fin (plus (suc zero) (plus n n))) : Nat
 }
 
 
+# Functions that take functions: `h` expects one from Bool, so `h suc` and
+# `h (plus zero)` apply an eta-expanded head at the wrong domain, and `T`
+# computes a type.
+HIGHER_ORDER = """\
+data Bool : Type
+  | true
+  | false
+
+data Nat : Type
+  | zero
+  | suc (n : Nat)
+
+def plus (a : Nat) (b : Nat) : Nat
+  | zero, b => b
+  | suc a, b => suc (plus a b)
+
+def app (f : Nat -> Nat) (n : Nat) : Nat
+  | f, n => f n
+
+def twice (f : Nat -> Nat) (n : Nat) : Nat
+  | f, n => f (f n)
+
+def h (f : Bool -> Nat) : Nat
+  | f => f true
+
+def T (b : Bool) : Type
+  | true => Nat
+  | false => Bool
+"""
+
+
 def load_corpus(name: str) -> Signature:
     path = CORPUS / f"{name}.sit"
     decls = resolve(parse_file(path.read_text(encoding="utf-8"), str(path)))

@@ -11,7 +11,7 @@ import pytest
 from sit import cli
 from sit.cli import run
 
-from support import COMPUTED_INDEX_PROGRAMS, CORPUS, FIXTURES
+from support import COMPUTED_INDEX_PROGRAMS, CORPUS, FIXTURES, HIGHER_ORDER
 
 
 def corpus(name: str) -> str:
@@ -76,6 +76,15 @@ class TestCheck:
         assert run(["check", str(src)]) == 1
         err = capsys.readouterr().err
         assert err == f"{src}:{line}:25: error[E303]: expected Type, got Nat\n"
+
+    @pytest.mark.parametrize("arg", ["suc", "(plus zero)"])
+    def test_eta_expanded_argument_is_located(self, tmp_path, capsys, arg):
+        src = tmp_path / "eta.sit"
+        src.write_text(HIGHER_ORDER + f"\ndef k (b : Bool) : Nat\n  | b => h {arg}\n")
+        line = len(src.read_text().splitlines())
+        assert run(["check", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"{src}:{line}:12: error[E303]: expected Nat, got Bool\n"
 
     def test_coverage_spends_the_fuel_limit(self, tmp_path, capsys):
         src = tmp_path / "loop_index.sit"
@@ -199,6 +208,46 @@ class TestEval:
         assert run(args + ["--fuel", "8"]) == 4
         err = capsys.readouterr().err
         assert err == "<expr>:1:1: error[E501]: evaluation exceeded 8 reduction steps\n"
+
+    @pytest.mark.parametrize(
+        "expr, where, message",
+        [
+            ("plus zero Nat", "1:11", "expected Nat, got Type"),
+            ("suc Nat", "1:5", "expected Nat, got Type"),
+            ("h suc", "1:3", "expected Nat, got Bool"),
+            ("h (plus zero)", "1:3", "expected Nat, got Bool"),
+            ("twice suc Type", "1:11", "expected Nat, got Type"),
+            ("Nat -> plus zero zero", "1:8", "expected Type, got Nat"),
+        ],
+    )
+    def test_expression_is_checked(self, tmp_path, capsys, expr, where, message):
+        src = tmp_path / "higher.sit"
+        src.write_text(HIGHER_ORDER)
+        assert run(["eval", str(src), "-e", expr]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"<expr>:{where}: error[E303]: {message}\n"
+
+    @pytest.mark.parametrize(
+        "expr, value",
+        [
+            ("twice (fn m => suc m) (app suc zero)", "suc (suc (suc zero))"),
+            ("(x : T true) -> T false", "Nat → Bool"),
+            ("T true", "Nat"),
+            ("fn m => plus zero m", "fn m => m"),
+            ("fn g => g (plus zero zero)", "fn g => g zero"),
+        ],
+    )
+    def test_higher_order_evaluation(self, tmp_path, capsys, expr, value):
+        src = tmp_path / "higher.sit"
+        src.write_text(HIGHER_ORDER)
+        assert run(["eval", str(src), "-e", expr]) == 0
+        assert capsys.readouterr().out == value + "\n"
+
+    def test_indexed_constructor_is_evaluated_unchecked(self, capsys):
+        # Its index cannot be inferred without unification.
+        assert run(["eval", corpus("fin.sit"), "-e", "fsuc fzero"]) == 0
+        assert capsys.readouterr().out == "fsuc fzero\n"
 
     def test_deep_value_prints(self, capsys):
         def nat(n):

@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 
 from sit.core import (
     ConCall,
+    DataCall,
     DataDecl,
     FnCall,
     Lam,
     Pi,
     Telescope,
     UNIV,
+    Univ,
     Var,
     VarCall,
     alpha_eq,
@@ -186,6 +188,80 @@ def _signatures():
     yield check_source(DEPENDENT, coverage=False)
     for name in ("nat", "list", "vec", "fin", "normalize"):
         yield load_corpus(name)
+
+
+def reference_eq(u, v, env) -> bool:
+    """`alpha_eq`'s definition as a recursive walk, one frame per level."""
+    match u, v:
+        case Lam(x, body), VarCall(f, args):
+            return reference_eq(body, VarCall(f, args + (VarCall(x),)), {**env, x: x})
+        case VarCall(f, args), Lam(y, body):
+            return reference_eq(VarCall(f, args + (VarCall(y),)), body, {**env, y: y})
+        case VarCall(x, us), VarCall(y, vs):
+            same_head = env.get(x, x) == y
+        case (ConCall(m, us), ConCall(n, vs)) | (FnCall(m, us), FnCall(n, vs)) | (
+            DataCall(m, us), DataCall(n, vs)
+        ):
+            same_head = m == n
+        case Pi(x, a, b), Pi(y, c, d):
+            return reference_eq(a, c, env) and reference_eq(b, d, {**env, x: y})
+        case Lam(x, b), Lam(y, d):
+            return reference_eq(b, d, {**env, x: y})
+        case Univ(), Univ():
+            return True
+        case _:
+            return False
+    return (
+        same_head
+        and len(us) == len(vs)
+        and all(reference_eq(a, b, env) for a, b in zip(us, vs))
+    )
+
+
+class TestAlphaEq:
+    def test_renaming_ends_with_its_binder(self):
+        # `x` is bound in the first argument and free in the second.
+        x, y = Var.fresh("x"), Var.fresh("y")
+        u = DataCall("P", (Lam(x, ref(x)), ref(x)))
+        assert alpha_eq(u, DataCall("P", (Lam(y, ref(y)), ref(x))))
+        assert not alpha_eq(u, DataCall("P", (Lam(y, ref(y)), ref(y))))
+
+    def test_pi_domain_is_outside_its_binder(self):
+        x, y = Var.fresh("x"), Var.fresh("y")
+        assert alpha_eq(Pi(x, ref(x), ref(x)), Pi(y, ref(x), ref(y)))
+        assert not alpha_eq(Pi(x, ref(x), ref(x)), Pi(y, ref(y), ref(y)))
+
+    def test_inner_binder_shadows_outer(self):
+        x, y, z = Var.fresh("x"), Var.fresh("y"), Var.fresh("z")
+        u = Lam(x, Lam(x, ref(x)))
+        assert alpha_eq(u, Lam(y, Lam(z, ref(z))))
+        assert not alpha_eq(u, Lam(y, Lam(z, ref(y))))
+
+    def test_eta(self):
+        f, g, x, y = (Var.fresh(n) for n in "fgxy")
+        a = con("zero")
+        assert alpha_eq(Lam(x, VarCall(f, (a, ref(x)))), VarCall(f, (a,)))
+        assert alpha_eq(VarCall(f, (a,)), Lam(x, VarCall(f, (a, ref(x)))))
+        # Under a binder, and twice over: fn x y => f x y equals f.
+        assert alpha_eq(Lam(x, Lam(y, VarCall(f, (ref(x), ref(y))))), ref(f))
+        assert alpha_eq(Lam(g, ref(g)), Lam(g, Lam(x, VarCall(g, (ref(x),)))))
+        assert not alpha_eq(Lam(x, VarCall(f, (ref(x), ref(x)))), VarCall(f, (a,)))
+        assert not alpha_eq(Lam(x, VarCall(g, (ref(x),))), ref(f))
+        # A lambda is not eta-equal to a constructor or a function call.
+        assert not alpha_eq(Lam(x, con("suc", ref(x))), con("suc"))
+
+    @settings(max_examples=300)
+    @given(terms(8), terms(8))
+    def test_agrees_with_the_recursive_definition(self, u, v):
+        assert alpha_eq(u, v) == reference_eq(u, v, {})
+
+    @settings(max_examples=200)
+    @given(terms())
+    def test_freshened_and_eta_expanded_terms_are_equal(self, t):
+        x = Var.fresh("x")
+        assert alpha_eq(t, freshen(t)) and alpha_eq(freshen(t), t)
+        for f in HEADS:
+            assert alpha_eq(Lam(x, VarCall(f, (t, ref(x)))), VarCall(f, (freshen(t),)))
 
 
 class TestOnePassInstantiation:

@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sit import evaluator
-from sit.core import EMPTY_TELESCOPE, ConCall, FnCall, Lam, UNIV, Var, VarCall
+from sit.core import EMPTY_TELESCOPE, ConCall, FnCall, Lam, Pi, UNIV, Var, VarCall
 from sit.diagnostics import FuelError
 from sit.evaluator import Fuel, convertible, index_normal_form, normalize, whnf
 from sit.typecheck import TypeChecker
 
-from support import check_source, con, dat, fn, nat_lit, ref
+from support import HIGHER_ORDER, check_source, con, dat, fn, nat_lit, ref
 
 
 def nat_terms():
@@ -105,6 +105,14 @@ class TestNormalize:
         t = Lam(x, fn("plus", nat_lit(0), ref(x)))
         assert normalize(nat_sig, t, Fuel()) == Lam(x, ref(x))
 
+    def test_rebuilds_a_pi_and_an_applied_variable(self):
+        sig = check_source(HIGHER_ORDER)
+        x, g = Var.fresh("x"), Var.fresh("g")
+        pi = Pi(x, fn("T", con("true")), fn("T", con("false")))
+        assert normalize(sig, pi, Fuel()) == Pi(x, dat("Nat"), dat("Bool"))
+        t = VarCall(g, (fn("plus", nat_lit(0), nat_lit(1)), nat_lit(2)))
+        assert normalize(sig, t, Fuel()) == VarCall(g, (nat_lit(1), nat_lit(2)))
+
     def test_index_normal_form_reaches_constructor_arguments(self, nat_sig):
         t = con("suc", fn("plus", nat_lit(0), nat_lit(0)))
         assert index_normal_form(nat_sig, t, Fuel()) == nat_lit(1)
@@ -192,6 +200,18 @@ class TestConvertible:
         h = Var.fresh("h")
         assert not convertible(nat_sig, Lam(x, VarCall(h, (ref(x),))), ref(g), Fuel())
 
+
+    def test_eta_equal_sides_are_not_evaluated(self):
+        # `loop zero` never stops, but `fn x => f (loop zero) x` is eta-equal
+        # to `f (loop zero)` as it stands.
+        sig = check_source(TestFuel.LOOP)
+        f, x = Var.fresh("f"), Var.fresh("x")
+        diverges = fn("loop", nat_lit(0))
+        expanded = Lam(x, VarCall(f, (diverges, ref(x))))
+        fuel = Fuel(limit=10)
+        assert convertible(sig, expanded, VarCall(f, (diverges,)), fuel)
+        assert convertible(sig, VarCall(f, (diverges,)), expanded, fuel)
+        assert fuel.used == 0
 
 class TestDispatch:
     OVERLAP = """

@@ -611,6 +611,12 @@ class TestErrorOrder:
             "E203", "duplicate name Nat", (5, 1, 7, 7)
         )
 
+    def test_duplicate_telescope_binder_spans_its_declaration(self):
+        text = NAT + "def f (x : Nat) (x : Nat) : Nat\n  | a, b => a\n"
+        assert _error(text) == (
+            "E203", "duplicate telescope binder x", (5, 1, 6, 13)
+        )
+
     def test_arguments_before_a_head_in_parentheses(self):
         # The head `(foo zero)` is resolved after its argument, as a name is.
         assert _error("(foo zero) bar", expression=True) == (

@@ -29,6 +29,7 @@ from support import (
     COMPUTED_INDEX_PROGRAMS,
     CORPUS,
     FIXTURES,
+    HIGHER_ORDER,
     check_source,
     con,
     dat,
@@ -290,6 +291,32 @@ def f (a : Nat) : Nat
         with pytest.raises(TypeCheckError) as exc:
             TypeChecker(nat_sig).check_ctor_row(Telescope(), row)
         assert code_of(exc) == "E301"
+
+
+class TestHigherOrderFunctions:
+    def test_applied_variables_and_lambda_arguments_check(self):
+        # `f (f n)` checks an applied variable, `fn m => suc m` a lambda.
+        sig = check_source(
+            HIGHER_ORDER + "def three (n : Nat) : Nat\n  | n => twice (fn m => suc m) n\n"
+        )
+        assert sig.func("twice") is not None and sig.func("three") is not None
+
+    def test_variable_applied_at_a_data_type(self):
+        with pytest.raises(TypeCheckError) as exc:
+            check_source(HIGHER_ORDER + "def bad (n : Nat) : Nat\n  | n => n zero\n")
+        assert code_of(exc) == "E304"
+        assert exc.value.message == "cannot apply n at non-function type Nat"
+
+    @pytest.mark.parametrize("arg, col", [("suc", 12), ("(plus zero)", 12)])
+    def test_eta_expanded_argument_at_the_wrong_domain(self, arg, col):
+        # The expansion's variable takes its head's span.
+        text = HIGHER_ORDER + f"def k (b : Bool) : Nat\n  | b => h {arg}\n"
+        with pytest.raises(TypeCheckError) as exc:
+            check_source(text)
+        assert code_of(exc) == "E303"
+        assert exc.value.message == "expected Nat, got Bool"
+        line = text.count("\n")
+        assert exc.value.span[1:3] == (line, col)
 
 
 class TestCheckSignature:

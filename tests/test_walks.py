@@ -17,6 +17,8 @@ from sit.core import (
     EMPTY_TELESCOPE,
     UNIV,
     ConCall,
+    Lam,
+    Pi,
     Telescope,
     Var,
     VarCall,
@@ -32,7 +34,7 @@ from sit.frontend import Resolver, tokenize
 from sit.pattern_ops import match_terms, to_term
 from sit.typecheck import TypeChecker
 
-from support import con, nat_lit
+from support import con, dat, nat_lit, ref
 
 
 @dataclass(frozen=True)
@@ -131,3 +133,48 @@ class TestDepth:
         # Past the 497 levels that tuples built through generators allowed.
         t = nat_lit(700)
         assert index_normal_form(nat_sig, t, Fuel()) is t
+
+
+class TestDeepEquality:
+    """`alpha_eq` is one loop, so equality takes any nesting; `convertible`
+    settles equal sides with it before `normalize` recurses."""
+
+    DEPTH = 10_000
+
+    def pi_nest(self, bottom: Lam | VarCall) -> Pi:
+        """`(x1 : Nat) -> (x2 : Fin x1) -> ... -> Box bottom`, each domain
+        naming the binder above it, with fresh binders."""
+        xs = [Var.fresh("x") for _ in range(self.DEPTH)]
+        t = dat("Box", bottom)
+        for i in reversed(range(self.DEPTH)):
+            t = Pi(xs[i], dat("Fin", ref(xs[i - 1])) if i else dat("Nat"), t)
+        return t
+
+    def test_equal_values(self, nat_sig):
+        assert sys.getrecursionlimit() == 1000
+        u, v = nat_lit(self.DEPTH), nat_lit(self.DEPTH)
+        assert u is not v
+        assert alpha_eq(u, v)
+        assert convertible(nat_sig, u, v, Fuel())
+
+    def test_values_differing_at_the_deepest_level(self):
+        assert sys.getrecursionlimit() == 1000
+        u = nat_lit(self.DEPTH)
+        x = Var.fresh("x")
+        v = VarCall(x)
+        for _ in range(self.DEPTH):
+            v = ConCall("suc", (v,))
+        assert not alpha_eq(u, v)
+        assert not alpha_eq(v, u)
+        assert not alpha_eq(u, nat_lit(self.DEPTH + 1))
+
+    def test_pi_nest_with_an_eta_pair_at_the_bottom(self, nat_sig):
+        assert sys.getrecursionlimit() == 1000
+        f, y = Var.fresh("f"), Var.fresh("y")
+        expanded = self.pi_nest(Lam(y, VarCall(f, (ref(y),))))
+        plain = self.pi_nest(ref(f))
+        assert alpha_eq(expanded, plain) and alpha_eq(plain, expanded)
+        assert convertible(nat_sig, expanded, plain, Fuel())
+        assert convertible(nat_sig, plain, expanded, Fuel())
+        # The same nest with another variable at the bottom differs.
+        assert not alpha_eq(expanded, self.pi_nest(ref(Var.fresh("g"))))
