@@ -31,8 +31,7 @@ from sit.core import (
 )
 from sit.coverage import Undecidable, available_ctors
 from sit.evaluator import Fuel, index_normal_form
-from sit.frontend import parse_file, resolve
-from sit.typecheck import TypeChecker
+from sit.typecheck import load
 
 
 def closed_tuples(sig, tele, depth, fuel):
@@ -71,8 +70,7 @@ def main() -> None:
     depth = int(sys.argv[2]) if len(sys.argv) > 2 else 5
     if path is None:
         path = Path(__file__).resolve().parent.parent / "corpus" / "fin.sit"
-    decls = resolve(parse_file(path.read_text(), str(path)))
-    sig = TypeChecker().check_signature(decls)
+    sig = load(path.read_text(), str(path)).sig
     fuel = Fuel()
     for decl in sig.decls:
         if not isinstance(decl, DataDecl) or not decl.telescope:

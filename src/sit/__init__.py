@@ -31,7 +31,7 @@ from .core import (
 )
 from .coverage import Undecidable, available_ctors, check_coverage
 from .evaluator import Fuel, convertible, index_normal_form, normalize, whnf
-from .frontend import parse_expression, parse_file, resolve, Resolver
+from .frontend import Resolver, tokenize
 from .pattern_ops import (
     Matched,
     Mismatch,
@@ -43,6 +43,6 @@ from .pattern_ops import (
     vars_tele,
 )
 from .translate import GeneralData, emit_general, synth_ctor_type, to_general
-from .typecheck import TypeChecker
+from .typecheck import Checked, TypeChecker, evaluate, load
 
 __version__ = "0.1.0"

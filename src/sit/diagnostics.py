@@ -1,6 +1,7 @@
 """Source spans, diagnostic codes, and the error hierarchy shared by all stages."""
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -116,6 +117,33 @@ class FuelError(SitError):
     def __init__(self, limit: int):
         super().__init__(FUEL_EXHAUSTED, f"evaluation exceeded {limit} reduction steps")
         self.limit = limit
+
+
+@contextmanager
+def located(span: SourceSpan):
+    """Give a diagnostic raised without a location the span of the input."""
+    try:
+        yield
+    except SitError as err:
+        if err.span is None:
+            err.span = span
+        raise
+
+
+@contextmanager
+def reported_at(source: str):
+    """Report what no diagnostic locates at the start of `source`: a
+    RecursionError as E502 (the walks over terms recurse once per nesting
+    level) and a broken invariant of sit itself as E900."""
+    where = SourceSpan(source, 1, 1, 1, 1)
+    try:
+        yield
+    except RecursionError:
+        message = "input nested too deeply to process"
+        raise SitError(NESTING_TOO_DEEP, message, where) from None
+    except InternalError as err:
+        message = "internal error: " + " ".join(str(err).split())
+        raise SitError(INTERNAL_ERROR, message, where) from None
 
 
 @dataclass(frozen=True)

@@ -28,15 +28,14 @@ built only for an error message or for a reader of `tokenize`'s result.
 Declarations are read in order, and whether a pattern name is a constructor
 or a binder depends only on the declarations above it, so one pass reads the
 tokens straight into core declarations, resolving each form as it is read.
-`parse_file` and `parse_expression` only tokenize; `Resolver.run` and
-`Resolver.resolve_expression` do the pass. Pattern identifiers naming a
-declared constructor become constructor patterns, all other identifiers
-bind; expression heads resolve to local binders, then functions, then data
-types, then constructors. Under-applied heads are expanded to lambdas over
-their missing parameters, so core terms stay fully applied. Fresh binders
-are made in reading order, except that an application's arguments come
-before its head name, a Pi binder after its domain and an arrow's `_` after
-its codomain.
+`tokenize` cuts the text; `Resolver.run` and `Resolver.resolve_expression`
+do the pass. Pattern identifiers naming a declared constructor become
+constructor patterns, all other identifiers bind; expression heads resolve
+to local binders, then functions, then data types, then constructors.
+Under-applied heads are expanded to lambdas over their missing parameters,
+so core terms stay fully applied. Fresh binders are made in reading order,
+except that an application's arguments come before its head name, a Pi
+binder after its domain and an arrow's `_` after its codomain.
 
 Declarations, telescopes and patterns are read by recursive descent.
 Expressions are read by one loop over an explicit stack of the forms still
@@ -240,7 +239,8 @@ def tokenize(text: str, file: str = "<input>") -> Tokens:
 
 
 def parse_file(text: str, file: str = "<input>") -> Tokens:
-    """The tokens of a whole compilation unit, for `Resolver.run`."""
+    """The tokens of a whole compilation unit, for `Resolver.run`. Kept,
+    like `parse_expression`, for `bench/` alone, which calls it by name."""
     return tokenize(text, file)
 
 
@@ -279,11 +279,6 @@ class Resolver:
     def resolve_expression(self, tokens: Tokens) -> Term:
         """Resolve a standalone expression against the declared globals."""
         return _Reader(tokens, self.globals).expression()
-
-
-def resolve(tokens: Tokens) -> list[Declaration]:
-    """The core declarations of a file's tokens, read by a new `Resolver`."""
-    return Resolver().run(tokens)
 
 
 # Tokens that end a constructor row: the next row or declaration.

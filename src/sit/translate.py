@@ -60,7 +60,8 @@ def to_general(sig: Signature, decl: DataDecl) -> GeneralData:
     """Translate a checked data declaration.
 
     Rows containing impossible patterns select no instantiation at all and
-    are dropped; every other row translates.
+    are dropped; every other row translates. `sig` is unused; it stays while
+    `bench/pipeline.py` passes it, and goes with the benchmark's next change.
     """
     ctors = tuple(
         (row.name, _ctor_type(decl, row))

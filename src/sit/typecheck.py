@@ -16,6 +16,7 @@ is not a data type, the type is opaque, and a pattern under it need only
 name known constructors. Signature formation folds declarations left to
 right, so every name refers to an earlier declaration (or to the one being
 checked, for recursion).
+`load` and `evaluate` read and check a file, then an expression against it.
 """
 from __future__ import annotations
 
@@ -69,8 +70,11 @@ from .diagnostics import (
     TypeCheckError,
     Warning,
     counted,
+    located,
+    reported_at,
 )
-from .evaluator import Fuel, convertible, whnf
+from .evaluator import Fuel, convertible, normalize, whnf
+from .frontend import Resolver, tokenize
 from .pattern_ops import vars_tele
 
 
@@ -104,6 +108,26 @@ class TypeChecker:
             )
 
     # -- terms --------------------------------------------------------------
+
+    def infer(self, term: Term) -> Optional[Term]:
+        """The type that the head of a closed, well-scoped term fixes, or None.
+
+        A function call has the function's result at its arguments; a data
+        type, a Pi or `Type` has type `Type`; a constructor of a data type
+        with an empty telescope has that type. A lambda, or a constructor of
+        a type with parameters or indices, fixes none: its type's arguments
+        cannot be inferred without unification.
+        """
+        c = type(term)
+        if c is FnCall:
+            func = self.sig.func(term.name)
+            return subst(func.result, dict(zip(vars_tele(func.telescope), term.args)))
+        if c is ConCall:
+            owner = self.sig.ctor_owner(term.name)
+            return None if owner.telescope else DataCall(owner.name, ())
+        if c is DataCall or c is Pi or c is Univ:
+            return UNIV
+        return None
 
     def check_term(self, ctx: Telescope, term: Term, expected: Term) -> None:
         """Check `term` against the (well-formed) type `expected`."""
@@ -504,3 +528,43 @@ class TypeChecker:
                 coverage_mod.check_coverage(self.sig, checked, self.fuel)
             )
 
+
+
+# ---------------------------------------------------------------------------
+# Loading a file and evaluating against it
+
+
+@dataclass
+class Checked:
+    """A checked file, and the resolver that read it: an expression resolves
+    against the names it declared."""
+
+    sig: Signature
+    resolver: Resolver
+    warnings: list[Warning]
+
+
+def load(text: str, file: str, fuel: Optional[Fuel] = None, *,
+         coverage: bool = True, strict_row_fields: bool = False) -> Checked:
+    """Tokenize, read and check the text of `file`, spending `fuel` (a new
+    default budget when None) on the check and its coverage."""
+    resolver = Resolver()
+    decls = resolver.run(tokenize(text, file))
+    checker = TypeChecker(fuel=fuel or Fuel(), strict_row_fields=strict_row_fields)
+    sig = checker.check_signature(decls, coverage=coverage)
+    return Checked(sig, resolver, checker.warnings)
+
+
+def evaluate(checked: Checked, text: str, fuel: Fuel) -> Term:
+    """Read the expression `text` against a loaded file, check it against
+    the type `TypeChecker.infer` gives, if any, and normalize it, spending
+    `fuel`. Its diagnostics name it `<expr>`."""
+    with reported_at("<expr>"):
+        tokens = tokenize(text, "<expr>")
+        term = checked.resolver.resolve_expression(tokens)
+        with located(tokens.span):
+            checker = TypeChecker(checked.sig, fuel)
+            ty = checker.infer(term)
+            if ty is not None:
+                checker.check_term(EMPTY_TELESCOPE, term, ty)
+            return normalize(checked.sig, term, fuel)

@@ -26,9 +26,8 @@ from sit.core import (
 )
 from sit.coverage import Undecidable, available_ctors
 from sit.evaluator import Fuel, index_normal_form
-from sit.frontend import parse_file, resolve
 from sit.pattern_ops import to_term
-from sit.typecheck import TypeChecker
+from sit.typecheck import load
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -115,14 +114,12 @@ def T (b : Bool) : Type
 
 def load_corpus(name: str) -> Signature:
     path = CORPUS / f"{name}.sit"
-    decls = resolve(parse_file(path.read_text(encoding="utf-8"), str(path)))
-    return TypeChecker().check_signature(decls)
+    return load(path.read_text(encoding="utf-8"), str(path)).sig
 
 
 def check_source(text: str, coverage: bool = True) -> Signature:
-    """Parse, resolve, and check a program given as a string."""
-    decls = resolve(parse_file(text, "<test>"))
-    return TypeChecker().check_signature(decls, coverage=coverage)
+    """Read and check a program given as a string."""
+    return load(text, "<test>", coverage=coverage).sig
 
 
 # Term builders.

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sit import cli
+from sit import cli, typecheck
 from sit.cli import run
 
 from support import COMPUTED_INDEX_PROGRAMS, CORPUS, FIXTURES, HIGHER_ORDER
@@ -301,7 +301,7 @@ class TestEval:
         def fail(*_):
             raise RuntimeError("evaluation failed")
 
-        monkeypatch.setattr(cli, "normalize", fail)
+        monkeypatch.setattr(typecheck, "normalize", fail)
         with pytest.raises(RuntimeError):
             run(args + ["--trace-match"])
         monkeypatch.undo()
@@ -506,7 +506,8 @@ class TestExitCodes:
     def test_internal_error_is_one_diagnostic_line(self, tmp_path):
         # Applying a function-valued call breaks the core's application
         # invariant (a known gap): the last resort reports it as E900 with
-        # exit 5, not as a traceback with the type-error code.
+        # exit 5, not as a traceback with the type-error code, at the `-e`
+        # expression where it was raised.
         src = tmp_path / "higher_order.sit"
         src.write_text(
             "data Nat : Type\n  | zero\n  | suc (n : Nat)\n"
@@ -517,4 +518,4 @@ class TestExitCodes:
         assert res.returncode == 5
         assert "Traceback" not in res.stderr
         (line,) = res.stderr.splitlines()
-        assert line.startswith(f"{src}:1:1: error[E900]: internal error: cannot apply")
+        assert line.startswith("<expr>:1:1: error[E900]: internal error: cannot apply")

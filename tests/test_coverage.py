@@ -188,7 +188,7 @@ def f (n : Nat) (x : Mix n) : Nat
 
     def test_unreachable_clause_is_a_warning(self):
         import sit.typecheck as tc
-        from sit.frontend import parse_file, resolve
+        from sit.frontend import Resolver, tokenize
 
         src = """
 data Nat : Type
@@ -200,13 +200,13 @@ def f (a : Nat) : Nat
   | zero => zero
 """
         checker = tc.TypeChecker()
-        checker.check_signature(resolve(parse_file(src, "<test>")))
+        checker.check_signature(Resolver().run(tokenize(src, "<test>")))
         assert [w.code for w in checker.warnings] == ["W401"]
         assert "clause 2" in checker.warnings[0].message
 
     def test_overlapping_reachable_clauses_do_not_warn(self):
         import sit.typecheck as tc
-        from sit.frontend import parse_file, resolve
+        from sit.frontend import Resolver, tokenize
 
         src = """
 data Nat : Type
@@ -218,7 +218,7 @@ def pick (a : Nat) (b : Nat) : Nat
   | a, b => suc b
 """
         checker = tc.TypeChecker()
-        checker.check_signature(resolve(parse_file(src, "<test>")))
+        checker.check_signature(Resolver().run(tokenize(src, "<test>")))
         assert checker.warnings == []
 
 

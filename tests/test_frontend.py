@@ -32,9 +32,6 @@ from sit.frontend import (
     Token,
     _Reader,
     decode_source,
-    parse_expression,
-    parse_file,
-    resolve,
     tokenize,
 )
 
@@ -62,8 +59,8 @@ NAT_T = DataCall("Nat", ())
 
 def _expr(text: str):
     resolver = Resolver()
-    resolver.run(parse_file(PRELUDE))
-    return resolver.resolve_expression(parse_expression(text))
+    resolver.run(tokenize(PRELUDE))
+    return resolver.resolve_expression(tokenize(text, "<expr>"))
 
 
 def _node_classes(cls=Node):
@@ -76,7 +73,7 @@ class TestParser:
     """The parser, through the core tree its result resolves to."""
 
     def test_plain_data(self):
-        (decl,) = resolve(parse_file("data Nat : Type | zero | suc (n : Nat)"))
+        (decl,) = Resolver().run(tokenize("data Nat : Type | zero | suc (n : Nat)"))
         n = decl.ctors[1].fields.entries[0][0]
         assert n.text == "n"
         assert decl == DataDecl(
@@ -89,8 +86,8 @@ class TestParser:
         )
 
     def test_pattern_row(self):
-        decls = resolve(
-            parse_file(
+        decls = Resolver().run(
+            tokenize(
                 NAT
                 + "data Vec (A : Type) (n : Nat) : Type\n"
                 "  | A, zero => vnil\n"
@@ -106,8 +103,8 @@ class TestParser:
         assert rows[1].name == "vcons"
 
     def test_nested_and_impossible_patterns(self):
-        decls = resolve(
-            parse_file(
+        decls = Resolver().run(
+            tokenize(
                 NAT
                 + "def f (a : Nat) : Nat\n"
                 "  | suc (suc m) => m\n"
@@ -142,21 +139,21 @@ class TestParser:
 
     def test_missing_clause_body_is_an_error(self):
         with pytest.raises(ParseError):
-            resolve(parse_file("def f (x : Nat) : Nat | zero =>"))
+            Resolver().run(tokenize("def f (x : Nat) : Nat | zero =>"))
 
     def test_unterminated_group(self):
         with pytest.raises(ParseError):
             _expr("(Nat")
 
     def test_comments_and_crlf(self):
-        decls = resolve(
-            parse_file("-- a comment\r\ndata Nat : Type -- trailing\r\n  | zero\r\n")
+        decls = Resolver().run(
+            tokenize("-- a comment\r\ndata Nat : Type -- trailing\r\n  | zero\r\n")
         )
         assert decls[0].name == "Nat"
         assert decls[0].ctors[0].name == "zero"
 
     def test_spans_are_recorded(self):
-        decls = resolve(parse_file("data Nat : Type\n  | zero\n", file="demo.sit"))
+        decls = Resolver().run(tokenize("data Nat : Type\n  | zero\n", file="demo.sit"))
         span = decls[0].span
         assert span.file == "demo.sit"
         assert (span.start_line, span.start_col) == (1, 1)
@@ -170,13 +167,13 @@ class TestParser:
             + "def f (a : Nat) : Nat\n"
         )
         with pytest.raises(ParseError) as exc:
-            resolve(parse_file(src))
+            Resolver().run(tokenize(src))
         assert exc.value.message == "expected ')', found 'def'"
         assert (exc.value.span.start_line, exc.value.span.start_col) == (8, 1)
 
     def test_pattern_row_needs_a_constructor_name(self):
         with pytest.raises(ParseError) as exc:
-            resolve(parse_file("data T (a : Nat) (b : Nat) : Type\n  | zero, m => (\n"))
+            Resolver().run(tokenize("data T (a : Nat) (b : Nat) : Type\n  | zero, m => (\n"))
         assert exc.value.message.startswith("expected a constructor name")
         assert (exc.value.span.start_line, exc.value.span.start_col) == (2, 16)
 
@@ -187,7 +184,7 @@ class TestParser:
         assert e.args[0].args[0].span == SourceSpan("<expr>", 1, 6, 1, 6)
 
     def test_parenthesised_pattern_spans_its_parentheses(self):
-        decls = resolve(parse_file(NAT + "def f (n : Nat) : Nat\n  | suc (suc m) => m\n"))
+        decls = Resolver().run(tokenize(NAT + "def f (n : Nat) : Nat\n  | suc (suc m) => m\n"))
         pat = decls[1].clauses[0].patterns[0]
         assert pat.span == SourceSpan("<input>", 6, 5, 6, 15)
         assert pat.args[0].span == SourceSpan("<input>", 6, 9, 6, 15)
@@ -208,7 +205,7 @@ class TestParser:
         monkeypatch.setattr(SourceSpan, "__new__", counting("checked spans", SourceSpan.__new__))
         monkeypatch.setattr(_Reader, "_span", counting("spans", _Reader._span))
         resolver = Resolver()
-        resolver.run(parse_file(PRELUDE))
+        resolver.run(tokenize(PRELUDE))
         for text, nodes in [
             ("suc (" * 60 + "zero" + ")" * 60, 61),
             ("f (fn y => y)", 3),
@@ -218,7 +215,7 @@ class TestParser:
         ]:
             built.update(dict.fromkeys(built, 0))
             # Tokenizing builds neither a node nor a span.
-            tokens = parse_expression(text)
+            tokens = tokenize(text, "<expr>")
             assert built == {"nodes": 0, "checked spans": 0, "spans": 0}, text
             # Resolving builds one span per core node, none of them through
             # the check, and so at most one per token.
@@ -267,7 +264,7 @@ class TestDeepInput:
             "def f : " + "Type -> " * self.DEPTH + "Type\n"
             "  | x => " + "(fn y => " * self.DEPTH + "y" + ")" * self.DEPTH + "\n"
         )
-        (decl,) = resolve(parse_file(text))
+        (decl,) = Resolver().run(tokenize(text))
         e, depth = decl.result, 0
         while type(e) is Pi:
             e, depth = e.codomain, depth + 1
@@ -417,8 +414,8 @@ class TestTokenPins:
 
 class TestResolver:
     def test_constructor_pattern(self):
-        decls = resolve(
-            parse_file(NAT + "def f (a : Nat) : Nat\n  | suc m => m\n")
+        decls = Resolver().run(
+            tokenize(NAT + "def f (a : Nat) : Nat\n  | suc m => m\n")
         )
         clause = decls[1].clauses[0]
         pat = clause.patterns[0]
@@ -426,18 +423,18 @@ class TestResolver:
         assert isinstance(pat.args[0], BindPat)
 
     def test_non_constructor_name_binds(self):
-        decls = resolve(parse_file(NAT + "def f (a : Nat) : Nat\n  | m => m\n"))
+        decls = Resolver().run(tokenize(NAT + "def f (a : Nat) : Nat\n  | m => m\n"))
         pat = decls[1].clauses[0].patterns[0]
         assert isinstance(pat, BindPat) and pat.var.text == "m"
 
     def test_body_sees_pattern_binding(self):
-        decls = resolve(parse_file(NAT + "def f (a : Nat) : Nat\n  | m => m\n"))
+        decls = Resolver().run(tokenize(NAT + "def f (a : Nat) : Nat\n  | m => m\n"))
         clause = decls[1].clauses[0]
         assert clause.body == VarCall(clause.patterns[0].var)
 
     def test_bare_constructor_expands_to_lambda(self):
-        decls = resolve(
-            parse_file(NAT + "def f (a : Nat) : Nat -> Nat\n  | a => suc\n")
+        decls = Resolver().run(
+            tokenize(NAT + "def f (a : Nat) : Nat -> Nat\n  | a => suc\n")
         )
         body = decls[1].clauses[0].body
         assert isinstance(body, Lam)
@@ -456,8 +453,8 @@ def f (a : Nat) : Nat
 """
         )
         resolver = Resolver()
-        resolver.run(parse_file(src))
-        term = resolver.resolve_expression(parse_expression("vcons"))
+        resolver.run(tokenize(src))
+        term = resolver.resolve_expression(tokenize("vcons", "<expr>"))
         # fn A => fn m => fn x => fn xs => vcons x xs
         binders = []
         while isinstance(term, Lam):
@@ -469,18 +466,18 @@ def f (a : Nat) : Nat
     def test_underapplied_function_expands(self):
         resolver = Resolver()
         resolver.run(
-            parse_file(
+            tokenize(
                 NAT
                 + "def plus (a : Nat) (b : Nat) : Nat\n"
                 + "  | zero, b => b\n  | suc a, b => suc (plus a b)\n"
             )
         )
-        term = resolver.resolve_expression(parse_expression("plus zero"))
+        term = resolver.resolve_expression(tokenize("plus zero", "<expr>"))
         assert isinstance(term, Lam)
         assert isinstance(term.body, FnCall) and len(term.body.args) == 2
 
     def test_resolved_binders_are_globally_unique(self):
-        decls = resolve(parse_file((CORPUS / "normalize.sit").read_text()))
+        decls = Resolver().run(tokenize((CORPUS / "normalize.sit").read_text()))
         seen = set()
 
         def visit_pattern(p):
@@ -531,42 +528,42 @@ def f (a : Nat) : Nat
 
     def test_unknown_identifier(self):
         with pytest.raises(ResolveError) as exc:
-            resolve(parse_file(NAT + "def f (a : Nat) : Nat\n  | m => foo\n"))
+            Resolver().run(tokenize(NAT + "def f (a : Nat) : Nat\n  | m => foo\n"))
         assert exc.value.code == "E201"
 
     def test_unknown_constructor_in_pattern(self):
         with pytest.raises(ResolveError) as exc:
-            resolve(parse_file(NAT + "def f (a : Nat) : Nat\n  | wrap m => m\n"))
+            Resolver().run(tokenize(NAT + "def f (a : Nat) : Nat\n  | wrap m => m\n"))
         assert exc.value.code == "E201"
 
     def test_over_application(self):
         with pytest.raises(ResolveError) as exc:
-            resolve(parse_file(NAT + "def f (a : Nat) : Nat\n  | m => suc m m\n"))
+            Resolver().run(tokenize(NAT + "def f (a : Nat) : Nat\n  | m => suc m m\n"))
         assert exc.value.code == "E202"
 
     def test_duplicate_declaration(self):
         with pytest.raises(ResolveError) as exc:
-            resolve(parse_file(NAT + NAT))
+            Resolver().run(tokenize(NAT + NAT))
         assert exc.value.code == "E203"
 
     def test_binder_shadowing_constructor(self):
         with pytest.raises(ResolveError) as exc:
-            resolve(parse_file(NAT + "def f (zero : Nat) : Nat\n  | m => m\n"))
+            Resolver().run(tokenize(NAT + "def f (zero : Nat) : Nat\n  | m => m\n"))
         assert exc.value.code == "E204"
 
     def test_clause_body_does_not_see_telescope(self):
         with pytest.raises(ResolveError) as exc:
-            resolve(parse_file(NAT + "def f (a : Nat) : Nat\n  | m => a\n"))
+            Resolver().run(tokenize(NAT + "def f (a : Nat) : Nat\n  | m => a\n"))
         assert exc.value.code == "E201"
 
     def test_keeps_only_the_global_table(self):
         resolver = Resolver()
-        tokens = parse_file(PRELUDE)
+        tokens = tokenize(PRELUDE)
         ref = weakref.ref(tokens)
         resolver.run(tokens)
         del tokens
         assert list(vars(resolver)) == ["globals"] and ref() is None
-        tokens = parse_expression("f (suc x)")
+        tokens = tokenize("f (suc x)", "<expr>")
         ref = weakref.ref(tokens)
         resolver.resolve_expression(tokens)
         del tokens
@@ -580,7 +577,7 @@ def _error(text: str, expression: bool = False):
         if expression:
             _expr(text)
         else:
-            resolve(parse_file(text))
+            Resolver().run(tokenize(text))
     err = exc.value
     return err.code, err.message, tuple(err.span)[1:]
 

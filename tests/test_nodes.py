@@ -33,7 +33,7 @@ from sit.core import (
 )
 from sit.coverage import Undecidable
 from sit.diagnostics import SourceSpan
-from sit.frontend import parse_file, resolve
+from sit.frontend import Resolver, tokenize
 from sit.pattern_ops import Matched, Mismatch, Stuck
 
 X = Var("x", 1)
@@ -148,9 +148,9 @@ def _node_contract(cls, fields, text, match_args):
 
 
 def _syntax_contract(path, cls, first, last):
-    tokens = parse_file(SRC, "a.sit")
-    moved = parse_file("\n\n  " + SRC, "b.sit")
-    node, other = _at(resolve(tokens), path), _at(resolve(moved), path)
+    tokens = tokenize(SRC, "a.sit")
+    moved = tokenize("\n\n  " + SRC, "b.sit")
+    node, other = _at(Resolver().run(tokens), path), _at(Resolver().run(moved), path)
     assert type(node) is cls and type(other) is cls
     (first, first_text), (last, last_text) = first, last
     assert (tokens.texts[first], tokens.texts[last]) == (first_text, last_text)

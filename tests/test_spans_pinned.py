@@ -16,7 +16,7 @@ from pathlib import Path
 
 from sit.core import Node
 from sit.diagnostics import SitError
-from sit.frontend import Resolver, parse_expression, parse_file
+from sit.frontend import Resolver, tokenize
 
 ROOT = Path(__file__).resolve().parent.parent
 PINNED = Path(__file__).resolve().parent / "spans_pinned.json"
@@ -91,15 +91,15 @@ def _observed() -> dict[str, list]:
     for path in sorted((ROOT / "corpus").glob("*.sit")):
         name = path.relative_to(ROOT).as_posix()
         spans: list = []
-        _spans(tuple(Resolver().run(parse_file(path.read_text(encoding="utf-8"), name))), spans)
+        _spans(tuple(Resolver().run(tokenize(path.read_text(encoding="utf-8"), name))), spans)
         observed[name] = spans
     prelude = (ROOT / "corpus" / "nat.sit").read_text(encoding="utf-8")
     for text in EXPRESSIONS:
         resolver = Resolver()
-        resolver.run(parse_file(prelude, "nat.sit"))
+        resolver.run(tokenize(prelude, "nat.sit"))
         spans = []
         try:
-            _spans(resolver.resolve_expression(parse_expression(text)), spans)
+            _spans(resolver.resolve_expression(tokenize(text, "<expr>")), spans)
         except SitError as err:
             spans = [err.code, list(err.span)]
         observed[f"-e {text}"] = spans

@@ -21,7 +21,7 @@ from sit.core import (
     pretty,
 )
 from sit.diagnostics import TypeCheckError
-from sit.frontend import parse_file, resolve
+from sit.frontend import Resolver, tokenize
 from sit.pattern_ops import to_terms, vars_pats
 from sit.typecheck import TypeChecker
 
@@ -391,10 +391,10 @@ def bad (k : Nat) : Nat
 
         for module in (evaluator, typecheck, coverage):
             monkeypatch.setattr(module, "Fuel", counted)
-        from sit.frontend import parse_file, resolve
+        from sit.frontend import Resolver, tokenize
 
         path = CORPUS / "normalize.sit"
-        decls = resolve(parse_file(path.read_text(encoding="utf-8"), str(path)))
+        decls = Resolver().run(tokenize(path.read_text(encoding="utf-8"), str(path)))
         TypeChecker().check_signature(decls)
         assert len(made) == 1 and made[0].used == 7
 
@@ -402,7 +402,7 @@ def bad (k : Nat) : Nat
         # The clause firings of checking each corpus file, each fixture the
         # checker reaches and each program that selects rows at computed
         # indices; the benchmark's firings_per_s counts these.
-        from sit.frontend import parse_file, resolve
+        from sit.frontend import Resolver, tokenize
 
         pinned = {
             "fin": 0, "list": 0, "nat": 0, "normalize": 7, "vec": 0,
@@ -424,7 +424,7 @@ def bad (k : Nat) : Nat
                 if not path.exists():
                     path = FIXTURES / f"{name}.sit"
                 text = path.read_text(encoding="utf-8")
-            decls = resolve(parse_file(text, name))
+            decls = Resolver().run(tokenize(text, name))
             checker = TypeChecker()
             try:
                 checker.check_signature(decls)
@@ -443,15 +443,15 @@ data Vec (A : Type) (n : Nat) : Type
   | A, zero => vnil
   | A, suc m => vcons (x : A) (xs : Vec A m)
 """
-        from sit.frontend import parse_file, resolve
+        from sit.frontend import Resolver, tokenize
 
-        decls = resolve(parse_file(src, "<test>"))
+        decls = Resolver().run(tokenize(src, "<test>"))
         checker = TypeChecker(strict_row_fields=True)
         checker.check_signature(decls)
         assert any(w.code == "W301" for w in checker.warnings)
 
         checker = TypeChecker(strict_row_fields=False)
-        checker.check_signature(resolve(parse_file(src, "<test>")))
+        checker.check_signature(Resolver().run(tokenize(src, "<test>")))
         assert not checker.warnings
 
 
@@ -531,7 +531,7 @@ data Fin (n : Nat) : Type
         ],
     )
     def test_patterns_after_impossible(self, decl, edit, code, message):
-        decls = resolve(parse_file(self.FIN + decl + "\n", "<test>"))
+        decls = Resolver().run(tokenize(self.FIN + decl + "\n", "<test>"))
         if edit is not None:
             decls = edit(decls)
         checker = TypeChecker()
