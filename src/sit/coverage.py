@@ -161,7 +161,9 @@ def check_coverage(sig: Signature, func: FuncDecl, fuel: Fuel) -> list[Warning]:
 
         split_at = _split_column(rows, len(columns))
         if split_at is None:
-            # Every surviving row is all catch-alls; the first one claims the leaf.
+            # The first surviving row is all catch-alls: under first-match
+            # dispatch it claims the whole branch, so no split below it can
+            # select a later row.
             used.add(rows[0][0])
             continue
 
@@ -231,7 +233,10 @@ def check_coverage(sig: Signature, func: FuncDecl, fuel: Fuel) -> list[Warning]:
 
 
 def _split_column(rows: list[tuple[int, list]], width: int) -> int | None:
-    """The first column that some row constrains with a non-catch-all."""
+    """The first column that some row constrains with a non-catch-all, or
+    None when the first row constrains none."""
+    if all(type(p) is BindPat for p in rows[0][1]):
+        return None
     for j in range(width):
         for _, pats in rows:
             if type(pats[j]) is not BindPat:

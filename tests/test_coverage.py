@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import signal
+import time
 
 import pytest
 
@@ -9,7 +11,7 @@ from sit.coverage import Undecidable, available_ctors, check_coverage
 from sit.diagnostics import CoverageError, TypeCheckError
 from sit.evaluator import Fuel
 from sit.pattern_ops import Matched, match_terms
-from sit.typecheck import TypeChecker
+from sit.typecheck import TypeChecker, load
 
 from support import (
     check_source,
@@ -187,9 +189,6 @@ def f (n : Nat) (x : Mix n) : Nat
         assert exc.value.code == "E402"
 
     def test_unreachable_clause_is_a_warning(self):
-        import sit.typecheck as tc
-        from sit.frontend import Resolver, tokenize
-
         src = """
 data Nat : Type
   | zero
@@ -199,15 +198,11 @@ def f (a : Nat) : Nat
   | a => a
   | zero => zero
 """
-        checker = tc.TypeChecker()
-        checker.check_signature(Resolver().run(tokenize(src, "<test>")))
-        assert [w.code for w in checker.warnings] == ["W401"]
-        assert "clause 2" in checker.warnings[0].message
+        warnings = load(src, "<test>").warnings
+        assert [w.code for w in warnings] == ["W401"]
+        assert "clause 2" in warnings[0].message
 
     def test_overlapping_reachable_clauses_do_not_warn(self):
-        import sit.typecheck as tc
-        from sit.frontend import Resolver, tokenize
-
         src = """
 data Nat : Type
   | zero
@@ -217,9 +212,53 @@ def pick (a : Nat) (b : Nat) : Nat
   | zero, b => b
   | a, b => suc b
 """
-        checker = tc.TypeChecker()
-        checker.check_signature(Resolver().run(tokenize(src, "<test>")))
-        assert checker.warnings == []
+        assert load(src, "<test>").warnings == []
+
+    def test_catch_all_row_claims_its_branch_before_a_split(self):
+        # Under first-match dispatch the first row takes every case, so the
+        # undecidable split the second row asks for is never made.
+        src = """
+data Nat : Type
+  | zero
+  | suc (n : Nat)
+
+data Mix (n : Nat) : Type
+  | m => any
+  | suc m => pos (x : Nat)
+
+def f (n : Nat) (x : Mix n) : Nat
+  | n, x => zero
+  | n, any => zero
+"""
+        warnings = load(src, "<test>").warnings
+        assert [w.code for w in warnings] == ["W401"]
+        assert "clause 2" in warnings[0].message
+
+    def test_doubling_family_checks_quickly(self):
+        # Clause i is `true` at column i, then a catch-all. Splitting below
+        # a first row of catch-alls doubled the work with each column; the
+        # alarm ends a run that hangs.
+        n = 30
+        tele = " ".join(f"(x{i} : Bool)" for i in range(n))
+        rows = [
+            ", ".join("true" if j == i else f"a{j}" for j in range(n)) + " => true"
+            for i in range(n)
+        ] + [", ".join(f"a{j}" for j in range(n)) + " => false"]
+        src = "data Bool : Type\n  | true\n  | false\n"
+        src += f"def f {tele} : Bool\n" + "".join(f"  | {r}\n" for r in rows)
+
+        def expire(*_):
+            raise TimeoutError("coverage of the doubling family took over 2 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            start = time.perf_counter()
+            assert load(src, "<test>", Fuel(100)).warnings == []
+            assert time.perf_counter() - start < 2.0
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestPerConstructorRule:
