@@ -531,34 +531,43 @@ def alpha_eq(u: Term, v: Term) -> bool:
     `fn x => f x` equals `f`.
 
     One loop walks both terms, keeping what it has yet to compare on an
-    explicit stack, so nesting has no depth limit. `env` renames each binder
-    of `u` in scope to the binder of `v` at the same place. Entering a
-    binder pushes its outer renaming (the binder itself when it has none),
-    which is put back once everything under the binder is compared. A node
+    explicit stack, so nesting has no depth limit. `left` renames each
+    binder of `u` in scope to the binder of `v` at the same place, and
+    `right` renames back; a variable not in scope maps to itself. Two
+    variables are equal when each side renames to the other, so a variable
+    bound on one side never equals one free, or bound elsewhere, on the
+    other, and the comparison is symmetric. Entering a binder pair pushes
+    both outer renamings, which are put back once everything under the
+    binders is compared. An eta step binds the lambda's binder to a new
+    variable, numbered below zero so that it occurs in neither term. A node
     of no term class equals nothing.
     """
-    env: dict[Var, Var] = {}
-    # Pairs of terms left to compare, and (binder, outer renaming) pairs
-    # that end a binder's scope.
+    left: dict[Var, Var] = {}
+    right: dict[Var, Var] = {}
+    etas = 0
+    # Pairs of terms left to compare, and pairs of (binder, outer renaming)
+    # that end a binder pair's scope.
     stack: list[tuple] = []
     while True:
         c = type(u)
         if c is not type(v):
-            # Eta: `fn x => b` and `f` are equal when `b` and `f x` are.
+            # Eta: `fn x => b` and `f` are equal when `b` and `f w` are.
+            etas += 1
             if c is Lam and type(v) is VarCall:
-                x = u.binder
-                u, v = u.body, VarCall(v.var, v.args + (VarCall(x),))
+                x, y = u.binder, Var(u.binder.text, -etas)
+                u, v = u.body, VarCall(v.var, v.args + (VarCall(y),))
             elif c is VarCall and type(v) is Lam:
-                x = v.binder
+                x, y = Var(v.binder.text, -etas), v.binder
                 u, v = VarCall(u.var, u.args + (VarCall(x),)), v.body
             else:
                 return False
-            stack.append((x, env.get(x, x)))
-            env[x] = x
+            stack.append(((x, left.get(x, x)), (y, right.get(y, y))))
+            left[x], right[y] = y, x
             continue
         if c is ConCall or c is FnCall or c is DataCall or c is VarCall:
             if c is VarCall:
-                if env.get(u.var, u.var) != v.var:
+                x, y = u.var, v.var
+                if left.get(x, x) != y or right.get(y, y) != x:
                     return False
             elif u.name != v.name:
                 return False
@@ -574,14 +583,14 @@ def alpha_eq(u: Term, v: Term) -> bool:
         elif c is Pi or c is Lam:
             if c is Pi:
                 stack.append((u.domain, v.domain))
-            x = u.binder
-            stack.append((x, env.get(x, x)))
-            env[x] = v.binder
+            x, y = u.binder, v.binder
+            stack.append(((x, left.get(x, x)), (y, right.get(y, y))))
+            left[x], right[y] = y, x
             u, v = (u.codomain, v.codomain) if c is Pi else (u.body, v.body)
             continue
-        elif c is Var:
-            # A binder's scope has ended: put back its outer renaming.
-            env[u] = v
+        elif c is tuple:
+            # A binder pair's scope has ended: put back the outer renamings.
+            left[u[0]], right[v[0]] = u[1], v[1]
         elif c is not Univ:
             return False
         if not stack:

@@ -191,22 +191,32 @@ def _signatures():
 
 
 def reference_eq(u, v, env) -> bool:
-    """`alpha_eq`'s definition as a recursive walk, one frame per level."""
+    """`alpha_eq`'s definition as a recursive walk, one frame per level.
+
+    `env` holds both directions of the renaming: `(0, x)` maps a binder of
+    `u` in scope to its partner in `v`, and `(1, y)` maps back.
+    """
+
+    def bound(x, y):
+        return {**env, (0, x): y, (1, y): x}
+
     match u, v:
         case Lam(x, body), VarCall(f, args):
-            return reference_eq(body, VarCall(f, args + (VarCall(x),)), {**env, x: x})
+            w = Var.fresh(x.text)
+            return reference_eq(body, VarCall(f, args + (VarCall(w),)), bound(x, w))
         case VarCall(f, args), Lam(y, body):
-            return reference_eq(VarCall(f, args + (VarCall(y),)), body, {**env, y: y})
+            w = Var.fresh(y.text)
+            return reference_eq(VarCall(f, args + (VarCall(w),)), body, bound(w, y))
         case VarCall(x, us), VarCall(y, vs):
-            same_head = env.get(x, x) == y
+            same_head = env.get((0, x), x) == y and env.get((1, y), y) == x
         case (ConCall(m, us), ConCall(n, vs)) | (FnCall(m, us), FnCall(n, vs)) | (
             DataCall(m, us), DataCall(n, vs)
         ):
             same_head = m == n
         case Pi(x, a, b), Pi(y, c, d):
-            return reference_eq(a, c, env) and reference_eq(b, d, {**env, x: y})
+            return reference_eq(a, c, env) and reference_eq(b, d, bound(x, y))
         case Lam(x, b), Lam(y, d):
-            return reference_eq(b, d, {**env, x: y})
+            return reference_eq(b, d, bound(x, y))
         case Univ(), Univ():
             return True
         case _:
@@ -216,6 +226,89 @@ def reference_eq(u, v, env) -> bool:
         and len(us) == len(vs)
         and all(reference_eq(a, b, env) for a, b in zip(us, vs))
     )
+
+
+def de_bruijn(t, scope=()):
+    """`t` with each bound variable as the distance to its binder (`scope`
+    holds the binders in scope, innermost first) and each free one as
+    itself, in eta-short form: `fn x => f a x` is `f a` when `x` is not free
+    in `f a`. Two terms are equal up to renaming and eta exactly when these
+    forms are equal."""
+    match t:
+        case VarCall(x, args):
+            head = scope.index(x) if x in scope else x
+            return ("var", head, tuple(de_bruijn(a, scope) for a in args))
+        case Lam(x, body):
+            b = de_bruijn(body, (x,) + scope)
+            if b[0] == "var" and b[2] and b[2][-1] == ("var", 0, ()):
+                short = _unbind(("var", b[1], b[2][:-1]))
+                if short is not None:
+                    return short
+            return ("lam", b)
+        case Pi(x, dom, cod):
+            return ("pi", de_bruijn(dom, scope), de_bruijn(cod, (x,) + scope))
+        case ConCall(name, args) | FnCall(name, args) | DataCall(name, args):
+            return (type(t).__name__, name, tuple(de_bruijn(a, scope) for a in args))
+        case Univ():
+            return ("type",)
+    raise AssertionError(t)
+
+
+def _unbind(t, depth=0):
+    """`t` with its innermost binder removed: each distance past `depth`
+    one less, or None when the variable at `depth` itself occurs."""
+    kind = t[0]
+    if kind == "type":
+        return t
+    if kind == "lam":
+        body = _unbind(t[1], depth + 1)
+        return None if body is None else ("lam", body)
+    if kind == "pi":
+        dom, cod = _unbind(t[1], depth), _unbind(t[2], depth + 1)
+        return None if dom is None or cod is None else ("pi", dom, cod)
+    head = t[1]
+    if kind == "var" and type(head) is int and head >= depth:
+        if head == depth:
+            return None
+        head -= 1
+    args = tuple(_unbind(a, depth) for a in t[2])
+    return None if None in args else (kind, head, args)
+
+
+# Few names, so a variable is often bound on one side and free on the other.
+NAMES = st.sampled_from(POOL[:3])
+
+
+def twin_terms(max_leaves: int = 8):
+    """Pairs of terms of one shape whose variables and binders are drawn
+    apart: often a renaming, often a clash. One form pairs an eta-expanded
+    call with a plain one, whose added binder may capture an argument."""
+    base = st.one_of(
+        st.builds(lambda x, y: (ref(x), ref(y)), NAMES, NAMES),
+        st.just((UNIV, UNIV)),
+    )
+
+    def extend(pairs):
+        return st.one_of(
+            st.builds(lambda x, y, p: (Lam(x, p[0]), Lam(y, p[1])), NAMES, NAMES, pairs),
+            st.builds(
+                lambda x, y, p, q: (Pi(x, p[0], q[0]), Pi(y, p[1], q[1])),
+                NAMES, NAMES, pairs, pairs,
+            ),
+            st.builds(lambda p: (con("suc", p[0]), con("suc", p[1])), pairs),
+            st.builds(
+                lambda f, g, p: (VarCall(f, (p[0],)), VarCall(g, (p[1],))),
+                NAMES, NAMES, pairs,
+            ),
+            st.builds(
+                lambda x, f, g, p: (
+                    Lam(x, VarCall(f, (p[0], ref(x)))), VarCall(g, (p[1],))
+                ),
+                NAMES, NAMES, NAMES, pairs,
+            ),
+        )
+
+    return st.recursive(base, extend, max_leaves=max_leaves)
 
 
 class TestAlphaEq:
@@ -254,6 +347,21 @@ class TestAlphaEq:
     @given(terms(8), terms(8))
     def test_agrees_with_the_recursive_definition(self, u, v):
         assert alpha_eq(u, v) == reference_eq(u, v, {})
+
+    def test_bound_never_equals_free(self):
+        x, y = POOL[:2]
+        assert not alpha_eq(Lam(x, ref(y)), Lam(y, ref(y)))
+        assert not alpha_eq(Lam(y, ref(y)), Lam(x, ref(y)))
+        # The binder an eta step adds is new: it captures no free `x`.
+        f = HEADS[0]
+        assert not alpha_eq(Lam(x, VarCall(f, (ref(x), ref(x)))), VarCall(f, (ref(x),)))
+        assert not alpha_eq(VarCall(f, (ref(x),)), Lam(x, VarCall(f, (ref(x), ref(x)))))
+
+    @settings(max_examples=500)
+    @given(twin_terms())
+    def test_agrees_with_de_bruijn_and_is_symmetric(self, pair):
+        u, v = pair
+        assert alpha_eq(u, v) == (de_bruijn(u) == de_bruijn(v)) == alpha_eq(v, u)
 
     @settings(max_examples=200)
     @given(terms())
