@@ -5,6 +5,7 @@ import gc
 import pytest
 
 from sit import core, coverage, evaluator, typecheck
+from sit.evaluator import Fuel
 from sit.core import (
     BindPat,
     Clause,
@@ -20,10 +21,10 @@ from sit.core import (
     Var,
     pretty,
 )
-from sit.diagnostics import TypeCheckError
+from sit.diagnostics import FuelError, TypeCheckError
 from sit.frontend import Resolver, tokenize
 from sit.pattern_ops import to_terms, vars_pats
-from sit.typecheck import TypeChecker
+from sit.typecheck import TypeChecker, evaluate, load
 
 from support import (
     COMPUTED_INDEX_PROGRAMS,
@@ -317,6 +318,47 @@ class TestHigherOrderFunctions:
         assert exc.value.message == "expected Nat, got Bool"
         line = text.count("\n")
         assert exc.value.span[1:3] == (line, col)
+
+
+class TestInfer:
+    """`infer` gives the type an expression's head fixes, or None."""
+
+    SAME = "\ndef same (A : Type) (a : A) : A\n  | A, a => a\n"
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            # A function's result at its arguments: `A` at `Nat`.
+            ("same Nat zero", dat("Nat")),
+            # A constructor of a type with an empty telescope.
+            ("zero", dat("Nat")),
+            # No rule for a constructor of an indexed type, or a lambda.
+            ("fsuc Nat", None),
+            ("fn m => m", None),
+            ("Fin zero", UNIV),
+            ("(n : Nat) -> Fin n", UNIV),
+            ("Type", UNIV),
+        ],
+    )
+    def test_head_forms(self, text, expected):
+        source = (CORPUS / "fin.sit").read_text(encoding="utf-8") + self.SAME
+        checked = load(source, "fin.sit")
+        term = checked.resolver.resolve_expression(tokenize(text, "<expr>"))
+        assert TypeChecker(checked.sig).infer(term) == expected
+
+    def test_load_and_evaluate_spend_one_fuel(self):
+        # Checking the file fires 7 clauses, evaluating the expression 2.
+        text = (CORPUS / "normalize.sit").read_text(encoding="utf-8")
+        expr = "normalize natT (succ (nat (suc (suc (suc zero)))))"
+        fuel = Fuel(9)
+        checked = load(text, "normalize.sit", fuel)
+        assert fuel.used == 7
+        assert pretty(evaluate(checked, expr, fuel)) == "suc (suc (suc (suc zero)))"
+        assert fuel.used == 9
+        fuel = Fuel(8)
+        with pytest.raises(FuelError) as exc:
+            evaluate(load(text, "normalize.sit", fuel), expr, fuel)
+        assert str(exc.value.span) == "<expr>:1:1"
 
 
 class TestCheckSignature:
