@@ -16,7 +16,9 @@ is not a data type, the type is opaque, and a pattern under it need only
 name known constructors. Signature formation folds declarations left to
 right, so every name refers to an earlier declaration (or to the one being
 checked, for recursion).
-`load` and `evaluate` read and check a file, then an expression against it.
+
+`load` reads and checks a file, and `evaluate` an expression against it:
+the one sequence of the `sit` command, the tests and the scripts.
 """
 from __future__ import annotations
 
@@ -527,7 +529,6 @@ class TypeChecker:
             self.warnings.extend(
                 coverage_mod.check_coverage(self.sig, checked, self.fuel)
             )
-
 
 
 # ---------------------------------------------------------------------------
