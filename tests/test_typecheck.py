@@ -5,7 +5,6 @@ import gc
 import pytest
 
 from sit import core, coverage, evaluator, typecheck
-from sit.evaluator import Fuel
 from sit.core import (
     BindPat,
     Clause,
@@ -22,6 +21,7 @@ from sit.core import (
     pretty,
 )
 from sit.diagnostics import FuelError, TypeCheckError
+from sit.evaluator import Fuel
 from sit.frontend import Resolver, tokenize
 from sit.pattern_ops import to_terms, vars_pats
 from sit.typecheck import TypeChecker, evaluate, load
@@ -433,8 +433,6 @@ def bad (k : Nat) : Nat
 
         for module in (evaluator, typecheck, coverage):
             monkeypatch.setattr(module, "Fuel", counted)
-        from sit.frontend import Resolver, tokenize
-
         path = CORPUS / "normalize.sit"
         decls = Resolver().run(tokenize(path.read_text(encoding="utf-8"), str(path)))
         TypeChecker().check_signature(decls)
@@ -444,8 +442,6 @@ def bad (k : Nat) : Nat
         # The clause firings of checking each corpus file, each fixture the
         # checker reaches and each program that selects rows at computed
         # indices; the benchmark's firings_per_s counts these.
-        from sit.frontend import Resolver, tokenize
-
         pinned = {
             "fin": 0, "list": 0, "nat": 0, "normalize": 7, "vec": 0,
             "01_vnil_wrong_length": 0, "02_fzero_stuck": 0,
@@ -485,8 +481,6 @@ data Vec (A : Type) (n : Nat) : Type
   | A, zero => vnil
   | A, suc m => vcons (x : A) (xs : Vec A m)
 """
-        from sit.frontend import Resolver, tokenize
-
         decls = Resolver().run(tokenize(src, "<test>"))
         checker = TypeChecker(strict_row_fields=True)
         checker.check_signature(decls)
