@@ -1,4 +1,4 @@
-"""Command line driver: load a file, then evaluate, translate or print.
+"""The `sit` command: load a file, then evaluate, translate or print.
 
 Every command loads its file with `typecheck.load`, and `eval` hands its
 expression to `typecheck.evaluate`, as any library caller does; this module
