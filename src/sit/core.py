@@ -303,7 +303,8 @@ class Clause(Node):
 
 
 class DataDecl(Node):
-    __slots__ = ("name", "telescope", "ctors", "span")
+    # `_vars`, the telescope's binders, is cached by `coverage.available_ctors`.
+    __slots__ = ("name", "telescope", "ctors", "span", "_vars")
     name: str
     telescope: Telescope
     ctors: tuple[CtorRow, ...]

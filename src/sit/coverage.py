@@ -12,14 +12,20 @@ decides selection:
 - a split, or an impossible pattern, needs every row decided, so it is
   undecidable as soon as any row is stuck.
 
-Coverage builds a case-splitting tree over a function's telescope. A column
-is split when some clause constrains it with a constructor or impossible
-pattern; the split enumerates the constructors available at the column's
-type. Every leaf must be claimed by a clause, except leaves whose tuple type
-is uninhabited. `check_coverage` walks the tree depth first from an explicit
-stack of problems, pushing a split's cases in reverse so they are taken in
-constructor order: the first missing case or undecidable split reported is
-the leftmost one.
+Coverage builds a case-splitting tree over a function's telescope, walked
+depth first from an explicit stack of problems. A problem is its columns (a
+variable and its type each), its rows (a clause's index and one pattern per
+column) and its chain: the refinements of the splits above it, each a column
+variable mapped to a constructor over fresh field variables. A first row of
+catch-alls claims the problem, since under first-match dispatch it takes the
+whole branch. Otherwise the first column some row constrains is split on the
+constructors available at its type. Each case puts the constructor's fields
+in the column's place, refines the later column types and keeps the rows
+that agree, with a catch-all per field in a row that binds the column. A
+leaf with no rows needs an uninhabited column type, or else the chain,
+replayed over the arguments, names the missing case. Cases are pushed in
+reverse, so the first missing case or undecidable split reported is the
+leftmost one.
 """
 from __future__ import annotations
 
@@ -54,6 +60,9 @@ from .evaluator import Fuel, index_normal_form, whnf
 from .pattern_ops import Matched, Stuck, match_terms, vars_tele
 
 
+_NO_SUB: dict = {}  # an empty substitution, shared and never written
+
+
 class Undecidable(Node):
     """Some row's match is stuck, so availability cannot be decided."""
 
@@ -77,15 +86,25 @@ def available_ctors(
     Given `ctor`, only its rows are matched, and the first that does not
     mismatch decides. Every match is reported to `fuel.observer`; a plain
     row matches with no bindings, unobserved.
+
+    The data telescope's variables are taken once per declaration and cached
+    on it. A data type with no indices (`Nat`, `Bool`) has no arguments to
+    normalize and no instantiation to build.
     """
     decl = sig.data(data_name)
     if decl is None:
         raise InternalError(f"unknown data type {data_name}")
-    args = [index_normal_form(sig, a, fuel) for a in args]
-    # Fields are instantiated at the row's bindings and the data telescope's
-    # variables all at once: an argument may mention the data telescope's own
-    # variables (a row using its data type at them, swapped).
-    at_args = dict(zip(vars_tele(decl.telescope), args))
+    at_args = _NO_SUB
+    if args:
+        args = [index_normal_form(sig, a, fuel) for a in args]
+        tvars = decl._vars
+        if tvars is None:
+            tvars = vars_tele(decl.telescope)
+            object.__setattr__(decl, "_vars", tvars)
+        # Fields are instantiated at the row's bindings and the data
+        # telescope's variables at once: an argument may mention the latter
+        # (a row using its data type at them, swapped).
+        at_args = dict(zip(tvars, args))
     observer = fuel.observer
     fields: dict[str, Telescope] = {}
     for row in decl.ctors:
@@ -93,7 +112,7 @@ def available_ctors(
         if ctor is not None and name != ctor:
             continue
         pats = row.patterns
-        m = at_args
+        sub = _NO_SUB
         if pats is not None:
             out = match_terms(args, pats)
             if observer is not None:
@@ -103,11 +122,13 @@ def available_ctors(
                 return Undecidable(name, out.position)
             if c is not Matched:
                 continue
-            m = {**out.sub, **at_args}
+            sub = out.sub
         if name not in fields:
             tele = row.fields
-            if m:
-                tele = Telescope(tuple((x, subst(ty, m)) for x, ty in tele.entries))
+            if tele.entries and (sub or at_args):
+                # The observer has seen `sub`: merge into a new map.
+                m = {**sub, **at_args} if sub and at_args else sub or at_args
+                tele = Telescope(tuple([(x, subst(ty, m)) for x, ty in tele.entries]))
             fields[name] = tele
         if ctor is not None:
             break
@@ -118,6 +139,9 @@ def available_ctors(
 # Exhaustiveness
 
 _HOLE = VarCall(Var("_", 0))
+# The pattern of each field of a row that binds its split column: coverage
+# reads only a pattern's class.
+_CATCH_ALL = BindPat(Var("_", 0))
 
 
 def check_coverage(sig: Signature, func: FuncDecl, fuel: Fuel) -> list[Warning]:
@@ -126,20 +150,15 @@ def check_coverage(sig: Signature, func: FuncDecl, fuel: Fuel) -> list[Warning]:
     Raises CoverageError with a concrete uncovered pattern stack, or when a
     needed split has undecidable availability. Returns warnings for clauses
     no leaf selects. `fuel` bounds all evaluation of the check.
-
-    A problem is its columns (a variable and its type each), the rows of
-    clause index and patterns that still claim it, one pattern per column,
-    and the shapes: the function's arguments as constructor spines over the
-    columns' variables.
     """
     used: set[int] = set()
-    stack = [(
+    stack: list[tuple[list, list, tuple | None]] = [(
         list(func.telescope.entries),
-        [(i, list(cl.patterns)) for i, cl in enumerate(func.clauses)],
-        [VarCall(x) for x, _ in func.telescope.entries],
+        [(i, cl.patterns) for i, cl in enumerate(func.clauses)],
+        None,
     )]
     while stack:
-        columns, rows, shapes = stack.pop()
+        columns, rows, chain = stack.pop()
         if not rows:
             # Unclaimed leaf: fine only if some remaining column type is empty.
             for _, ty in columns:
@@ -149,9 +168,7 @@ def check_coverage(sig: Signature, func: FuncDecl, fuel: Fuel) -> list[Warning]:
                     if type(av) is dict and not av:
                         break
             else:
-                # Shapes are constructor spines over the holes, which print as "_".
-                holes = {x: _HOLE for s in shapes for x in free_vars(s)}
-                case = ", ".join(pretty(subst(s, holes)) for s in shapes)
+                case = _missing_case(func, chain)
                 raise CoverageError(
                     MISSING_CASE,
                     f"missing case in {func.name}: {case or '(no arguments)'}",
@@ -159,11 +176,9 @@ def check_coverage(sig: Signature, func: FuncDecl, fuel: Fuel) -> list[Warning]:
                 )
             continue
 
-        split_at = _split_column(rows, len(columns))
+        split_at = _split_column(rows)
         if split_at is None:
-            # The first surviving row is all catch-alls: under first-match
-            # dispatch it claims the whole branch, so no split below it can
-            # select a later row.
+            # The first row is all catch-alls (see the module docstring).
             used.add(rows[0][0])
             continue
 
@@ -189,35 +204,38 @@ def check_coverage(sig: Signature, func: FuncDecl, fuel: Fuel) -> list[Warning]:
 
         # Reversed, so the first constructor's case is taken first.
         for ctor, fields in reversed(cases.items()):
-            entries = fields.entries
-            field_vars = [Var.fresh(x.text) for x, _ in entries]
-            rename = {x: VarCall(w) for (x, _), w in zip(entries, field_vars)}
-            refine = {var: ConCall(ctor, tuple(VarCall(w) for w in field_vars))}
-            new_columns = (
-                columns[:split_at]
-                + [(w, subst(ty_i, rename)) for w, (_, ty_i) in zip(field_vars, entries)]
-                + [(x, subst(ty_x, refine)) for x, ty_x in columns[split_at + 1 :]]
-            )
+            # One pass over the fields: a field's type mentions only earlier
+            # fields, so the renaming grows as it goes.
+            new_columns = columns[:split_at]
+            rename: dict[Var, Term] = {}
+            for x, ty_x in fields.entries:
+                w = VarCall(Var.fresh(x.text))
+                new_columns.append((w.var, subst(ty_x, rename) if rename else ty_x))
+                rename[x] = w
+            arity = len(rename)
+            refine = {var: ConCall(ctor, tuple(rename.values()))}
+            for x, ty_x in columns[split_at + 1 :]:
+                new_columns.append((x, subst(ty_x, refine)))
+            catch_alls = (_CATCH_ALL,) * arity
             new_rows = []
             for i, pats in rows:
                 p = pats[split_at]
                 c = type(p)
                 if c is BindPat:
-                    sub_pats = [BindPat(w) for w in field_vars]
+                    sub_pats = catch_alls
                 elif c is ConPat:
                     if p.name != ctor:
                         continue
-                    if len(p.args) != len(field_vars):
+                    sub_pats = p.args
+                    if len(sub_pats) != arity:
                         raise InternalError(
                             f"pattern arity for {p.name} disagrees with the "
                             f"row selected at this split"
                         )
-                    sub_pats = list(p.args)
                 else:  # impossible, at a type with constructors
                     continue
                 new_rows.append((i, pats[:split_at] + sub_pats + pats[split_at + 1 :]))
-            new_shapes = [subst(s, refine) for s in shapes]
-            stack.append((new_columns, new_rows, new_shapes))
+            stack.append((new_columns, new_rows, (chain, refine)))
 
     warnings = []
     for i, cl in enumerate(func.clauses):
@@ -232,14 +250,28 @@ def check_coverage(sig: Signature, func: FuncDecl, fuel: Fuel) -> list[Warning]:
     return warnings
 
 
-def _split_column(rows: list[tuple[int, list]], width: int) -> int | None:
+def _missing_case(func: FuncDecl, chain: tuple | None) -> str:
+    """The arguments at a leaf as constructor spines, "_" for each variable:
+    the chain's refinements replayed from the root."""
+    refines = []
+    while chain is not None:
+        chain, refine = chain
+        refines.append(refine)
+    shapes = [VarCall(x) for x, _ in func.telescope.entries]
+    for refine in reversed(refines):
+        shapes = [subst(s, refine) for s in shapes]
+    holes = {x: _HOLE for s in shapes for x in free_vars(s)}
+    return ", ".join(pretty(subst(s, holes)) for s in shapes)
+
+
+def _split_column(rows: list[tuple[int, tuple]]) -> int | None:
     """The first column that some row constrains with a non-catch-all, or
     None when the first row constrains none."""
-    if all(type(p) is BindPat for p in rows[0][1]):
-        return None
-    for j in range(width):
-        for _, pats in rows:
-            if type(pats[j]) is not BindPat:
-                return j
+    for k, p in enumerate(rows[0][1]):
+        if type(p) is not BindPat:
+            for j in range(k):
+                for _, pats in rows:
+                    if type(pats[j]) is not BindPat:
+                        return j
+            return k
     return None
-

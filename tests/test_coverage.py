@@ -10,10 +10,11 @@ from sit.core import EMPTY_TELESCOPE, ConCall, Var, VarCall
 from sit.coverage import Undecidable, available_ctors, check_coverage
 from sit.diagnostics import CoverageError, TypeCheckError
 from sit.evaluator import Fuel
-from sit.pattern_ops import Matched, match_terms
+from sit.pattern_ops import Matched, match_terms, vars_pats
 from sit.typecheck import TypeChecker, load
 
 from support import (
+    CORPUS,
     check_source,
     con,
     dat,
@@ -67,6 +68,25 @@ data Parity (n : Nat) : Type
         out = available_ctors(sig, "Parity", [nat_lit(0)], Fuel())
         assert list(out) == ["even"]
         assert out["even"].entries == ()
+
+    def test_observed_bindings_are_the_rows_own(self, vec_sig):
+        # Fields are instantiated at the row's bindings and the data
+        # telescope's variables together; the outcome the observer was shown
+        # keeps only the row's, now and after the call.
+        matched = []
+
+        def record(terms, pats, out):
+            if type(out) is Matched:
+                matched.append((pats, out, dict(out.sub)))
+
+        a, n = Var.fresh("A"), Var.fresh("n")
+        out = available_ctors(vec_sig, "Vec", [ref(a), con("suc", ref(n))], Fuel(observer=record))
+        assert list(out) == ["vcons"]
+        [(pats, seen, sub)] = matched
+        assert list(seen.sub) == [x for x, _ in vars_pats(pats)]
+        assert seen.sub == sub
+        tele_vars = {x for x, _ in vec_sig.data("Vec").telescope.entries}
+        assert not tele_vars & set(seen.sub)
 
 
 def dat_fn_to_one(fin_sig):
@@ -132,6 +152,21 @@ def f (a : Nat) (b : Nat) : Nat
             )
         assert exc.value.code == "E401"
         assert exc.value.message == "missing case in f: zero, suc _"
+
+    def test_deep_missing_case_replays_interleaved_splits(self):
+        # The missing case is four splits deep, alternating between the two
+        # columns, so its text depends on the order the splits are replayed.
+        with pytest.raises(CoverageError) as exc:
+            check_source(
+                (CORPUS / "fin.sit").read_text(encoding="utf-8")
+                + """
+def f (n : Nat) (x : Fin n) : Nat
+  | suc m, fzero => zero
+  | suc (suc m), fsuc fzero => zero
+"""
+            )
+        assert exc.value.code == "E401"
+        assert exc.value.message == "missing case in f: suc (suc _), fsuc (fsuc _)"
 
     def test_impossible_covers_vacuous_split(self, fin_sig):
         sig = check_source(
