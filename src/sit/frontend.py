@@ -60,6 +60,7 @@ beta-reduct, whose root is copied to take the application's span.
 """
 from __future__ import annotations
 
+import codecs
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -153,7 +154,13 @@ class Tokens:
 def decode_source(data: bytes, file: str) -> str:
     """The text of a UTF-8 source file, each newline read as "\n" (as a file
     opened in text mode reads it). An undecodable byte is a lex error at its
-    line and column."""
+    line and column.
+
+    A leading byte-order mark is dropped before decoding, so that the
+    position of a bad byte counts from the first character after it; a
+    U+FEFF anywhere else is an unexpected character."""
+    if data.startswith(codecs.BOM_UTF8):
+        data = data[len(codecs.BOM_UTF8) :]
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:

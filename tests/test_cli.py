@@ -143,6 +143,28 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err == f"{src}:3:16: error[E101]: invalid UTF-8 byte 0xff\n"
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        src = tmp_path / "bom.sit"
+        src.write_bytes(b"\xef\xbb\xbfdata N : Type\n  | z\n")
+        assert run(["check", str(src)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_bad_byte_after_byte_order_mark_is_located(self, tmp_path, capsys):
+        # The mark is not a character of the text: "N" is at column 6 and
+        # the bad byte after it at column 7.
+        src = tmp_path / "bombad.sit"
+        src.write_bytes(b"\xef\xbb\xbfdata N\xff : Type\n")
+        assert run(["check", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"{src}:1:7: error[E101]: invalid UTF-8 byte 0xff\n"
+
+    def test_byte_order_mark_past_the_start_is_a_lex_error(self, tmp_path, capsys):
+        src = tmp_path / "bommid.sit"
+        src.write_bytes(b"data N : Type\n  | z\n\xef\xbb\xbf")
+        assert run(["check", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"{src}:3:1: error[E101]: unexpected character '\\ufeff'\n"
+
     def test_deep_vec_literal_checks(self, tmp_path, capsys):
         # A nested constructor takes two checker frames: check_term and
         # check_args.
