@@ -88,8 +88,8 @@ def available_ctors(
     row matches with no bindings, unobserved.
 
     The data telescope's variables are taken once per declaration and cached
-    on it. A data type with no indices (`Nat`, `Bool`) has no arguments to
-    normalize and no instantiation to build.
+    on it. A data type with an empty telescope (`Nat`, `Bool`) has no
+    arguments to normalize and no instantiation to build.
     """
     decl = sig.data(data_name)
     if decl is None:
