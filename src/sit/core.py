@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .diagnostics import InternalError, SourceSpan
 
@@ -279,18 +279,17 @@ def pattern_has_impossible(p: Pattern) -> bool:
 
 
 class CtorRow(Node):
-    """One constructor of a data declaration.
-
-    `patterns` is None for a plain constructor; a pattern row selects the
-    constructor only at instantiations its patterns match.
+    """One constructor row of a data declaration: it selects the constructor
+    at the instantiations its patterns, one per data telescope entry, match.
+    A plain row's patterns are catch-alls binding the data telescope's own
+    variables, so it matches every instantiation.
     """
 
     __slots__ = ("name", "fields", "patterns", "span")
     name: str
     fields: Telescope
-    patterns: Optional[tuple[Pattern, ...]]
+    patterns: tuple[Pattern, ...]
     span: Optional[SourceSpan]
-    _defaults = {"patterns": None}
 
 
 class Clause(Node):
@@ -303,8 +302,7 @@ class Clause(Node):
 
 
 class DataDecl(Node):
-    # `_vars`, the telescope's binders, is cached by `coverage.available_ctors`.
-    __slots__ = ("name", "telescope", "ctors", "span", "_vars")
+    __slots__ = ("name", "telescope", "ctors", "span")
     name: str
     telescope: Telescope
     ctors: tuple[CtorRow, ...]
@@ -348,13 +346,11 @@ class Signature:
     alternative selection of the same constructor).
     """
 
-    def __init__(self, decls: Iterable[Declaration] = ()) -> None:
+    def __init__(self) -> None:
         self.decls: list[Declaration] = []
         self._datas: dict[str, DataDecl] = {}
         self._funcs: dict[str, FuncDecl] = {}
         self._ctor_owner: dict[str, DataDecl] = {}
-        for decl in decls:
-            self.add(decl)
 
     def add(self, decl: Declaration) -> None:
         """Append `decl`; only `decl` is indexed."""

@@ -3,8 +3,8 @@
 `available_ctors` is the one place constructor rows are matched, for a
 constructor the checker meets, a split, an unclaimed leaf and an impossible
 pattern alike. It normalizes the index terms and matches each row of the
-data declaration against them; a plain row always matches. The outcome
-decides selection:
+data declaration against them (a plain row's catch-alls match anything,
+binding the data telescope's variables). The outcome decides selection:
 
 - per constructor, the first of its rows that does not mismatch is the one
   that applies: if it matches, its instantiated fields are the
@@ -57,10 +57,7 @@ from .diagnostics import (
     Warning,
 )
 from .evaluator import Fuel, index_normal_form, whnf
-from .pattern_ops import Matched, Stuck, match_terms, vars_tele
-
-
-_NO_SUB: dict = {}  # an empty substitution, shared and never written
+from .pattern_ops import Matched, Stuck, match_terms
 
 
 class Undecidable(Node):
@@ -79,41 +76,30 @@ def available_ctors(
     ctor: str | None = None,
 ) -> dict[str, Telescope] | Undecidable:
     """The field telescope of each constructor of a data type available at
-    these arguments, taken from its first matching row, in the order of those
-    rows; `Undecidable` at the first stuck row. The arguments are normalized
-    here.
+    these arguments, taken from its first matching row and instantiated at
+    that match's bindings, in the order of those rows; `Undecidable` at the
+    first stuck row. The arguments are normalized here.
 
     Given `ctor`, only its rows are matched, and the first that does not
-    mismatch decides. Every match is reported to `fuel.observer`; a plain
-    row matches with no bindings, unobserved.
-
-    The data telescope's variables are taken once per declaration and cached
-    on it. A data type with an empty telescope (`Nat`, `Bool`) has no
-    arguments to normalize and no instantiation to build.
+    mismatch decides. Every match is reported to `fuel.observer`. A data
+    type with an empty telescope (`Nat`, `Bool`) has rows of no patterns,
+    each matching with no bindings: it is answered without the matcher,
+    so without normalizing, instantiating or observing anything.
     """
     decl = sig.data(data_name)
     if decl is None:
         raise InternalError(f"unknown data type {data_name}")
-    at_args = _NO_SUB
     if args:
         args = [index_normal_form(sig, a, fuel) for a in args]
-        tvars = decl._vars
-        if tvars is None:
-            tvars = vars_tele(decl.telescope)
-            object.__setattr__(decl, "_vars", tvars)
-        # Fields are instantiated at the row's bindings and the data
-        # telescope's variables at once: an argument may mention the latter
-        # (a row using its data type at them, swapped).
-        at_args = dict(zip(tvars, args))
     observer = fuel.observer
     fields: dict[str, Telescope] = {}
     for row in decl.ctors:
         name = row.name
         if ctor is not None and name != ctor:
             continue
-        pats = row.patterns
-        sub = _NO_SUB
-        if pats is not None:
+        sub = None
+        if args:
+            pats = row.patterns
             out = match_terms(args, pats)
             if observer is not None:
                 observer(args, pats, out)
@@ -125,10 +111,8 @@ def available_ctors(
             sub = out.sub
         if name not in fields:
             tele = row.fields
-            if tele.entries and (sub or at_args):
-                # The observer has seen `sub`: merge into a new map.
-                m = {**sub, **at_args} if sub and at_args else sub or at_args
-                tele = Telescope(tuple([(x, subst(ty, m)) for x, ty in tele.entries]))
+            if sub and tele.entries:
+                tele = Telescope(tuple([(x, subst(ty, sub)) for x, ty in tele.entries]))
             fields[name] = tele
         if ctor is not None:
             break

@@ -7,7 +7,7 @@ application binds tighter than `->`):
     decl    ::= "data" ID tele ":" "Type" ctorRow*
               | "def" ID tele ":" expr clause*
     ctorRow ::= "|" (patList "=>")? ID tele
-    clause  ::= "|" patList ("=>" expr)?
+    clause  ::= "|" patList? ("=>" expr)?
     patList ::= pat ("," pat)*
     pat     ::= ID patAtom* | "impossible"
     patAtom ::= ID | "impossible" | "(" pat ")"
@@ -16,6 +16,11 @@ application binds tighter than `->`):
               | expr1 ("->" expr)?
     expr1   ::= atom+
     atom    ::= ID | "Type" | "(" expr ")"
+
+A clause's pattern list is empty only before "=>": `| => e` is the clause of
+a function with no parameters. A plain constructor row (no patterns and no
+"=>") is read as the pattern row it stands for, one catch-all per binder of
+the data telescope, so every constructor is selected by its row's match.
 
 The lexer cuts each line into pieces in one `findall` pass, blanks and
 comments included, so the pieces' lengths give each token's column. Its
@@ -56,7 +61,8 @@ first and last token; a form that fills a pair of parentheses takes their
 positions. The lambdas of an expanded head share its span, and so do the
 uses of the variables they bind, so an error on one points at the head. A
 head in parentheses applied to arguments gives a grown spine or a
-beta-reduct, whose root is copied to take the application's span.
+beta-reduct, whose root is copied to take the application's span. The
+catch-alls of a plain row are spelt by no source text, so they have no span.
 """
 from __future__ import annotations
 
@@ -399,7 +405,7 @@ class _Reader:
         self.declare(name, _Global(DataCall, len(tele), hints), start)
         rows, last = [], name_at
         while self.kinds[self.pos] == "BAR":
-            row, last = self.ctor_row(name, len(tele), scope)
+            row, last = self.ctor_row(name, scope)
             rows.append(row)
         return DataDecl(name, tele, tuple(rows), self.spanned(start, start, last))
 
@@ -422,9 +428,7 @@ class _Reader:
         span = self.spanned(start, start, last)
         return FuncDecl(name, tele, result, tuple(clauses), span)
 
-    def ctor_row(
-        self, data_name: str, data_arity: int, data_scope: dict[str, Var]
-    ) -> tuple[CtorRow, int]:
+    def ctor_row(self, data_name: str, data_scope: dict[str, Var]) -> tuple[CtorRow, int]:
         """A constructor row, and the index of its name."""
         bar = self.expect("BAR", "'|'")
         # A plain row's name is followed by a telescope group or the row's
@@ -434,13 +438,13 @@ class _Reader:
         if kinds[pos] == "IDENT" and (
             kinds[pos + 1] in _ROW_END or self.binder_group(pos + 1)
         ):
-            pats = None
+            # A plain row: one catch-all per data telescope binder, binding
+            # the very variables its fields resolve against.
             scope = dict(data_scope)
-            binds = data_arity
+            pats = tuple([BindPat(x) for x in data_scope.values()])
         else:
             scope = {}
             pats = self.pat_list(scope)
-            binds = len(scope)
             self.expect("FATARROW", "'=>'")
         name_at = self.expect("IDENT", "a constructor name")
         fields = self.tele(scope, bar)
@@ -458,7 +462,9 @@ class _Reader:
         # variables are substituted away by the checker.
         bar = self.expect("BAR", "'|'")
         scope: dict[str, Var] = {}
-        pats = self.pat_list(scope)
+        # An empty pattern list, for a function with no parameters, only
+        # before "=>".
+        pats = () if self.kinds[self.pos] == "FATARROW" else self.pat_list(scope)
         if self.kinds[self.pos] != "FATARROW":
             return Clause(pats, None, self._span(bar, bar))
         self.pos += 1

@@ -2,19 +2,17 @@
 
 Each constructor row becomes a constructor whose type quantifies the row's
 pattern bindings, then the fields, and returns the data type at the terms
-the patterns stand for. Plain rows are first normalized into pattern rows
-whose patterns are the data telescope's variables.
+the patterns stand for. A plain row's patterns are catch-alls over the data
+telescope, so it quantifies the telescope and returns the type at it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .core import (
-    BindPat,
     CtorRow,
     DataCall,
     DataDecl,
-    Pattern,
     Pi,
     Signature,
     Telescope,
@@ -36,16 +34,8 @@ class GeneralData:
     ctors: tuple[tuple[str, Term], ...]
 
 
-def as_pattern_row(decl: DataDecl, row: CtorRow) -> CtorRow:
-    """A plain row as the equivalent pattern row binding the telescope vars."""
-    if row.patterns is not None:
-        return row
-    pats = tuple(BindPat(x, ty) for x, ty in decl.telescope)
-    return CtorRow(row.name, row.fields, pats, row.span)
-
-
 def _ctor_type(decl: DataDecl, row: CtorRow) -> Term:
-    pats: tuple[Pattern, ...] = as_pattern_row(decl, row).patterns
+    pats = row.patterns
     binders = vars_pats(pats)
     codomain: Term = DataCall(decl.name, tuple(to_terms(pats)))
     ty = codomain
@@ -66,8 +56,7 @@ def to_general(sig: Signature, decl: DataDecl) -> GeneralData:
     ctors = tuple(
         (row.name, _ctor_type(decl, row))
         for row in decl.ctors
-        if row.patterns is None
-        or not any(pattern_has_impossible(p) for p in row.patterns)
+        if not any(pattern_has_impossible(p) for p in row.patterns)
     )
     return GeneralData(decl.name, decl.telescope, ctors)
 

@@ -168,9 +168,8 @@ class TypeChecker:
                 raise TypeCheckError(
                     UNKNOWN_NAME, f"unknown function {term.name}", span
                 )
-            self.check_args(ctx, term.args, func.telescope, span)
-            result = subst(func.result, dict(zip(vars_tele(func.telescope), term.args)))
-            self._require_type(result, expected, span)
+            earlier = self.check_args(ctx, term.args, func.telescope, span)
+            self._require_type(subst(func.result, earlier), expected, span)
         elif c is DataCall:
             decl = self.sig.data(term.name)
             if decl is None:
@@ -241,8 +240,9 @@ class TypeChecker:
         args: Sequence[Term],
         tele: Telescope,
         span: Optional[SourceSpan] = None,
-    ) -> None:
-        """Check that the arguments instantiate the telescope, left to right.
+    ) -> dict[Var, Term]:
+        """Check that the arguments instantiate the telescope, left to right;
+        returns the instantiation, each entry's variable mapped to its argument.
 
         Each entry type is instantiated at the earlier arguments all at once:
         an argument may mention the telescope's own variables (a data type's
@@ -259,6 +259,7 @@ class TypeChecker:
         for arg, (x, ty) in zip(args, entries):
             self.check_term(ctx, arg, subst(ty, earlier) if earlier else ty)
             earlier[x] = arg
+        return earlier
 
     def check_telescope(self, ctx: Telescope, tele: Telescope) -> Telescope:
         """Check each entry's type is a type; returns the extended context."""
@@ -270,24 +271,29 @@ class TypeChecker:
     # -- patterns -----------------------------------------------------------
 
     def check_row(
-        self, pats: Sequence[Pattern], tele: Telescope
-    ) -> tuple[tuple[Pattern, ...], Telescope, Optional[list[Term]]]:
+        self,
+        pats: Sequence[Pattern],
+        tele: Telescope,
+        span: Optional[SourceSpan] = None,
+    ) -> tuple[tuple[Pattern, ...], Telescope, Optional[dict[Var, Term]]]:
         """Check a pattern row against a telescope.
 
         Returns the typed patterns, the telescope of their bindings (left to
-        right and depth first), and the row's terms: None when some pattern
-        contains `impossible`.
+        right and depth first), and the row's instantiation of the telescope,
+        each entry's variable mapped to its pattern's term: None when some
+        pattern contains `impossible`. A wrong number of patterns is located
+        at the first one, or at `span` when there is none.
         """
         if len(pats) != len(tele.entries):
             raise TypeCheckError(
                 ARITY_MISMATCH,
                 f"row has {len(pats)} patterns for {len(tele)} telescope entries",
-                pats[0].span if pats else None,
+                pats[0].span if pats else span,
             )
         self._check_linear(pats)
         binds: list[tuple[Var, Term]] = []
-        typed, terms = self._check_pats(pats, tele.entries, False, binds)
-        return typed, Telescope(tuple(binds)), terms
+        typed, sub = self._check_pats(pats, tele.entries, False, binds)
+        return typed, Telescope(tuple(binds)), sub
 
     def _check_pats(self, pats, entries, lenient, binds):
         """The one walk over a row's patterns, nested rows included.
@@ -295,12 +301,13 @@ class TypeChecker:
         Each pattern's term is substituted into the remaining entry types; a
         pattern containing `impossible` has no term, so a fresh opaque
         variable stands in and the rest is checked leniently. Bindings are
-        appended to `binds`. Returns the typed patterns and their terms, or
-        None for the terms when some pattern contains `impossible`.
+        appended to `binds`. Returns the typed patterns and the instantiation
+        of the entries at their terms, or None for it when some pattern
+        contains `impossible`.
         """
         earlier: dict[Var, Term] = {}
         typed: list[Pattern] = []
-        terms: Optional[list[Term]] = []
+        impossible = False
         for pat, (x, ty) in zip(pats, entries):
             typed_p, term = self._check_pat(
                 pat, subst(ty, earlier) if earlier else ty, lenient, binds
@@ -308,12 +315,9 @@ class TypeChecker:
             typed.append(typed_p)
             if term is None:
                 term = VarCall(Var.fresh("_abs"))
-                lenient = True
-                terms = None
-            elif terms is not None:
-                terms.append(term)
+                impossible = lenient = True
             earlier[x] = term
-        return tuple(typed), terms
+        return tuple(typed), None if impossible else earlier
 
     def _check_pat(self, pat, ty, lenient, binds) -> tuple[Pattern, Optional[Term]]:
         """Check one pattern at `ty`, or under an opaque type when `ty` is
@@ -366,7 +370,8 @@ class TypeChecker:
                     pat.span,
                 )
             else:
-                typed, terms = self._check_pats(qs, fields.entries, lenient, binds)
+                typed, sub = self._check_pats(qs, fields.entries, lenient, binds)
+                terms = None if sub is None else sub.values()
             term = None if terms is None else ConCall(name, tuple(terms))
             return ConPat(name, typed, pat.span), term
         if c is ImpossiblePat:
@@ -430,8 +435,8 @@ class TypeChecker:
 
     def check_clause(self, tele: Telescope, result: Term, clause: Clause) -> Clause:
         """Check one function clause; returns it with typed patterns."""
-        typed, theta, terms = self.check_row(clause.patterns, tele)
-        has_impossible = terms is None
+        typed, theta, sub = self.check_row(clause.patterns, tele, clause.span)
+        has_impossible = sub is None
         if has_impossible and clause.body is not None:
             raise TypeCheckError(
                 IMPOSSIBLE_HAS_BODY,
@@ -445,18 +450,16 @@ class TypeChecker:
                 clause.span,
             )
         if clause.body is not None:
-            expected = subst(result, dict(zip(vars_tele(tele), terms)))
-            self.check_term(theta, clause.body, expected)
+            self.check_term(theta, clause.body, subst(result, sub))
         return Clause(typed, clause.body, clause.span)
 
     def check_ctor_row(self, tele: Telescope, row: CtorRow) -> CtorRow:
-        """Check one constructor row; returns it with typed patterns."""
-        if row.patterns is None:
-            self.check_telescope(tele, row.fields)
-            return row
+        """Check one constructor row, then its fields under the row's
+        bindings; returns it with typed patterns."""
         typed, theta, _ = self.check_row(row.patterns, tele)
         self.check_telescope(theta, row.fields)
-        if self.strict_row_fields:
+        # A plain row binds the data telescope itself: nothing to re-check.
+        if self.strict_row_fields and theta != tele:
             try:
                 self.check_telescope(tele, row.fields)
             except TypeCheckError as err:

@@ -24,7 +24,7 @@ from sit.core import (
 )
 from sit.evaluator import Fuel, normalize
 from sit.pattern_ops import Matched, Mismatch, match_terms, to_terms, vars_pats
-from sit.translate import as_pattern_row, to_general
+from sit.translate import to_general
 from sit.typecheck import TypeChecker
 from sit.core import UNIV
 
@@ -145,7 +145,7 @@ def test_c4_pattern_terms_instantiate_telescopes(sigs, random_rows):
         for sig in sigs.values():
             for decl in sig.decls:
                 if isinstance(decl, DataDecl):
-                    rows = [r.patterns for r in decl.ctors if r.patterns is not None]
+                    rows = [r.patterns for r in decl.ctors]
                 else:
                     rows = [cl.patterns for cl in decl.clauses]
                 for pats in rows:
@@ -207,7 +207,7 @@ def test_c5_translation_soundness(sigs):
                 if not isinstance(decl, DataDecl):
                     continue
                 for tup, row in _soundness_pairs(sig, decl, depth):
-                    pats = as_pattern_row(decl, row).patterns
+                    pats = row.patterns
                     flexible = {x for x, _ in vars_pats(pats)}
                     got = match_terms(list(tup), pats)
                     want = oracle_unify(list(tup), to_terms(pats), flexible)

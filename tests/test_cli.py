@@ -205,6 +205,29 @@ class TestEval:
         assert code == 0
         assert capsys.readouterr().out.strip() == "suc (suc (suc (suc zero)))"
 
+    def test_function_with_no_parameters(self, tmp_path, capsys):
+        # `| => e` is the one clause a function with no parameters can have.
+        src = tmp_path / "four.sit"
+        nat = (CORPUS / "nat.sit").read_text()
+        src.write_text(nat + "def two : Nat\n  | => suc (suc zero)\n"
+                       "def four : Nat\n  | => suc (suc two)\n")
+        assert run(["eval", str(src), "-e", "four"]) == 0
+        assert capsys.readouterr().out == "suc (suc (suc (suc zero)))\n"
+
+        line = len(nat.splitlines()) + 3
+        src.write_text(nat + "def two : Nat\n  | => suc (suc zero)\n  | => zero\n")
+        assert run(["check", str(src)]) == 0
+        assert capsys.readouterr().err == (
+            f"{src}:{line}:3: warning[W401]: clause 2 of two is selected by no case\n"
+        )
+
+        # An empty row for a function with parameters is located at its clause.
+        src.write_text(nat + "def f (n : Nat) : Nat\n  | => zero\n")
+        assert run(["check", str(src)]) == 1
+        assert capsys.readouterr().err == (
+            f"{src}:{line - 1}:3: error[E302]: row has 0 patterns for 1 telescope entries\n"
+        )
+
     def test_fuel_exhaustion_exit_code(self, tmp_path, capsys):
         src = tmp_path / "loop.sit"
         src.write_text(
@@ -330,6 +353,43 @@ class TestEval:
         capsys.readouterr()
         assert run(args) == 0
         assert capsys.readouterr().err == ""
+
+    def test_trace_match_at_plain_rows(self, capsys, tmp_path):
+        # A plain row of a type with arguments selects its constructor by a
+        # match of its catch-alls, which is traced like any other.
+        path = tmp_path / "len.sit"
+        path.write_text((CORPUS / "list.sit").read_text() + LEN)
+        assert run(["check", str(path), "--trace-match"]) == 0
+        assert capsys.readouterr().err == "match [A] ~ [A] -> matched {A := A}\n" * 4
+        args = ["eval", str(path), "-e", "len (List Type) (cons nil nil)", "--trace-match"]
+        assert run(args) == 0
+        out = capsys.readouterr()
+        assert out.out == "suc zero\n"
+        assert out.err == LEN_EVAL_TRACE
+
+
+LEN = """
+data Nat : Type
+  | zero
+  | suc (n : Nat)
+
+def len (A : Type) (xs : List A) : Nat
+  | A, nil => zero
+  | A, cons x xs => suc (len A xs)
+"""
+
+# `sit eval` of `len (List Type) (cons nil nil)` after corpus/list.sit and
+# LEN, `--trace-match`: the file's check as in `sit check`, then the -e check
+# selects `cons` at `List (List Type)` and `nil` at `List Type` and at
+# `List (List Type)`, then `len` runs.
+LEN_EVAL_TRACE = "match [A] ~ [A] -> matched {A := A}\n" * 4 + """\
+match [List Type] ~ [A] -> matched {A := List Type}
+match [Type] ~ [A] -> matched {A := Type}
+match [List Type] ~ [A] -> matched {A := List Type}
+match [List Type, cons nil nil] ~ [A, nil] -> mismatch
+match [List Type, cons nil nil] ~ [A, cons x xs] -> matched {A := List Type, x := nil, xs := nil}
+match [List Type, nil] ~ [A, nil] -> matched {A := List Type}
+"""
 
 
 # `sit check corpus/normalize.sit --trace-match`: every match of the check,

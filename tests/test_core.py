@@ -424,8 +424,6 @@ def _first_matching_row(decl, name, args):
     bindings: the row whose fields `available_ctors` gives."""
     for row in decl.ctors:
         if row.name == name:
-            if row.patterns is None:
-                return row, {}
             out = match_terms(args, row.patterns)
             if isinstance(out, Matched):
                 return row, out.sub

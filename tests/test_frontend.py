@@ -80,10 +80,22 @@ class TestParser:
             "Nat",
             EMPTY_TELESCOPE,
             (
-                CtorRow("zero", EMPTY_TELESCOPE, None),
-                CtorRow("suc", Telescope(((n, NAT_T),)), None),
+                CtorRow("zero", EMPTY_TELESCOPE, ()),
+                CtorRow("suc", Telescope(((n, NAT_T),)), ()),
             ),
         )
+
+    def test_plain_row_binds_the_data_telescope(self):
+        # One catch-all per data telescope binder, the very variable the
+        # fields resolve against; no source text spells it, so no span.
+        decls = Resolver().run(
+            tokenize(NAT + "data List (A : Type) : Type\n  | nil\n  | cons (x : A) (xs : List A)\n")
+        )
+        ((a, _),) = decls[1].telescope.entries
+        nil, cons = decls[1].ctors
+        assert nil.patterns == cons.patterns == (BindPat(a),)
+        assert nil.patterns[0].span is None
+        assert cons.fields.entries[0][1] == VarCall(a)
 
     def test_pattern_row(self):
         decls = Resolver().run(
@@ -140,6 +152,15 @@ class TestParser:
     def test_missing_clause_body_is_an_error(self):
         with pytest.raises(ParseError):
             Resolver().run(tokenize("def f (x : Nat) : Nat | zero =>"))
+
+    def test_empty_pattern_list_only_before_the_arrow(self):
+        (_, two) = Resolver().run(tokenize(NAT + "def two : Nat\n  | => suc (suc zero)\n"))
+        (clause,) = two.clauses
+        assert clause.patterns == ()
+        assert clause.body == ConCall("suc", (ConCall("suc", (ConCall("zero", ()),)),))
+        with pytest.raises(ParseError) as exc:
+            Resolver().run(tokenize(NAT + "def two : Nat\n  |\n"))
+        assert exc.value.message == "expected a pattern, found end of input"
 
     def test_unterminated_group(self):
         with pytest.raises(ParseError):

@@ -318,8 +318,6 @@ class TestRoundTrip:
                 if decl is None:
                     continue
                 for row in decl.ctors:
-                    if row.patterns is None:
-                        continue
                     out = match_terms(to_terms(row.patterns), row.patterns)
                     assert isinstance(out, Matched)
                     for x, t in out.sub.items():

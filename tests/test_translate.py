@@ -7,7 +7,7 @@ import pytest
 from sit.core import EMPTY_TELESCOPE, DataCall, Pi, pretty
 from sit.diagnostics import TypeCheckError
 from sit.pattern_ops import Matched, Mismatch, match_terms, to_terms, vars_pats
-from sit.translate import as_pattern_row, emit_general, synth_ctor_type, to_general
+from sit.translate import emit_general, synth_ctor_type, to_general
 from sit.typecheck import TypeChecker
 from sit.core import UNIV
 
@@ -138,7 +138,7 @@ class TestWellTypedness:
         for sig, name in ((vec_sig, "Vec"), (fin_sig, "Fin")):
             decl = sig.data(name)
             for row in decl.ctors:
-                pats = as_pattern_row(decl, row).patterns
+                pats = row.patterns
                 TypeChecker(sig).check_args(
                     vars_pats(pats), to_terms(pats), decl.telescope
                 )
@@ -148,7 +148,7 @@ class TestSoundnessAgainstUnificationOracle:
     def outcomes_agree(self, sig, decl, tuples):
         for tup in tuples:
             for row in decl.ctors:
-                pats = as_pattern_row(decl, row).patterns
+                pats = row.patterns
                 pat_terms = to_terms(pats)
                 flexible = {x for x, _ in vars_pats(pats)}
                 got = match_terms(list(tup), pats)

@@ -24,6 +24,7 @@ from sit.diagnostics import FuelError, TypeCheckError
 from sit.evaluator import Fuel
 from sit.frontend import Resolver, tokenize
 from sit.pattern_ops import to_terms, vars_pats
+from sit.cli import run
 from sit.typecheck import TypeChecker, evaluate, load
 
 from support import (
@@ -288,7 +289,7 @@ def f (a : Nat) : Nat
 
     def test_unbound_variable_in_ctor_fields(self, nat_sig):
         m = Var.fresh("m")
-        row = CtorRow("bad", Telescope.of((Var.fresh("x"), ref(m))), None)
+        row = CtorRow("bad", Telescope.of((Var.fresh("x"), ref(m))), ())
         with pytest.raises(TypeCheckError) as exc:
             TypeChecker(nat_sig).check_ctor_row(Telescope(), row)
         assert code_of(exc) == "E301"
@@ -619,11 +620,7 @@ class TestPatternTermsAreWellTyped:
             for decl in sig.decls:
                 rows = []
                 if isinstance(decl, DataDecl):
-                    rows = [
-                        (row.patterns, decl.telescope)
-                        for row in decl.ctors
-                        if row.patterns is not None
-                    ]
+                    rows = [(row.patterns, decl.telescope) for row in decl.ctors]
                 elif isinstance(decl, FuncDecl):
                     rows = [(cl.patterns, decl.telescope) for cl in decl.clauses]
                 for pats, tele in rows:
@@ -631,11 +628,7 @@ class TestPatternTermsAreWellTyped:
 
 
 class TestPlainAndPatternRowAgreement:
-    def test_list_rows_in_pattern_form(self):
-        from sit.translate import as_pattern_row
-
-        list_sig = check_source(
-            """
+    LIST = """\
 data Nat : Type
   | zero
   | suc (n : Nat)
@@ -643,24 +636,44 @@ data Nat : Type
 data List (A : Type) : Type
   | nil
   | cons (x : A) (xs : List A)
-"""
-        )
-        decl = list_sig.data("List")
-        pattern_rows = tuple(as_pattern_row(decl, row) for row in decl.ctors)
-        converted = DataDecl(decl.name, decl.telescope, pattern_rows)
-        sig2 = TypeChecker().check_signature([list_sig.data("Nat"), converted])
 
-        good = [
-            (con("nil"), dat("List", dat("Nat"))),
-            (con("cons", nat_lit(0), con("nil")), dat("List", dat("Nat"))),
-        ]
-        bad = [
-            (con("cons", con("nil"), con("nil")), dat("List", dat("Nat"))),
-        ]
-        for term, ty in good:
-            TypeChecker(list_sig).check_term(EMPTY_TELESCOPE, term, ty)
-            TypeChecker(sig2).check_term(EMPTY_TELESCOPE, term, ty)
-        for term, ty in bad:
-            for sig in (list_sig, sig2):
-                with pytest.raises(TypeCheckError):
-                    TypeChecker(sig).check_term(EMPTY_TELESCOPE, term, ty)
+def len (A : Type) (xs : List A) : Nat
+  | A, nil => zero
+  | A, cons x xs => suc (len A xs)
+"""
+    COMMANDS = [
+        ["check"],
+        ["translate"],
+        ["ctor-type", "nil"],
+        ["ctor-type", "cons"],
+        ["eval", "-e", "len Nat (cons zero (cons (suc zero) nil))"],
+        ["eval", "-e", "len Nat (cons nil nil)"],
+    ]
+
+    def outputs(self, text, tmp_path, capsys):
+        path = tmp_path / "list.sit"
+        path.write_text(text)
+        out = []
+        for command in self.COMMANDS:
+            code = run([command[0], str(path), *command[1:]])
+            got = capsys.readouterr()
+            out.append((code, got.out, got.err.replace(str(path), "list.sit")))
+        return out
+
+    def test_list_rows_in_pattern_form(self, tmp_path, capsys):
+        # A plain row is read as catch-alls over the data telescope: written
+        # out as a pattern row, every command gives the same output.
+        pattern_form = self.LIST.replace("  | nil", "  | A => nil").replace(
+            "  | cons", "  | A => cons"
+        )
+        assert pattern_form != self.LIST
+        plain = self.outputs(self.LIST, tmp_path, capsys)
+        assert plain == self.outputs(pattern_form, tmp_path, capsys)
+        assert [code for code, _, _ in plain] == [0, 0, 0, 0, 0, 1]
+        assert plain[1][1].endswith(
+            "data List : (A : Type) → Type where\n"
+            "  nil : (A : Type) → List A\n"
+            "  cons : (A : Type) (x : A) (xs : List A) → List A\n"
+        )
+        assert plain[4][1] == "suc (suc zero)\n"
+        assert "error[E309]: constructor nil belongs to List, not Nat" in plain[5][2]
