@@ -5,6 +5,7 @@ import gc
 import pytest
 
 from sit import core, coverage, evaluator, typecheck
+from sit.cli import run
 from sit.core import (
     BindPat,
     Clause,
@@ -24,7 +25,6 @@ from sit.diagnostics import FuelError, TypeCheckError
 from sit.evaluator import Fuel
 from sit.frontend import Resolver, tokenize
 from sit.pattern_ops import to_terms, vars_pats
-from sit.cli import run
 from sit.typecheck import TypeChecker, evaluate, load
 
 from support import (
