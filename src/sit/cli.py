@@ -184,6 +184,7 @@ def _dispatch(args, fuel: Fuel) -> int:
 
 
 def main() -> None:
+    sys.stdout.reconfigure(encoding="utf-8")  # as the -o file is, whatever the locale
     sys.exit(run())
 
 

@@ -27,28 +27,31 @@ A frozen dataclass stores each field through `object.__setattr__` into an
 instance dict: a `ConCall` took 0.79 µs to build that way against 0.66 µs
 as a `Node`, its two cache slots included, and a `Pi` 1.09 against 0.77 µs
 (timeit, net of the call, same host). Creating the class at import took
-0.87 ms for a frozen dataclass and 0.08 ms for a `Node`.
+0.87 ms for a frozen dataclass and 0.08 ms for a `Node`. No module of sit
+defines a dataclass or imports `typing`: `dataclasses`, its `inspect` and
+`typing` made half of `python3 -S -X importtime -c "import sit"`, 52.3 ms
+cumulative with them and 25.5 without (bytecode cached).
 """
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
+from collections.abc import Iterator
 from operator import attrgetter
-from typing import Iterator, NamedTuple, Optional
 
 from .diagnostics import InternalError, SourceSpan
 
 _uid = itertools.count(1)
 
 
-class Var(NamedTuple):
+class Var(namedtuple("Var", "text uid")):
     """A binder identity: surface text plus a globally unique id.
 
     Every set and map of the walks is keyed by vars, so a var is a named
     tuple: it hashes and compares in C, not through Python-level methods.
     """
 
-    text: str
-    uid: int
+    __slots__ = ()
 
     @staticmethod
     def fresh(text: str = "x") -> Var:
@@ -134,7 +137,7 @@ class FnCall(Node):
     __slots__ = ("name", "args", "span", "_fv")
     name: str
     args: tuple[Term, ...]
-    span: Optional[SourceSpan]
+    span: SourceSpan | None
 
 
 class VarCall(Node):
@@ -143,7 +146,7 @@ class VarCall(Node):
     __slots__ = ("var", "args", "span", "_fv")
     var: Var
     args: tuple[Term, ...]
-    span: Optional[SourceSpan]
+    span: SourceSpan | None
     _defaults = {"args": ()}
 
 
@@ -153,7 +156,7 @@ class DataCall(Node):
     __slots__ = ("name", "args", "span", "_fv")
     name: str
     args: tuple[Term, ...]
-    span: Optional[SourceSpan]
+    span: SourceSpan | None
 
 
 class ConCall(Node):
@@ -162,7 +165,7 @@ class ConCall(Node):
     __slots__ = ("name", "args", "span", "_fv", "_spine_normal")
     name: str
     args: tuple[Term, ...]
-    span: Optional[SourceSpan]
+    span: SourceSpan | None
 
 
 class Pi(Node):
@@ -170,19 +173,19 @@ class Pi(Node):
     binder: Var
     domain: Term
     codomain: Term
-    span: Optional[SourceSpan]
+    span: SourceSpan | None
 
 
 class Lam(Node):
     __slots__ = ("binder", "body", "span", "_fv")
     binder: Var
     body: Term
-    span: Optional[SourceSpan]
+    span: SourceSpan | None
 
 
 class Univ(Node):
     __slots__ = ("span", "_fv")
-    span: Optional[SourceSpan]
+    span: SourceSpan | None
 
 
 Term = FnCall | VarCall | DataCall | ConCall | Pi | Lam | Univ
@@ -212,7 +215,7 @@ class Telescope(Node):
     def extended(self, var: Var, ty: Term) -> Telescope:
         return Telescope(self.entries + ((var, ty),))
 
-    def lookup(self, var: Var) -> Optional[Term]:
+    def lookup(self, var: Var) -> Term | None:
         """The type of the latest binding of `var`, or None."""
         for x, ty in reversed(self.entries):
             if x == var:
@@ -241,8 +244,8 @@ class BindPat(Node):
 
     __slots__ = ("var", "ty", "span")
     var: Var
-    ty: Optional[Term]
-    span: Optional[SourceSpan]
+    ty: Term | None
+    span: SourceSpan | None
     _defaults = {"ty": None}
 
 
@@ -250,13 +253,13 @@ class ConPat(Node):
     __slots__ = ("name", "args", "span")
     name: str
     args: tuple[Pattern, ...]
-    span: Optional[SourceSpan]
+    span: SourceSpan | None
     _defaults = {"args": ()}
 
 
 class ImpossiblePat(Node):
     __slots__ = ("span",)
-    span: Optional[SourceSpan]
+    span: SourceSpan | None
 
 
 Pattern = BindPat | ConPat | ImpossiblePat
@@ -289,7 +292,7 @@ class CtorRow(Node):
     name: str
     fields: Telescope
     patterns: tuple[Pattern, ...]
-    span: Optional[SourceSpan]
+    span: SourceSpan | None
 
 
 class Clause(Node):
@@ -297,8 +300,8 @@ class Clause(Node):
 
     __slots__ = ("patterns", "body", "span")
     patterns: tuple[Pattern, ...]
-    body: Optional[Term]
-    span: Optional[SourceSpan]
+    body: Term | None
+    span: SourceSpan | None
 
 
 class DataDecl(Node):
@@ -306,7 +309,7 @@ class DataDecl(Node):
     name: str
     telescope: Telescope
     ctors: tuple[CtorRow, ...]
-    span: Optional[SourceSpan]
+    span: SourceSpan | None
 
 
 class FuncDecl(Node):
@@ -315,7 +318,7 @@ class FuncDecl(Node):
     telescope: Telescope
     result: Term
     clauses: tuple[Clause, ...]
-    span: Optional[SourceSpan]
+    span: SourceSpan | None
 
     @property
     def inspected_columns(self) -> frozenset[int]:
@@ -379,13 +382,13 @@ class Signature:
         out._ctor_owner = dict(self._ctor_owner)
         return out
 
-    def data(self, name: str) -> Optional[DataDecl]:
+    def data(self, name: str) -> DataDecl | None:
         return self._datas.get(name)
 
-    def func(self, name: str) -> Optional[FuncDecl]:
+    def func(self, name: str) -> FuncDecl | None:
         return self._funcs.get(name)
 
-    def ctor_owner(self, name: str) -> Optional[DataDecl]:
+    def ctor_owner(self, name: str) -> DataDecl | None:
         """The data declaration that introduces constructor `name`."""
         return self._ctor_owner.get(name)
 

@@ -29,7 +29,7 @@ leftmost one.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .core import (
     BindPat,

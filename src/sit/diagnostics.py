@@ -1,20 +1,11 @@
 """Source spans, diagnostic codes, and the error hierarchy shared by all stages."""
 from __future__ import annotations
 
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import NamedTuple
 
 
-class _Span(NamedTuple):
-    file: str
-    start_line: int
-    start_col: int
-    end_line: int
-    end_col: int
-
-
-class SourceSpan(_Span):
+class SourceSpan(namedtuple("_Span", "file start_line start_col end_line end_col")):
     """A 1-based region of a source file; start is never past end.
 
     A tuple, so building one costs one allocation: the frontend makes one per
@@ -146,13 +137,11 @@ def reported_at(source: str):
         raise SitError(INTERNAL_ERROR, message, where) from None
 
 
-@dataclass(frozen=True)
-class Warning:
-    """A non-fatal diagnostic; never changes the exit status."""
+class Warning(namedtuple("Warning", "code message span", defaults=(None,))):
+    """A non-fatal diagnostic, at `span` when it has one; never changes the
+    exit status."""
 
-    code: str
-    message: str
-    span: SourceSpan | None = None
+    __slots__ = ()
 
     def render(self) -> str:
         where = str(self.span) if self.span else "<unknown>:0:0"

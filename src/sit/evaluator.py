@@ -22,8 +22,7 @@ copied.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from collections.abc import Callable, Sequence
 
 from .core import (
     ConCall,
@@ -45,7 +44,6 @@ from .pattern_ops import Matched, MatchOutcome, Stuck, match_terms
 DEFAULT_FUEL = 1_000_000
 
 
-@dataclass
 class Fuel:
     """The budget of one run: every clause firing of the checker, coverage
     and the evaluator spends one step of the same `limit`.
@@ -54,11 +52,14 @@ class Fuel:
     patterns and the outcome), by `whnf` and `coverage.available_ctors`.
     """
 
-    limit: int = DEFAULT_FUEL
-    used: int = 0
-    observer: Optional[
-        Callable[[Sequence[Term], Sequence[Pattern], MatchOutcome], None]
-    ] = None
+    __slots__ = ("limit", "used", "observer")
+
+    def __init__(self, limit: int = DEFAULT_FUEL, *, observer: (
+        Callable[[Sequence[Term], Sequence[Pattern], MatchOutcome], None] | None
+    ) = None) -> None:
+        self.limit = limit
+        self.used = 0
+        self.observer = observer
 
     def spend(self) -> None:
         self.used += 1

@@ -68,8 +68,7 @@ from __future__ import annotations
 
 import codecs
 import re
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .core import (
     BindPat,
@@ -116,14 +115,11 @@ KEYWORDS = {"data", "def", "fn", "impossible", "Type"}
 # Lexer
 
 
-class Token(NamedTuple):
-    """One token and where it starts."""
+class Token(namedtuple("Token", "kind text file line col")):
+    """One token and where it starts. `kind` is IDENT, one of KEYWORDS, LPAREN,
+    RPAREN, COLON, COMMA, BAR, FATARROW, ARROW or EOF; `text` is "" for EOF."""
 
-    kind: str  # IDENT, one of KEYWORDS, LPAREN, RPAREN, COLON, COMMA, BAR, FATARROW, ARROW, EOF
-    text: str  # "" for EOF
-    file: str
-    line: int
-    col: int
+    __slots__ = ()
 
     @property
     def span(self) -> SourceSpan:
@@ -131,16 +127,19 @@ class Token(NamedTuple):
         return SourceSpan(self.file, line, col, line, col + n - 1 if n else col)
 
 
-@dataclass
 class Tokens:
     """The tokens of one text as four parallel lists, one entry per token
     and EOF last. Indexing, and so iterating, builds each entry's `Token`."""
 
-    kinds: list[str]
-    texts: list[str]
-    lines: list[int]
-    cols: list[int]
-    file: str
+    __slots__ = ("kinds", "texts", "lines", "cols", "file", "__weakref__")
+
+    def __init__(self, kinds: list[str], texts: list[str], lines: list[int],
+                 cols: list[int], file: str) -> None:
+        self.kinds = kinds
+        self.texts = texts
+        self.lines = lines
+        self.cols = cols
+        self.file = file
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -263,14 +262,17 @@ def parse_expression(text: str, file: str = "<expr>") -> Tokens:
     return tokenize(text, file)
 
 
-@dataclass
 class _Global:
-    kind: type[DataCall | FnCall | ConCall]  # the node a full call builds
-    arity: int  # the arguments a full call takes: a constructor's fields
-    # One binder name per parameter, for eta-expansion: a constructor's
-    # parameters are its row's bindings, then its fields.
-    hints: tuple[str, ...]
-    owner: str = ""  # a constructor's data type
+    __slots__ = ("kind", "arity", "hints", "owner")
+
+    def __init__(self, kind: type[DataCall | FnCall | ConCall], arity: int,
+                 hints: tuple[str, ...], owner: str = "") -> None:
+        self.kind = kind  # the node a full call builds
+        self.arity = arity  # the arguments a full call takes: a constructor's fields
+        # One binder name per parameter, for eta-expansion: a constructor's
+        # parameters are its row's bindings, then its fields.
+        self.hints = hints
+        self.owner = owner  # a constructor's data type
 
 
 class Resolver:

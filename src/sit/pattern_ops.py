@@ -7,7 +7,7 @@ is one loop over an explicit stack of rows, with no nesting limit.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .core import (
     BindPat,

@@ -7,12 +7,11 @@ telescope, so it quantifies the telescope and returns the type at it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     CtorRow,
     DataCall,
     DataDecl,
+    Node,
     Pi,
     Signature,
     Telescope,
@@ -24,11 +23,11 @@ from .diagnostics import UNKNOWN_NAME, TypeCheckError
 from .pattern_ops import to_terms, vars_pats
 
 
-@dataclass(frozen=True)
-class GeneralData:
+class GeneralData(Node):
     """A data type whose constructors carry arbitrary Pi types ending in an
     instantiation of the data type. The telescope holds indices only."""
 
+    __slots__ = ("name", "telescope", "ctors")
     name: str
     telescope: Telescope
     ctors: tuple[tuple[str, Term], ...]

@@ -22,8 +22,7 @@ the one sequence of the `sit` command, the tests and the scripts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from . import coverage as coverage_mod
 from .core import (
@@ -80,28 +79,30 @@ from .frontend import Resolver, tokenize
 from .pattern_ops import vars_tele
 
 
-@dataclass
 class TypeChecker:
-    """Checks terms and declarations against a signature.
+    """Checks terms and declarations against a signature, empty by default.
 
-    All evaluation of the check, coverage included, spends the one `fuel`.
-    `strict_row_fields` additionally re-checks pattern-row constructor fields
-    under the data telescope scope and reports any disagreement as a warning.
+    All evaluation of the check, coverage included, spends the one `fuel`
+    (a new default budget when None). `strict_row_fields` additionally
+    re-checks pattern-row constructor fields under the data telescope scope
+    and reports any disagreement as a warning.
     """
 
-    sig: Signature = dc_field(default_factory=Signature)
-    # A lambda, so `Fuel` is looked up when a checker is made: whoever
-    # rebinds `typecheck.Fuel` (to count firings, say) sees the default too.
-    fuel: Fuel = dc_field(default_factory=lambda: Fuel())
-    strict_row_fields: bool = False
-    warnings: list[Warning] = dc_field(default_factory=list)
+    __slots__ = ("sig", "fuel", "strict_row_fields", "warnings")
+
+    def __init__(self, sig: Signature | None = None, fuel: Fuel | None = None,
+                 strict_row_fields: bool = False) -> None:
+        self.sig = Signature() if sig is None else sig
+        self.fuel = Fuel() if fuel is None else fuel
+        self.strict_row_fields = strict_row_fields
+        self.warnings: list[Warning] = []
 
     # -- helpers ------------------------------------------------------------
 
     def _whnf(self, t: Term) -> Term:
         return whnf(self.sig, t, self.fuel)
 
-    def _require_type(self, actual: Term, expected: Term, span: Optional[SourceSpan]):
+    def _require_type(self, actual: Term, expected: Term, span: SourceSpan | None):
         if not convertible(self.sig, actual, expected, self.fuel):
             raise TypeCheckError(
                 TYPE_MISMATCH,
@@ -111,7 +112,7 @@ class TypeChecker:
 
     # -- terms --------------------------------------------------------------
 
-    def infer(self, term: Term) -> Optional[Term]:
+    def infer(self, term: Term) -> Term | None:
         """The type that the head of a closed, well-scoped term fixes, or None.
 
         A function call has the function's result at its arguments; a data
@@ -200,7 +201,7 @@ class TypeChecker:
 
     def _expect_ctor_at(
         self, name: str, exp: DataCall, span, lenient: bool = False
-    ) -> Optional[Telescope]:
+    ) -> Telescope | None:
         """The fields of constructor `name` at the data type `exp`.
 
         The first row of the constructor that does not mismatch decides: a
@@ -239,7 +240,7 @@ class TypeChecker:
         ctx: Telescope,
         args: Sequence[Term],
         tele: Telescope,
-        span: Optional[SourceSpan] = None,
+        span: SourceSpan | None = None,
     ) -> dict[Var, Term]:
         """Check that the arguments instantiate the telescope, left to right;
         returns the instantiation, each entry's variable mapped to its argument.
@@ -274,8 +275,8 @@ class TypeChecker:
         self,
         pats: Sequence[Pattern],
         tele: Telescope,
-        span: Optional[SourceSpan] = None,
-    ) -> tuple[tuple[Pattern, ...], Telescope, Optional[dict[Var, Term]]]:
+        span: SourceSpan | None = None,
+    ) -> tuple[tuple[Pattern, ...], Telescope, dict[Var, Term] | None]:
         """Check a pattern row against a telescope.
 
         Returns the typed patterns, the telescope of their bindings (left to
@@ -319,7 +320,7 @@ class TypeChecker:
             earlier[x] = term
         return tuple(typed), None if impossible else earlier
 
-    def _check_pat(self, pat, ty, lenient, binds) -> tuple[Pattern, Optional[Term]]:
+    def _check_pat(self, pat, ty, lenient, binds) -> tuple[Pattern, Term | None]:
         """Check one pattern at `ty`, or under an opaque type when `ty` is
         None: a binding then gets a placeholder type, `impossible` is not
         checked, and a constructor need only exist."""
@@ -538,23 +539,26 @@ class TypeChecker:
 # Loading a file and evaluating against it
 
 
-@dataclass
 class Checked:
     """A checked file, and the resolver that read it: an expression resolves
     against the names it declared."""
 
-    sig: Signature
-    resolver: Resolver
-    warnings: list[Warning]
+    __slots__ = ("sig", "resolver", "warnings")
+
+    def __init__(self, sig: Signature, resolver: Resolver,
+                 warnings: list[Warning]) -> None:
+        self.sig = sig
+        self.resolver = resolver
+        self.warnings = warnings
 
 
-def load(text: str, file: str, fuel: Optional[Fuel] = None, *,
+def load(text: str, file: str, fuel: Fuel | None = None, *,
          coverage: bool = True, strict_row_fields: bool = False) -> Checked:
     """Tokenize, read and check the text of `file`, spending `fuel` (a new
     default budget when None) on the check and its coverage."""
     resolver = Resolver()
     decls = resolver.run(tokenize(text, file))
-    checker = TypeChecker(fuel=fuel or Fuel(), strict_row_fields=strict_row_fields)
+    checker = TypeChecker(fuel=fuel, strict_row_fields=strict_row_fields)
     sig = checker.check_signature(decls, coverage=coverage)
     return Checked(sig, resolver, checker.warnings)
 

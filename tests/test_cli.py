@@ -18,14 +18,19 @@ def corpus(name: str) -> str:
     return str(CORPUS / name)
 
 
-def sit_process(*args: str) -> subprocess.CompletedProcess:
-    """`sit ARGS` as a new process, with the default recursion limit."""
-    src = str(Path(cli.__file__).resolve().parent.parent)
+SRC = str(Path(cli.__file__).resolve().parent.parent)
+
+
+def sit_process(
+    *args: str, env: dict[str, str] | None = None, text: bool = True
+) -> subprocess.CompletedProcess:
+    """`sit ARGS` as a new process, with the default recursion limit and
+    `env` added to the environment."""
     return subprocess.run(
         [sys.executable, "-m", "sit.cli", *args],
         capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        text=text,
+        env={**os.environ, "PYTHONPATH": SRC, **(env or {})},
         timeout=120,
     )
 
@@ -601,3 +606,35 @@ class TestExitCodes:
         assert "Traceback" not in res.stderr
         (line,) = res.stderr.splitlines()
         assert line.startswith("<expr>:1:1: error[E900]: internal error: cannot apply")
+
+
+class TestProcess:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("translate", corpus("nat.sit")),
+            ("eval", corpus("nat.sit"), "-e", "(x : Nat) -> Nat"),
+            ("ctor-type", corpus("vec.sit"), "vcons"),
+        ],
+    )
+    def test_output_is_utf8_whatever_the_locale(self, args):
+        # Each prints a `→`; a stdout that cannot encode it gets the same
+        # bytes as a UTF-8 one, not a UnicodeEncodeError traceback.
+        utf8 = sit_process(*args, env={"PYTHONIOENCODING": "utf-8"}, text=False)
+        assert "→".encode() in utf8.stdout
+        narrow = sit_process(*args, env={"PYTHONIOENCODING": "ascii"}, text=False)
+        assert (narrow.returncode, narrow.stdout, narrow.stderr) == (0, utf8.stdout, b"")
+
+    def test_import_path_stays_light(self):
+        # What `import sit` costs is most of a `sit` run on a small file;
+        # `dataclasses` (which imports `inspect`) and `typing` took half of
+        # it. `-S`, because a host's `site` may import `typing` itself.
+        heavy = "sorted({'dataclasses', 'inspect', 'typing'} & sys.modules.keys())"
+        res = subprocess.run(
+            [sys.executable, "-S", "-c", f"import sys, sit, sit.cli; print({heavy})"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+            timeout=120,
+        )
+        assert (res.returncode, res.stdout, res.stderr) == (0, "[]\n", "")

@@ -70,9 +70,9 @@ data Parity (n : Nat) : Type
         assert out["even"].entries == ()
 
     def test_observed_bindings_are_the_rows_own(self, vec_sig):
-        # Fields are instantiated at the row's bindings and the data
-        # telescope's variables together; the outcome the observer was shown
-        # keeps only the row's, now and after the call.
+        # Fields are instantiated at the row's own match bindings: the
+        # outcome the observer was shown holds exactly those, and no data
+        # telescope variable, now and after the call.
         matched = []
 
         def record(terms, pats, out):
