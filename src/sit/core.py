@@ -77,7 +77,9 @@ class Node:
 
     Each subclass gets an `__init__` that stores every slot through the
     slot's own descriptor, since `__setattr__` raises; the module docstring
-    gives the measured cost.
+    gives the measured cost. It is compiled per class with `exec` because a
+    generic `__init__` looping over the slots' setters built a `ConCall` in
+    0.95 µs against 0.42 µs (timeit, net of the call, same host).
     """
 
     __slots__ = ()

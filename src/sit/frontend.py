@@ -48,13 +48,12 @@ open (parentheses, Pi domains, and `fn`, Pi and arrow bodies), which also
 holds the scopes that `fn` and Pi open, so no nesting depth of an
 expression exhausts Python's stack.
 
-A parse error is raised at once. A resolve error is recorded and the pass
-goes on. Only the first is kept, in resolution order: an application's
-arguments come before its head, even a head in parentheses. The recorded
-error is raised at the end of the input, so a parse error anywhere comes
-first. An error about a declaration's telescope or name, a row's fields or
-name, a `fn` or Pi binder, or a pattern's head spans that whole form, and
-gets its span when the form closes.
+The pass stops at the first error it meets, a parse error or a resolve
+error alike, in reading order, except that an application's argument atoms
+are resolved before its head name; a head in parentheses that is more than
+a name is resolved when its group closes, before the arguments after it.
+An error about a declared name, a binder or a pattern's head points at
+that name.
 
 Each core node gets one span, made once from the token lists at its form's
 first and last token; a form that fills a pair of parentheses takes their
@@ -88,7 +87,6 @@ from .core import (
     Telescope,
     Term,
     Univ,
-    UNIV,
     Var,
     VarCall,
     apply_spine,
@@ -263,14 +261,17 @@ def parse_expression(text: str, file: str = "<expr>") -> Tokens:
 
 
 class _Global:
-    __slots__ = ("kind", "arity", "hints", "owner")
+    __slots__ = ("kind", "arity", "hints", "owner", "counts")
 
     def __init__(self, kind: type[DataCall | FnCall | ConCall], arity: int,
                  hints: tuple[str, ...], owner: str = "") -> None:
         self.kind = kind  # the node a full call builds
-        self.arity = arity  # the arguments a full call takes: a constructor's fields
+        # The arguments a full call takes: a constructor's fields at its
+        # first row; `counts` holds the field count of each of its rows.
+        self.arity = arity
+        self.counts = (arity,)
         # One binder name per parameter, for eta-expansion: a constructor's
-        # parameters are its row's bindings, then its fields.
+        # parameters are its first row's bindings, then its fields.
         self.hints = hints
         self.owner = owner  # a constructor's data type
 
@@ -319,8 +320,6 @@ class _Reader:
         self.lines, self.cols, self.file = tokens.lines, tokens.cols, tokens.file
         self.globals = globals
         self.pos = 0
-        self.error: ResolveError | None = None
-        self.error_at = -1  # the first token of the form that gives its span
 
     def expect(self, kind: str, what: str) -> int:
         """The index of the current token, which must be a `kind`; the
@@ -341,29 +340,12 @@ class _Reader:
                 decls.append(self.def_decl())
             else:
                 raise _unexpected("a declaration", self.tokens[self.pos])
-        return self.done(decls)
+        return decls
 
     def expression(self) -> Term:
         e = self.expr([{}])
         self.expect("EOF", "end of input")
-        return self.done(e)
-
-    # errors and spans
-
-    def fail(self, code: str, message: str, span=None, at: int = -1) -> None:
-        """Record a resolve error, unless an earlier one is recorded. One
-        without a span gets that of the form starting at token `at` when the
-        form closes."""
-        if self.error is None:
-            self.error = ResolveError(code, message, span)
-            self.error_at = at
-
-    def done(self, result):
-        """`result`, read to the end of the input, unless an error was
-        recorded on the way."""
-        if self.error is not None:
-            raise self.error
-        return result
+        return e
 
     def _span(self, first: int, last: int) -> SourceSpan:
         """The span from the start of token `first` to the end of token
@@ -375,51 +357,47 @@ class _Reader:
             SourceSpan, (self.file, lines[first], cols[first], lines[last], end_col)
         )
 
-    def spanned(self, at: int, first: int, last: int) -> SourceSpan:
-        """The span of the form starting at token `at`, from token `first`
-        to token `last`, given also to the error waiting for it."""
-        span = self._span(first, last)
-        if at == self.error_at:
-            self.error.span = span
-        return span
-
     # declarations
 
-    def declare(
-        self, name: str, entry: _Global, at: int, *, same_data_ok: str = ""
-    ) -> None:
+    def declare(self, at: int, entry: _Global) -> None:
+        """Declare the name at token `at`. A constructor's name may name
+        several rows of its data type, each adding its field count."""
+        name = self.texts[at]
         existing = self.globals.get(name)
         if existing is None:
             self.globals[name] = entry
-        elif existing.kind is not ConCall or existing.owner != same_data_ok:
-            self.fail(DUPLICATE_DECL, f"duplicate name {name}", at=at)
-        # else another selection row for the same constructor
+        elif existing.kind is not ConCall or existing.owner != entry.owner:
+            raise ResolveError(
+                DUPLICATE_DECL, f"duplicate name {name}", self._span(at, at)
+            )
+        elif entry.arity not in existing.counts:
+            existing.counts += (entry.arity,)
 
     def data_decl(self) -> DataDecl:
         start = self.expect("data", "'data'")
         name_at = self.expect("IDENT", "a data type name")
         name = self.texts[name_at]
         scope: dict[str, Var] = {}
-        tele = self.tele(scope, start)
+        tele = self.tele(scope)
         self.expect("COLON", "':'")
         self.expect("Type", "'Type'")
         hints = tuple(x.text for x, _ in tele)
-        self.declare(name, _Global(DataCall, len(tele), hints), start)
+        self.declare(name_at, _Global(DataCall, len(tele), hints))
         rows, last = [], name_at
         while self.kinds[self.pos] == "BAR":
             row, last = self.ctor_row(name, scope)
             rows.append(row)
-        return DataDecl(name, tele, tuple(rows), self.spanned(start, start, last))
+        return DataDecl(name, tele, tuple(rows), self._span(start, last))
 
     def def_decl(self) -> FuncDecl:
         start = self.expect("def", "'def'")
-        name = self.texts[self.expect("IDENT", "a function name")]
+        name_at = self.expect("IDENT", "a function name")
         scope: dict[str, Var] = {}
-        tele = self.tele(scope, start)
+        tele = self.tele(scope)
         self.expect("COLON", "':'")
         result = self.expr([scope])
         hints = tuple(x.text for x, _ in tele)
-        self.declare(name, _Global(FnCall, len(tele), hints), start)
+        self.declare(name_at, _Global(FnCall, len(tele), hints))
         clauses = []
         last = self.pos - 1
         while self.kinds[self.pos] == "BAR":
@@ -427,8 +405,8 @@ class _Reader:
             clause = self.clause()
             clauses.append(clause)
             last = bar if clause.body is None else self.pos - 1
-        span = self.spanned(start, start, last)
-        return FuncDecl(name, tele, result, tuple(clauses), span)
+        span = self._span(start, last)
+        return FuncDecl(self.texts[name_at], tele, result, tuple(clauses), span)
 
     def ctor_row(self, data_name: str, data_scope: dict[str, Var]) -> tuple[CtorRow, int]:
         """A constructor row, and the index of its name."""
@@ -449,15 +427,10 @@ class _Reader:
             pats = self.pat_list(scope)
             self.expect("FATARROW", "'=>'")
         name_at = self.expect("IDENT", "a constructor name")
-        fields = self.tele(scope, bar)
-        name = self.texts[name_at]
-        self.declare(
-            name,
-            _Global(ConCall, len(fields), tuple(scope), owner=data_name),
-            bar,
-            same_data_ok=data_name,
-        )
-        return CtorRow(name, fields, pats, self.spanned(bar, bar, name_at)), name_at
+        fields = self.tele(scope)
+        self.declare(name_at, _Global(ConCall, len(fields), tuple(scope), data_name))
+        row = CtorRow(self.texts[name_at], fields, pats, self._span(bar, name_at))
+        return row, name_at
 
     def clause(self) -> Clause:
         # Clause bodies see the pattern bindings only; the telescope's
@@ -488,27 +461,32 @@ class _Reader:
             i += 1
         return i if i > pos + 1 and kinds[i] == "COLON" else 0
 
-    def tele(self, scope: dict[str, Var], at: int) -> Telescope:
-        """A telescope, its binders added to `scope`; the form that starts
-        at token `at` gives the span of an error in it."""
+    def tele(self, scope: dict[str, Var]) -> Telescope:
+        """A telescope, its binders added to `scope`."""
         entries: list[tuple[Var, Term]] = []
         while colon := self.binder_group(self.pos):
             first = self.pos + 1
             self.pos = colon + 1
             ty = self.expr([scope])
             self.expect("RPAREN", "')'")
-            for name in self.texts[first:colon]:
-                var = self.bind(name, at)
+            for at in range(first, colon):
+                var = self.bind(at)
+                name = var.text
                 if name in scope:
-                    self.fail(DUPLICATE_DECL, f"duplicate telescope binder {name}", at=at)
+                    message = f"duplicate telescope binder {name}"
+                    raise ResolveError(DUPLICATE_DECL, message, self._span(at, at))
                 scope[name] = var
                 entries.append((var, ty))
         return Telescope(tuple(entries))
 
-    def bind(self, name: str, at: int) -> Var:
+    def bind(self, at: int) -> Var:
+        """A fresh variable for the binder at token `at`."""
+        name = self.texts[at]
         entry = self.globals.get(name)
         if entry is not None and entry.kind is ConCall:
-            self.fail(SHADOWS_CTOR, f"binder {name} shadows a constructor", at=at)
+            raise ResolveError(
+                SHADOWS_CTOR, f"binder {name} shadows a constructor", self._span(at, at)
+            )
         return Var.fresh(name)
 
     # patterns: a name naming a declared constructor is one, any other binds
@@ -535,7 +513,8 @@ class _Reader:
                 name = self.texts[head]
                 entry = self.globals.get(name)
                 if entry is None or entry.kind is not ConCall:
-                    self.fail(UNKNOWN_IDENT, f"unknown constructor {name}", at=head)
+                    message = f"unknown constructor {name}"
+                    raise ResolveError(UNKNOWN_IDENT, message, self._span(head, head))
                 while kinds[pos := self.pos] in _PATTERN_ARG:
                     self.pos = pos + 1
                     if kinds[pos] == "LPAREN":
@@ -548,7 +527,7 @@ class _Reader:
         return self.pat_node(head, tuple(args), group, last, scope)
 
     def pat_node(self, head: int, args: tuple, first: int, last: int, scope) -> Pattern:
-        span = self.spanned(head, first, last)
+        span = self._span(first, last)
         name = self.texts[head]
         if name == "impossible":  # the keyword: no identifier is spelt so
             return ImpossiblePat(span)
@@ -575,7 +554,7 @@ class _Reader:
         fills several; a name alone in the group at an application's head
         is resolved with that application's arguments.
         """
-        kinds, texts = self.kinds, self.texts
+        kinds = self.kinds
         pos = self.pos
         stack: list[tuple] = []
         grouped = False  # whether the expression starting now is grouped
@@ -588,9 +567,8 @@ class _Reader:
                         raise _unexpected("a binder name", self.tokens[pos + 1])
                     if kinds[pos + 2] != "FATARROW":
                         raise _unexpected("'=>'", self.tokens[pos + 2])
-                    name = texts[pos + 1]
-                    var = self.bind(name, pos)
-                    scopes.append({name: var})
+                    var = self.bind(pos + 1)
+                    scopes.append({var.text: var})
                     stack.append((_FN, pos, grouped, var))
                     pos += 3
                     grouped = False
@@ -604,11 +582,11 @@ class _Reader:
                     pos += 3
                     grouped = False
                     continue
-                # The head, where its name as written starts and ends, the
-                # arguments, and the first error in a group at the head.
-                head, hf, hl, args, app_grouped, late = None, 0, 0, [], grouped, None
+                # The head, where its name as written starts and ends, and
+                # the arguments.
+                head, hf, hl, args, app_grouped = None, 0, 0, [], grouped
             else:
-                head, hf, hl, args, app_grouped, late = resumed
+                head, hf, hl, args, app_grouped = resumed
                 resumed = None
             # An application: a head atom, then argument atoms while they
             # come. "(x :" as an argument can only open a Pi's parentheses.
@@ -621,9 +599,7 @@ class _Reader:
                         args.append(self.name(pos, (), pos, pos, scopes))
                     pos += 1
                 elif kind == "LPAREN":
-                    stack.append(
-                        (_GROUP, pos, head, hf, hl, args, app_grouped, late, self.error)
-                    )
+                    stack.append((_GROUP, pos, head, hf, hl, args, app_grouped))
                     pos += 1
                     grouped = True
                     break
@@ -633,8 +609,6 @@ class _Reader:
                     break
             if kind == "LPAREN":
                 continue  # the group first; its closing resumes this
-            if late is not None and self.error is None:
-                self.error = late  # a head's errors come after its arguments'
             arrow = kinds[pos] == "ARROW"
             fills = app_grouped and not arrow  # the group on top of the stack
             if type(head) is not int:
@@ -645,15 +619,14 @@ class _Reader:
                     try:
                         e = apply_spine(head, tuple(args))
                     except InternalError:
-                        self.fail(
+                        raise ResolveError(
                             BAD_APPLICATION, "this expression cannot take arguments", span
-                        )
-                    else:
-                        # The grown spine or the beta-reduct stands for the
-                        # whole application: a copy of its root takes its
-                        # span, which is every term class's last field.
-                        fields = type(e).__match_args__[:-1]
-                        e = type(e)(*[getattr(e, f) for f in fields], span)
+                        ) from None
+                    # The grown spine or the beta-reduct stands for the whole
+                    # application: a copy of its root takes its span, which
+                    # is every term class's last field.
+                    fields = type(e).__match_args__[:-1]
+                    e = type(e)(*[getattr(e, f) for f in fields], span)
             elif not fills:
                 e = self.name(head, tuple(args), hf, pos - 1, scopes, hf, hl)
             elif args or stack[-1][2] is not None:
@@ -671,18 +644,15 @@ class _Reader:
                 frame = stack.pop()
                 form = frame[0]
                 if form is _GROUP:
-                    _, open_pos, head, hf, hl, args, app_grouped, late, before = frame
+                    _, open_pos, head, hf, hl, args, app_grouped = frame
                     if kinds[pos] != "RPAREN":
                         raise _unexpected("')'", self.tokens[pos])
-                    if head is None:
-                        # The group is the head: what it recorded waits for
-                        # the arguments.
+                    if head is None:  # the group is the head
                         head, hf, hl = e, open_pos, pos
-                        late, self.error = self.error, before
                     else:
                         args.append(e)
                     pos += 1
-                    resumed = head, hf, hl, args, app_grouped, late
+                    resumed = head, hf, hl, args, app_grouped
                     break
                 if form is _DOMAIN:  # `e` is the domain
                     _, start, g = frame
@@ -690,9 +660,8 @@ class _Reader:
                         raise _unexpected("')'", self.tokens[pos])
                     if kinds[pos + 1] != "ARROW":
                         raise _unexpected("'->'", self.tokens[pos + 1])
-                    name = texts[start + 1]
-                    var = self.bind(name, start)
-                    scopes.append({name: var})
+                    var = self.bind(start + 1)
+                    scopes.append({var.text: var})
                     stack.append((_PI, start, g, var, e))
                     pos += 2
                     grouped = False
@@ -705,7 +674,7 @@ class _Reader:
                     e = Pi(Var.fresh("_"), frame[3], e, self._span(first, last))
                     continue
                 scopes.pop()
-                span = self.spanned(start, first, last)
+                span = self._span(first, last)
                 if form is _FN:
                     e = Lam(frame[3], e, span)
                 else:
@@ -747,12 +716,12 @@ class _Reader:
             # No binder or global is named `Type`: it is a keyword.
             if name != "Type":
                 at = self._span(hf, hl) if args else span
-                self.fail(UNKNOWN_IDENT, f"unknown identifier {name}", at)
-            elif not args:
-                return Univ(span)
-            else:
-                self.fail(BAD_APPLICATION, "this expression cannot take arguments", span)
-            return UNIV
+                raise ResolveError(UNKNOWN_IDENT, f"unknown identifier {name}", at)
+            if args:
+                raise ResolveError(
+                    BAD_APPLICATION, "this expression cannot take arguments", span
+                )
+            return Univ(span)
         # A fully applied global is built here; `apply_global` expands the
         # partial applications and reports the bad ones.
         if len(args) == entry.arity:
@@ -762,23 +731,31 @@ class _Reader:
     def apply_global(
         self, name: str, entry: _Global, args: tuple[Term, ...], span
     ) -> Term:
-        """A global applied to fewer or more arguments than it takes: an
-        under-applied one, or a constructor with none, is expanded to
-        lambdas over its missing parameters; any other is an error."""
+        """A global applied to fewer or more arguments than it takes: a
+        constructor applied to as many as one of its later rows has fields
+        is a full call, whose row the checker selects by type; an
+        under-applied global, or a constructor with none, is expanded to
+        lambdas over its first row's missing parameters; any other is an
+        error."""
         n = len(args)
         kind = entry.kind
         if kind is ConCall and n:
-            k = entry.arity
-            takes = counted(k, "argument") + (" (or none)" if k else "")
-            self.fail(BAD_APPLICATION, f"constructor {name} takes {takes}, got {n}", span)
-            return UNIV
+            if n in entry.counts:
+                return ConCall(name, args, span)
+            k = sorted(entry.counts)
+            takes = counted(k[0], "argument") if len(k) == 1 else (
+                " or ".join(map(str, k)) + " arguments"
+            )
+            takes += " (or none)" if k[0] else ""
+            raise ResolveError(
+                BAD_APPLICATION, f"constructor {name} takes {takes}, got {n}", span
+            )
         if n > entry.arity:
-            self.fail(
+            raise ResolveError(
                 BAD_APPLICATION,
                 f"{name} takes {counted(entry.arity, 'argument')}, got {n}",
                 span,
             )
-            return UNIV
         missing = [Var.fresh(h) for h in entry.hints[n:]]
         full = args + tuple(VarCall(v, (), span) for v in missing)
         # A constructor's call takes only its fields, the trailing parameters.

@@ -104,12 +104,12 @@ NEGATIVE_FIXTURES = [
     ("09_unknown_identifier.sit", 2, "E201", "6:10"),
     ("10_lambda_at_data_type.sit", 1, "E304", "6:10"),
     ("11_missing_body.sit", 1, "E312", "6:3"),
-    ("12_duplicate_declaration.sit", 2, "E203", "5:1"),
+    ("12_duplicate_declaration.sit", 2, "E203", "5:6"),
     ("13_impossible_stuck.sit", 1, "E308", "10:8"),
     ("14_pattern_at_function_type.sit", 1, "E307", "6:5"),
     ("15_cannot_split.sit", 1, "E402", "9:1"),
     ("16_over_application.sit", 2, "E202", "6:10"),
-    ("17_binder_shadows_ctor.sit", 2, "E204", "5:1"),
+    ("17_binder_shadows_ctor.sit", 2, "E204", "5:10"),
     ("18_wrong_data_type.sit", 1, "E309", "10:10"),
     ("19_ctor_pattern_arity.sit", 1, "E302", "6:5"),
     ("20_self_call_match.sit", 1, "E306", "16:36"),

@@ -196,6 +196,22 @@ class TestCheck:
         assert err.startswith(f"{src}:1:1: error[E502]")
         assert "Traceback" not in err
 
+    def test_deep_pattern_is_reported_at_the_file(self, tmp_path):
+        # The reader takes one frame per level of a nested pattern, and the
+        # checker two, so a 2,000-deep one is past both limits.
+        n = 2000
+        pat = "suc (" * (n - 1) + "suc n" + ")" * (n - 1)
+        src = tmp_path / "deep_pattern.sit"
+        src.write_text(
+            "data Nat : Type\n  | zero\n  | suc (n : Nat)\n"
+            f"def f (x : Nat) : Nat\n  | {pat} => n\n"
+        )
+        res = sit_process("check", str(src))
+        assert res.returncode == 4
+        assert "Traceback" not in res.stderr
+        (line,) = res.stderr.splitlines()
+        assert line.startswith(f"{src}:1:1: error[E502]")
+
 
 class TestEval:
     def test_normalization(self, capsys):
@@ -231,6 +247,30 @@ class TestEval:
         assert run(["check", str(src)]) == 1
         assert capsys.readouterr().err == (
             f"{src}:{line - 1}:3: error[E302]: row has 0 patterns for 1 telescope entries\n"
+        )
+
+    def test_constructor_rows_with_different_field_counts(self, tmp_path, capsys):
+        # `c` has no field at `C zero` and one at `C (suc k)`: a call with
+        # either count is read, and the checker selects the row by type.
+        src = tmp_path / "rows.sit"
+        nat = (CORPUS / "nat.sit").read_text()
+        line = len(nat.splitlines()) + 5
+        data = "data C (n : Nat) : Type\n  | zero => c\n  | suc k => c (x : Nat)\n"
+        src.write_text(nat + data + "def g (k : Nat) : C (suc k)\n  | k => c zero\n")
+        assert run(["check", str(src)]) == 0
+        assert run(["eval", str(src), "-e", "g zero"]) == 0
+        assert capsys.readouterr().out == "c zero\n"
+
+        src.write_text(nat + data + "def h : C zero\n  | => c zero\n")
+        assert run(["check", str(src)]) == 1
+        assert capsys.readouterr().err == (
+            f"{src}:{line}:8: error[E302]: expected no arguments, got 1\n"
+        )
+
+        src.write_text(nat + data + "def h : C zero\n  | => c zero zero\n")
+        assert run(["check", str(src)]) == 2
+        assert capsys.readouterr().err == (
+            f"{src}:{line}:8: error[E202]: constructor c takes 0 or 1 arguments, got 2\n"
         )
 
     def test_fuel_exhaustion_exit_code(self, tmp_path, capsys):

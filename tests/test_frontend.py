@@ -151,7 +151,7 @@ class TestParser:
 
     def test_missing_clause_body_is_an_error(self):
         with pytest.raises(ParseError):
-            Resolver().run(tokenize("def f (x : Nat) : Nat | zero =>"))
+            Resolver().run(tokenize(NAT + "def f (x : Nat) : Nat | zero =>"))
 
     def test_empty_pattern_list_only_before_the_arrow(self):
         (_, two) = Resolver().run(tokenize(NAT + "def two : Nat\n  | => suc (suc zero)\n"))
@@ -194,9 +194,11 @@ class TestParser:
 
     def test_pattern_row_needs_a_constructor_name(self):
         with pytest.raises(ParseError) as exc:
-            Resolver().run(tokenize("data T (a : Nat) (b : Nat) : Type\n  | zero, m => (\n"))
+            Resolver().run(
+                tokenize(NAT + "data T (a : Nat) (b : Nat) : Type\n  | zero, m => (\n")
+            )
         assert exc.value.message.startswith("expected a constructor name")
-        assert (exc.value.span.start_line, exc.value.span.start_col) == (2, 16)
+        assert (exc.value.span.start_line, exc.value.span.start_col) == (6, 16)
 
     def test_parenthesised_expression_spans_its_parentheses(self):
         e = _expr("f (g x)")
@@ -604,41 +606,43 @@ def _error(text: str, expression: bool = False):
 
 
 class TestErrorOrder:
-    """A parse error anywhere comes first; else the first resolve error in
-    resolution order, spanning the whole form it is about."""
+    """The first error the reader meets, a parse error or a resolve error,
+    in reading order except that an application's argument atoms come
+    before its head name; an error about a name points at that name."""
 
     def test_parse_error_after_a_resolve_error(self):
         text = "def f : Type\n  | x => foo\n" + "\n" * 6 + "def g : Type\n"
         assert _error(text) == ("E201", "unknown identifier foo", (2, 10, 2, 12))
         assert _error(text.replace("g : Type", "g : Type )")) == (
-            "E102", "expected a declaration, found ')'", (9, 14, 9, 14)
+            "E201", "unknown identifier foo", (2, 10, 2, 12)
         )
 
     def test_trailing_token_after_an_unknown_name(self):
         assert _error("foo )", expression=True) == (
-            "E102", "expected end of input, found ')'", (1, 5, 1, 5)
+            "E201", "unknown identifier foo", (1, 1, 1, 3)
         )
 
     def test_binder_error_spans_its_fn(self):
         assert _error("fn zero => foo", expression=True) == (
-            "E204", "binder zero shadows a constructor", (1, 1, 1, 14)
+            "E204", "binder zero shadows a constructor", (1, 4, 1, 7)
         )
 
     def test_duplicate_data_spans_its_declaration(self):
         assert _error(NAT + "data Nat : Type\n  | one\n  | two (n : Nat)\n") == (
-            "E203", "duplicate name Nat", (5, 1, 7, 7)
+            "E203", "duplicate name Nat", (5, 6, 5, 8)
         )
 
     def test_duplicate_telescope_binder_spans_its_declaration(self):
         text = NAT + "def f (x : Nat) (x : Nat) : Nat\n  | a, b => a\n"
         assert _error(text) == (
-            "E203", "duplicate telescope binder x", (5, 1, 6, 13)
+            "E203", "duplicate telescope binder x", (5, 18, 5, 18)
         )
 
     def test_arguments_before_a_head_in_parentheses(self):
-        # The head `(foo zero)` is resolved after its argument, as a name is.
+        # The head `(foo zero)` is resolved when its group closes, before
+        # the argument after it.
         assert _error("(foo zero) bar", expression=True) == (
-            "E201", "unknown identifier bar", (1, 12, 1, 14)
+            "E201", "unknown identifier foo", (1, 2, 1, 4)
         )
         assert _error("(foo zero) zero", expression=True) == (
             "E201", "unknown identifier foo", (1, 2, 1, 4)
