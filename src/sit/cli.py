@@ -176,7 +176,7 @@ def _dispatch(args, fuel: Fuel) -> int:
         return EXIT_OK
     if args.command == "ctor-type":
         # The name is an input of its own, like the `-e` expression.
-        with located(SourceSpan("<ctor>", 1, 1, 1, max(len(args.ctor), 1))):
+        with located(SourceSpan("<ctor>", 1, 1)):
             ty = synth_ctor_type(checked.sig, args.ctor)
         print(pretty(ty))
         return EXIT_OK

@@ -5,25 +5,22 @@ from collections import namedtuple
 from contextlib import contextmanager
 
 
-class SourceSpan(namedtuple("_Span", "file start_line start_col end_line end_col")):
-    """A 1-based region of a source file; start is never past end.
+class SourceSpan(namedtuple("_Span", "file start_line start_col")):
+    """Where a node's text starts in a source file, 1-based.
 
     A tuple, so building one costs one allocation: the frontend makes one per
-    core node it builds, from token positions already in order, so it skips
-    the check this constructor makes.
+    core node it builds.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls, file: str, start_line: int, start_col: int, end_line: int, end_col: int
-    ) -> SourceSpan:
-        if start_line > end_line or (start_line == end_line and start_col > end_col):
-            raise ValueError(f"backwards span {file}:{start_line}:{start_col}")
-        return tuple.__new__(cls, (file, start_line, start_col, end_line, end_col))
-
     def __str__(self) -> str:
         return f"{self.file}:{self.start_line}:{self.start_col}"
+
+
+def _where(span: SourceSpan | None) -> str:
+    """`span` as FILE:LINE:COL, or `<unknown>:0:0` when there is none."""
+    return str(span) if span else "<unknown>:0:0"
 
 
 def counted(n: int, noun: str) -> str:
@@ -64,6 +61,7 @@ INTERNAL_ERROR = "E900"
 
 UNREACHABLE_CLAUSE = "W401"
 STRICT_FIELD_SCOPE = "W301"
+UNREACHABLE_ROW = "W302"
 
 
 class InternalError(Exception):
@@ -80,8 +78,7 @@ class SitError(Exception):
         self.span = span
 
     def render(self) -> str:
-        where = str(self.span) if self.span else "<unknown>:0:0"
-        return f"{where}: error[{self.code}]: {self.message}"
+        return f"{_where(self.span)}: error[{self.code}]: {self.message}"
 
 
 class LexError(SitError):
@@ -126,7 +123,7 @@ def reported_at(source: str):
     """Report what no diagnostic locates at the start of `source`: a
     RecursionError as E502 (the walks over terms recurse once per nesting
     level) and a broken invariant of sit itself as E900."""
-    where = SourceSpan(source, 1, 1, 1, 1)
+    where = SourceSpan(source, 1, 1)
     try:
         yield
     except RecursionError:
@@ -144,5 +141,4 @@ class Warning(namedtuple("Warning", "code message span", defaults=(None,))):
     __slots__ = ()
 
     def render(self) -> str:
-        where = str(self.span) if self.span else "<unknown>:0:0"
-        return f"{where}: warning[{self.code}]: {self.message}"
+        return f"{_where(self.span)}: warning[{self.code}]: {self.message}"

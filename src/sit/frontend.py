@@ -55,13 +55,15 @@ a name is resolved when its group closes, before the arguments after it.
 An error about a declared name, a binder or a pattern's head points at
 that name.
 
-Each core node gets one span, made once from the token lists at its form's
-first and last token; a form that fills a pair of parentheses takes their
-positions. The lambdas of an expanded head share its span, and so do the
-uses of the variables they bind, so an error on one points at the head. A
-head in parentheses applied to arguments gives a grown spine or a
-beta-reduct, whose root is copied to take the application's span. The
-catch-alls of a plain row are spelt by no source text, so they have no span.
+Each core node gets one location, a `SourceSpan` made once from the token
+lists: where its form's text starts, at its first token. A form that fills
+a pair of parentheses starts at their "(", the outermost pair's when it
+fills several. The lambdas of an expanded head share its location, and so
+do the uses of the variables they bind, so an error on one points at the
+head. A head in parentheses applied to arguments gives a grown spine or a
+beta-reduct, whose root is copied to take the application's location. The
+catch-alls of a plain row are spelt by no source text, so they have no
+location.
 """
 from __future__ import annotations
 
@@ -121,8 +123,7 @@ class Token(namedtuple("Token", "kind text file line col")):
 
     @property
     def span(self) -> SourceSpan:
-        line, col, n = self.line, self.col, len(self.text)
-        return SourceSpan(self.file, line, col, line, col + n - 1 if n else col)
+        return SourceSpan(self.file, self.line, self.col)
 
 
 class Tokens:
@@ -147,11 +148,8 @@ class Tokens:
 
     @property
     def span(self) -> SourceSpan:
-        """From the start of the first token to the end of the last one before
-        EOF; there must be one."""
-        first, last = self[0], self[len(self) - 2]
-        end_col = last.col + len(last.text) - 1
-        return SourceSpan(self.file, first.line, first.col, last.line, end_col)
+        """Where the first token starts."""
+        return SourceSpan(self.file, self.lines[0], self.cols[0])
 
 
 def decode_source(data: bytes, file: str) -> str:
@@ -172,7 +170,7 @@ def decode_source(data: bytes, file: str) -> str:
         raise LexError(
             LEX_ERROR,
             f"invalid UTF-8 byte 0x{data[err.start]:02x}",
-            SourceSpan(file, line, col, line, col),
+            SourceSpan(file, line, col),
         ) from None
     return _newlines(text)
 
@@ -230,7 +228,7 @@ def tokenize(text: str, file: str = "<input>") -> Tokens:
                     # are errors, and so is any other character.
                     if not (c.isalpha() or c == "_"):
                         col = end - len(piece)
-                        span = SourceSpan(file, line, col, line, col)
+                        span = SourceSpan(file, line, col)
                         raise LexError(LEX_ERROR, f"unexpected character {c!r}", span)
                     kind = "IDENT"
             add_kind(kind)
@@ -347,15 +345,10 @@ class _Reader:
         self.expect("EOF", "end of input")
         return e
 
-    def _span(self, first: int, last: int) -> SourceSpan:
-        """The span from the start of token `first` to the end of token
-        `last`. Tokens come in source order and none is empty, so it is
-        built without the start-before-end check of `SourceSpan(...)`."""
-        lines, cols = self.lines, self.cols
-        end_col = cols[last] + len(self.texts[last]) - 1
-        return _new_tuple(
-            SourceSpan, (self.file, lines[first], cols[first], lines[last], end_col)
-        )
+    def _span(self, first: int) -> SourceSpan:
+        """Where token `first` starts. Built as a plain tuple: the
+        namedtuple's own constructor is one more Python call per node."""
+        return _new_tuple(SourceSpan, (self.file, self.lines[first], self.cols[first]))
 
     # declarations
 
@@ -368,7 +361,7 @@ class _Reader:
             self.globals[name] = entry
         elif existing.kind is not ConCall or existing.owner != entry.owner:
             raise ResolveError(
-                DUPLICATE_DECL, f"duplicate name {name}", self._span(at, at)
+                DUPLICATE_DECL, f"duplicate name {name}", self._span(at)
             )
         elif entry.arity not in existing.counts:
             existing.counts += (entry.arity,)
@@ -383,11 +376,10 @@ class _Reader:
         self.expect("Type", "'Type'")
         hints = tuple(x.text for x, _ in tele)
         self.declare(name_at, _Global(DataCall, len(tele), hints))
-        rows, last = [], name_at
+        rows = []
         while self.kinds[self.pos] == "BAR":
-            row, last = self.ctor_row(name, scope)
-            rows.append(row)
-        return DataDecl(name, tele, tuple(rows), self._span(start, last))
+            rows.append(self.ctor_row(name, scope))
+        return DataDecl(name, tele, tuple(rows), self._span(start))
 
     def def_decl(self) -> FuncDecl:
         start = self.expect("def", "'def'")
@@ -399,17 +391,12 @@ class _Reader:
         hints = tuple(x.text for x, _ in tele)
         self.declare(name_at, _Global(FnCall, len(tele), hints))
         clauses = []
-        last = self.pos - 1
         while self.kinds[self.pos] == "BAR":
-            bar = self.pos
-            clause = self.clause()
-            clauses.append(clause)
-            last = bar if clause.body is None else self.pos - 1
-        span = self._span(start, last)
+            clauses.append(self.clause())
+        span = self._span(start)
         return FuncDecl(self.texts[name_at], tele, result, tuple(clauses), span)
 
-    def ctor_row(self, data_name: str, data_scope: dict[str, Var]) -> tuple[CtorRow, int]:
-        """A constructor row, and the index of its name."""
+    def ctor_row(self, data_name: str, data_scope: dict[str, Var]) -> CtorRow:
         bar = self.expect("BAR", "'|'")
         # A plain row's name is followed by a telescope group or the row's
         # end, and neither can follow a pattern's head: anything else starts
@@ -429,8 +416,7 @@ class _Reader:
         name_at = self.expect("IDENT", "a constructor name")
         fields = self.tele(scope)
         self.declare(name_at, _Global(ConCall, len(fields), tuple(scope), data_name))
-        row = CtorRow(self.texts[name_at], fields, pats, self._span(bar, name_at))
-        return row, name_at
+        return CtorRow(self.texts[name_at], fields, pats, self._span(bar))
 
     def clause(self) -> Clause:
         # Clause bodies see the pattern bindings only; the telescope's
@@ -441,10 +427,10 @@ class _Reader:
         # before "=>".
         pats = () if self.kinds[self.pos] == "FATARROW" else self.pat_list(scope)
         if self.kinds[self.pos] != "FATARROW":
-            return Clause(pats, None, self._span(bar, bar))
+            return Clause(pats, None, self._span(bar))
         self.pos += 1
         body = self.expr([scope])
-        return Clause(pats, body, self._span(bar, self.pos - 1))
+        return Clause(pats, body, self._span(bar))
 
     def binder_group(self, pos: int) -> int:
         """The index of the ":" of a telescope group `"(" IDENT+ ":"` that
@@ -474,7 +460,7 @@ class _Reader:
                 name = var.text
                 if name in scope:
                     message = f"duplicate telescope binder {name}"
-                    raise ResolveError(DUPLICATE_DECL, message, self._span(at, at))
+                    raise ResolveError(DUPLICATE_DECL, message, self._span(at))
                 scope[name] = var
                 entries.append((var, ty))
         return Telescope(tuple(entries))
@@ -485,7 +471,7 @@ class _Reader:
         entry = self.globals.get(name)
         if entry is not None and entry.kind is ConCall:
             raise ResolveError(
-                SHADOWS_CTOR, f"binder {name} shadows a constructor", self._span(at, at)
+                SHADOWS_CTOR, f"binder {name} shadows a constructor", self._span(at)
             )
         return Var.fresh(name)
 
@@ -500,8 +486,8 @@ class _Reader:
 
     def pattern(self, scope: dict[str, Var], group: int = -1) -> Pattern:
         """A name and its arguments, or `impossible`. Inside the parentheses
-        that open at token `group`, it reads their ")" and takes their
-        positions."""
+        that open at token `group`, it reads their ")" and starts at their
+        "("."""
         kinds = self.kinds
         head = self.pos
         args = []
@@ -514,20 +500,20 @@ class _Reader:
                 entry = self.globals.get(name)
                 if entry is None or entry.kind is not ConCall:
                     message = f"unknown constructor {name}"
-                    raise ResolveError(UNKNOWN_IDENT, message, self._span(head, head))
+                    raise ResolveError(UNKNOWN_IDENT, message, self._span(head))
                 while kinds[pos := self.pos] in _PATTERN_ARG:
                     self.pos = pos + 1
                     if kinds[pos] == "LPAREN":
                         args.append(self.pattern(scope, pos))
                     else:
-                        args.append(self.pat_node(pos, (), pos, pos, scope))
+                        args.append(self.pat_node(pos, (), pos, scope))
         if group < 0:
-            return self.pat_node(head, tuple(args), head, self.pos - 1, scope)
-        last = self.expect("RPAREN", "')'")
-        return self.pat_node(head, tuple(args), group, last, scope)
+            return self.pat_node(head, tuple(args), head, scope)
+        self.expect("RPAREN", "')'")
+        return self.pat_node(head, tuple(args), group, scope)
 
-    def pat_node(self, head: int, args: tuple, first: int, last: int, scope) -> Pattern:
-        span = self._span(first, last)
+    def pat_node(self, head: int, args: tuple, first: int, scope) -> Pattern:
+        span = self._span(first)
         name = self.texts[head]
         if name == "impossible":  # the keyword: no identifier is spelt so
             return ImpossiblePat(span)
@@ -550,8 +536,8 @@ class _Reader:
         atoms opens; a `fn` or Pi keeps its binder's scope on `scopes` until
         it closes. An application is resolved when it ends, its arguments
         before its head name. An expression that fills a pair of
-        parentheses takes their positions, the outermost pair's when it
-        fills several; a name alone in the group at an application's head
+        parentheses starts at their "(", the outermost pair's when it fills
+        several; a name alone in the group at an application's head
         is resolved with that application's arguments.
         """
         kinds = self.kinds
@@ -582,11 +568,11 @@ class _Reader:
                     pos += 3
                     grouped = False
                     continue
-                # The head, where its name as written starts and ends, and
-                # the arguments.
-                head, hf, hl, args, app_grouped = None, 0, 0, [], grouped
+                # The head, where its name as written starts, and the
+                # arguments.
+                head, hf, args, app_grouped = None, 0, [], grouped
             else:
-                head, hf, hl, args, app_grouped = resumed
+                head, hf, args, app_grouped = resumed
                 resumed = None
             # An application: a head atom, then argument atoms while they
             # come. "(x :" as an argument can only open a Pi's parentheses.
@@ -594,12 +580,12 @@ class _Reader:
                 kind = kinds[pos]
                 if kind == "IDENT" or kind == "Type":
                     if head is None:
-                        head = hf = hl = pos
+                        head = hf = pos
                     else:
-                        args.append(self.name(pos, (), pos, pos, scopes))
+                        args.append(self.name(pos, (), pos, scopes))
                     pos += 1
                 elif kind == "LPAREN":
-                    stack.append((_GROUP, pos, head, hf, hl, args, app_grouped))
+                    stack.append((_GROUP, pos, head, hf, args, app_grouped))
                     pos += 1
                     grouped = True
                     break
@@ -614,8 +600,7 @@ class _Reader:
             if type(head) is not int:
                 e = head
                 if args:
-                    first, last = self.filled(stack, pos) if fills else (hf, pos - 1)
-                    span = self._span(first, last)
+                    span = self._span(self.filled(stack, pos) if fills else hf)
                     try:
                         e = apply_spine(head, tuple(args))
                     except InternalError:
@@ -628,10 +613,9 @@ class _Reader:
                     fields = type(e).__match_args__[:-1]
                     e = type(e)(*[getattr(e, f) for f in fields], span)
             elif not fills:
-                e = self.name(head, tuple(args), hf, pos - 1, scopes, hf, hl)
+                e = self.name(head, tuple(args), hf, scopes, hf)
             elif args or stack[-1][2] is not None:
-                first, last = self.filled(stack, pos)
-                e = self.name(head, tuple(args), first, last, scopes, hf, hl)
+                e = self.name(head, tuple(args), self.filled(stack, pos), scopes, hf)
             else:
                 e = head  # a name alone in a group at an application's head
             if arrow:
@@ -644,15 +628,15 @@ class _Reader:
                 frame = stack.pop()
                 form = frame[0]
                 if form is _GROUP:
-                    _, open_pos, head, hf, hl, args, app_grouped = frame
+                    _, open_pos, head, hf, args, app_grouped = frame
                     if kinds[pos] != "RPAREN":
                         raise _unexpected("')'", self.tokens[pos])
                     if head is None:  # the group is the head
-                        head, hf, hl = e, open_pos, pos
+                        head, hf = e, open_pos
                     else:
                         args.append(e)
                     pos += 1
-                    resumed = head, hf, hl, args, app_grouped
+                    resumed = head, hf, args, app_grouped
                     break
                 if form is _DOMAIN:  # `e` is the domain
                     _, start, g = frame
@@ -669,12 +653,11 @@ class _Reader:
                 # A `fn`, Pi or arrow whose body or codomain is `e`, starting
                 # at token `start` unless it fills a group.
                 start = frame[1]
-                first, last = self.filled(stack, pos) if frame[2] else (start, pos - 1)
+                span = self._span(self.filled(stack, pos) if frame[2] else start)
                 if form is _ARROW:
-                    e = Pi(Var.fresh("_"), frame[3], e, self._span(first, last))
+                    e = Pi(Var.fresh("_"), frame[3], e, span)
                     continue
                 scopes.pop()
-                span = self._span(first, last)
                 if form is _FN:
                     e = Lam(frame[3], e, span)
                 else:
@@ -683,27 +666,25 @@ class _Reader:
                 self.pos = pos
                 return e
 
-    def filled(self, stack: list[tuple], pos: int) -> tuple[int, int]:
-        """The first and last token of an expression that ends before token
-        `pos` and fills the group on top of `stack`: its "(" and its ")",
-        or those of the outermost group it fills."""
+    def filled(self, stack: list[tuple], pos: int) -> int:
+        """The first token of an expression that ends before token `pos` and
+        fills the group on top of `stack`: its "(", or that of the outermost
+        group it fills."""
         kinds = self.kinds
         i = len(stack) - 1
         if kinds[pos] == "RPAREN":
             # The group fills the one below it when it is the head of an
             # application that starts that group and ends with it.
-            while stack[i][2] is None and stack[i][6] and kinds[pos + 1] == "RPAREN":
+            while stack[i][2] is None and stack[i][5] and kinds[pos + 1] == "RPAREN":
                 i -= 1
                 pos += 1
-        return stack[i][1], pos
+        return stack[i][1]
 
-    def name(
-        self, head: int, args: tuple[Term, ...], first: int, last: int, scopes, hf=0, hl=0
-    ) -> Term:
-        """The name or `Type` at token `head` applied to `args`, spanning
-        tokens `first` to `last`: a local binder before a global. With
-        arguments, the name as written spans tokens `hf` to `hl`."""
-        span = self._span(first, last)
+    def name(self, head: int, args: tuple[Term, ...], first: int, scopes, hf=0) -> Term:
+        """The name or `Type` at token `head` applied to `args`, starting at
+        token `first`: a local binder before a global. With arguments, the
+        name as written starts at token `hf`."""
+        span = self._span(first)
         name = self.texts[head]
         i = len(scopes)
         while i:
@@ -715,7 +696,7 @@ class _Reader:
         if entry is None:
             # No binder or global is named `Type`: it is a keyword.
             if name != "Type":
-                at = self._span(hf, hl) if args else span
+                at = self._span(hf) if args else span
                 raise ResolveError(UNKNOWN_IDENT, f"unknown identifier {name}", at)
             if args:
                 raise ResolveError(

@@ -16,6 +16,7 @@ from .core import (
     Signature,
     Telescope,
     Term,
+    UNIV,
     pattern_has_impossible,
     pretty,
 )
@@ -33,16 +34,17 @@ class GeneralData(Node):
     ctors: tuple[tuple[str, Term], ...]
 
 
-def _ctor_type(decl: DataDecl, row: CtorRow) -> Term:
-    pats = row.patterns
-    binders = vars_pats(pats)
-    codomain: Term = DataCall(decl.name, tuple(to_terms(pats)))
-    ty = codomain
-    for x, t in reversed(row.fields.entries):
-        ty = Pi(x, t, ty)
-    for x, t in reversed(binders.entries):
+def _pis(tele: Telescope, ty: Term) -> Term:
+    """`ty` under one Pi per entry of `tele`, the first entry outermost."""
+    for x, t in reversed(tele.entries):
         ty = Pi(x, t, ty)
     return ty
+
+
+def _ctor_type(decl: DataDecl, row: CtorRow) -> Term:
+    pats = row.patterns
+    codomain = DataCall(decl.name, tuple(to_terms(pats)))
+    return _pis(vars_pats(pats), _pis(row.fields, codomain))
 
 
 def to_general(sig: Signature, decl: DataDecl) -> GeneralData:
@@ -71,7 +73,7 @@ def synth_ctor_type(sig: Signature, ctor: str) -> Term:
 
 def emit_general(g: GeneralData) -> str:
     """Deterministic text form; emitting twice yields identical output."""
-    head = _pi_groups(g.telescope, "Type")
+    head = _render_ctor(_pis(g.telescope, UNIV))
     lines = [f"data {g.name} : {head} where"]
     for name, ty in g.ctors:
         lines.append(f"  {name} : {_render_ctor(ty)}")
@@ -86,10 +88,3 @@ def _render_ctor(ty: Term) -> str:
     if not groups:
         return pretty(ty)
     return f"{' '.join(groups)} → {pretty(ty)}"
-
-
-def _pi_groups(tele: Telescope, codomain: str) -> str:
-    if not tele:
-        return codomain
-    groups = " ".join(f"({x.text} : {pretty(ty)})" for x, ty in tele)
-    return f"{groups} → {codomain}"

@@ -48,6 +48,7 @@ from .core import (
     UNIV,
     Var,
     VarCall,
+    pattern_has_impossible,
     pretty,
     subst,
 )
@@ -65,8 +66,8 @@ from .diagnostics import (
     TYPE_MISMATCH,
     UNEXPECTED_FORM,
     UNKNOWN_NAME,
+    UNREACHABLE_ROW,
     WRONG_DATA_TYPE,
-    FuelError,
     SourceSpan,
     TypeCheckError,
     Warning,
@@ -490,15 +491,11 @@ class TypeChecker:
                 raise TypeCheckError(
                     DUPLICATE_NAME, f"duplicate name {decl.name}", decl.span
                 )
-            try:
+            with located(decl.span):
                 if isinstance(decl, DataDecl):
                     self._check_data(decl)
                 else:
                     self._check_func(decl, coverage)
-            except FuelError as err:
-                if err.span is None:
-                    err.span = decl.span
-                raise
         return sig
 
     def _check_data(self, decl: DataDecl) -> None:
@@ -517,6 +514,16 @@ class TypeChecker:
             for row in decl.ctors
         )
         self.sig.replace_last(DataDecl(decl.name, decl.telescope, rows, decl.span))
+        # A constructor is selected by its first row that matches, so a row
+        # that an earlier row of its constructor subsumes is never selected.
+        # A row with `impossible` selects nothing, so it is left out.
+        live = [r for r in rows if not any(map(pattern_has_impossible, r.patterns))]
+        for i, row in enumerate(live):
+            name, pats = row.name, row.patterns
+            if any(r.name == name and _subsumes(r.patterns, pats) for r in live[:i]):
+                message = (f"row of constructor {name} is never selected: an "
+                           f"earlier row of {name} matches wherever it does")
+                self.warnings.append(Warning(UNREACHABLE_ROW, message, row.span))
 
     def _check_func(self, decl: FuncDecl, coverage: bool) -> None:
         ctx = self.check_telescope(EMPTY_TELESCOPE, decl.telescope)
@@ -533,6 +540,22 @@ class TypeChecker:
             self.warnings.extend(
                 coverage_mod.check_coverage(self.sig, checked, self.fuel)
             )
+
+
+def _subsumes(earlier: Sequence[Pattern], later: Sequence[Pattern]) -> bool:
+    """Whether the pattern row `earlier` matches wherever `later` does, read
+    off the patterns alone: a catch-all subsumes any pattern, and a
+    constructor pattern the same constructor with as many arguments, each
+    subsumed by its own. Neither row may contain `impossible`."""
+    pairs = list(zip(earlier, later))
+    while pairs:
+        p, q = pairs.pop()
+        if type(p) is BindPat:
+            continue
+        if type(q) is not ConPat or q.name != p.name or len(q.args) != len(p.args):
+            return False
+        pairs.extend(zip(p.args, q.args))
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from sit.core import (
     Var,
     pretty,
 )
-from sit.diagnostics import FuelError, TypeCheckError
+from sit.diagnostics import FuelError, SitError, TypeCheckError
 from sit.evaluator import Fuel
 from sit.frontend import Resolver, tokenize
 from sit.pattern_ops import to_terms, vars_pats
@@ -580,6 +580,18 @@ data Fin (n : Nat) : Type
         assert code_of(exc) == code
         assert message in exc.value.message
 
+    def test_error_without_a_location_points_at_its_declaration(self):
+        # The edited clause and pattern have no span, so the E301 takes the
+        # span of the function, which is given back its own.
+        text = self.FIN + self.OPAQUE + "impossible, T, suc k, n, z\n"
+        decls = Resolver().run(tokenize(text, "<test>"))
+        edited = _unknown_ctor_at_y(decls)
+        f = edited[-1]
+        edited[-1] = FuncDecl(f.name, f.telescope, f.result, f.clauses, decls[-1].span)
+        with pytest.raises(TypeCheckError) as exc:
+            TypeChecker().check_signature(edited)
+        assert exc.value.render() == "<test>:9:1: error[E301]: unknown constructor nope"
+
     def test_nested_impossible_at_inhabited_field_rejected(self):
         with pytest.raises(TypeCheckError) as exc:
             check_source(
@@ -612,6 +624,68 @@ data Parity (n : Nat) : Type
         with pytest.raises(TypeCheckError) as exc:
             checker.check_term(EMPTY_TELESCOPE, con("whole"), dat("Parity", nat_lit(1)))
         assert code_of(exc) == "E305"
+
+
+def _warnings(text: str, file: str = "<test>") -> list:
+    """The warnings of checking `text`, up to its first error if it has one."""
+    checker = TypeChecker()
+    try:
+        checker.check_signature(Resolver().run(tokenize(text, file)))
+    except SitError:
+        pass
+    return checker.warnings
+
+
+class TestUnreachableRows:
+    """W302: a constructor row that an earlier row of the same constructor
+    subsumes, pattern by pattern, is never selected."""
+
+    NAT = "data Nat : Type\n  | zero\n  | suc (n : Nat)\n"
+    NEVER = (
+        "warning[W302]: row of constructor c is never selected: an earlier row "
+        "of c matches wherever it does"
+    )
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("data T : Type\n  | c\n  | c (x : T)\n", "<test>:3:3"),
+            (NAT + "data C (n : Nat) : Type\n  | k => c\n  | suc k => c (x : Nat)\n",
+             "<test>:6:3"),
+            (NAT + "data C (n : Nat) : Type\n  | suc k => c\n"
+             "  | suc (suc k) => c (x : Nat)\n", "<test>:6:3"),
+        ],
+        ids=["plain", "catch-all", "nested"],
+    )
+    def test_a_subsumed_row_warns(self, text, where):
+        assert [w.render() for w in _warnings(text)] == [f"{where}: {self.NEVER}"]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "  | zero => c\n  | suc k => c (x : Nat)\n",
+            "  | suc (suc k) => c\n  | suc k => c (x : Nat)\n",
+            "  | zero => c\n  | k => d\n",
+        ],
+        ids=["disjoint", "narrower-first", "other-constructor"],
+    )
+    def test_a_reachable_row_does_not_warn(self, rows):
+        assert _warnings(self.NAT + "data C (n : Nat) : Type\n" + rows) == []
+
+    @pytest.mark.parametrize(
+        "rows",
+        ["  | impossible => c\n  | x => c (y : Nat)\n",
+         "  | x => c\n  | impossible => c (y : Nat)\n"],
+        ids=["earlier", "later"],
+    )
+    def test_a_row_with_impossible_neither_warns_nor_subsumes(self, rows):
+        fin = TestImpossibleRows.FIN + "data T (x : Fin zero) : Type\n"
+        assert _warnings(fin + rows) == []
+
+    def test_no_corpus_file_or_fixture_warns(self):
+        for path in sorted(CORPUS.glob("*.sit")) + sorted(FIXTURES.glob("*.sit")):
+            codes = [w.code for w in _warnings(path.read_text(encoding="utf-8"))]
+            assert "W302" not in codes, path.name
 
 
 class TestPatternTermsAreWellTyped:
