@@ -4,13 +4,15 @@ Every command loads its file with `typecheck.load`, and `eval` hands its
 expression to `typecheck.evaluate`, as any library caller does; this module
 adds only the options, the output and the exit codes. One `Fuel` is made
 per command: `--fuel N` bounds every reduction step of the command, so the
-check and the `-e` evaluation after it share the N steps. `--trace-match`
-is that `Fuel`'s match observer.
+check and the `-e` evaluation after it share the N steps, and apart from
+them every case split of coverage. `--trace-match` is that `Fuel`'s match
+observer.
 
 Exit codes: 0 success, 1 type or coverage error, 2 parse or resolve error,
-3 usage error, 4 resource limit: reduction steps (E501) or nesting depth
-(E502), 5 internal error (E900, a broken invariant of sit itself, reported
-at `<expr>:1:1` when the `-e` expression is handled, else at FILE:1:1).
+3 usage error, 4 resource limit: reduction steps or case splits (E501) or
+nesting depth (E502), 5 internal error (E900, a broken invariant of sit
+itself, reported at `<expr>:1:1` when the `-e` expression is handled, else
+at FILE:1:1).
 Diagnostics go to stderr, one per line, as FILE:LINE:COL: error[Ennn]:
 message.
 """
@@ -92,7 +94,7 @@ def run(argv: list[str] | None = None) -> int:
         "--fuel",
         type=_step_limit,
         default=DEFAULT_FUEL,
-        help="reduction step limit for the whole command",
+        help="reduction step and case split limit for the whole command",
     )
     common.add_argument(
         "--trace-match",

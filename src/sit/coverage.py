@@ -12,20 +12,26 @@ binding the data telescope's variables). The outcome decides selection:
 - a split, or an impossible pattern, needs every row decided, so it is
   undecidable as soon as any row is stuck.
 
-Coverage builds a case-splitting tree over a function's telescope, walked
-depth first from an explicit stack of problems. A problem is its columns (a
-variable and its type each), its rows (a clause's index and one pattern per
-column) and its chain: the refinements of the splits above it, each a column
-variable mapped to a constructor over fresh field variables. A first row of
-catch-alls claims the problem, since under first-match dispatch it takes the
-whole branch. Otherwise the first column some row constrains is split on the
-constructors available at its type. Each case puts the constructor's fields
-in the column's place, refines the later column types and keeps the rows
-that agree, with a catch-all per field in a row that binds the column. A
-leaf with no rows needs an uninhabited column type, or else the chain,
-replayed over the arguments, names the missing case. Cases are pushed in
-reverse, so the first missing case or undecidable split reported is the
-leftmost one.
+Coverage splits a telescope into a tree of cases, walked depth first from
+an explicit stack of problems. A problem is its columns (a variable and its
+type each), its rows (an index and one pattern per column) and its chain:
+the refinements of the splits above it, each a column variable mapped to a
+constructor over fresh field variables. A first row of catch-alls claims
+the problem, since under first-match selection it takes the whole branch.
+Otherwise the first column some row constrains is split on the constructors
+available at its type, spending one of the `Fuel`'s splits. Each case puts
+the constructor's fields in the column's place, refines the later column
+types and keeps the rows that agree, with a catch-all per field in a row
+that binds the column. Cases are pushed in reverse, so the first error
+reported is the leftmost.
+
+This one split answers every usefulness question. Over a function's
+clauses, a leaf with no rows needs an uninhabited column type, or else its
+chain names the missing case (E401); an undecidable split is E402, and a
+clause that claims no leaf W401. Over the rows of one constructor and a
+last row of catch-alls, a row that claims no leaf is never selected (W302):
+earlier rows match first wherever it matches. Rows with `impossible` are
+left out, and an undecidable split gives no W302.
 """
 from __future__ import annotations
 
@@ -36,6 +42,8 @@ from .core import (
     ConCall,
     ConPat,
     DataCall,
+    DataDecl,
+    Declaration,
     FuncDecl,
     ImpossiblePat,
     Node,
@@ -45,6 +53,7 @@ from .core import (
     Var,
     VarCall,
     free_vars,
+    pattern_has_impossible,
     pretty,
     subst,
 )
@@ -52,6 +61,7 @@ from .diagnostics import (
     CANNOT_SPLIT,
     MISSING_CASE,
     UNREACHABLE_CLAUSE,
+    UNREACHABLE_ROW,
     CoverageError,
     InternalError,
     Warning,
@@ -120,7 +130,7 @@ def available_ctors(
 
 
 # ---------------------------------------------------------------------------
-# Exhaustiveness
+# Exhaustiveness and usefulness
 
 _HOLE = VarCall(Var("_", 0))
 # The pattern of each field of a row that binds its split column: coverage
@@ -129,18 +139,42 @@ _CATCH_ALL = BindPat(Var("_", 0))
 
 
 def check_coverage(sig: Signature, func: FuncDecl, fuel: Fuel) -> list[Warning]:
-    """Certify that the clauses cover every constructor form of the telescope.
+    """Certify that the clauses cover every case of the telescope, or raise
+    CoverageError (E401, E402); returns W401 for each clause no case selects."""
+    used = _useful(sig, func, list(enumerate(c.patterns for c in func.clauses)), fuel)
+    return [Warning(UNREACHABLE_CLAUSE, f"clause {i + 1} of {func.name} is selected "
+                    "by no case", cl.span)
+            for i, cl in enumerate(func.clauses) if i not in used]
 
-    Raises CoverageError with a concrete uncovered pattern stack, or when a
-    needed split has undecidable availability. Returns warnings for clauses
-    no leaf selects. `fuel` bounds all evaluation of the check.
-    """
+
+def unselected_rows(sig: Signature, decl: DataDecl, fuel: Fuel) -> list[Warning]:
+    """W302 for each row of `decl` that no index selects, in row order."""
+    rows_of: dict[str, list] = {}
+    for i, row in enumerate(decl.ctors):
+        if not any(map(pattern_has_impossible, row.patterns)):
+            rows_of.setdefault(row.name, []).append((i, row.patterns))
+    dead: set[int] = set()
+    for rows in rows_of.values():
+        if len(rows) > 1:
+            last = (-1, (_CATCH_ALL,) * len(decl.telescope))
+            try:
+                used = _useful(sig, decl, rows + [last], fuel)
+            except CoverageError:  # with `last`, only an undecidable split
+                continue
+            dead.update(i for i, _ in rows if i not in used)
+    return [Warning(UNREACHABLE_ROW, f"row of constructor {row.name} is never "
+                    f"selected: an earlier row of {row.name} matches wherever it does",
+                    row.span)
+            for i, row in enumerate(decl.ctors) if i in dead]
+
+
+def _useful(sig: Signature, decl: Declaration, rows: list, fuel: Fuel) -> set[int]:
+    """The indices of the useful rows: those that claim a leaf of the split
+    over the telescope of `decl`. Raises CoverageError at the first leaf no
+    row claims whose columns are inhabited, and at the first undecidable
+    split."""
     used: set[int] = set()
-    stack: list[tuple[list, list, tuple | None]] = [(
-        list(func.telescope.entries),
-        [(i, cl.patterns) for i, cl in enumerate(func.clauses)],
-        None,
-    )]
+    stack = [(list(decl.telescope.entries), rows, None)]
     while stack:
         columns, rows, chain = stack.pop()
         if not rows:
@@ -152,11 +186,11 @@ def check_coverage(sig: Signature, func: FuncDecl, fuel: Fuel) -> list[Warning]:
                     if type(av) is dict and not av:
                         break
             else:
-                case = _missing_case(func, chain)
+                case = _missing_case(decl, chain)
                 raise CoverageError(
                     MISSING_CASE,
-                    f"missing case in {func.name}: {case or '(no arguments)'}",
-                    func.span,
+                    f"missing case in {decl.name}: {case or '(no arguments)'}",
+                    decl.span,
                 )
             continue
 
@@ -166,6 +200,7 @@ def check_coverage(sig: Signature, func: FuncDecl, fuel: Fuel) -> list[Warning]:
             used.add(rows[0][0])
             continue
 
+        fuel.split()
         var, col_ty = columns[split_at]
         ty = whnf(sig, col_ty, fuel)
         if type(ty) is not DataCall:
@@ -174,9 +209,9 @@ def check_coverage(sig: Signature, func: FuncDecl, fuel: Fuel) -> list[Warning]:
         if type(cases) is Undecidable:
             raise CoverageError(
                 CANNOT_SPLIT,
-                f"cannot split on {var.text} : {pretty(ty)} in {func.name}: "
+                f"cannot split on {var.text} : {pretty(ty)} in {decl.name}: "
                 f"availability of constructor {cases.ctor} is undecidable",
-                func.span,
+                decl.span,
             )
 
         if not cases:
@@ -220,28 +255,17 @@ def check_coverage(sig: Signature, func: FuncDecl, fuel: Fuel) -> list[Warning]:
                     continue
                 new_rows.append((i, pats[:split_at] + sub_pats + pats[split_at + 1 :]))
             stack.append((new_columns, new_rows, (chain, refine)))
-
-    warnings = []
-    for i, cl in enumerate(func.clauses):
-        if i not in used:
-            warnings.append(
-                Warning(
-                    UNREACHABLE_CLAUSE,
-                    f"clause {i + 1} of {func.name} is selected by no case",
-                    cl.span,
-                )
-            )
-    return warnings
+    return used
 
 
-def _missing_case(func: FuncDecl, chain: tuple | None) -> str:
+def _missing_case(decl: Declaration, chain: tuple | None) -> str:
     """The arguments at a leaf as constructor spines, "_" for each variable:
     the chain's refinements replayed from the root."""
     refines = []
     while chain is not None:
         chain, refine = chain
         refines.append(refine)
-    shapes = [VarCall(x) for x, _ in func.telescope.entries]
+    shapes = [VarCall(x) for x, _ in decl.telescope.entries]
     for refine in reversed(refines):
         shapes = [subst(s, refine) for s in shapes]
     holes = {x: _HOLE for s in shapes for x in free_vars(s)}

@@ -46,25 +46,34 @@ DEFAULT_FUEL = 1_000_000
 
 class Fuel:
     """The budget of one run: every clause firing of the checker, coverage
-    and the evaluator spends one step of the same `limit`.
+    and the evaluator spends one step of `limit` (`used`), and every case
+    split of coverage one split of the same `limit` (`splits`). Either count
+    past the limit is E501. Splits are counted apart, so a split changes
+    neither `used` nor the firings a run reports.
 
     `observer`, when set, is told every match the run makes (the terms, the
     patterns and the outcome), by `whnf` and `coverage.available_ctors`.
     """
 
-    __slots__ = ("limit", "used", "observer")
+    __slots__ = ("limit", "used", "splits", "observer")
 
     def __init__(self, limit: int = DEFAULT_FUEL, *, observer: (
         Callable[[Sequence[Term], Sequence[Pattern], MatchOutcome], None] | None
     ) = None) -> None:
         self.limit = limit
         self.used = 0
+        self.splits = 0
         self.observer = observer
 
     def spend(self) -> None:
         self.used += 1
         if self.used > self.limit:
             raise FuelError(self.limit)
+
+    def split(self) -> None:
+        self.splits += 1
+        if self.splits > self.limit:
+            raise FuelError(self.limit, f"coverage exceeded {self.limit} case splits")
 
 
 def whnf(sig: Signature, t: Term, fuel: Fuel) -> Term:

@@ -6,7 +6,8 @@ checked against the expected data type through `coverage.available_ctors`,
 the one query that matches constructor rows: the constructor's first row
 that does not mismatch its (normalized) arguments decides. A match
 instantiates the field types, no such row means the constructor is
-unavailable, and a stuck match is its own hard error.
+unavailable, and a stuck match is its own hard error. A row never selected
+is W302, from coverage's split.
 
 `check_row` is the one pattern check, for clauses and constructor rows
 alike: one walk gives each pattern's typed form and its term together.
@@ -48,7 +49,6 @@ from .core import (
     UNIV,
     Var,
     VarCall,
-    pattern_has_impossible,
     pretty,
     subst,
 )
@@ -66,7 +66,6 @@ from .diagnostics import (
     TYPE_MISMATCH,
     UNEXPECTED_FORM,
     UNKNOWN_NAME,
-    UNREACHABLE_ROW,
     WRONG_DATA_TYPE,
     SourceSpan,
     TypeCheckError,
@@ -513,17 +512,9 @@ class TypeChecker:
             self.check_ctor_row(decl.telescope, row)
             for row in decl.ctors
         )
-        self.sig.replace_last(DataDecl(decl.name, decl.telescope, rows, decl.span))
-        # A constructor is selected by its first row that matches, so a row
-        # that an earlier row of its constructor subsumes is never selected.
-        # A row with `impossible` selects nothing, so it is left out.
-        live = [r for r in rows if not any(map(pattern_has_impossible, r.patterns))]
-        for i, row in enumerate(live):
-            name, pats = row.name, row.patterns
-            if any(r.name == name and _subsumes(r.patterns, pats) for r in live[:i]):
-                message = (f"row of constructor {name} is never selected: an "
-                           f"earlier row of {name} matches wherever it does")
-                self.warnings.append(Warning(UNREACHABLE_ROW, message, row.span))
+        checked = DataDecl(decl.name, decl.telescope, rows, decl.span)
+        self.sig.replace_last(checked)
+        self.warnings += coverage_mod.unselected_rows(self.sig, checked, self.fuel)
 
     def _check_func(self, decl: FuncDecl, coverage: bool) -> None:
         ctx = self.check_telescope(EMPTY_TELESCOPE, decl.telescope)
@@ -540,22 +531,6 @@ class TypeChecker:
             self.warnings.extend(
                 coverage_mod.check_coverage(self.sig, checked, self.fuel)
             )
-
-
-def _subsumes(earlier: Sequence[Pattern], later: Sequence[Pattern]) -> bool:
-    """Whether the pattern row `earlier` matches wherever `later` does, read
-    off the patterns alone: a catch-all subsumes any pattern, and a
-    constructor pattern the same constructor with as many arguments, each
-    subsumed by its own. Neither row may contain `impossible`."""
-    pairs = list(zip(earlier, later))
-    while pairs:
-        p, q = pairs.pop()
-        if type(p) is BindPat:
-            continue
-        if type(q) is not ConPat or q.name != p.name or len(q.args) != len(p.args):
-            return False
-        pairs.extend(zip(p.args, q.args))
-    return True
 
 
 # ---------------------------------------------------------------------------

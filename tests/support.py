@@ -1,10 +1,13 @@
 """Shared test machinery: corpus loading, term builders, enumerators for
-closed well-typed terms, a random pattern-row generator, and a brute-force
-first-order unification oracle kept independent of the matcher it checks."""
+closed well-typed terms, a random pattern-row generator, a wide random
+pattern matrix, a wall-clock deadline, and a brute-force first-order
+unification oracle kept independent of the matcher it checks."""
 from __future__ import annotations
 
 import itertools
 import random
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
 
@@ -251,6 +254,41 @@ class RowGen:
                     acc[w] = to_term(q)
                 return ConPat(ctor, tuple(args))
         return BindPat(Var.fresh(self._fresh_name()))
+
+
+def wide_matrix(as_data: bool, columns: int = 20, rows: int = 60, seed: int = 1) -> str:
+    """A program with one pattern matrix over `columns` `Bool` columns: `rows`
+    rows that each fix 3 random columns, then a row of catch-alls. It is the
+    clauses of a function `f`, or, `as_data`, the rows of one constructor `c`
+    of a data type `M`, whose last row has a field."""
+    rng = random.Random(seed)
+    tele = " ".join(f"(x{j} : Bool)" for j in range(columns))
+    lines = ["data Bool : Type", "  | true", "  | false",
+             f"data M {tele} : Type" if as_data else f"def f {tele} : Bool"]
+    for _ in range(rows):
+        fixed = {j: rng.choice(("true", "false")) for j in rng.sample(range(columns), 3)}
+        pats = ", ".join(fixed.get(j, f"a{j}") for j in range(columns))
+        lines.append(f"  | {pats} => " + ("c" if as_data else "true"))
+    pats = ", ".join(f"a{j}" for j in range(columns))
+    lines.append(f"  | {pats} => " + ("c (y : Bool)" if as_data else "false"))
+    return "\n".join(lines) + "\n"
+
+
+@contextmanager
+def deadline(seconds: float, what: str):
+    """Raise TimeoutError in the block once `seconds` of wall time have
+    passed, so a run that hangs fails its test."""
+
+    def expire(*_):
+        raise TimeoutError(f"{what} took over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def corpus_telescopes(sig: Signature) -> list[Telescope]:

@@ -593,7 +593,13 @@ class TestExitCodes:
         args = ["eval", corpus("nat.sit"), "-e", "suc zero"]
         assert run(args + ["--fuel", "-3"]) == 3
         assert "argument --fuel" in capsys.readouterr().err
-        assert run(args + ["--fuel", "0"]) == 0
+        # 0 is a valid budget: vec.sit checks with no step and no split,
+        # while nat.sit's check makes one case split and runs out there.
+        assert run(["check", corpus("vec.sit"), "--fuel", "0"]) == 0
+        assert run(args + ["--fuel", "0"]) == 4
+        assert capsys.readouterr().err.endswith(
+            "nat.sit:6:1: error[E501]: coverage exceeded 0 case splits\n"
+        )
 
     def test_missing_file(self, capsys):
         assert run(["check", "no-such-file.sit"]) == 3

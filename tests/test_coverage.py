@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import signal
 import time
 
 import pytest
@@ -18,6 +17,7 @@ from support import (
     check_source,
     con,
     dat,
+    deadline,
     enumerate_tuples,
     nat_lit,
     ref,
@@ -281,19 +281,23 @@ def f (n : Nat) (x : Mix n) : Nat
         ] + [", ".join(f"a{j}" for j in range(n)) + " => false"]
         src = "data Bool : Type\n  | true\n  | false\n"
         src += f"def f {tele} : Bool\n" + "".join(f"  | {r}\n" for r in rows)
-
-        def expire(*_):
-            raise TimeoutError("coverage of the doubling family took over 2 s")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.setitimer(signal.ITIMER_REAL, 2.0)
-        try:
+        with deadline(2.0, "coverage of the doubling family"):
             start = time.perf_counter()
             assert load(src, "<test>", Fuel(100)).warnings == []
             assert time.perf_counter() - start < 2.0
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
+
+    def test_splits_are_counted_apart_from_steps(self):
+        # Each split spends one of `Fuel.splits`, never a reduction step, so
+        # the steps a check spends are those it spent before splits counted.
+        counts = {}
+        for name in ("fin", "list", "nat", "normalize", "vec"):
+            fuel = Fuel()
+            path = CORPUS / f"{name}.sit"
+            load(path.read_text(encoding="utf-8"), str(path), fuel)
+            counts[name] = fuel.splits, fuel.used
+        assert counts == {
+            "fin": (2, 0), "list": (0, 0), "nat": (1, 0), "normalize": (6, 7), "vec": (0, 0)
+        }
 
 
 class TestPerConstructorRule:

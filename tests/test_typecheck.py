@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import random
 
 import pytest
 
@@ -20,11 +21,12 @@ from sit.core import (
     UNIV,
     Var,
     pretty,
+    pretty_pattern,
 )
 from sit.diagnostics import FuelError, SitError, TypeCheckError
 from sit.evaluator import Fuel
 from sit.frontend import Resolver, tokenize
-from sit.pattern_ops import to_terms, vars_pats
+from sit.pattern_ops import Matched, match_terms, to_terms, vars_pats
 from sit.typecheck import TypeChecker, evaluate, load
 
 from support import (
@@ -32,13 +34,17 @@ from support import (
     CORPUS,
     FIXTURES,
     HIGHER_ORDER,
+    RowGen,
     check_source,
     con,
     dat,
+    deadline,
+    enumerate_tuples,
     fn,
     load_corpus,
     nat_lit,
     ref,
+    wide_matrix,
 )
 
 
@@ -637,10 +643,12 @@ def _warnings(text: str, file: str = "<test>") -> list:
 
 
 class TestUnreachableRows:
-    """W302: a constructor row that an earlier row of the same constructor
-    subsumes, pattern by pattern, is never selected."""
+    """W302: a constructor row that the earlier rows of the same constructor,
+    together, match wherever it does is never selected. Coverage's split over
+    the data telescope decides it, as it decides W401 for clauses."""
 
     NAT = "data Nat : Type\n  | zero\n  | suc (n : Nat)\n"
+    BOOL = "data Bool : Type\n  | true\n  | false\n"
     NEVER = (
         "warning[W302]: row of constructor c is never selected: an earlier row "
         "of c matches wherever it does"
@@ -686,6 +694,70 @@ class TestUnreachableRows:
         for path in sorted(CORPUS.glob("*.sit")) + sorted(FIXTURES.glob("*.sit")):
             codes = [w.code for w in _warnings(path.read_text(encoding="utf-8"))]
             assert "W302" not in codes, path.name
+
+    @pytest.mark.parametrize(
+        "rows, where",
+        [
+            ("  | zero => c\n  | suc k => c\n  | k => c (x : Nat)\n", "<test>:7:3"),
+            ("  | zero => c\n  | suc zero => c\n  | suc (suc k) => c\n"
+             "  | k => c (x : Nat)\n", "<test>:8:3"),
+        ],
+        ids=["two-rows", "three-rows"],
+    )
+    def test_a_row_that_earlier_rows_cover_together_warns(self, rows, where):
+        # No single earlier row matches wherever the last one does, but
+        # together they match every index: the last row is never selected.
+        text = self.NAT + "data C (n : Nat) : Type\n" + rows
+        assert [w.render() for w in _warnings(text)] == [f"{where}: {self.NEVER}"]
+
+    @pytest.mark.parametrize("as_data", [False, True], ids=["function", "data"])
+    def test_a_wide_matrix_runs_out_of_splits(self, as_data):
+        # Unbounded, the split of this matrix makes about half a million
+        # case splits, clauses or constructor rows alike; the budget stops it
+        # at the declaration.
+        with deadline(2.0, "splitting the 20-column matrix"):
+            with pytest.raises(FuelError) as exc:
+                load(wide_matrix(as_data), "<test>", Fuel(100))
+        assert exc.value.render() == (
+            "<test>:4:1: error[E501]: coverage exceeded 100 case splits"
+        )
+
+    def test_a_row_warns_exactly_when_no_index_selects_it(self):
+        # Random rows of two constructors over telescopes of closed data.
+        # The oracle selects, at every closed index tuple two levels deeper
+        # than any pattern, the first row of each constructor that matches.
+        sig = check_source(self.NAT + self.BOOL)
+        rng = random.Random(31)
+        gen = RowGen(sig, rng)
+        binders = ["(n : Nat)", "(a : Nat) (b : Bool)", "(a : Bool) (b : Nat)"]
+        teles = {
+            text: check_source(self.NAT + self.BOOL + f"data D {text} : Type\n")
+            .data("D").telescope
+            for text in binders
+        }
+        first_row = 8  # the line of the first row, after Nat, Bool and D
+        dead_seen = live_seen = 0
+        for _ in range(300):
+            text = rng.choice(binders)
+            rows = [(rng.choice("cd"), gen.row(teles[text], depth=2))
+                    for _ in range(rng.randint(2, 5))]
+            selected = set()
+            for index in enumerate_tuples(sig, teles[text], 4):
+                firsts = {}
+                for i, (ctor, pats) in enumerate(rows):
+                    if ctor not in firsts and type(match_terms(index, pats)) is Matched:
+                        firsts[ctor] = i
+                selected.update(firsts.values())
+            program = self.NAT + self.BOOL + f"data D {text} : Type\n" + "".join(
+                f"  | {', '.join(map(pretty_pattern, pats))} => {ctor}\n"
+                for ctor, pats in rows
+            )
+            warnings = load(program, "<test>").warnings
+            warned = {w.span.start_line - first_row for w in warnings}
+            assert warned == set(range(len(rows))) - selected, program
+            dead_seen += len(warned)
+            live_seen += len(selected)
+        assert dead_seen and live_seen
 
 
 class TestPatternTermsAreWellTyped:
