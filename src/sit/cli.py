@@ -11,8 +11,8 @@ observer.
 Exit codes: 0 success, 1 type or coverage error, 2 parse or resolve error,
 3 usage error, 4 resource limit: reduction steps or case splits (E501) or
 nesting depth (E502), 5 internal error (E900, a broken invariant of sit
-itself, reported at `<expr>:1:1` when the `-e` expression is handled, else
-at FILE:1:1).
+itself). E502 and E900 point at the declaration being checked, or at
+`<expr>:1:1` when the `-e` expression is handled, or otherwise at FILE:1:1.
 Diagnostics go to stderr, one per line, as FILE:LINE:COL: error[Ennn]:
 message.
 """
@@ -32,7 +32,6 @@ from .diagnostics import (
     SitError,
     SourceSpan,
     located,
-    reported_at,
 )
 from .evaluator import DEFAULT_FUEL, Fuel
 from .frontend import decode_source
@@ -105,14 +104,8 @@ def run(argv: list[str] | None = None) -> int:
 
     p_check = sub.add_parser("check", parents=[common], help="type check a file")
     p_check.add_argument(
-        "--no-coverage", action="store_true", help="skip exhaustiveness checking"
-    )
-    p_check.add_argument(
-        "--strict-fig6",
-        dest="strict_row_fields",
-        action="store_true",
-        help="also check pattern-row constructor fields under the data "
-        "telescope scope and report differences",
+        "--no-coverage", action="store_true",
+        help="skip exhaustiveness and never-selected row checking",
     )
 
     p_eval = sub.add_parser(
@@ -137,7 +130,7 @@ def run(argv: list[str] | None = None) -> int:
 
     fuel = Fuel(args.fuel, observer=_trace if args.trace_match else None)
     try:
-        with reported_at(args.file):
+        with located(SourceSpan(args.file, 1, 1)):
             return _dispatch(args, fuel)
     except SitError as err:
         print(err.render(), file=sys.stderr)
@@ -151,8 +144,7 @@ def _dispatch(args, fuel: Fuel) -> int:
     with open(args.file, "rb") as fh:
         text = decode_source(fh.read(), args.file)
     checked = load(
-        text, args.file, fuel, coverage=not getattr(args, "no_coverage", False),
-        strict_row_fields=getattr(args, "strict_row_fields", False),
+        text, args.file, fuel, coverage=not getattr(args, "no_coverage", False)
     )
     for w in checked.warnings:
         print(w.render(), file=sys.stderr)
@@ -160,7 +152,7 @@ def _dispatch(args, fuel: Fuel) -> int:
         return EXIT_OK
     if args.command == "eval":
         result = evaluate(checked, args.expr, fuel)
-        with reported_at("<expr>"):
+        with located(SourceSpan("<expr>", 1, 1)):
             print(pretty(result))
         return EXIT_OK
     if args.command == "translate":

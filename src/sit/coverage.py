@@ -163,7 +163,7 @@ def unselected_rows(sig: Signature, decl: DataDecl, fuel: Fuel) -> list[Warning]
                 continue
             dead.update(i for i, _ in rows if i not in used)
     return [Warning(UNREACHABLE_ROW, f"row of constructor {row.name} is never "
-                    f"selected: an earlier row of {row.name} matches wherever it does",
+                    f"selected: the earlier rows of {row.name} match wherever it does",
                     row.span)
             for i, row in enumerate(decl.ctors) if i in dead]
 

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from collections import namedtuple
-from contextlib import contextmanager
 
 
 class SourceSpan(namedtuple("_Span", "file start_line start_col")):
@@ -60,7 +59,6 @@ NESTING_TOO_DEEP = "E502"
 INTERNAL_ERROR = "E900"
 
 UNREACHABLE_CLAUSE = "W401"
-STRICT_FIELD_SCOPE = "W301"
 UNREACHABLE_ROW = "W302"
 
 
@@ -110,10 +108,13 @@ class FuelError(SitError):
 
 
 class located:
-    """Give a diagnostic raised without a location the span of the input.
-
-    A class, not a `contextlib` generator: the checker enters one per
-    declaration, and a slotted class costs about a third as much.
+    """The one guard: what fails inside it with no location of its own is
+    reported at `span`. A diagnostic with no span takes it, a RecursionError
+    becomes E502 (the walks over terms recurse once per nesting level) and a
+    broken invariant of sit itself E900. The checker enters one per
+    declaration and the `sit` command one per file and `-e` expression, so
+    E502 and E900 point at the declaration, at `<expr>:1:1` or at FILE:1:1.
+    A slotted class, not a `contextlib` generator: it costs a third as much.
     """
 
     __slots__ = ("span",)
@@ -125,25 +126,16 @@ class located:
         pass
 
     def __exit__(self, kind, err, traceback) -> bool:
-        if isinstance(err, SitError) and err.span is None:
-            err.span = self.span
+        if isinstance(err, SitError):
+            if err.span is None:
+                err.span = self.span
+        elif isinstance(err, RecursionError):
+            message = "input nested too deeply to process"
+            raise SitError(NESTING_TOO_DEEP, message, self.span) from None
+        elif isinstance(err, InternalError):
+            message = "internal error: " + " ".join(str(err).split())
+            raise SitError(INTERNAL_ERROR, message, self.span) from None
         return False
-
-
-@contextmanager
-def reported_at(source: str):
-    """Report what no diagnostic locates at the start of `source`: a
-    RecursionError as E502 (the walks over terms recurse once per nesting
-    level) and a broken invariant of sit itself as E900."""
-    where = SourceSpan(source, 1, 1)
-    try:
-        yield
-    except RecursionError:
-        message = "input nested too deeply to process"
-        raise SitError(NESTING_TOO_DEEP, message, where) from None
-    except InternalError as err:
-        message = "internal error: " + " ".join(str(err).split())
-        raise SitError(INTERNAL_ERROR, message, where) from None
 
 
 class Warning(namedtuple("Warning", "code message span", defaults=(None,))):

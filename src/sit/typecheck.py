@@ -7,7 +7,7 @@ the one query that matches constructor rows: the constructor's first row
 that does not mismatch its (normalized) arguments decides. A match
 instantiates the field types, no such row means the constructor is
 unavailable, and a stuck match is its own hard error. A row never selected
-is W302, from coverage's split.
+is W302, from coverage's split, when coverage is checked.
 
 `check_row` is the one pattern check, for clauses and constructor rows
 alike: one walk gives each pattern's typed form and its term together.
@@ -19,7 +19,9 @@ right, so every name refers to an earlier declaration (or to the one being
 checked, for recursion).
 
 `load` reads and checks a file, and `evaluate` an expression against it:
-the one sequence of the `sit` command, the tests and the scripts.
+the one sequence of the `sit` command, the tests and the scripts. A
+RecursionError (E502) or a broken invariant (E900) is reported at the
+declaration being checked, or at the expression's `<expr>:1:1`.
 """
 from __future__ import annotations
 
@@ -62,7 +64,6 @@ from .diagnostics import (
     IMPOSSIBLE_REJECTED,
     MISSING_BODY,
     NOT_A_DATA_TYPE,
-    STRICT_FIELD_SCOPE,
     TYPE_MISMATCH,
     UNEXPECTED_FORM,
     UNKNOWN_NAME,
@@ -72,7 +73,6 @@ from .diagnostics import (
     Warning,
     counted,
     located,
-    reported_at,
 )
 from .evaluator import Fuel, convertible, normalize, whnf
 from .frontend import Resolver, tokenize
@@ -83,18 +83,14 @@ class TypeChecker:
     """Checks terms and declarations against a signature, empty by default.
 
     All evaluation of the check, coverage included, spends the one `fuel`
-    (a new default budget when None). `strict_row_fields` additionally
-    re-checks pattern-row constructor fields under the data telescope scope
-    and reports any disagreement as a warning.
+    (a new default budget when None).
     """
 
-    __slots__ = ("sig", "fuel", "strict_row_fields", "warnings")
+    __slots__ = ("sig", "fuel", "warnings")
 
-    def __init__(self, sig: Signature | None = None, fuel: Fuel | None = None,
-                 strict_row_fields: bool = False) -> None:
+    def __init__(self, sig: Signature | None = None, fuel: Fuel | None = None) -> None:
         self.sig = Signature() if sig is None else sig
         self.fuel = Fuel() if fuel is None else fuel
-        self.strict_row_fields = strict_row_fields
         self.warnings: list[Warning] = []
 
     # -- helpers ------------------------------------------------------------
@@ -459,19 +455,6 @@ class TypeChecker:
         bindings; returns it with typed patterns."""
         typed, theta, _ = self.check_row(row.patterns, tele)
         self.check_telescope(theta, row.fields)
-        # A plain row binds the data telescope itself: nothing to re-check.
-        if self.strict_row_fields and theta != tele:
-            try:
-                self.check_telescope(tele, row.fields)
-            except TypeCheckError as err:
-                self.warnings.append(
-                    Warning(
-                        STRICT_FIELD_SCOPE,
-                        f"fields of constructor {row.name} do not check under "
-                        f"the data telescope alone: {err.message}",
-                        row.span,
-                    )
-                )
         return CtorRow(row.name, row.fields, typed, row.span)
 
     # -- signatures ----------------------------------------------------------
@@ -479,7 +462,8 @@ class TypeChecker:
     def check_signature(
         self, decls: Sequence[Declaration], coverage: bool = True
     ) -> Signature:
-        """Fold the declarations into a checked signature.
+        """Fold the declarations into a checked signature. A failure with no
+        location of its own (E501, E502, E900) is reported at its declaration.
 
         The check owns the signature it builds: `self.sig` is copied once
         and grown in place, so a caller's signature never changes.
@@ -492,12 +476,12 @@ class TypeChecker:
                 )
             with located(decl.span):
                 if isinstance(decl, DataDecl):
-                    self._check_data(decl)
+                    self._check_data(decl, coverage)
                 else:
                     self._check_func(decl, coverage)
         return sig
 
-    def _check_data(self, decl: DataDecl) -> None:
+    def _check_data(self, decl: DataDecl, coverage: bool) -> None:
         self.check_telescope(EMPTY_TELESCOPE, decl.telescope)
         for row in decl.ctors:
             if row.name == decl.name or self.sig.declares(row.name):
@@ -514,7 +498,8 @@ class TypeChecker:
         )
         checked = DataDecl(decl.name, decl.telescope, rows, decl.span)
         self.sig.replace_last(checked)
-        self.warnings += coverage_mod.unselected_rows(self.sig, checked, self.fuel)
+        if coverage:
+            self.warnings += coverage_mod.unselected_rows(self.sig, checked, self.fuel)
 
     def _check_func(self, decl: FuncDecl, coverage: bool) -> None:
         ctx = self.check_telescope(EMPTY_TELESCOPE, decl.telescope)
@@ -551,12 +536,12 @@ class Checked:
 
 
 def load(text: str, file: str, fuel: Fuel | None = None, *,
-         coverage: bool = True, strict_row_fields: bool = False) -> Checked:
+         coverage: bool = True) -> Checked:
     """Tokenize, read and check the text of `file`, spending `fuel` (a new
     default budget when None) on the check and its coverage."""
     resolver = Resolver()
     decls = resolver.run(tokenize(text, file))
-    checker = TypeChecker(fuel=fuel, strict_row_fields=strict_row_fields)
+    checker = TypeChecker(fuel=fuel)
     sig = checker.check_signature(decls, coverage=coverage)
     return Checked(sig, resolver, checker.warnings)
 
@@ -564,13 +549,12 @@ def load(text: str, file: str, fuel: Fuel | None = None, *,
 def evaluate(checked: Checked, text: str, fuel: Fuel) -> Term:
     """Read the expression `text` against a loaded file, check it against
     the type `TypeChecker.infer` gives, if any, and normalize it, spending
-    `fuel`. Its diagnostics name it `<expr>`."""
-    with reported_at("<expr>"):
-        tokens = tokenize(text, "<expr>")
-        term = checked.resolver.resolve_expression(tokens)
-        with located(tokens.span):
-            checker = TypeChecker(checked.sig, fuel)
-            ty = checker.infer(term)
-            if ty is not None:
-                checker.check_term(EMPTY_TELESCOPE, term, ty)
-            return normalize(checked.sig, term, fuel)
+    `fuel`. Its diagnostics name it `<expr>`, and what fails with no
+    location of its own is reported at `<expr>:1:1`."""
+    with located(SourceSpan("<expr>", 1, 1)):
+        term = checked.resolver.resolve_expression(tokenize(text, "<expr>"))
+        checker = TypeChecker(checked.sig, fuel)
+        ty = checker.infer(term)
+        if ty is not None:
+            checker.check_term(EMPTY_TELESCOPE, term, ty)
+        return normalize(checked.sig, term, fuel)

@@ -50,10 +50,11 @@ class TestCheck:
         assert run(["check", str(src)]) == 1
         assert run(["check", str(src), "--no-coverage"]) == 0
 
-    def test_strict_row_scope_flag_warns(self, capsys):
-        assert run(["check", corpus("vec.sit"), "--strict-fig6"]) == 0
-        err = capsys.readouterr().err
-        assert "warning[W301]" in err
+    def test_strict_fig6_is_gone(self, capsys):
+        # A pattern row's fields are read in the row's own scope, so no
+        # second check under the data telescope is offered.
+        assert run(["check", corpus("vec.sit"), "--strict-fig6"]) == 3
+        assert "unrecognized arguments: --strict-fig6" in capsys.readouterr().err
 
     def test_diagnostic_format(self, capsys):
         assert run(["check", str(FIXTURES / "09_unknown_identifier.sit")]) == 2
@@ -184,7 +185,7 @@ class TestCheck:
         assert run(["check", str(src)]) == 0
         assert capsys.readouterr().err == ""
 
-    def test_deep_nesting_is_reported_at_the_file(self, tmp_path, capsys):
+    def test_deep_nesting_is_reported_at_its_declaration(self, tmp_path, capsys):
         src = tmp_path / "deep.sit"
         deep = "suc (" * 2000 + "zero" + ")" * 2000
         src.write_text(
@@ -193,8 +194,7 @@ class TestCheck:
         )
         assert run(["check", str(src)]) == 4
         err = capsys.readouterr().err
-        assert err.startswith(f"{src}:1:1: error[E502]")
-        assert "Traceback" not in err
+        assert err == f"{src}:4:1: error[E502]: input nested too deeply to process\n"
 
     def test_deep_pattern_is_reported_at_the_file(self, tmp_path):
         # The reader takes one frame per level of a nested pattern, and the
@@ -652,6 +652,23 @@ class TestExitCodes:
         assert "Traceback" not in res.stderr
         (line,) = res.stderr.splitlines()
         assert line.startswith("<expr>:1:1: error[E900]: internal error: cannot apply")
+
+    def test_internal_error_in_a_declaration_is_located_there(self, tmp_path):
+        # The same broken invariant, met while `t`'s result type is
+        # normalized to select the row of `b`: reported at `t`, line 10.
+        src = tmp_path / "e900.sit"
+        src.write_text(
+            "data Nat : Type\n  | zero\n  | suc (n : Nat)\n"
+            "def k (n : Nat) : Nat -> Nat\n  | n => fn m => suc n\n"
+            "def use (g : Nat -> Nat) : Nat\n  | g => g zero\n"
+            "data B (n : Nat) : Type\n  | zero => b\n"
+            "def t : B (use (k zero))\n  | => b\n"
+        )
+        res = sit_process("check", str(src))
+        assert res.returncode == 5
+        assert "Traceback" not in res.stderr
+        (line,) = res.stderr.splitlines()
+        assert line.startswith(f"{src}:10:1: error[E900]: internal error: cannot apply")
 
 
 class TestProcess:

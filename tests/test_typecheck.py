@@ -478,25 +478,6 @@ def bad (k : Nat) : Nat
             used[name] = checker.fuel.used
         assert used == pinned
 
-    def test_strict_row_scope_flag_reports_difference(self):
-        src = """
-data Nat : Type
-  | zero
-  | suc (n : Nat)
-
-data Vec (A : Type) (n : Nat) : Type
-  | A, zero => vnil
-  | A, suc m => vcons (x : A) (xs : Vec A m)
-"""
-        decls = Resolver().run(tokenize(src, "<test>"))
-        checker = TypeChecker(strict_row_fields=True)
-        checker.check_signature(decls)
-        assert any(w.code == "W301" for w in checker.warnings)
-
-        checker = TypeChecker(strict_row_fields=False)
-        checker.check_signature(Resolver().run(tokenize(src, "<test>")))
-        assert not checker.warnings
-
 
 def _unknown_ctor_at_y(decls):
     # The resolver rejects an unknown constructor name, so this row is built
@@ -650,8 +631,8 @@ class TestUnreachableRows:
     NAT = "data Nat : Type\n  | zero\n  | suc (n : Nat)\n"
     BOOL = "data Bool : Type\n  | true\n  | false\n"
     NEVER = (
-        "warning[W302]: row of constructor c is never selected: an earlier row "
-        "of c matches wherever it does"
+        "warning[W302]: row of constructor c is never selected: the earlier "
+        "rows of c match wherever it does"
     )
 
     @pytest.mark.parametrize(
@@ -721,6 +702,14 @@ class TestUnreachableRows:
         assert exc.value.render() == (
             "<test>:4:1: error[E501]: coverage exceeded 100 case splits"
         )
+
+    def test_no_coverage_makes_no_split(self):
+        # W302 is coverage's split, so without coverage the rows of the
+        # 20-column matrix are checked but never split.
+        fuel = Fuel(100)
+        with deadline(2.0, "checking the 20-column matrix"):
+            checked = load(wide_matrix(as_data=True), "<test>", fuel, coverage=False)
+        assert (checked.warnings, fuel.splits) == ([], 0)
 
     def test_a_row_warns_exactly_when_no_index_selects_it(self):
         # Random rows of two constructors over telescopes of closed data.
