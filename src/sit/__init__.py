@@ -39,7 +39,6 @@ from .pattern_ops import (
     match_terms,
     to_term,
     to_terms,
-    vars_pats,
     vars_tele,
 )
 from .translate import GeneralData, emit_general, synth_ctor_type, to_general

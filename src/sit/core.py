@@ -242,13 +242,12 @@ EMPTY_TELESCOPE = Telescope()
 
 
 class BindPat(Node):
-    """A catch-all pattern; its type is filled in by pattern checking."""
+    """A catch-all pattern. Its type is in the telescope of bindings that
+    checking its row gives (`TypeChecker.check_row`, `CtorRow.binders`)."""
 
-    __slots__ = ("var", "ty", "span")
+    __slots__ = ("var", "span")
     var: Var
-    ty: Term | None
     span: SourceSpan | None
-    _defaults = {"ty": None}
 
 
 class ConPat(Node):
@@ -288,13 +287,18 @@ class CtorRow(Node):
     at the instantiations its patterns, one per data telescope entry, match.
     A plain row's patterns are catch-alls binding the data telescope's own
     variables, so it matches every instantiation.
+
+    `binders` is the telescope of the patterns' bindings, left to right and
+    depth first, as checking the row types them; None until it is checked.
     """
 
-    __slots__ = ("name", "fields", "patterns", "span")
+    __slots__ = ("name", "fields", "patterns", "binders", "span")
     name: str
     fields: Telescope
     patterns: tuple[Pattern, ...]
+    binders: Telescope | None
     span: SourceSpan | None
+    _defaults = {"binders": None}
 
 
 class Clause(Node):
@@ -362,9 +366,10 @@ class Signature:
         self.decls.append(decl)
         self._index(decl)
 
-    def replace_last(self, decl: Declaration) -> None:
+    def replace_last(self, decl: DataDecl) -> None:
         """Put `decl` in place of the last declaration, which declared the
-        same names (a checked declaration replaces its unchecked source)."""
+        same names: a checked data declaration, its rows' `binders` filled
+        in, replaces its unchecked source."""
         self.decls[-1] = decl
         self._index(decl)
 
@@ -636,7 +641,7 @@ def pretty(t: Term) -> str:
 
 def pretty_pattern(p: Pattern) -> str:
     match p:
-        case BindPat(x, _):
+        case BindPat(x):
             return x.text
         case ImpossiblePat():
             return "impossible"

@@ -416,7 +416,7 @@ class _Reader:
         name_at = self.expect("IDENT", "a constructor name")
         fields = self.tele(scope)
         self.declare(name_at, _Global(ConCall, len(fields), tuple(scope), data_name))
-        return CtorRow(self.texts[name_at], fields, pats, self._span(bar))
+        return CtorRow(self.texts[name_at], fields, pats, span=self._span(bar))
 
     def clause(self) -> Clause:
         # Clause bodies see the pattern bindings only; the telescope's
@@ -522,7 +522,7 @@ class _Reader:
             return ConPat(name, args, span)
         var = Var.fresh(name)
         scope[name] = var
-        return BindPat(var, None, span)
+        return BindPat(var, span)
 
     # expressions
 

@@ -1,5 +1,5 @@
-"""The three pattern operations: binding collection, pattern-to-term
-conversion, and the three-outcome matcher.
+"""The pattern operations: pattern-to-term conversion and the three-outcome
+matcher.
 
 Matching is purely syntactic over weak-head-normal constructor spines; the
 matcher never reduces. Callers normalize the terms they hand in. The matcher
@@ -54,31 +54,6 @@ MatchOutcome = Matched | Mismatch | Stuck
 def vars_tele(tele: Telescope) -> list[Var]:
     """The binders of a telescope, in order."""
     return [x for x, _ in tele.entries]
-
-
-def vars_pats(pats: Sequence[Pattern]) -> Telescope:
-    """All catch-all bindings in the patterns, left to right, depth first.
-
-    Requires checked patterns: every binding carries the type stored by
-    pattern checking. Impossible patterns contribute nothing.
-    """
-    out: list[tuple[Var, Term]] = []
-    for p in pats:
-        _vars_pat(p, out)
-    return Telescope(tuple(out))
-
-
-def _vars_pat(p: Pattern, out: list[tuple[Var, Term]]) -> None:
-    match p:
-        case BindPat(x, ty):
-            if ty is None:
-                raise InternalError(f"binding {x!r} has no type; pattern not checked")
-            out.append((x, ty))
-        case ConPat(_, args):
-            for q in args:
-                _vars_pat(q, out)
-        case ImpossiblePat():
-            pass
 
 
 def to_term(p: Pattern) -> Term:

@@ -2,8 +2,10 @@
 
 Each constructor row becomes a constructor whose type quantifies the row's
 pattern bindings, then the fields, and returns the data type at the terms
-the patterns stand for. A plain row's patterns are catch-alls over the data
-telescope, so it quantifies the telescope and returns the type at it.
+the patterns stand for. The bindings and their types are the row's
+`binders`, which checking fills in; an unchecked row is an internal error.
+A plain row's patterns are catch-alls over the data telescope, so it
+quantifies the telescope and returns the type at it.
 """
 from __future__ import annotations
 
@@ -20,8 +22,8 @@ from .core import (
     pattern_has_impossible,
     pretty,
 )
-from .diagnostics import UNKNOWN_NAME, TypeCheckError
-from .pattern_ops import to_terms, vars_pats
+from .diagnostics import UNKNOWN_NAME, InternalError, TypeCheckError
+from .pattern_ops import to_terms
 
 
 class GeneralData(Node):
@@ -42,9 +44,10 @@ def _pis(tele: Telescope, ty: Term) -> Term:
 
 
 def _ctor_type(decl: DataDecl, row: CtorRow) -> Term:
-    pats = row.patterns
-    codomain = DataCall(decl.name, tuple(to_terms(pats)))
-    return _pis(vars_pats(pats), _pis(row.fields, codomain))
+    if row.binders is None:
+        raise InternalError(f"a row of {row.name} in {decl.name} is not checked")
+    codomain = DataCall(decl.name, tuple(to_terms(row.patterns)))
+    return _pis(row.binders, _pis(row.fields, codomain))
 
 
 def to_general(sig: Signature, decl: DataDecl) -> GeneralData:

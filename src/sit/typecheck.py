@@ -10,13 +10,15 @@ unavailable, and a stuck match is its own hard error. A row never selected
 is W302, from coverage's split, when coverage is checked.
 
 `check_row` is the one pattern check, for clauses and constructor rows
-alike: one walk gives each pattern's typed form and its term together.
-After an `impossible` pattern the row has no term for that column, so the
-later types are checked leniently: where availability is stuck, or the type
-is not a data type, the type is opaque, and a pattern under it need only
-name known constructors. Signature formation folds declarations left to
-right, so every name refers to an earlier declaration (or to the one being
-checked, for recursion).
+alike: one walk gives the row's binder telescope and each pattern's term
+together. Patterns are checked in place, never copied: a checked function
+is the declaration that was read, and a checked constructor row differs
+from it only in its `binders`. After an `impossible` pattern the row has no
+term for that column, so the later types are checked leniently: where
+availability is stuck, or the type is not a data type, the type is opaque,
+and a pattern under it need only name known constructors. Signature
+formation folds declarations left to right, so every name refers to an
+earlier declaration (or to the one being checked, for recursion).
 
 `load` reads and checks a file, and `evaluate` an expression against it:
 the one sequence of the `sit` command, the tests and the scripts. A
@@ -272,14 +274,14 @@ class TypeChecker:
         pats: Sequence[Pattern],
         tele: Telescope,
         span: SourceSpan | None = None,
-    ) -> tuple[tuple[Pattern, ...], Telescope, dict[Var, Term] | None]:
+    ) -> tuple[Telescope, dict[Var, Term] | None]:
         """Check a pattern row against a telescope.
 
-        Returns the typed patterns, the telescope of their bindings (left to
-        right and depth first), and the row's instantiation of the telescope,
-        each entry's variable mapped to its pattern's term: None when some
-        pattern contains `impossible`. A wrong number of patterns is located
-        at the first one, or at `span` when there is none.
+        Returns the telescope of the row's bindings (left to right and depth
+        first) and the row's instantiation of the telescope, each entry's
+        variable mapped to its pattern's term: None when some pattern
+        contains `impossible`. A wrong number of patterns is located at the
+        first one, or at `span` when there is none.
         """
         if len(pats) != len(tele.entries):
             raise TypeCheckError(
@@ -289,8 +291,8 @@ class TypeChecker:
             )
         self._check_linear(pats)
         binds: list[tuple[Var, Term]] = []
-        typed, sub = self._check_pats(pats, tele.entries, False, binds)
-        return typed, Telescope(tuple(binds)), sub
+        sub = self._check_pats(pats, tele.entries, False, binds)
+        return Telescope(tuple(binds)), sub
 
     def _check_pats(self, pats, entries, lenient, binds):
         """The one walk over a row's patterns, nested rows included.
@@ -298,28 +300,26 @@ class TypeChecker:
         Each pattern's term is substituted into the remaining entry types; a
         pattern containing `impossible` has no term, so a fresh opaque
         variable stands in and the rest is checked leniently. Bindings are
-        appended to `binds`. Returns the typed patterns and the instantiation
-        of the entries at their terms, or None for it when some pattern
-        contains `impossible`.
+        appended to `binds`. Returns the instantiation of the entries at their
+        terms, or None when some pattern contains `impossible`.
         """
         earlier: dict[Var, Term] = {}
-        typed: list[Pattern] = []
         impossible = False
         for pat, (x, ty) in zip(pats, entries):
-            typed_p, term = self._check_pat(
+            term = self._check_pat(
                 pat, subst(ty, earlier) if earlier else ty, lenient, binds
             )
-            typed.append(typed_p)
             if term is None:
                 term = VarCall(Var.fresh("_abs"))
                 impossible = lenient = True
             earlier[x] = term
-        return tuple(typed), None if impossible else earlier
+        return None if impossible else earlier
 
-    def _check_pat(self, pat, ty, lenient, binds) -> tuple[Pattern, Term | None]:
+    def _check_pat(self, pat, ty, lenient, binds) -> Term | None:
         """Check one pattern at `ty`, or under an opaque type when `ty` is
         None: a binding then gets a placeholder type, `impossible` is not
-        checked, and a constructor need only exist."""
+        checked, and a constructor need only exist. Returns the pattern's
+        term, or None when it contains `impossible`."""
         c = type(pat)
         if c is BindPat:
             if ty is None:
@@ -330,7 +330,7 @@ class TypeChecker:
                     "impossible pattern"
                 ))
             binds.append((pat.var, ty))
-            return BindPat(pat.var, ty, pat.span), VarCall(pat.var)
+            return VarCall(pat.var)
         if c is ConPat:
             name = pat.name
             fields = None
@@ -351,12 +351,9 @@ class TypeChecker:
                         UNKNOWN_NAME, f"unknown constructor {name}", pat.span
                     )
                 # A loop, not a comprehension: one frame per nesting level.
-                typed, terms = [], []
+                terms = []
                 for q in qs:
-                    typed_q, term = self._check_pat(q, None, lenient, binds)
-                    typed.append(typed_q)
-                    terms.append(term)
-                typed = tuple(typed)
+                    terms.append(self._check_pat(q, None, lenient, binds))
                 if None in terms:
                     terms = None
             elif len(qs) != len(fields.entries):
@@ -367,14 +364,13 @@ class TypeChecker:
                     pat.span,
                 )
             else:
-                typed, sub = self._check_pats(qs, fields.entries, lenient, binds)
+                sub = self._check_pats(qs, fields.entries, lenient, binds)
                 terms = None if sub is None else sub.values()
-            term = None if terms is None else ConCall(name, tuple(terms))
-            return ConPat(name, typed, pat.span), term
+            return None if terms is None else ConCall(name, tuple(terms))
         if c is ImpossiblePat:
             if ty is not None:
                 self._check_impossible(pat, ty, lenient)
-            return pat, None
+            return None
         raise TypeCheckError(UNEXPECTED_FORM, f"malformed pattern {pat!r}", pat.span)
 
     def _check_impossible(self, pat, ty, lenient) -> None:
@@ -430,9 +426,9 @@ class TypeChecker:
 
     # -- clauses and rows ---------------------------------------------------
 
-    def check_clause(self, tele: Telescope, result: Term, clause: Clause) -> Clause:
-        """Check one function clause; returns it with typed patterns."""
-        typed, theta, sub = self.check_row(clause.patterns, tele, clause.span)
+    def check_clause(self, tele: Telescope, result: Term, clause: Clause) -> None:
+        """Check one function clause: its body under the row's bindings."""
+        theta, sub = self.check_row(clause.patterns, tele, clause.span)
         has_impossible = sub is None
         if has_impossible and clause.body is not None:
             raise TypeCheckError(
@@ -448,14 +444,13 @@ class TypeChecker:
             )
         if clause.body is not None:
             self.check_term(theta, clause.body, subst(result, sub))
-        return Clause(typed, clause.body, clause.span)
 
     def check_ctor_row(self, tele: Telescope, row: CtorRow) -> CtorRow:
         """Check one constructor row, then its fields under the row's
-        bindings; returns it with typed patterns."""
-        typed, theta, _ = self.check_row(row.patterns, tele)
+        bindings; returns it with its `binders`, the same patterns."""
+        theta, _ = self.check_row(row.patterns, tele)
         self.check_telescope(theta, row.fields)
-        return CtorRow(row.name, row.fields, typed, row.span)
+        return CtorRow(row.name, row.fields, row.patterns, theta, row.span)
 
     # -- signatures ----------------------------------------------------------
 
@@ -506,15 +501,11 @@ class TypeChecker:
         self.check_term(ctx, decl.result, UNIV)
         # Clauses may call the function being defined.
         self.sig.add(decl)
-        clauses = tuple(
+        for cl in decl.clauses:
             self.check_clause(decl.telescope, decl.result, cl)
-            for cl in decl.clauses
-        )
-        checked = FuncDecl(decl.name, decl.telescope, decl.result, clauses, decl.span)
-        self.sig.replace_last(checked)
         if coverage:
             self.warnings.extend(
-                coverage_mod.check_coverage(self.sig, checked, self.fuel)
+                coverage_mod.check_coverage(self.sig, decl, self.fuel)
             )
 
 

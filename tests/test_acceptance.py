@@ -23,7 +23,7 @@ from sit.core import (
     subst,
 )
 from sit.evaluator import Fuel, normalize
-from sit.pattern_ops import Matched, Mismatch, match_terms, to_terms, vars_pats
+from sit.pattern_ops import Matched, Mismatch, match_terms, to_terms
 from sit.translate import to_general
 from sit.typecheck import TypeChecker
 from sit.core import UNIV
@@ -64,7 +64,8 @@ def sigs():
 @pytest.fixture(scope="module")
 def random_rows(sigs):
     """1,000 random well-typed impossible-free pattern rows with their
-    telescopes, shared by the identity-substitution and typed-pats checks."""
+    telescopes and `check_row`'s binder telescopes, shared by the
+    identity-substitution and instantiation checks."""
     rng = random.Random(20260808)
     pool = []
     for name in ("nat", "vec", "fin", "normalize"):
@@ -78,8 +79,8 @@ def random_rows(sigs):
         sig, gen, checker, teles = pool[i % len(pool)]
         tele = rng.choice(teles)
         pats = gen.row(tele)
-        typed, theta, _ = checker.check_row(pats, tele)
-        rows.append((sig, tele, typed, theta))
+        theta, _ = checker.check_row(pats, tele)
+        rows.append((sig, tele, pats, theta))
     return rows
 
 
@@ -131,30 +132,31 @@ def test_c2_negative_suite(capsys):
 def test_c3_identity_substitution(random_rows):
     with criterion("C3 identity substitution on 1,000 random rows"):
         assert len(random_rows) == 1000
-        for _, _, typed, theta in random_rows:
-            out = match_terms(to_terms(typed), typed)
+        for _, _, pats, theta in random_rows:
+            out = match_terms(to_terms(pats), pats)
             assert isinstance(out, Matched)
-            assert list(out.sub) == [x for x, _ in vars_pats(typed)]
+            assert list(out.sub) == [x for x, _ in theta]
             for x, _ in theta:
                 assert subst(VarCall(x), out.sub) == VarCall(x)
 
 
 def test_c4_pattern_terms_instantiate_telescopes(sigs, random_rows):
-    with criterion("C4 typed patterns instantiate their telescopes"):
+    with criterion("C4 pattern terms instantiate their telescopes"):
         checked = 0
         for sig in sigs.values():
             for decl in sig.decls:
+                tele = decl.telescope
                 if isinstance(decl, DataDecl):
-                    rows = [r.patterns for r in decl.ctors]
+                    rows = [(r.patterns, r.binders) for r in decl.ctors]
                 else:
-                    rows = [cl.patterns for cl in decl.clauses]
-                for pats in rows:
-                    TypeChecker(sig).check_args(
-                        vars_pats(pats), to_terms(pats), decl.telescope
-                    )
+                    checker = TypeChecker(sig)
+                    rows = [(cl.patterns, checker.check_row(cl.patterns, tele)[0])
+                            for cl in decl.clauses]
+                for pats, theta in rows:
+                    TypeChecker(sig).check_args(theta, to_terms(pats), tele)
                     checked += 1
-        for sig, tele, typed, theta in random_rows:
-            TypeChecker(sig).check_args(theta, to_terms(typed), tele)
+        for sig, tele, pats, theta in random_rows:
+            TypeChecker(sig).check_args(theta, to_terms(pats), tele)
             checked += 1
         assert checked >= 1000
 
@@ -208,7 +210,7 @@ def test_c5_translation_soundness(sigs):
                     continue
                 for tup, row in _soundness_pairs(sig, decl, depth):
                     pats = row.patterns
-                    flexible = {x for x, _ in vars_pats(pats)}
+                    flexible = {x for x, _ in row.binders}
                     got = match_terms(list(tup), pats)
                     want = oracle_unify(list(tup), to_terms(pats), flexible)
                     if isinstance(got, Matched):
@@ -316,7 +318,8 @@ def test_c9_match_stability(sigs):
         for i in range(1000):
             sig, gen, checker, teles = pool[i % len(pool)]
             tele = rng.choice(teles)
-            typed, theta, _ = checker.check_row(gen.row(tele), tele)
+            pats = gen.row(tele)
+            theta, _ = checker.check_row(pats, tele)
 
             # Instantiate the row's own match: closed values for some
             # bindings, fresh holes (with tau mappings) for the rest.
@@ -332,11 +335,11 @@ def test_c9_match_stability(sigs):
                     rho[x] = VarCall(hole)
                     if choices:
                         tau[hole] = rng.choice(choices)
-            terms = [subst(t, rho) for t in to_terms(typed)]
+            terms = [subst(t, rho) for t in to_terms(pats)]
 
             make_mismatch = rng.random() < 0.4
             if make_mismatch:
-                spot = _some_con_position(typed)
+                spot = _some_con_position(pats)
                 if spot is None:
                     make_mismatch = False
                 else:
@@ -344,8 +347,8 @@ def test_c9_match_stability(sigs):
                     other = _other_ctor_term(sig, want_name)
                     terms[i_pos] = other
 
-            before = match_terms(terms, typed)
-            after = match_terms([subst(t, tau) for t in terms], typed)
+            before = match_terms(terms, pats)
+            after = match_terms([subst(t, tau) for t in terms], pats)
             if make_mismatch:
                 assert before == Mismatch()
                 assert after == Mismatch()

@@ -9,7 +9,7 @@ from sit.core import EMPTY_TELESCOPE, ConCall, Var, VarCall
 from sit.coverage import Undecidable, available_ctors, check_coverage
 from sit.diagnostics import CoverageError, TypeCheckError
 from sit.evaluator import Fuel
-from sit.pattern_ops import Matched, match_terms, vars_pats
+from sit.pattern_ops import Matched, match_terms
 from sit.typecheck import TypeChecker, load
 
 from support import (
@@ -83,7 +83,8 @@ data Parity (n : Nat) : Type
         out = available_ctors(vec_sig, "Vec", [ref(a), con("suc", ref(n))], Fuel(observer=record))
         assert list(out) == ["vcons"]
         [(pats, seen, sub)] = matched
-        assert list(seen.sub) == [x for x, _ in vars_pats(pats)]
+        [row] = [r for r in vec_sig.data("Vec").ctors if r.patterns is pats]
+        assert list(seen.sub) == [x for x, _ in row.binders]
         assert seen.sub == sub
         tele_vars = {x for x, _ in vec_sig.data("Vec").telescope.entries}
         assert not tele_vars & set(seen.sub)

@@ -56,13 +56,14 @@ CASES = [
     (Lam, (X, N), "Lam(binder=x#1, body=VarCall(var=x#1, args=()))", ("binder", "body", "span")),
     (Univ, (), "Univ()", ("span",)),
     (Telescope, (((X, Univ()),),), "Telescope(entries=((x#1, Univ()),))", ("entries",)),
-    (BindPat, (X, Univ()), "BindPat(var=x#1, ty=Univ())", ("var", "ty", "span")),
-    (ConPat, ("c", (BindPat(X),)), "ConPat(name='c', args=(BindPat(var=x#1, ty=None),))",
+    (BindPat, (X,), "BindPat(var=x#1)", ("var", "span")),
+    (ConPat, ("c", (BindPat(X),)), "ConPat(name='c', args=(BindPat(var=x#1),))",
      ("name", "args", "span")),
     (ImpossiblePat, (), "ImpossiblePat()", ("span",)),
-    (CtorRow, ("c", TELE, None),
-     "CtorRow(name='c', fields=Telescope(entries=((x#1, Univ()),)), patterns=None)",
-     ("name", "fields", "patterns", "span")),
+    (CtorRow, ("c", TELE, None, TELE),
+     "CtorRow(name='c', fields=Telescope(entries=((x#1, Univ()),)), patterns=None, "
+     "binders=Telescope(entries=((x#1, Univ()),)))",
+     ("name", "fields", "patterns", "binders", "span")),
     (Clause, ((ImpossiblePat(),), None), "Clause(patterns=(ImpossiblePat(),), body=None)",
      ("patterns", "body", "span")),
     (DataDecl, ("D", TELE, ()),

@@ -16,7 +16,6 @@ from sit.core import (
     UNIV,
     Var,
     VarCall,
-    pretty,
     subst,
 )
 from sit.diagnostics import InternalError
@@ -27,7 +26,6 @@ from sit.pattern_ops import (
     match_terms,
     to_term,
     to_terms,
-    vars_pats,
     vars_tele,
 )
 from sit.typecheck import TypeChecker
@@ -44,8 +42,8 @@ from support import (
 )
 
 
-def bind(name: str, ty=None) -> BindPat:
-    return BindPat(Var.fresh(name), ty)
+def bind(name: str) -> BindPat:
+    return BindPat(Var.fresh(name))
 
 
 class TestVars:
@@ -57,23 +55,6 @@ class TestVars:
     def test_vars_tele_vec(self, vec_sig):
         tele = vec_sig.data("Vec").telescope
         assert [v.text for v in vars_tele(tele)] == ["A", "n"]
-
-    def test_vars_pats_impossible_contributes_nothing(self):
-        assert vars_pats([ImpossiblePat()]).entries == ()
-
-    def test_vars_pats_unchecked_bind_is_internal_error(self):
-        with pytest.raises(InternalError):
-            vars_pats([bind("m")])
-
-    def test_vars_pats_on_checked_vcons_row(self, vec_sig):
-        row = vec_sig.data("Vec").ctors[1]
-        theta = vars_pats(row.patterns)
-        assert [(x.text, pretty(ty)) for x, ty in theta] == [("A", "Type"), ("m", "Nat")]
-
-    def test_vars_pats_on_checked_fin_row(self, fin_sig):
-        row = fin_sig.data("Fin").ctors[0]
-        theta = vars_pats(row.patterns)
-        assert [(x.text, pretty(ty)) for x, ty in theta] == [("m", "Nat")]
 
 
 class TestToTerms:
@@ -330,8 +311,9 @@ class TestRoundTrip:
         gen = RowGen(norm_sig, rng)
         checker = TypeChecker(norm_sig)
         tele = rng.choice(corpus_telescopes(norm_sig))
-        typed, theta, _ = checker.check_row(gen.row(tele), tele)
-        out = match_terms(to_terms(typed), typed)
+        pats = gen.row(tele)
+        theta, _ = checker.check_row(pats, tele)
+        out = match_terms(to_terms(pats), pats)
         assert isinstance(out, Matched)
         for x, _ in theta:
             assert subst(VarCall(x), out.sub) == VarCall(x)
@@ -344,11 +326,11 @@ class TestRoundTrip:
         for _ in range(150):
             tele = rng.choice(teles)
             pats = gen.row(tele)
-            typed, theta, _ = checker.check_row(pats, tele)
-            out = match_terms(to_terms(typed), typed)
+            theta, _ = checker.check_row(pats, tele)
+            out = match_terms(to_terms(pats), pats)
             assert isinstance(out, Matched)
             # The substitution's domain is exactly the bindings, in order.
-            assert list(out.sub) == [x for x, _ in vars_pats(typed)]
+            assert list(out.sub) == [x for x, _ in theta]
             for x, _ in theta:
                 assert subst(VarCall(x), out.sub) == VarCall(x)
 
@@ -364,7 +346,7 @@ class TestStability:
         for _ in range(100):
             tele = rng.choice(teles)
             pats = gen.row(tele)
-            typed, theta, _ = checker.check_row(pats, tele)
+            theta, _ = checker.check_row(pats, tele)
             # Instantiate some bindings with closed terms and leave the rest
             # as free variables targeted by a second substitution.
             rho, tau = {}, {}
@@ -377,10 +359,10 @@ class TestStability:
                     rho[x] = VarCall(hole)
                     if choices:
                         tau[hole] = rng.choice(choices)
-            terms = [subst(t, rho) for t in to_terms(typed)]
-            out = match_terms(terms, typed)
+            terms = [subst(t, rho) for t in to_terms(pats)]
+            out = match_terms(terms, pats)
             assert isinstance(out, Matched)
-            after = match_terms([subst(t, tau) for t in terms], typed)
+            after = match_terms([subst(t, tau) for t in terms], pats)
             assert isinstance(after, Matched)
             for x in out.sub:
                 assert subst(VarCall(x), after.sub) == subst(out.sub[x], tau)

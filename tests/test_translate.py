@@ -4,9 +4,10 @@ import itertools
 
 import pytest
 
-from sit.core import EMPTY_TELESCOPE, DataCall, Pi, pretty
-from sit.diagnostics import TypeCheckError
-from sit.pattern_ops import Matched, Mismatch, match_terms, to_terms, vars_pats
+from sit.core import EMPTY_TELESCOPE, DataCall, Pi, Signature, pretty
+from sit.diagnostics import InternalError, TypeCheckError
+from sit.frontend import Resolver, tokenize
+from sit.pattern_ops import Matched, Mismatch, match_terms, to_terms
 from sit.translate import emit_general, synth_ctor_type, to_general
 from sit.typecheck import TypeChecker
 from sit.core import UNIV
@@ -18,6 +19,17 @@ from support import (
     load_corpus,
     oracle_unify,
 )
+
+
+FIN = """
+data Nat : Type
+  | zero
+  | suc (n : Nat)
+
+data Fin (n : Nat) : Type
+  | suc m => fzero
+  | suc m => fsuc (x : Fin m)
+"""
 
 
 def pi_chain(ty):
@@ -71,6 +83,19 @@ class TestToGeneral:
                     g = to_general(sig, decl)
                     assert len(g.ctors) == len(decl.ctors)
 
+    def test_unchecked_row_is_internal_error(self):
+        # A row as the reader builds it has no binders: translating it is a
+        # broken invariant, named by the row, not a wrong type.
+        sig = Signature()
+        for decl in Resolver().run(tokenize(FIN, "<test>")):
+            sig.add(decl)
+        with pytest.raises(InternalError, match="fzero in Fin"):
+            to_general(sig, sig.data("Fin"))
+        with pytest.raises(InternalError, match="fsuc in Fin"):
+            synth_ctor_type(sig, "fsuc")
+        with pytest.raises(InternalError, match="zero in Nat"):
+            synth_ctor_type(sig, "zero")
+
 
 class TestSynthCtorType:
     def test_empty_telescope_collapses(self, nat_sig):
@@ -108,6 +133,27 @@ class TestEmit:
             "  fsuc : (m : Nat) (x : Fin m) → Fin (suc m)\n"
         )
 
+    def test_vec_golden(self, vec_sig):
+        g = to_general(vec_sig, vec_sig.data("Vec"))
+        assert emit_general(g) == (
+            "data Vec : (A : Type) (n : Nat) → Type where\n"
+            "  vnil : (A : Type) → Vec A zero\n"
+            "  vcons : (A : Type) (m : Nat) (x : A) (xs : Vec A m) → Vec A (suc m)\n"
+        )
+
+    def test_term_golden(self, norm_sig):
+        # Two rows each select natT and boolT, and `case`'s row is a
+        # catch-all binding the index as A.
+        g = to_general(norm_sig, norm_sig.data("Term"))
+        assert emit_general(g) == (
+            "data Term : (t : TermTy) → Type where\n"
+            "  nat : (n : Nat) → Term natT\n"
+            "  succ : (x : Term natT) → Term natT\n"
+            "  bool : (b : Bool) → Term boolT\n"
+            "  inv : (x : Term boolT) → Term boolT\n"
+            "  case : (A : TermTy) (b : Term boolT) (x : Term A) (y : Term A) → Term A\n"
+        )
+
     def test_nullary_data_header(self, norm_sig):
         g = to_general(norm_sig, norm_sig.data("TermTy"))
         assert emit_general(g).splitlines()[0] == "data TermTy : Type where"
@@ -138,9 +184,8 @@ class TestWellTypedness:
         for sig, name in ((vec_sig, "Vec"), (fin_sig, "Fin")):
             decl = sig.data(name)
             for row in decl.ctors:
-                pats = row.patterns
                 TypeChecker(sig).check_args(
-                    vars_pats(pats), to_terms(pats), decl.telescope
+                    row.binders, to_terms(row.patterns), decl.telescope
                 )
 
 
@@ -150,7 +195,7 @@ class TestSoundnessAgainstUnificationOracle:
             for row in decl.ctors:
                 pats = row.patterns
                 pat_terms = to_terms(pats)
-                flexible = {x for x, _ in vars_pats(pats)}
+                flexible = {x for x, _ in row.binders}
                 got = match_terms(list(tup), pats)
                 expected = oracle_unify(list(tup), pat_terms, flexible)
                 if isinstance(got, Matched):

@@ -26,7 +26,7 @@ from sit.core import (
 from sit.diagnostics import FuelError, SitError, TypeCheckError
 from sit.evaluator import Fuel
 from sit.frontend import Resolver, tokenize
-from sit.pattern_ops import Matched, match_terms, to_terms, vars_pats
+from sit.pattern_ops import Matched, match_terms, to_term, to_terms
 from sit.typecheck import TypeChecker, evaluate, load
 
 from support import (
@@ -170,13 +170,14 @@ class TestCheckPattern:
     def test_fzero_pattern_has_no_bindings(self, fin_sig):
         n = Var.fresh("n")
         tele = column(dat("Fin", con("suc", ref(n))))
-        typed, theta, _ = TypeChecker(fin_sig).check_row((ConPat("fzero", ()),), tele)
+        theta, _ = TypeChecker(fin_sig).check_row((ConPat("fzero", ()),), tele)
         assert theta.entries == ()
 
     def test_impossible_at_empty_type(self, fin_sig):
         tele = column(dat("Fin", nat_lit(0)))
-        typed, theta, _ = TypeChecker(fin_sig).check_row((ImpossiblePat(),), tele)
+        theta, sub = TypeChecker(fin_sig).check_row((ImpossiblePat(),), tele)
         assert theta.entries == ()
+        assert sub is None
 
     def test_impossible_rejected_when_constructors_available(self, fin_sig):
         n = Var.fresh("n")
@@ -187,8 +188,7 @@ class TestCheckPattern:
 
     def test_bind_type_is_stored(self, nat_sig):
         p = BindPat(Var.fresh("m"))
-        (typed,), theta, _ = TypeChecker(nat_sig).check_row((p,), column(dat("Nat")))
-        assert typed.ty == dat("Nat")
+        theta, _ = TypeChecker(nat_sig).check_row((p,), column(dat("Nat")))
         assert theta.entries == ((p.var, dat("Nat")),)
 
 
@@ -197,12 +197,12 @@ class TestCheckPatterns:
         m = BindPat(Var.fresh("m"))
         pats = [ConPat("suc", (m,)), ConPat("fzero", ())]
         tele = fin_sig.func("toNat").telescope
-        typed, theta, _ = TypeChecker(fin_sig).check_row(pats, tele)
+        theta, _ = TypeChecker(fin_sig).check_row(pats, tele)
         assert [(x.text, pretty(ty)) for x, ty in theta] == [("m", "Nat")]
 
     def test_empty_row(self, nat_sig):
-        typed, theta, _ = TypeChecker(nat_sig).check_row([], Telescope())
-        assert typed == ()
+        theta, sub = TypeChecker(nat_sig).check_row([], Telescope())
+        assert sub == {}
         assert theta.entries == ()
 
     def test_duplicate_binding_names(self, nat_sig):
@@ -218,7 +218,7 @@ class TestCheckPatterns:
         m, y = BindPat(Var.fresh("m")), BindPat(Var.fresh("y"))
         pats = [ConPat("suc", (m,)), ConPat("fsuc", (y,))]
         tele = fin_sig.func("toNat").telescope
-        typed, theta, _ = TypeChecker(fin_sig).check_row(pats, tele)
+        theta, _ = TypeChecker(fin_sig).check_row(pats, tele)
         entries = {x.text: pretty(ty) for x, ty in theta}
         assert entries == {"m": "Nat", "y": "Fin m"}
 
@@ -239,7 +239,7 @@ class TestCheckPatterns:
             tele = Telescope(tuple((x, dat("Nat")) for x in xs))
             pats = [BindPat(Var.fresh(f"y{i}")) for i in range(n)]
             built.clear()
-            typed, theta, _ = TypeChecker(nat_sig).check_row(pats, tele)
+            theta, _ = TypeChecker(nat_sig).check_row(pats, tele)
             assert [x for x, _ in theta] == [p.var for p in pats]
             return sum(built)
 
@@ -262,12 +262,55 @@ class TestCheckPatterns:
             ty = dat("Fin", nat_lit(n + 1))
             monkeypatch.setattr(ConCall, "__init__", counted)
             built.clear()
-            (typed,), _, _ = TypeChecker(fin_sig).check_row((pat,), column(ty))
+            _, sub = TypeChecker(fin_sig).check_row((pat,), column(ty))
             monkeypatch.undo()
-            assert typed == pat
+            assert list(sub.values()) == [to_term(pat)]
             return len(built)
 
         assert count(80) <= 2.5 * count(40)
+
+
+class TestCheckedInPlace:
+    """Checking reads patterns in place: the signature holds the nodes the
+    reader built, and a checked row adds only its binder telescope."""
+
+    def test_signature_holds_the_read_nodes(self):
+        for path in sorted(CORPUS.glob("*.sit")):
+            decls = Resolver().run(tokenize(path.read_text(encoding="utf-8"), str(path)))
+            sig = TypeChecker().check_signature(decls)
+            assert len(sig.decls) == len(decls)
+            for read, checked in zip(decls, sig.decls):
+                if isinstance(read, FuncDecl):
+                    assert checked is read
+                    continue
+                assert len(checked.ctors) == len(read.ctors)
+                for read_row, row in zip(read.ctors, checked.ctors):
+                    assert read_row.binders is None
+                    assert row.patterns is read_row.patterns
+                    # The binders are the row's variables in the order the
+                    # match of its own terms binds them, at check_row's types.
+                    out = match_terms(to_terms(row.patterns), row.patterns)
+                    assert [x for x, _ in row.binders] == list(out.sub)
+                    theta, _ = TypeChecker(sig).check_row(row.patterns, read.telescope)
+                    assert row.binders == theta
+
+    def test_checked_vcons_row_binders(self, vec_sig):
+        row = vec_sig.data("Vec").ctors[1]
+        assert [(x.text, pretty(ty)) for x, ty in row.binders] == [
+            ("A", "Type"), ("m", "Nat")
+        ]
+
+    def test_checked_fin_row_binders(self, fin_sig):
+        row = fin_sig.data("Fin").ctors[0]
+        assert [(x.text, pretty(ty)) for x, ty in row.binders] == [("m", "Nat")]
+
+    def test_impossible_contributes_no_binder(self, fin_sig):
+        y = BindPat(Var.fresh("y"))
+        tele = Telescope.of((Var.fresh("x"), dat("Fin", nat_lit(0))),
+                            (Var.fresh("n"), dat("Nat")))
+        theta, sub = TypeChecker(fin_sig).check_row((ImpossiblePat(), y), tele)
+        assert theta.entries == ((y.var, dat("Nat")),)
+        assert sub is None
 
 
 class TestCheckClauseAndRows:
@@ -759,7 +802,9 @@ class TestPatternTermsAreWellTyped:
                 elif isinstance(decl, FuncDecl):
                     rows = [(cl.patterns, decl.telescope) for cl in decl.clauses]
                 for pats, tele in rows:
-                    TypeChecker(sig).check_args(vars_pats(pats), to_terms(pats), tele)
+                    checker = TypeChecker(sig)
+                    theta, _ = checker.check_row(pats, tele)
+                    checker.check_args(theta, to_terms(pats), tele)
 
 
 class TestPlainAndPatternRowAgreement:
