@@ -42,6 +42,7 @@ from operator import attrgetter
 from .diagnostics import InternalError, SourceSpan
 
 _uid = itertools.count(1)
+_new_tuple = tuple.__new__
 
 
 class Var(namedtuple("Var", "text uid")):
@@ -55,7 +56,9 @@ class Var(namedtuple("Var", "text uid")):
 
     @staticmethod
     def fresh(text: str = "x") -> Var:
-        return Var(text, next(_uid))
+        # Built as a plain tuple: the namedtuple's own constructor is one
+        # more Python call per variable.
+        return _new_tuple(Var, (text, next(_uid)))
 
     def __repr__(self) -> str:
         return f"{self.text}#{self.uid}"

@@ -19,11 +19,13 @@ the refinements of the splits above it, each a column variable mapped to a
 constructor over fresh field variables. A first row of catch-alls claims
 the problem, since under first-match selection it takes the whole branch.
 Otherwise the first column some row constrains is split on the constructors
-available at its type, spending one of the `Fuel`'s splits. Each case puts
-the constructor's fields in the column's place, refines the later column
-types and keeps the rows that agree, with a catch-all per field in a row
-that binds the column. Cases are pushed in reverse, so the first error
-reported is the leftmost.
+available at its type, spending one of the `Fuel`'s splits. A case whose
+first agreeing row is all catch-alls, once that row's sub-patterns take
+the column's place, is claimed at once. Any other case is built, since it
+is split again or left unclaimed: it puts the constructor's fields in the
+column's place, refines the later column types and keeps the rows that
+agree, with a catch-all per field in a row that binds the column. Cases
+are pushed in reverse, so the first error reported is the leftmost.
 
 This one split answers every usefulness question. Over a function's
 clauses, a leaf with no rows needs an uninhabited column type, or else its
@@ -44,6 +46,7 @@ from .core import (
     DataCall,
     DataDecl,
     Declaration,
+    FnCall,
     FuncDecl,
     ImpossiblePat,
     Node,
@@ -100,7 +103,13 @@ def available_ctors(
     if decl is None:
         raise InternalError(f"unknown data type {data_name}")
     if args:
-        args = [index_normal_form(sig, a, fuel) for a in args]
+        # Only a call or a spine not yet known normal can change.
+        args = [
+            index_normal_form(sig, a, fuel)
+            if type(a) is FnCall or (type(a) is ConCall and not a._spine_normal)
+            else a
+            for a in args
+        ]
     observer = fuel.observer
     fields: dict[str, Telescope] = {}
     for row in decl.ctors:
@@ -196,7 +205,8 @@ def _useful(sig: Signature, decl: Declaration, rows: list, fuel: Fuel) -> set[in
 
         split_at = _split_column(rows)
         if split_at is None:
-            # The first row is all catch-alls (see the module docstring).
+            # The first row is all catch-alls (see the module docstring):
+            # only at the root, since a split claims its cases unbuilt.
             used.add(rows[0][0])
             continue
 
@@ -223,6 +233,13 @@ def _useful(sig: Signature, decl: Declaration, rows: list, fuel: Fuel) -> set[in
 
         # Reversed, so the first constructor's case is taken first.
         for ctor, fields in reversed(cases.items()):
+            # Most cases are claimed at once by a first row of catch-alls, so
+            # the rows decide first: a claimed case is never built. Claiming
+            # spends nothing, so cases left to the stack meet the same fuel.
+            claimant = _claimant(rows, split_at, ctor)
+            if claimant is not None:
+                used.add(claimant)
+                continue
             # One pass over the fields: a field's type mentions only earlier
             # fields, so the renaming grows as it goes.
             new_columns = columns[:split_at]
@@ -270,6 +287,30 @@ def _missing_case(decl: Declaration, chain: tuple | None) -> str:
         shapes = [subst(s, refine) for s in shapes]
     holes = {x: _HOLE for s in shapes for x in free_vars(s)}
     return ", ".join(pretty(subst(s, holes)) for s in shapes)
+
+
+def _claimant(rows: list[tuple[int, tuple]], k: int, ctor: str) -> int | None:
+    """The row that claims the case of `ctor` at a split of column `k`: the
+    first row that agrees with `ctor`, when it is all catch-alls once its
+    sub-patterns take column `k`'s place. None when that row constrains
+    some column, or no row agrees. Columns before `k` are catch-alls in
+    every row (see `_split_column`)."""
+    for i, pats in rows:
+        p = pats[k]
+        c = type(p)
+        if c is ConPat:
+            if p.name != ctor:
+                continue
+            for q in p.args:
+                if type(q) is not BindPat:
+                    return None
+        elif c is not BindPat:  # impossible, at a type with constructors
+            continue
+        for q in pats[k + 1 :]:
+            if type(q) is not BindPat:
+                return None
+        return i
+    return None
 
 
 def _split_column(rows: list[tuple[int, tuple]]) -> int | None:

@@ -20,6 +20,11 @@ and a pattern under it need only name known constructors. Signature
 formation folds declarations left to right, so every name refers to an
 earlier declaration (or to the one being checked, for recursion).
 
+A call whose answer a term's class already gives is skipped: `_whnf`
+reduces only a function call, `_require_type` compares only two different
+objects, and a telescope entry's type is instantiated only when an earlier
+entry's variable is free in it.
+
 `load` reads and checks a file, and `evaluate` an expression against it:
 the one sequence of the `sit` command, the tests and the scripts. A
 RecursionError (E502) or a broken invariant (E900) is reported at the
@@ -53,6 +58,7 @@ from .core import (
     UNIV,
     Var,
     VarCall,
+    free_vars,
     pretty,
     subst,
 )
@@ -98,10 +104,12 @@ class TypeChecker:
     # -- helpers ------------------------------------------------------------
 
     def _whnf(self, t: Term) -> Term:
-        return whnf(self.sig, t, self.fuel)
+        return whnf(self.sig, t, self.fuel) if type(t) is FnCall else t
 
     def _require_type(self, actual: Term, expected: Term, span: SourceSpan | None):
-        if not convertible(self.sig, actual, expected, self.fuel):
+        if actual is not expected and not convertible(
+            self.sig, actual, expected, self.fuel
+        ):
             raise TypeCheckError(
                 TYPE_MISMATCH,
                 f"expected {pretty(expected)}, got {pretty(actual)}",
@@ -256,7 +264,9 @@ class TypeChecker:
             )
         earlier: dict[Var, Term] = {}
         for arg, (x, ty) in zip(args, entries):
-            self.check_term(ctx, arg, subst(ty, earlier) if earlier else ty)
+            if earlier and not free_vars(ty).isdisjoint(earlier):
+                ty = subst(ty, earlier)
+            self.check_term(ctx, arg, ty)
             earlier[x] = arg
         return earlier
 
@@ -306,9 +316,9 @@ class TypeChecker:
         earlier: dict[Var, Term] = {}
         impossible = False
         for pat, (x, ty) in zip(pats, entries):
-            term = self._check_pat(
-                pat, subst(ty, earlier) if earlier else ty, lenient, binds
-            )
+            if earlier and not free_vars(ty).isdisjoint(earlier):
+                ty = subst(ty, earlier)
+            term = self._check_pat(pat, ty, lenient, binds)
             if term is None:
                 term = VarCall(Var.fresh("_abs"))
                 impossible = lenient = True

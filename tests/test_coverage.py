@@ -5,10 +5,11 @@ import time
 
 import pytest
 
+import sit.coverage
 from sit.core import EMPTY_TELESCOPE, ConCall, Var, VarCall
 from sit.coverage import Undecidable, available_ctors, check_coverage
 from sit.diagnostics import CoverageError, TypeCheckError
-from sit.evaluator import Fuel
+from sit.evaluator import Fuel, index_normal_form
 from sit.pattern_ops import Matched, match_terms
 from sit.typecheck import TypeChecker, load
 
@@ -19,6 +20,7 @@ from support import (
     dat,
     deadline,
     enumerate_tuples,
+    fn,
     nat_lit,
     ref,
 )
@@ -89,10 +91,46 @@ data Parity (n : Nat) : Type
         tele_vars = {x for x, _ in vec_sig.data("Vec").telescope.entries}
         assert not tele_vars & set(seen.sub)
 
+    def test_only_an_index_that_can_change_is_normalized(self, fin_sig, monkeypatch):
+        # A variable cannot reduce, and a spine marked normal is known not
+        # to: neither reaches `index_normal_form`.
+        calls = []
+
+        def counted(sig, t, fuel):
+            calls.append(t)
+            return index_normal_form(sig, t, fuel)
+
+        monkeypatch.setattr(sit.coverage, "index_normal_form", counted)
+        k = Var.fresh("k")
+        assert available_ctors(fin_sig, "Fin", [ref(k)], Fuel()) == Undecidable("fzero", 0)
+        one = index_normal_form(fin_sig, nat_lit(1), Fuel())
+        assert one._spine_normal
+        assert list(available_ctors(fin_sig, "Fin", [one], Fuel())) == ["fzero", "fsuc"]
+        assert calls == []
+
+    def test_a_call_index_is_normalized(self, monkeypatch):
+        sig = check_source(
+            (CORPUS / "fin.sit").read_text(encoding="utf-8")
+            + "def plus (a : Nat) (b : Nat) : Nat\n"
+            "  | zero, b => b\n"
+            "  | suc a, b => suc (plus a b)\n"
+        )
+        calls = []
+
+        def counted(sig, t, fuel):
+            calls.append(t)
+            return index_normal_form(sig, t, fuel)
+
+        monkeypatch.setattr(sit.coverage, "index_normal_form", counted)
+        fuel = Fuel()
+        idx = fn("plus", nat_lit(1), nat_lit(0))
+        assert list(available_ctors(sig, "Fin", [idx], fuel)) == ["fzero", "fsuc"]
+        assert calls == [idx]
+        # One firing for the outer call, one for `plus zero zero` under suc.
+        assert fuel.used == 2
+
 
 def dat_fn_to_one(fin_sig):
-    from support import fn
-
     return fn("toNat", nat_lit(2), con("fsuc", con("fzero")))
 
 
@@ -299,6 +337,50 @@ def f (n : Nat) (x : Mix n) : Nat
         assert counts == {
             "fin": (2, 0), "list": (0, 0), "nat": (1, 0), "normalize": (6, 7), "vec": (0, 0)
         }
+
+    def test_a_case_claimed_by_its_first_row_is_not_built(self, nat_sig, monkeypatch):
+        # Both cases of plus's split are claimed by a first row of
+        # catch-alls, so neither gets fresh field variables or refined
+        # column types.
+        made = []
+        fresh, subst = Var.fresh, sit.coverage.subst
+
+        def counted_fresh(text="x"):
+            made.append(text)
+            return fresh(text)
+
+        def counted_subst(t, m):
+            made.append(m)
+            return subst(t, m)
+
+        monkeypatch.setattr(Var, "fresh", staticmethod(counted_fresh))
+        monkeypatch.setattr(sit.coverage, "subst", counted_subst)
+        fuel = Fuel()
+        assert check_coverage(nat_sig, nat_sig.func("plus"), fuel) == []
+        assert made == []
+        assert (fuel.splits, fuel.used) == (1, 0)
+
+    def test_a_case_that_splits_again_is_built(self):
+        # The missing case is four splits deep, each case that a row
+        # constrains further is built and split again, and the fifth split
+        # is the one that leaves it unclaimed.
+        src = """data Nat : Type
+  | zero
+  | suc (n : Nat)
+data Fin (n : Nat) : Type
+  | suc m => fzero
+  | suc m => fsuc (x : Fin m)
+def f (n : Nat) (x : Fin n) : Nat
+  | suc m, fzero => zero
+  | suc (suc m), fsuc fzero => zero
+"""
+        fuel = Fuel()
+        with pytest.raises(CoverageError) as exc:
+            load(src, "deep.sit", fuel)
+        assert exc.value.render() == (
+            "deep.sit:7:1: error[E401]: missing case in f: suc (suc _), fsuc (fsuc _)"
+        )
+        assert (fuel.splits, fuel.used) == (5, 0)
 
 
 class TestPerConstructorRule:
