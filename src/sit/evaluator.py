@@ -148,7 +148,8 @@ def index_normal_form(sig: Signature, t: Term, fuel: Fuel) -> Term:
         t = ConCall(t.name, tuple(args))
     if normal:
         # No argument can reduce under any signature: later calls on this
-        # object (it is shared by substitution) return at once.
+        # object (it is shared by substitution) return at once. The checker
+        # builds each pattern's term so marked.
         object.__setattr__(t, "_spine_normal", True)
     return t
 

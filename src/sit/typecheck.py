@@ -10,20 +10,21 @@ unavailable, and a stuck match is its own hard error. A row never selected
 is W302, from coverage's split, when coverage is checked.
 
 `check_row` is the one pattern check, for clauses and constructor rows
-alike: one walk gives the row's binder telescope and each pattern's term
-together. Patterns are checked in place, never copied: a checked function
-is the declaration that was read, and a checked constructor row differs
-from it only in its `binders`. After an `impossible` pattern the row has no
-term for that column, so the later types are checked leniently: where
-availability is stuck, or the type is not a data type, the type is opaque,
-and a pattern under it need only name known constructors. Signature
-formation folds declarations left to right, so every name refers to an
-earlier declaration (or to the one being checked, for recursion).
+alike: one walk checks linearity and gives the row's binder telescope and
+each pattern's term, built marked normal, together. Patterns are checked
+in place, never copied: a checked function is the declaration that was
+read, and a checked constructor row differs from it only in its
+`binders`. After an `impossible` pattern the row has no term for that
+column, so the later types are checked leniently: where availability is
+stuck, or the type is not a data type, the type is opaque, and a pattern
+under it need only name known constructors. Signature formation folds
+declarations left to right, so every name refers to an earlier
+declaration (or to the one being checked, for recursion).
 
 A call whose answer a term's class already gives is skipped: `_whnf`
-reduces only a function call, `_require_type` compares only two different
-objects, and a telescope entry's type is instantiated only when an earlier
-entry's variable is free in it.
+reduces only a function call, `_require_type` converts neither one object
+nor two `Type`s or argument-free calls of one data type, and an entry type
+or a result is instantiated only where an instantiated variable is free.
 
 `load` reads and checks a file, and `evaluate` an expression against it:
 the one sequence of the `sit` command, the tests and the scripts. A
@@ -107,9 +108,13 @@ class TypeChecker:
         return whnf(self.sig, t, self.fuel) if type(t) is FnCall else t
 
     def _require_type(self, actual: Term, expected: Term, span: SourceSpan | None):
-        if actual is not expected and not convertible(
-            self.sig, actual, expected, self.fuel
-        ):
+        c = type(actual)
+        if actual is expected or c is type(expected) and (c is Univ or (
+            c is DataCall and not actual.args and not expected.args
+            and actual.name == expected.name
+        )):
+            return
+        if not convertible(self.sig, actual, expected, self.fuel):
             raise TypeCheckError(
                 TYPE_MISMATCH,
                 f"expected {pretty(expected)}, got {pretty(actual)}",
@@ -176,7 +181,10 @@ class TypeChecker:
                     UNKNOWN_NAME, f"unknown function {term.name}", span
                 )
             earlier = self.check_args(ctx, term.args, func.telescope, span)
-            self._require_type(subst(func.result, earlier), expected, span)
+            ty = func.result
+            if earlier and not free_vars(ty).isdisjoint(earlier):
+                ty = subst(ty, earlier)
+            self._require_type(ty, expected, span)
         elif c is DataCall:
             decl = self.sig.data(term.name)
             if decl is None:
@@ -296,42 +304,49 @@ class TypeChecker:
         if len(pats) != len(tele.entries):
             raise TypeCheckError(
                 ARITY_MISMATCH,
-                f"row has {len(pats)} patterns for {len(tele)} telescope entries",
+                f"row has {counted(len(pats), 'pattern')} for "
+                f"{counted(len(tele), 'telescope binder')}",
                 pats[0].span if pats else span,
             )
-        self._check_linear(pats)
         binds: list[tuple[Var, Term]] = []
-        sub = self._check_pats(pats, tele.entries, False, binds)
+        sub = self._check_pats(pats, tele.entries, False, binds, set())
         return Telescope(tuple(binds)), sub
 
-    def _check_pats(self, pats, entries, lenient, binds):
-        """The one walk over a row's patterns, nested rows included.
+    def _check_pats(self, pats, entries, lenient, binds, seen):
+        """The one walk over a row's patterns, nested rows included, left to
+        right and depth first: its first error is the one reported.
 
-        Each pattern's term is substituted into the remaining entry types; a
-        pattern containing `impossible` has no term, so a fresh opaque
-        variable stands in and the rest is checked leniently. Bindings are
-        appended to `binds`. Returns the instantiation of the entries at their
-        terms, or None when some pattern contains `impossible`.
+        Each pattern's term, built marked normal, is substituted into the
+        remaining entry types; a pattern containing `impossible` has no term,
+        so a fresh opaque variable stands in and the rest is checked
+        leniently. Bindings are appended to `binds`, and their names to `seen`
+        (a name bound twice is E310). Returns the instantiation of the entries
+        at their terms, or None when some pattern contains `impossible`.
         """
         earlier: dict[Var, Term] = {}
         impossible = False
         for pat, (x, ty) in zip(pats, entries):
             if earlier and not free_vars(ty).isdisjoint(earlier):
                 ty = subst(ty, earlier)
-            term = self._check_pat(pat, ty, lenient, binds)
+            term = self._check_pat(pat, ty, lenient, binds, seen)
             if term is None:
                 term = VarCall(Var.fresh("_abs"))
                 impossible = lenient = True
             earlier[x] = term
         return None if impossible else earlier
 
-    def _check_pat(self, pat, ty, lenient, binds) -> Term | None:
+    def _check_pat(self, pat, ty, lenient, binds, seen) -> Term | None:
         """Check one pattern at `ty`, or under an opaque type when `ty` is
         None: a binding then gets a placeholder type, `impossible` is not
         checked, and a constructor need only exist. Returns the pattern's
         term, or None when it contains `impossible`."""
         c = type(pat)
         if c is BindPat:
+            text = pat.var.text
+            if text in seen:
+                raise TypeCheckError(DUPLICATE_PATTERN_VAR, f"pattern variable "
+                                     f"{text} bound twice in one row", pat.span)
+            seen.add(text)
             if ty is None:
                 # A fresh variable, so no other type converts to it. It is
                 # printed only in diagnostics, and no identifier can spell it.
@@ -363,7 +378,7 @@ class TypeChecker:
                 # A loop, not a comprehension: one frame per nesting level.
                 terms = []
                 for q in qs:
-                    terms.append(self._check_pat(q, None, lenient, binds))
+                    terms.append(self._check_pat(q, None, lenient, binds, seen))
                 if None in terms:
                     terms = None
             elif len(qs) != len(fields.entries):
@@ -374,9 +389,13 @@ class TypeChecker:
                     pat.span,
                 )
             else:
-                sub = self._check_pats(qs, fields.entries, lenient, binds)
+                sub = self._check_pats(qs, fields.entries, lenient, binds, seen)
                 terms = None if sub is None else sub.values()
-            return None if terms is None else ConCall(name, tuple(terms))
+            if terms is None:
+                return None
+            term = ConCall(name, tuple(terms))
+            object.__setattr__(term, "_spine_normal", True)
+            return term
         if c is ImpossiblePat:
             if ty is not None:
                 self._check_impossible(pat, ty, lenient)
@@ -413,47 +432,27 @@ class TypeChecker:
                 pat.span,
             )
 
-    def _check_linear(self, pats: Sequence[Pattern]) -> None:
-        # Left to right and depth first, from a stack: the first repeated
-        # name is the one reported. A recursive closure here would leave a
-        # reference cycle per row for the cyclic collector.
-        seen: set[str] = set()
-        stack = list(reversed(pats))
-        while stack:
-            p = stack.pop()
-            c = type(p)
-            if c is BindPat:
-                text = p.var.text
-                if text in seen:
-                    raise TypeCheckError(
-                        DUPLICATE_PATTERN_VAR,
-                        f"pattern variable {text} bound twice in one row",
-                        p.span,
-                    )
-                seen.add(text)
-            elif c is ConPat:
-                stack.extend(reversed(p.args))
-
     # -- clauses and rows ---------------------------------------------------
 
     def check_clause(self, tele: Telescope, result: Term, clause: Clause) -> None:
         """Check one function clause: its body under the row's bindings."""
         theta, sub = self.check_row(clause.patterns, tele, clause.span)
-        has_impossible = sub is None
-        if has_impossible and clause.body is not None:
+        if sub is None and clause.body is not None:
             raise TypeCheckError(
                 IMPOSSIBLE_HAS_BODY,
                 "clause with an impossible pattern cannot have a body",
                 clause.span,
             )
-        if not has_impossible and clause.body is None:
+        if sub is not None and clause.body is None:
             raise TypeCheckError(
                 MISSING_BODY,
                 "clause without an impossible pattern needs a body",
                 clause.span,
             )
         if clause.body is not None:
-            self.check_term(theta, clause.body, subst(result, sub))
+            if not free_vars(result).isdisjoint(sub):
+                result = subst(result, sub)
+            self.check_term(theta, clause.body, result)
 
     def check_ctor_row(self, tele: Telescope, row: CtorRow) -> CtorRow:
         """Check one constructor row, then its fields under the row's

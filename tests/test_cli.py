@@ -246,7 +246,7 @@ class TestEval:
         src.write_text(nat + "def f (n : Nat) : Nat\n  | => zero\n")
         assert run(["check", str(src)]) == 1
         assert capsys.readouterr().err == (
-            f"{src}:{line - 1}:3: error[E302]: row has 0 patterns for 1 telescope entries\n"
+            f"{src}:{line - 1}:3: error[E302]: row has no patterns for 1 telescope binder\n"
         )
 
     def test_constructor_rows_with_different_field_counts(self, tmp_path, capsys):

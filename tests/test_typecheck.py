@@ -270,6 +270,103 @@ class TestCheckPatterns:
         assert count(80) <= 2.5 * count(40)
 
 
+def _first_error(text: str) -> str:
+    with pytest.raises(TypeCheckError) as exc:
+        TypeChecker().check_signature(Resolver().run(tokenize(text, "<test>")))
+    return exc.value.render()
+
+
+class TestLinearityInTheWalk:
+    """A row's linearity is checked by the one pattern walk, as it records
+    each binder: a name bound twice is E310 at its second binder, and the
+    first error the walk reaches, left to right and depth first, wins."""
+
+    FIN = (
+        "data Nat : Type\n  | zero\n  | suc (n : Nat)\n"
+        "data Fin (n : Nat) : Type\n  | suc m => fzero\n  | suc m => fsuc (x : Fin m)\n"
+    )
+
+    def test_nested_duplicate_at_its_second_binder(self):
+        text = (
+            self.FIN
+            + "def f (n : Nat) (x : Fin n) : Nat\n"
+            + "  | suc m, fsuc m => zero\n"
+            + "  | suc m, fzero => zero\n"
+        )
+        assert len(text.splitlines()) == 9
+        assert _first_error(text) == (
+            "<test>:8:17: error[E310]: pattern variable m bound twice in one row"
+        )
+
+    def test_constructor_row_duplicate(self):
+        text = self.FIN + "data Same (a : Nat) (b : Nat) : Type\n  | k, k => same\n"
+        assert _first_error(text) == (
+            "<test>:8:8: error[E310]: pattern variable k bound twice in one row"
+        )
+
+    def test_duplicate_after_impossible(self):
+        text = (
+            self.FIN
+            + "def g (n : Nat) (x : Fin n) (a : Nat) (b : Nat) : Nat\n"
+            + "  | zero, impossible, k, k\n"
+        )
+        assert _first_error(text) == (
+            "<test>:8:26: error[E310]: pattern variable k bound twice in one row"
+        )
+
+    def test_first_error_in_walk_order(self):
+        # `suc` has one field: the walk reaches its arity before the second
+        # `x`, so the row is E302 at `suc`, not E310.
+        text = self.FIN + "def h (n : Nat) (m : Nat) : Nat\n  | suc x x, m => zero\n"
+        assert _first_error(text) == (
+            "<test>:8:5: error[E302]: constructor suc has 1 field, pattern has 2"
+        )
+
+
+class TestKnownAnswersSkipped:
+    """Calls whose answer is known before they are made are not made."""
+
+    def test_a_pattern_term_is_built_normal(self, fin_sig, monkeypatch):
+        m = BindPat(Var.fresh("m"))
+        pat = ConPat("suc", (ConPat("suc", (m,)),))
+        _, sub = TypeChecker(fin_sig).check_row((pat,), column(dat("Nat")))
+        (term,) = sub.values()
+        calls = []
+
+        def counted(sig, t, fuel):
+            calls.append(t)
+            return evaluator.index_normal_form(sig, t, fuel)
+
+        monkeypatch.setattr(coverage, "index_normal_form", counted)
+        av = coverage.available_ctors(fin_sig, "Fin", [term], Fuel())
+        assert list(av) == ["fzero", "fsuc"]
+        assert calls == []
+
+    def test_nat_checks_without_conversion(self, monkeypatch):
+        # Every type compared in nat.sit is `Nat` or `Type`.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return evaluator.convertible(*args)
+
+        monkeypatch.setattr(typecheck, "convertible", counted)
+        load_corpus("nat")
+        assert calls == []
+
+    def test_a_closed_result_is_not_instantiated(self, nat_sig, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return core.subst(*args)
+
+        monkeypatch.setattr(typecheck, "subst", counted)
+        clause = Clause((ConPat("suc", (BindPat(Var.fresh("m")),)),), con("zero"))
+        TypeChecker(nat_sig).check_clause(column(dat("Nat")), dat("Nat"), clause)
+        assert calls == []
+
+
 class TestCheckedInPlace:
     """Checking reads patterns in place: the signature holds the nodes the
     reader built, and a checked row adds only its binder telescope."""
