@@ -22,7 +22,6 @@ from sit.core import (
     ConCall,
     DataCall,
     DataDecl,
-    Telescope,
     UNIV,
     Univ,
     Var,
@@ -38,9 +37,9 @@ def closed_tuples(sig, tele, depth, fuel):
     if not tele:
         yield ()
         return
-    (x, ty), remaining = tele.entries[0], tele.entries[1:]
+    (x, ty), remaining = tele[0], tele[1:]
     for t in closed_terms(sig, ty, depth, fuel):
-        refined = Telescope(tuple((y, subst(yty, {x: t})) for y, yty in remaining))
+        refined = tuple((y, subst(yty, {x: t})) for y, yty in remaining)
         for more in closed_tuples(sig, refined, depth, fuel):
             yield (t,) + more
 

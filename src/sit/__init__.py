@@ -10,7 +10,6 @@ from .core import (
     CtorRow,
     DataCall,
     DataDecl,
-    EMPTY_TELESCOPE,
     FnCall,
     FuncDecl,
     ImpossiblePat,
@@ -39,7 +38,6 @@ from .pattern_ops import (
     match_terms,
     to_term,
     to_terms,
-    vars_tele,
 )
 from .translate import GeneralData, emit_general, synth_ctor_type, to_general
 from .typecheck import Checked, TypeChecker, evaluate, load

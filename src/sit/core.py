@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from collections.abc import Iterator
 from operator import attrgetter
 
 from .diagnostics import InternalError, SourceSpan
@@ -202,42 +201,13 @@ UNIV = Univ()
 # Telescopes
 
 
-class Telescope(Node):
-    """An ordered list of typed bindings; later types may mention earlier vars.
-
-    The checker's context is a telescope too: the in-scope bindings, oldest
-    first.
-    """
-
-    __slots__ = ("entries",)
-    entries: tuple[tuple[Var, Term], ...]
-    _defaults = {"entries": ()}
-
-    @staticmethod
-    def of(*entries: tuple[Var, Term]) -> Telescope:
-        return Telescope(tuple(entries))
-
-    def extended(self, var: Var, ty: Term) -> Telescope:
-        return Telescope(self.entries + ((var, ty),))
-
-    def lookup(self, var: Var) -> Term | None:
-        """The type of the latest binding of `var`, or None."""
-        for x, ty in reversed(self.entries):
-            if x == var:
-                return ty
-        return None
-
-    def __iter__(self) -> Iterator[tuple[Var, Term]]:
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
-
-EMPTY_TELESCOPE = Telescope()
+# A telescope is a plain tuple of typed bindings, `(variable, type)` pairs,
+# where later types may mention earlier variables: a declaration's
+# parameters, a row's fields, and its binders (the telescope that
+# `TypeChecker.check_row` returns). The checker's context is one too: the
+# in-scope bindings, oldest first. `Telescope` is only the type alias below,
+# for annotations, and `()` is the empty telescope.
+Telescope = tuple[tuple[Var, Term], ...]
 
 
 # ---------------------------------------------------------------------------

@@ -130,8 +130,8 @@ def available_ctors(
             sub = out.sub
         if name not in fields:
             tele = row.fields
-            if sub and tele.entries:
-                tele = Telescope(tuple([(x, subst(ty, sub)) for x, ty in tele.entries]))
+            if sub and tele:
+                tele = tuple([(x, subst(ty, sub)) for x, ty in tele])
             fields[name] = tele
         if ctor is not None:
             break
@@ -183,7 +183,7 @@ def _useful(sig: Signature, decl: Declaration, rows: list, fuel: Fuel) -> set[in
     row claims whose columns are inhabited, and at the first undecidable
     split."""
     used: set[int] = set()
-    stack = [(list(decl.telescope.entries), rows, None)]
+    stack = [(list(decl.telescope), rows, None)]
     while stack:
         columns, rows, chain = stack.pop()
         if not rows:
@@ -244,7 +244,7 @@ def _useful(sig: Signature, decl: Declaration, rows: list, fuel: Fuel) -> set[in
             # fields, so the renaming grows as it goes.
             new_columns = columns[:split_at]
             rename: dict[Var, Term] = {}
-            for x, ty_x in fields.entries:
+            for x, ty_x in fields:
                 w = VarCall(Var.fresh(x.text))
                 new_columns.append((w.var, subst(ty_x, rename) if rename else ty_x))
                 rename[x] = w
@@ -282,7 +282,7 @@ def _missing_case(decl: Declaration, chain: tuple | None) -> str:
     while chain is not None:
         chain, refine = chain
         refines.append(refine)
-    shapes = [VarCall(x) for x, _ in decl.telescope.entries]
+    shapes = [VarCall(x) for x, _ in decl.telescope]
     for refine in reversed(refines):
         shapes = [subst(s, refine) for s in shapes]
     holes = {x: _HOLE for s in shapes for x in free_vars(s)}

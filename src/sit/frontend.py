@@ -146,11 +146,6 @@ class Tokens:
     def __getitem__(self, i: int) -> Token:
         return Token(self.kinds[i], self.texts[i], self.file, self.lines[i], self.cols[i])
 
-    @property
-    def span(self) -> SourceSpan:
-        """Where the first token starts."""
-        return SourceSpan(self.file, self.lines[0], self.cols[0])
-
 
 def decode_source(data: bytes, file: str) -> str:
     """The text of a UTF-8 source file, each newline read as "\n" (as a file
@@ -463,7 +458,7 @@ class _Reader:
                     raise ResolveError(DUPLICATE_DECL, message, self._span(at))
                 scope[name] = var
                 entries.append((var, ty))
-        return Telescope(tuple(entries))
+        return tuple(entries)
 
     def bind(self, at: int) -> Var:
         """A fresh variable for the binder at token `at`."""

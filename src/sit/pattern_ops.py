@@ -16,7 +16,6 @@ from .core import (
     ImpossiblePat,
     Node,
     Pattern,
-    Telescope,
     Term,
     Var,
     VarCall,
@@ -49,11 +48,6 @@ class Stuck(Node):
 
 
 MatchOutcome = Matched | Mismatch | Stuck
-
-
-def vars_tele(tele: Telescope) -> list[Var]:
-    """The binders of a telescope, in order."""
-    return [x for x, _ in tele.entries]
 
 
 def to_term(p: Pattern) -> Term:

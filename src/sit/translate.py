@@ -38,7 +38,7 @@ class GeneralData(Node):
 
 def _pis(tele: Telescope, ty: Term) -> Term:
     """`ty` under one Pi per entry of `tele`, the first entry outermost."""
-    for x, t in reversed(tele.entries):
+    for x, t in reversed(tele):
         ty = Pi(x, t, ty)
     return ty
 

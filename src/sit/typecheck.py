@@ -21,6 +21,12 @@ under it need only name known constructors. Signature formation folds
 declarations left to right, so every name refers to an earlier
 declaration (or to the one being checked, for recursion).
 
+Every telescope is a plain tuple of `(variable, type)` pairs, and
+`core.Telescope` is only its type alias: a declaration's parameters, a
+row's fields, the binder telescope `check_row` returns, and the context a
+term is checked in. A binder extends the context as `ctx + ((x, ty),)`,
+and `()` is the empty context.
+
 A call whose answer a term's class already gives is skipped: `_whnf`
 reduces only a function call, `_require_type` converts neither one object
 nor two `Type`s or argument-free calls of one data type, and an entry type
@@ -45,7 +51,6 @@ from .core import (
     DataCall,
     DataDecl,
     Declaration,
-    EMPTY_TELESCOPE,
     FnCall,
     FuncDecl,
     ImpossiblePat,
@@ -85,7 +90,14 @@ from .diagnostics import (
 )
 from .evaluator import Fuel, convertible, normalize, whnf
 from .frontend import Resolver, tokenize
-from .pattern_ops import vars_tele
+
+
+def _lookup(ctx: Telescope, x: Var) -> Term | None:
+    """The type of the latest binding of `x` in the context, or None."""
+    for y, ty in reversed(ctx):
+        if y == x:
+            return ty
+    return None
 
 
 class TypeChecker:
@@ -135,7 +147,8 @@ class TypeChecker:
         c = type(term)
         if c is FnCall:
             func = self.sig.func(term.name)
-            return subst(func.result, dict(zip(vars_tele(func.telescope), term.args)))
+            sub = {x: arg for (x, _), arg in zip(func.telescope, term.args)}
+            return subst(func.result, sub)
         if c is ConCall:
             owner = self.sig.ctor_owner(term.name)
             return None if owner.telescope else DataCall(owner.name, ())
@@ -160,7 +173,7 @@ class TypeChecker:
             self.check_args(ctx, term.args, fields, span)
         elif c is VarCall:
             x = term.var
-            ty = ctx.lookup(x)
+            ty = _lookup(ctx, x)
             if ty is None:
                 raise TypeCheckError(UNKNOWN_NAME, f"unbound variable {x.text}", span)
             for arg in term.args:
@@ -195,7 +208,7 @@ class TypeChecker:
             self._require_type(UNIV, expected, span)
         elif c is Pi:
             self.check_term(ctx, term.domain, UNIV)
-            self.check_term(ctx.extended(term.binder, term.domain), term.codomain, UNIV)
+            self.check_term(ctx + ((term.binder, term.domain),), term.codomain, UNIV)
             self._require_type(UNIV, expected, span)
         elif c is Lam:
             exp = self._whnf(expected)
@@ -207,7 +220,7 @@ class TypeChecker:
                 )
             x = term.binder
             cod = subst(exp.codomain, {exp.binder: VarCall(x)})
-            self.check_term(ctx.extended(x, exp.domain), term.body, cod)
+            self.check_term(ctx + ((x, exp.domain),), term.body, cod)
         elif c is Univ:
             self._require_type(UNIV, expected, span)
         else:
@@ -263,15 +276,14 @@ class TypeChecker:
         an argument may mention the telescope's own variables (a data type's
         rows can use it at its own parameters, swapped).
         """
-        entries = tele.entries
-        if len(args) != len(entries):
+        if len(args) != len(tele):
             raise TypeCheckError(
                 ARITY_MISMATCH,
-                f"expected {counted(len(entries), 'argument')}, got {len(args)}",
+                f"expected {counted(len(tele), 'argument')}, got {len(args)}",
                 span,
             )
         earlier: dict[Var, Term] = {}
-        for arg, (x, ty) in zip(args, entries):
+        for arg, (x, ty) in zip(args, tele):
             if earlier and not free_vars(ty).isdisjoint(earlier):
                 ty = subst(ty, earlier)
             self.check_term(ctx, arg, ty)
@@ -280,9 +292,9 @@ class TypeChecker:
 
     def check_telescope(self, ctx: Telescope, tele: Telescope) -> Telescope:
         """Check each entry's type is a type; returns the extended context."""
-        for x, ty in tele.entries:
+        for x, ty in tele:
             self.check_term(ctx, ty, UNIV)
-            ctx = ctx.extended(x, ty)
+            ctx += ((x, ty),)
         return ctx
 
     # -- patterns -----------------------------------------------------------
@@ -301,7 +313,7 @@ class TypeChecker:
         contains `impossible`. A wrong number of patterns is located at the
         first one, or at `span` when there is none.
         """
-        if len(pats) != len(tele.entries):
+        if len(pats) != len(tele):
             raise TypeCheckError(
                 ARITY_MISMATCH,
                 f"row has {counted(len(pats), 'pattern')} for "
@@ -309,8 +321,8 @@ class TypeChecker:
                 pats[0].span if pats else span,
             )
         binds: list[tuple[Var, Term]] = []
-        sub = self._check_pats(pats, tele.entries, False, binds, set())
-        return Telescope(tuple(binds)), sub
+        sub = self._check_pats(pats, tele, False, binds, set())
+        return tuple(binds), sub
 
     def _check_pats(self, pats, entries, lenient, binds, seen):
         """The one walk over a row's patterns, nested rows included, left to
@@ -381,7 +393,7 @@ class TypeChecker:
                     terms.append(self._check_pat(q, None, lenient, binds, seen))
                 if None in terms:
                     terms = None
-            elif len(qs) != len(fields.entries):
+            elif len(qs) != len(fields):
                 raise TypeCheckError(
                     ARITY_MISMATCH,
                     f"constructor {name} has {counted(len(fields), 'field')}, "
@@ -389,7 +401,7 @@ class TypeChecker:
                     pat.span,
                 )
             else:
-                sub = self._check_pats(qs, fields.entries, lenient, binds, seen)
+                sub = self._check_pats(qs, fields, lenient, binds, seen)
                 terms = None if sub is None else sub.values()
             if terms is None:
                 return None
@@ -486,7 +498,7 @@ class TypeChecker:
         return sig
 
     def _check_data(self, decl: DataDecl, coverage: bool) -> None:
-        self.check_telescope(EMPTY_TELESCOPE, decl.telescope)
+        self.check_telescope((), decl.telescope)
         for row in decl.ctors:
             if row.name == decl.name or self.sig.declares(row.name):
                 raise TypeCheckError(
@@ -506,7 +518,7 @@ class TypeChecker:
             self.warnings += coverage_mod.unselected_rows(self.sig, checked, self.fuel)
 
     def _check_func(self, decl: FuncDecl, coverage: bool) -> None:
-        ctx = self.check_telescope(EMPTY_TELESCOPE, decl.telescope)
+        ctx = self.check_telescope((), decl.telescope)
         self.check_term(ctx, decl.result, UNIV)
         # Clauses may call the function being defined.
         self.sig.add(decl)
@@ -556,5 +568,5 @@ def evaluate(checked: Checked, text: str, fuel: Fuel) -> Term:
         checker = TypeChecker(checked.sig, fuel)
         ty = checker.infer(term)
         if ty is not None:
-            checker.check_term(EMPTY_TELESCOPE, term, ty)
+            checker.check_term((), term, ty)
         return normalize(checked.sig, term, fuel)

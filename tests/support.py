@@ -189,9 +189,9 @@ def enumerate_tuples(
     if not tele:
         yield ()
         return
-    (x, ty), rest = tele.entries[0], Telescope(tele.entries[1:])
+    (x, ty), rest = tele[0], tele[1:]
     for t in enumerate_terms(sig, ty, depth):
-        refined = Telescope(tuple((y, subst(yty, {x: t})) for y, yty in rest))
+        refined = tuple((y, subst(yty, {x: t})) for y, yty in rest)
         for more in enumerate_tuples(sig, refined, depth):
             yield (t,) + more
 

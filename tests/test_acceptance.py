@@ -17,7 +17,6 @@ from sit.core import (
     ConCall,
     ConPat,
     DataDecl,
-    EMPTY_TELESCOPE,
     Var,
     VarCall,
     subst,
@@ -236,7 +235,7 @@ def test_c6_translated_constructors_recheck(sigs):
                 if not isinstance(decl, DataDecl):
                     continue
                 for _, ty in to_general(sig, decl).ctors:
-                    TypeChecker(sig).check_term(EMPTY_TELESCOPE, ty, UNIV)
+                    TypeChecker(sig).check_term((), ty, UNIV)
                     total += 1
         assert total > 0
 

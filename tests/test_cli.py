@@ -619,6 +619,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"{src}:3:13: error[E102]: expected an expression, found end of input\n"
 
+    @pytest.mark.parametrize(
+        "expr, where, message",
+        [
+            ("fn => zero", "1:4", "expected a binder name, found '=>'"),
+            ("fn x zero", "1:6", "expected '=>', found 'zero'"),
+            ("(x : Nat", "1:9", "expected ')', found end of input"),
+            ("(x : Nat) Nat", "1:11", "expected '->', found 'Nat'"),
+        ],
+    )
+    def test_expression_parse_error(self, capsys, expr, where, message):
+        assert run(["eval", corpus("nat.sit"), "-e", expr]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"<expr>:{where}: error[E102]: {message}\n"
+
     def test_type_error(self, tmp_path):
         src = tmp_path / "ill.sit"
         src.write_text(

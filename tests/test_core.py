@@ -17,7 +17,6 @@ from sit.core import (
     FnCall,
     Lam,
     Pi,
-    Telescope,
     UNIV,
     Univ,
     Var,
@@ -31,7 +30,7 @@ from sit.core import (
 from sit.coverage import Undecidable, available_ctors
 from sit.diagnostics import InternalError
 from sit.evaluator import Fuel
-from sit.pattern_ops import Matched, match_terms, vars_tele
+from sit.pattern_ops import Matched, match_terms
 
 from support import (
     check_source,
@@ -386,7 +385,7 @@ class TestOnePassInstantiation:
         checked = 0
         for sig in _signatures():
             for tele in corpus_telescopes(sig):
-                xs = vars_tele(tele)
+                xs = [x for x, _ in tele]
                 for args in self.instantiations(sig, tele):
                     for i, (_, ty) in enumerate(tele):
                         one_pass = subst(ty, dict(zip(xs[:i], args[:i])))
@@ -403,7 +402,7 @@ class TestOnePassInstantiation:
             for decl in sig.decls:
                 if not isinstance(decl, DataDecl):
                     continue
-                xs = vars_tele(decl.telescope)
+                xs = [x for x, _ in decl.telescope]
                 for args in self.instantiations(sig, decl.telescope):
                     data_sub = dict(zip(xs, args))
                     for name in dict.fromkeys(row.name for row in decl.ctors):
@@ -430,18 +429,6 @@ def _first_matching_row(decl, name, args):
     raise AssertionError(f"no row of {name} matches")
 
 
-class TestTelescope:
-    def test_empty_left(self):
-        m = Var.fresh("m")
-        theta = Telescope.of((m, con("Nat")))
-        assert Telescope().extended(m, con("Nat")) == theta
-
-    def test_concatenation_order(self):
-        m, x = Var.fresh("m"), Var.fresh("x")
-        t1 = Telescope.of((m, UNIV))
-        assert [v for v, _ in t1.extended(x, UNIV)] == [m, x]
-
-
 class TestApplySpine:
     def test_variable_spine_grows(self):
         f = Var.fresh("f")
@@ -466,6 +453,13 @@ class TestPretty:
         assert pretty(dependent) == "(n : Nat) → n"
         plain = Pi(Var.fresh("_"), con("Nat"), con("Nat"))
         assert pretty(plain) == "Nat → Nat"
+
+    def test_arrow_and_lambda_domains_are_parenthesized(self):
+        y = Var.fresh("y")
+        arrow = Pi(Var.fresh("_"), con("Nat"), con("Nat"))
+        assert pretty(Pi(Var.fresh("_"), arrow, con("Nat"))) == "(Nat → Nat) → Nat"
+        lam = Lam(y, VarCall(y))
+        assert pretty(Pi(Var.fresh("_"), lam, con("Nat"))) == "(fn y => y) → Nat"
 
 
 def _drop_sit() -> None:

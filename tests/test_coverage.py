@@ -6,7 +6,7 @@ import time
 import pytest
 
 import sit.coverage
-from sit.core import EMPTY_TELESCOPE, ConCall, Var, VarCall
+from sit.core import ConCall, Var, VarCall
 from sit.coverage import Undecidable, available_ctors, check_coverage
 from sit.diagnostics import CoverageError, TypeCheckError
 from sit.evaluator import Fuel, index_normal_form
@@ -35,8 +35,8 @@ class TestAvailableCtors:
         assert list(out) == ["fzero", "fsuc"]
         # The fields are the row's, instantiated at the index: fsuc's x is a
         # Fin zero.
-        assert out["fzero"].entries == ()
-        [(_, x_ty)] = out["fsuc"].entries
+        assert out["fzero"] == ()
+        [(_, x_ty)] = out["fsuc"]
         assert x_ty == dat("Fin", nat_lit(0))
 
     def test_undecidable_at_variable(self, fin_sig):
@@ -69,7 +69,7 @@ data Parity (n : Nat) : Type
         )
         out = available_ctors(sig, "Parity", [nat_lit(0)], Fuel())
         assert list(out) == ["even"]
-        assert out["even"].entries == ()
+        assert out["even"] == ()
 
     def test_observed_bindings_are_the_rows_own(self, vec_sig):
         # Fields are instantiated at the row's own match bindings: the
@@ -88,7 +88,7 @@ data Parity (n : Nat) : Type
         [row] = [r for r in vec_sig.data("Vec").ctors if r.patterns is pats]
         assert list(seen.sub) == [x for x, _ in row.binders]
         assert seen.sub == sub
-        tele_vars = {x for x, _ in vec_sig.data("Vec").telescope.entries}
+        tele_vars = {x for x, _ in vec_sig.data("Vec").telescope}
         assert not tele_vars & set(seen.sub)
 
     def test_only_an_index_that_can_change_is_normalized(self, fin_sig, monkeypatch):
@@ -462,7 +462,7 @@ class TestSplitAvailabilityAgreement:
                     args = tuple(VarCall(Var.fresh("probe")) for _ in row.fields)
                     try:
                         TypeChecker(sig).check_term(
-                            EMPTY_TELESCOPE, ConCall(ctor, args), dat(data_name, *indices)
+                            (), ConCall(ctor, args), dat(data_name, *indices)
                         )
                         accepted = True
                     except TypeCheckError as err:

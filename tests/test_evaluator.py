@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sit import evaluator
-from sit.core import EMPTY_TELESCOPE, ConCall, FnCall, Lam, Pi, UNIV, Var, VarCall
+from sit.core import ConCall, FnCall, Lam, Pi, UNIV, Var, VarCall, pretty
 from sit.diagnostics import FuelError
 from sit.evaluator import Fuel, convertible, index_normal_form, normalize, whnf
 from sit.typecheck import TypeChecker
@@ -51,6 +51,16 @@ class TestWhnf:
         k = Var.fresh("k")
         t = fn("plus", ref(k), nat_lit(0))
         assert whnf(nat_sig, t, Fuel()) == t
+
+    def test_closed_call_no_clause_matches_stays_neutral(self):
+        # Without coverage a partial function checks; its call at a value
+        # that no clause matches has no reduct.
+        sig = check_source(
+            "data Nat : Type\n  | zero\n  | suc (n : Nat)\n"
+            "def pred (n : Nat) : Nat\n  | suc m => m\n",
+            coverage=False,
+        )
+        assert pretty(normalize(sig, fn("pred", con("zero")), Fuel())) == "pred zero"
 
     def test_beta_with_spine_argument(self, nat_sig):
         # Substituting a lambda for a spine head reduces on the spot, so
@@ -288,6 +298,6 @@ class TestSubjectReduction:
             ),
         ]
         for sig, term, ty in cases:
-            TypeChecker(sig).check_term(EMPTY_TELESCOPE, term, ty)
+            TypeChecker(sig).check_term((), term, ty)
             reduced = normalize(sig, term, Fuel())
-            TypeChecker(sig).check_term(EMPTY_TELESCOPE, reduced, ty)
+            TypeChecker(sig).check_term((), reduced, ty)

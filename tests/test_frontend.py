@@ -6,7 +6,6 @@ import weakref
 import pytest
 
 from sit.core import (
-    EMPTY_TELESCOPE,
     BindPat,
     Clause,
     ConCall,
@@ -20,7 +19,6 @@ from sit.core import (
     Lam,
     Node,
     Pi,
-    Telescope,
     Univ,
     Var,
     VarCall,
@@ -74,14 +72,14 @@ class TestParser:
 
     def test_plain_data(self):
         (decl,) = Resolver().run(tokenize("data Nat : Type | zero | suc (n : Nat)"))
-        n = decl.ctors[1].fields.entries[0][0]
+        n = decl.ctors[1].fields[0][0]
         assert n.text == "n"
         assert decl == DataDecl(
             "Nat",
-            EMPTY_TELESCOPE,
+            (),
             (
-                CtorRow("zero", EMPTY_TELESCOPE, ()),
-                CtorRow("suc", Telescope(((n, NAT_T),)), ()),
+                CtorRow("zero", (), ()),
+                CtorRow("suc", ((n, NAT_T),), ()),
             ),
         )
 
@@ -91,11 +89,11 @@ class TestParser:
         decls = Resolver().run(
             tokenize(NAT + "data List (A : Type) : Type\n  | nil\n  | cons (x : A) (xs : List A)\n")
         )
-        ((a, _),) = decls[1].telescope.entries
+        ((a, _),) = decls[1].telescope
         nil, cons = decls[1].ctors
         assert nil.patterns == cons.patterns == (BindPat(a),)
         assert nil.patterns[0].span is None
-        assert cons.fields.entries[0][1] == VarCall(a)
+        assert cons.fields[0][1] == VarCall(a)
 
     def test_pattern_row(self):
         decls = Resolver().run(
@@ -108,7 +106,7 @@ class TestParser:
         )
         rows = decls[1].ctors
         a = rows[0].patterns[0].var
-        assert rows[0] == CtorRow("vnil", EMPTY_TELESCOPE, (BindPat(a), ConPat("zero", ())))
+        assert rows[0] == CtorRow("vnil", (), (BindPat(a), ConPat("zero", ())))
         a, m = rows[1].patterns[0].var, rows[1].patterns[1].args[0].var
         assert (a.text, m.text) == ("A", "m")
         assert rows[1].patterns == (BindPat(a), ConPat("suc", (BindPat(m),)))

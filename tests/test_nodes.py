@@ -26,7 +26,6 @@ from sit.core import (
     ImpossiblePat,
     Lam,
     Pi,
-    Telescope,
     Univ,
     Var,
     VarCall,
@@ -40,7 +39,7 @@ X = Var("x", 1)
 A = SourceSpan("a.sit", 1, 1)
 B = SourceSpan("b.sit", 2, 4)
 N = VarCall(X)
-TELE = Telescope(((X, Univ()),))
+TELE = ((X, Univ()),)
 
 # Class, the fields of a sample node (its span is added when the class has
 # one), and the `repr` and `__match_args__` that a frozen dataclass gave it.
@@ -55,23 +54,20 @@ CASES = [
      ("binder", "domain", "codomain", "span")),
     (Lam, (X, N), "Lam(binder=x#1, body=VarCall(var=x#1, args=()))", ("binder", "body", "span")),
     (Univ, (), "Univ()", ("span",)),
-    (Telescope, (((X, Univ()),),), "Telescope(entries=((x#1, Univ()),))", ("entries",)),
     (BindPat, (X,), "BindPat(var=x#1)", ("var", "span")),
     (ConPat, ("c", (BindPat(X),)), "ConPat(name='c', args=(BindPat(var=x#1),))",
      ("name", "args", "span")),
     (ImpossiblePat, (), "ImpossiblePat()", ("span",)),
     (CtorRow, ("c", TELE, None, TELE),
-     "CtorRow(name='c', fields=Telescope(entries=((x#1, Univ()),)), patterns=None, "
-     "binders=Telescope(entries=((x#1, Univ()),)))",
+     "CtorRow(name='c', fields=((x#1, Univ()),), patterns=None, binders=((x#1, Univ()),))",
      ("name", "fields", "patterns", "binders", "span")),
     (Clause, ((ImpossiblePat(),), None), "Clause(patterns=(ImpossiblePat(),), body=None)",
      ("patterns", "body", "span")),
     (DataDecl, ("D", TELE, ()),
-     "DataDecl(name='D', telescope=Telescope(entries=((x#1, Univ()),)), ctors=())",
+     "DataDecl(name='D', telescope=((x#1, Univ()),), ctors=())",
      ("name", "telescope", "ctors", "span")),
     (FuncDecl, ("f", TELE, Univ(), ()),
-     "FuncDecl(name='f', telescope=Telescope(entries=((x#1, Univ()),)), result=Univ(), "
-     "clauses=())",
+     "FuncDecl(name='f', telescope=((x#1, Univ()),), result=Univ(), clauses=())",
      ("name", "telescope", "result", "clauses", "span")),
     (Matched, ({X: N},), "Matched(sub={x#1: VarCall(var=x#1, args=())})", ("sub",)),
     (Mismatch, (), "Mismatch()", ()),

@@ -26,7 +26,6 @@ from sit.pattern_ops import (
     match_terms,
     to_term,
     to_terms,
-    vars_tele,
 )
 from sit.typecheck import TypeChecker
 
@@ -44,17 +43,6 @@ from support import (
 
 def bind(name: str) -> BindPat:
     return BindPat(Var.fresh(name))
-
-
-class TestVars:
-    def test_vars_tele_empty(self):
-        from sit.core import Telescope
-
-        assert vars_tele(Telescope()) == []
-
-    def test_vars_tele_vec(self, vec_sig):
-        tele = vec_sig.data("Vec").telescope
-        assert [v.text for v in vars_tele(tele)] == ["A", "n"]
 
 
 class TestToTerms:

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from sit.core import EMPTY_TELESCOPE, DataCall, Pi, Signature, pretty
+from sit.core import DataCall, Pi, Signature, pretty
 from sit.diagnostics import InternalError, TypeCheckError
 from sit.frontend import Resolver, tokenize
 from sit.pattern_ops import Matched, Mismatch, match_terms, to_terms
@@ -120,7 +120,7 @@ class TestSynthCtorType:
     def test_synthesized_types_check_as_types(self, vec_sig, fin_sig):
         for sig, ctor in ((vec_sig, "vcons"), (vec_sig, "vnil"), (fin_sig, "fsuc")):
             TypeChecker(sig).check_term(
-                EMPTY_TELESCOPE, synth_ctor_type(sig, ctor), UNIV
+                (), synth_ctor_type(sig, ctor), UNIV
             )
 
 
@@ -178,7 +178,7 @@ class TestWellTypedness:
                 if not hasattr(decl, "ctors"):
                     continue
                 for _, ty in to_general(sig, decl).ctors:
-                    TypeChecker(sig).check_term(EMPTY_TELESCOPE, ty, UNIV)
+                    TypeChecker(sig).check_term((), ty, UNIV)
 
     def test_pattern_terms_instantiate_the_telescope(self, vec_sig, fin_sig):
         for sig, name in ((vec_sig, "Vec"), (fin_sig, "Fin")):

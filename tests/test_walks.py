@@ -14,12 +14,10 @@ from typing import Optional
 import pytest
 
 from sit.core import (
-    EMPTY_TELESCOPE,
     UNIV,
     ConCall,
     Lam,
     Pi,
-    Telescope,
     Var,
     VarCall,
     alpha_eq,
@@ -80,9 +78,9 @@ class TestForeignNode:
 
     def test_check_term_and_check_pattern(self, nat_sig):
         with pytest.raises(TypeCheckError):
-            TypeChecker(nat_sig).check_term(EMPTY_TELESCOPE, FOREIGN, UNIV)
+            TypeChecker(nat_sig).check_term((), FOREIGN, UNIV)
         with pytest.raises(TypeCheckError):
-            tele = Telescope.of((Var.fresh("x"), UNIV))
+            tele = ((Var.fresh("x"), UNIV),)
             TypeChecker(nat_sig).check_row((FOREIGN,), tele)
 
     def test_resolver(self):
